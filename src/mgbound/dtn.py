@@ -3,21 +3,27 @@ to boundary partitions, and the truncation-limit procedure for families.
 
 The map sends boundary values F to the mu-normalized boundary flux of the
 harmonic extension: (Lam F)(v) = mu(v)^{-1} * sum over incident edges of the
-oriented derivative at v.  Columns are assembled from indicator solves
-against one shared factorization; the dense Schur complement
-L_BB - L_BI L_II^{-1} L_IB is kept only as a test oracle.
+oriented derivative at v.  That flux is the Schur complement
+S = L_BB - L_BI L_II^{-1} L_IB of the weighted Laplacian applied to F, and
+every flux quantity here is one call of `HarmonicSolver.boundary_flux`: the
+full map is S itself, the compressed map is A^T S A for the leaf-to-cell
+indicator matrix A, and the energy form is F^T S F.  The dense Schur
+complement `schur_complement_dtn` is kept only as a test oracle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .families import TreeFamilySpec, build_kary_tree, ROOT
 from .graph import MetricGraph
-from .harmonic import HarmonicSolver, assemble_laplacian, dirichlet_energy, vertex_flux
-from .measures import _level_prefixes, exit_measure_limit
-from .partition import Partition
+from .harmonic import HarmonicSolver, assemble_laplacian, dirichlet_energy
+# bound here unused: perfbench's tracer test wraps vertex_flux through this module
+from .harmonic import vertex_flux  # noqa: F401
+from .measures import _check_schedule, _level_prefixes, exit_measure
+from .partition import Partition, assign_leaves_to_cells
 
 
 @dataclass
@@ -63,7 +69,9 @@ def _check_weights(keys, mu):
 
 
 def dtn_matrix(g: MetricGraph, mu: dict | None = None) -> DtNMatrix:
-    """Full DtN matrix on the boundary vertices (one solve per column)."""
+    """Full DtN matrix on the boundary vertices: the boundary fluxes of the
+    harmonic extensions of all boundary indicators, from one factorization,
+    scaled by 1/mu."""
     bverts = sorted(g.boundary)
     if len(bverts) < 2:
         raise ValueError("need at least 2 boundary vertices")
@@ -71,15 +79,12 @@ def dtn_matrix(g: MetricGraph, mu: dict | None = None) -> DtNMatrix:
         mu = {v: 1.0 for v in bverts}
     if set(mu) != set(bverts):
         raise ValueError("mu must cover exactly the boundary vertices")
-    w = _check_weights(bverts, mu)
     solver = HarmonicSolver(g)
-    n = len(bverts)
-    Lam = np.zeros((n, n))
-    for j, vj in enumerate(bverts):
-        f = solver.solve({v: (1.0 if v == vj else 0.0) for v in bverts})
-        Lam[:, j] = [vertex_flux(f, v) for v in bverts]
+    w = _check_weights(solver.boundary, mu)
+    n = len(solver.boundary)
+    Lam = solver.boundary_flux(sp.identity(n, format="csc"))
     Lam /= w[:, None]
-    return DtNMatrix(tuple(bverts), Lam, w)
+    return DtNMatrix(solver.boundary, Lam, w)
 
 
 def schur_complement_dtn(g: MetricGraph, mu: dict | None = None) -> DtNMatrix:
@@ -109,34 +114,34 @@ def inner_product_mu(F, G, weights) -> float:
     return float(np.sum(F * G * w) / np.sum(w))
 
 
+def _check_cell_weights(cell_weights, ncells: int) -> np.ndarray:
+    w = np.asarray(cell_weights, dtype=float)
+    if w.shape != (ncells,) or np.any(w <= 0):
+        raise ValueError("cell weights must be positive, one per cell")
+    return w
+
+
 def compressed_dtn(g: MetricGraph, cells: Partition, cell_weights,
                    assignment: dict | None = None) -> DtNMatrix:
     """DtN compressed to functions constant on the cells of a boundary
-    partition: apply the map to each cell indicator and sum fluxes per cell,
-    scaled by 1/mu(cell)."""
+    partition: A^T S A scaled by 1/mu(cell), with S the boundary Schur
+    complement and A the leaf-to-cell indicator matrix, i.e. the flux into
+    each cell of the harmonic extension of each cell indicator."""
     if assignment is None:
         assignment = cells.cell_of()
     missing = [v for v in g.boundary if v not in assignment]
     if missing:
         raise ValueError(f"boundary vertices without a cell: {missing[:5]}")
     nc = len(cells)
-    counts = np.zeros(nc, dtype=int)
-    for v in g.boundary:
-        counts[assignment[v]] += 1
-    if np.any(counts == 0):
+    counts = np.bincount([assignment[v] for v in g.boundary], minlength=nc)
+    if np.any(counts[:nc] == 0):
         raise ValueError("every cell must contain at least one boundary vertex")
-    w = np.asarray(cell_weights, dtype=float)
-    if w.shape != (nc,) or np.any(w <= 0):
-        raise ValueError("cell weights must be positive, one per cell")
+    w = _check_cell_weights(cell_weights, nc)
     solver = HarmonicSolver(g)
-    Lam = np.zeros((nc, nc))
-    for m in range(nc):
-        bc = {v: (1.0 if assignment[v] == m else 0.0) for v in g.boundary}
-        f = solver.solve(bc)
-        for v in g.boundary:
-            Lam[assignment[v], m] += vertex_flux(f, v)
-    Lam /= w[:, None]
-    return DtNMatrix(cells.labels, Lam, w)
+    cell = np.array([assignment[v] for v in solver.boundary])
+    A = sp.csc_matrix((np.ones(len(cell)), (np.arange(len(cell)), cell)),
+                      shape=(len(cell), nc))
+    return DtNMatrix(cells.labels, (A.T @ solver.boundary_flux(A)) / w[:, None], w)
 
 
 def compression_oracle(full: DtNMatrix, cells: Partition, assignment: dict,
@@ -169,42 +174,55 @@ def compressed_dtn_limit(spec: TreeFamilySpec, level: int, depths, tol: float,
     level-`level` prefix cells, stopping when the max-norm change of the
     matrix drops below tol.
 
-    cell_weights defaults to the exit measure from the family root, computed
-    over the same depth schedule (positive on every cell).
+    cell_weights defaults to `exit_measure_limit(spec, level, depths, tol,
+    w=w_source).masses`, the exit measure from the family root over the same
+    depth schedule (positive on every cell).  Both limits run in one sweep
+    that builds each truncation once: the unscaled cell fluxes are kept
+    until the exit measure has converged (or the schedule ends), and only
+    then are the change tests run.
     """
-    depths = list(depths)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if any(b <= a for a, b in zip(depths, depths[1:])) or not depths:
-        raise ValueError("depth schedule must be nonempty and strictly increasing")
-    if cell_weights is None:
-        cell_weights = exit_measure_limit(spec, level, depths, tol, w=w_source).masses
-    prefixes = None
+    depths = _check_schedule(depths, tol, level)
+    prefixes = _level_prefixes(spec, level)
+    cells = Partition(tuple((p,) for p in prefixes))
+    weights = None
+    if cell_weights is not None:
+        weights = _check_cell_weights(cell_weights, len(cells))
+    unit = np.ones(len(cells))
+    nu = None
+    pending = []  # (depth, unscaled cell flux) awaiting the weights
     prev = None
     trace = []
     result = None
     for d in depths:
         g, _ = build_kary_tree(spec.at_depth(d))
-        if prefixes is None:
-            prefixes = _level_prefixes(spec, level)
-        cells = Partition(tuple((p,) for p in prefixes))
-        cell_index = {p: i for i, p in enumerate(prefixes)}
-        assignment = {leaf: cell_index[leaf[:level]] for leaf in g.boundary}
-        result = compressed_dtn(g, cells, cell_weights, assignment)
-        if prev is not None:
-            change = float(np.max(np.abs(result.matrix - prev)))
-            trace.append((d, change))
-            if change < tol:
-                return DtNLimitResult(result, trace, True)
-        prev = result.matrix
+        assignment = assign_leaves_to_cells(g.boundary, cells, level)
+        if weights is None:
+            nu_d = exit_measure(g, w_source, cells, assignment)
+            if d == depths[-1] or (
+                    nu is not None and float(np.max(np.abs(nu_d - nu))) < tol):
+                weights = nu_d
+            nu = nu_d
+        # unit weights leave the cell fluxes unscaled, so that dividing by
+        # the weights later gives what compressed_dtn would give with them
+        pending.append((d, compressed_dtn(g, cells, unit, assignment).matrix))
+        if weights is None:
+            continue
+        for dp, flux in pending:
+            result = DtNMatrix(cells.labels, flux / weights[:, None], weights)
+            if prev is not None:
+                change = float(np.max(np.abs(result.matrix - prev)))
+                trace.append((dp, change))
+                if change < tol:
+                    return DtNLimitResult(result, trace, True)
+            prev = result.matrix
+        pending.clear()
     return DtNLimitResult(result, trace, False)
 
 
 def quadratic_form_check(g: MetricGraph, mu: dict, F: dict):
     """Two independent evaluations of the energy form: mu(bdry) <Lam F, F>_mu
     via boundary fluxes, and the Dirichlet energy of the harmonic extension."""
-    bverts = sorted(g.boundary)
     solver = HarmonicSolver(g)
-    f = solver.solve({v: float(F[v]) for v in bverts})
-    flux_form = sum(vertex_flux(f, v) * f.values[v] for v in bverts)
-    return flux_form, dirichlet_energy(f)
+    values = np.array([float(F[v]) for v in solver.boundary])
+    flux_form = float(values @ solver.boundary_flux(values[:, None])[:, 0])
+    return flux_form, dirichlet_energy(solver.solve(F))

@@ -40,10 +40,6 @@ class TreeFamilySpec:
     def edge_length(self, level: int) -> float:
         return self.base_length * self.ratio ** level
 
-    def finite_volume(self) -> bool:
-        # informational only; not required for any construction here
-        return self.arity * self.ratio < 1.0
-
     def vertex_count(self) -> int:
         return (self.arity ** (self.depth + 1) - 1) // (self.arity - 1)
 

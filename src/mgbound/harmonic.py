@@ -24,6 +24,7 @@ from .graph import Edge, MetricGraph, adjacency
 
 DIRECT_LIMIT = 20000
 CG_TOL = 1e-12
+FLUX_BLOCK = 64  # right-hand sides per interior solve in boundary_flux
 
 
 @dataclass
@@ -94,14 +95,36 @@ class HarmonicSolver:
         self.interior = tuple(self.lap.order[i] for i in self.lap.interior_idx)
         self.cg_tol = cg_tol
         self._use_direct = len(self.interior) <= direct_limit
+        L = self.lap.matrix
+        ii = self.lap.interior_idx
+        bb = self.lap.boundary_idx
+        self.L_BB = L[np.ix_(bb, bb)].tocsr()
         if self.interior:
-            L = self.lap.matrix
-            ii = self.lap.interior_idx
-            bb = self.lap.boundary_idx
             self.L_II = L[np.ix_(ii, ii)].tocsc()
             self.L_IB = L[np.ix_(ii, bb)].tocsr()
+            self.L_BI = L[np.ix_(bb, ii)].tocsr()
             if self._use_direct:
                 self._lu = spla.splu(self.L_II)
+
+    def _solve_interior(self, rhs: np.ndarray) -> np.ndarray:
+        """X with L_II X = rhs, for a vector or an n_I x m block."""
+        if self._use_direct:
+            x = self._lu.solve(rhs)
+            # iterative refinement: recovers digits lost to the
+            # ill-conditioning of deep truncations (cond ~ 1/min l_e)
+            for _ in range(2):
+                x += self._lu.solve(rhs - self.L_II @ x)
+            return x
+        cols = rhs.reshape(len(rhs), -1)
+        x = np.empty_like(cols)
+        for j in range(cols.shape[1]):
+            x[:, j], info = spla.cg(self.L_II, cols[:, j], rtol=self.cg_tol,
+                                    maxiter=20 * len(cols))
+            if info != 0:
+                res = (np.linalg.norm(self.L_II @ x[:, j] - cols[:, j])
+                       / max(np.linalg.norm(cols[:, j]), 1e-300))
+                raise RuntimeError(f"CG did not converge (info={info}, rel residual={res:.3e})")
+        return x.reshape(rhs.shape)
 
     def solve(self, boundary_values: dict) -> HarmonicFunction:
         missing = [v for v in self.boundary if v not in boundary_values]
@@ -112,21 +135,31 @@ class HarmonicSolver:
             raise ValueError("boundary values must be finite")
         vals = dict(zip(self.boundary, F))
         if self.interior:
-            rhs = -self.L_IB @ F
-            if self._use_direct:
-                x = self._lu.solve(rhs)
-                # iterative refinement: recovers digits lost to the
-                # ill-conditioning of deep truncations (cond ~ 1/min l_e)
-                for _ in range(2):
-                    r = rhs - self.L_II @ x
-                    x = x + self._lu.solve(r)
-            else:
-                x, info = spla.cg(self.L_II, rhs, rtol=self.cg_tol, maxiter=20 * len(rhs))
-                if info != 0:
-                    res = np.linalg.norm(self.L_II @ x - rhs) / max(np.linalg.norm(rhs), 1e-300)
-                    raise RuntimeError(f"CG did not converge (info={info}, rel residual={res:.3e})")
-            vals.update(zip(self.interior, x))
+            vals.update(zip(self.interior, self._solve_interior(-(self.L_IB @ F))))
         return HarmonicFunction(self.graph, vals, self.boundary)
+
+    def boundary_flux(self, F) -> np.ndarray:
+        """Boundary fluxes of the harmonic extensions of the columns of F.
+
+        F is an n_B x m array or sparse matrix of boundary values, rows in
+        `self.boundary` order.  Column j of the result is `vertex_flux` at
+        each boundary vertex of the extension of column j:
+        L_BB F + L_BI X with L_II X = -L_IB F, the Schur complement
+        L_BB - L_BI L_II^{-1} L_IB applied to F.  Columns are solved in
+        blocks of FLUX_BLOCK, so the result is the only n_B x m array.
+        """
+        if F.ndim != 2 or F.shape[0] != len(self.boundary):
+            raise ValueError(f"F must have {len(self.boundary)} rows, one per boundary vertex")
+        out = np.empty(F.shape)
+        for j in range(0, F.shape[1], FLUX_BLOCK):
+            cols = slice(j, j + FLUX_BLOCK)
+            block = F[:, cols]
+            block = block.toarray() if sp.issparse(block) else np.asarray(block, dtype=float)
+            out[:, cols] = self.L_BB @ block
+            if self.interior:
+                # L_BI X = -L_BI (L_II^{-1} L_IB F)
+                out[:, cols] -= self.L_BI @ self._solve_interior(self.L_IB @ block)
+        return out
 
 
 def solve_dirichlet(g: MetricGraph, boundary_values: dict, boundary=None) -> HarmonicFunction:

@@ -17,8 +17,8 @@ import numpy as np
 
 from .families import TreeFamilySpec, build_kary_tree, ROOT
 from .graph import MetricGraph
-from .harmonic import HarmonicSolver, vertex_flux
-from .partition import CellTree, Partition
+from .harmonic import HarmonicSolver
+from .partition import CellTree, Partition, assign_leaves_to_cells
 
 ADDITIVITY_TOL = 1e-10
 
@@ -99,12 +99,11 @@ def exit_measure(g: MetricGraph, w, cells: Partition, assignment: dict | None = 
     if assignment is None:
         assignment = cells.cell_of()
     solver = HarmonicSolver(g, boundary=set(g.boundary) | {w})
-    values = {v: 0.0 for v in g.boundary}
-    values[w] = 1.0
-    f = solver.solve(values)
-    nu = np.zeros(len(cells))
-    for v in g.boundary:
-        nu[assignment[v]] += -vertex_flux(f, v)
+    source = np.array([[1.0 if v == w else 0.0] for v in solver.boundary])
+    flux = solver.boundary_flux(source)[:, 0]
+    rows = [i for i, v in enumerate(solver.boundary) if v != w]
+    cell = [assignment[solver.boundary[i]] for i in rows]
+    nu = np.bincount(cell, weights=-flux[rows], minlength=len(cells))
     if np.min(nu) <= 0:
         raise RuntimeError("exit measure produced a nonpositive cell mass; "
                            "solver output violates positivity")
@@ -136,6 +135,17 @@ class LimitResult:
     converged: bool
 
 
+def _check_schedule(depths, tol: float, level: int) -> list:
+    depths = list(depths)
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if any(b <= a for a, b in zip(depths, depths[1:])) or not depths:
+        raise ValueError("depth schedule must be nonempty and strictly increasing")
+    if min(depths) < max(level, 1):
+        raise ValueError("depths must be at least the partition level")
+    return depths
+
+
 def exit_measure_limit(spec: TreeFamilySpec, level: int, depths, tol: float,
                        w=ROOT) -> LimitResult:
     """Exit measure on level-`level` prefix cells via increasing truncations.
@@ -144,22 +154,14 @@ def exit_measure_limit(spec: TreeFamilySpec, level: int, depths, tol: float,
     with the full change sequence; if the schedule is exhausted first, the
     last iterate is returned with converged=False.
     """
-    depths = list(depths)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if any(b <= a for a, b in zip(depths, depths[1:])) or not depths:
-        raise ValueError("depth schedule must be nonempty and strictly increasing")
-    if min(depths) < max(level, 1):
-        raise ValueError("depths must be at least the partition level")
+    depths = _check_schedule(depths, tol, level)
     prefixes = _level_prefixes(spec, level)
+    cells = Partition(tuple((p,) for p in prefixes))
     trace = []
     prev = None
     for d in depths:
         g, _ = build_kary_tree(spec.at_depth(d))
-        cells = Partition(tuple((p,) for p in prefixes))
-        cell_index = {p: i for i, p in enumerate(prefixes)}
-        assignment = {leaf: cell_index[leaf[:level]] for leaf in g.boundary}
-        nu = exit_measure(g, w, cells, assignment)
+        nu = exit_measure(g, w, cells, assign_leaves_to_cells(g.boundary, cells, level))
         if prev is not None:
             change = float(np.max(np.abs(nu - prev)))
             trace.append((d, change))

@@ -175,11 +175,6 @@ class CellTree:
             out[parent_of[cell[0]]].append(ci)
         return out
 
-    def parent_index(self, level: int, ci: int) -> int:
-        if level == 0:
-            raise ValueError("root level has no parent")
-        return self.levels[level - 1].cell_of()[self.levels[level].cells[ci][0]]
-
 
 def mesh(p: Partition, b: BoundarySet) -> float:
     """Maximum cell diameter; 0 for all-singleton partitions."""

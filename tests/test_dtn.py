@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+import mgbound.dtn
+import mgbound.measures
 from mgbound import (metric_graph, dtn_matrix, schur_complement_dtn,
                      inner_product_mu, compressed_dtn, compressed_dtn_limit,
-                     quadratic_form_check, TreeFamilySpec, build_kary_tree)
+                     quadratic_form_check, TreeFamilySpec, build_kary_tree,
+                     exit_measure_limit)
 from mgbound.dtn import compression_oracle
 from mgbound.partition import Partition
 
@@ -35,6 +38,14 @@ def test_dtn_vs_schur_random():
         assert np.max(np.abs(D.matrix - S.matrix)) < 1e-9
         inv = D.check_invariants()
         assert inv["ok"], inv
+
+
+def test_dtn_vs_schur_deep_tree():
+    g, _ = build_kary_tree(TreeFamilySpec(arity=2, ratio=0.25, depth=10))
+    D = dtn_matrix(g)
+    S = schur_complement_dtn(g)
+    assert D.basis == S.basis
+    assert np.max(np.abs(D.matrix - S.matrix)) < 1e-9
 
 
 def test_dtn_scale_law():
@@ -131,6 +142,31 @@ def test_compressed_dtn_limit_level0():
     res = compressed_dtn_limit(SPEC, 0, [4, 5, 6], 10.0)
     assert res.converged
     assert abs(res.dtn.matrix[0, 0]) < 1e-12
+
+
+@pytest.mark.parametrize("level, depths, tol", [
+    (1, range(3, 10), 1e-6),   # the matrix settles before the weights
+    (2, range(3, 9), 1e-5),    # the weights settle before the matrix
+    (2, [3, 4, 5], 1e-12),     # neither settles within the schedule
+])
+def test_compressed_dtn_limit_default_weights_are_the_exit_measure_limit(
+        monkeypatch, level, depths, tol):
+    weights = exit_measure_limit(SPEC, level, depths, tol).masses
+    given = compressed_dtn_limit(SPEC, level, depths, tol, cell_weights=weights)
+    built = []
+
+    def build(spec):
+        built.append(spec.depth)
+        return build_kary_tree(spec)
+
+    monkeypatch.setattr(mgbound.dtn, "build_kary_tree", build)
+    monkeypatch.setattr(mgbound.measures, "build_kary_tree", build)
+    default = compressed_dtn_limit(SPEC, level, depths, tol)
+    assert np.array_equal(default.dtn.matrix, given.dtn.matrix)
+    assert np.array_equal(default.dtn.weights, weights)
+    assert default.trace == given.trace
+    assert default.converged == given.converged
+    assert len(built) == len(set(built))  # each truncation is built once
 
 
 def test_quadratic_form_star():

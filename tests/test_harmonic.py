@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mgbound import (metric_graph, solve_dirichlet, edge_derivative, vertex_flux,
                      dirichlet_energy, check_harmonic, counterexample_recurrence,
                      assemble_laplacian, CounterexampleSpec, build_counterexample,
-                     HarmonicSolver)
+                     HarmonicSolver, TreeFamilySpec, build_kary_tree)
+from mgbound.harmonic import FLUX_BLOCK
 
 from util import path_graph, star_graph, random_connected_graph
 
@@ -144,6 +146,63 @@ def test_energy_identity_and_reciprocity():
                         for e in g.edges)
         assert abs(form_fg - energy_fg) < 1e-10 * (1 + abs(energy_fg))
         assert abs(form_fg - form_gf) < 1e-10 * (1 + abs(form_fg))
+
+
+def flux_by_columns(solver, F):
+    """Reference for boundary_flux: one solve and per-vertex flux sums per
+    column."""
+    out = np.zeros(F.shape)
+    for j in range(F.shape[1]):
+        f = solver.solve(dict(zip(solver.boundary, F[:, j])))
+        out[:, j] = [vertex_flux(f, v) for v in solver.boundary]
+    return out
+
+
+def parallel_edge_graph():
+    return metric_graph(["a", "b", "c", "d"],
+                        [("e1", "a", "b", 1.0), ("e2", "a", "b", 0.5),
+                         ("e3", "b", "c", 2.0), ("e4", "b", "c", 2.0), ("e5", "c", "d", 1.0)],
+                        ["a", "d"])
+
+
+def test_boundary_flux_matches_per_column_solves():
+    rng = np.random.default_rng(41)
+    graphs = [star_graph(4), path_graph([1.0, 3.0, 0.5]), parallel_edge_graph(),
+              metric_graph(["a", "b"], [("e", "a", "b", 2.0)], ["a", "b"])]
+    graphs += [random_connected_graph(rng, max_vertices=30) for _ in range(10)]
+    for g in graphs:
+        pinned = [None]
+        if g.interior():
+            # an extra pinned source, as in exit measures
+            pinned.append(set(g.boundary) | {g.interior()[0]})
+        for boundary in pinned:
+            solver = HarmonicSolver(g, boundary=boundary)
+            F = rng.normal(size=(len(solver.boundary), 3))
+            got = solver.boundary_flux(F)
+            assert np.max(np.abs(got - flux_by_columns(solver, F))) < 1e-10
+            assert np.array_equal(solver.boundary_flux(sp.csc_matrix(F)), got)
+
+
+def test_boundary_flux_spans_several_blocks():
+    rng = np.random.default_rng(43)
+    g = random_connected_graph(rng, max_vertices=40)
+    solver = HarmonicSolver(g)
+    F = rng.normal(size=(len(solver.boundary), 2 * FLUX_BLOCK + 5))
+    assert np.max(np.abs(solver.boundary_flux(F) - flux_by_columns(solver, F))) < 1e-10
+    with pytest.raises(ValueError, match="rows"):
+        solver.boundary_flux(F[1:])
+
+
+def test_cg_branch_matches_direct():
+    g, _ = build_kary_tree(TreeFamilySpec(arity=2, ratio=0.25, depth=5))
+    direct = HarmonicSolver(g)
+    cg = HarmonicSolver(g, direct_limit=0)
+    assert direct._use_direct and not cg._use_direct
+    identity = np.eye(len(direct.boundary))
+    assert np.max(np.abs(cg.boundary_flux(identity) - direct.boundary_flux(identity))) < 1e-9
+    F = {v: float(i % 3) for i, v in enumerate(direct.boundary)}
+    fd, fc = direct.solve(F), cg.solve(F)
+    assert max(abs(fd.values[v] - fc.values[v]) for v in g.vertices) < 1e-10
 
 
 def test_recurrence_values():
