@@ -11,7 +11,10 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-import networkx as nx
+
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 
 @dataclass(frozen=True)
@@ -68,10 +71,6 @@ def adjacency(g: MetricGraph):
             adj[e.v].append(e)
         object.__setattr__(g, "_adjacency", adj)
     return adj
-
-
-def degree(g: MetricGraph, v) -> int:
-    return len(adjacency(g)[v])
 
 
 def _components(vertices, edges):
@@ -233,7 +232,8 @@ def split_boundary_vertices(g: MetricGraph):
 def min_vertex_separator(g: MetricGraph, S, T):
     """Minimum-cardinality vertex set whose removal disconnects S from T.
 
-    Unit-capacity vertex-split max-flow (Menger).  Raises if some edge joins
+    Unit-capacity vertex-split max-flow (Menger) on scipy's maximum_flow; the
+    cut is the one closest to T.  Raises if some edge joins
     S and T directly (no separator exists).
     """
     S, T = set(S), set(T)
@@ -249,21 +249,29 @@ def min_vertex_separator(g: MetricGraph, S, T):
             raise ValueError(
                 f"inseparable pair: edge {e.id!r} joins S and T with no intermediate vertex")
 
-    inf = float("inf")
-    D = nx.DiGraph()
-    for v in g.vertices:
-        cap = inf if (v in S or v in T) else 1
-        D.add_edge(("in", v), ("out", v), capacity=cap)
+    # vertex v splits into in-node 2i and out-node 2i+1; n + 1 stands for an
+    # infinite capacity, since no cut has more than n unit arcs
+    n = len(g.vertices)
+    index = {v: i for i, v in enumerate(g.vertices)}
+    src, snk, inf = 2 * n, 2 * n + 1, n + 1
+    arcs = [(2 * i, 2 * i + 1, inf if (v in S or v in T) else 1)
+            for v, i in index.items()]
     for e in g.edges:
-        D.add_edge(("out", e.u), ("in", e.v), capacity=inf)
-        D.add_edge(("out", e.v), ("in", e.u), capacity=inf)
-    for s in S:
-        D.add_edge("src", ("in", s), capacity=inf)
-    for t in T:
-        D.add_edge(("out", t), "snk", capacity=inf)
-    _, (reach, _) = nx.minimum_cut(D, "src", "snk")
-    W = sorted(v for v in g.vertices
-               if ("in", v) in reach and ("out", v) not in reach)
+        u, v = index[e.u], index[e.v]
+        arcs += [(2 * u + 1, 2 * v, inf), (2 * v + 1, 2 * u, inf)]
+    arcs += [(src, 2 * index[s], inf) for s in S]
+    arcs += [(2 * index[t] + 1, snk, inf) for t in T]
+    tail, head, cap = np.array(arcs, dtype=np.int32).T
+    C = csr_matrix((cap, (tail, head)), shape=(2 * n + 2, 2 * n + 2))
+    flow = maximum_flow(C, src, snk).flow
+    # the sink side of the cut: every node that reaches snk in the residual
+    # graph C - flow, found by a search from snk along reversed arcs
+    residual = csr_matrix(C - flow)
+    residual.eliminate_zeros()
+    sink_side = np.zeros(2 * n + 2, dtype=bool)
+    sink_side[breadth_first_order(residual.T.tocsr(), snk, directed=True,
+                                  return_predecessors=False)] = True
+    W = sorted(v for v, i in index.items() if sink_side[2 * i + 1] and not sink_side[2 * i])
 
     # connectivity recheck after removal
     remaining = [v for v in g.vertices if v not in W]

@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import minimum_spanning_tree
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .families import TreeFamilySpec
-from .graph import MetricGraph, multi_source_distance
+from .graph import MetricGraph
 
 
 class BoundarySet:
@@ -62,23 +62,43 @@ def tree_boundary_distance(spec: TreeFamilySpec, x: str, y: str) -> float:
 
 
 def tree_boundary_set(spec: TreeFamilySpec) -> BoundarySet:
+    """Boundary set of the depth-n leaves, from their first-disagreement depths.
+
+    Leaf i in sorted order has the base-k digits of i as its address, so two
+    leaves share a length-m prefix exactly when i // k^(n-m) agree; the
+    number of shared prefixes is the first-disagreement depth (n on the
+    diagonal).  The distances come from an (n+1)-entry table built with the
+    expression of `tree_boundary_distance`, so they are bit-identical to it.
+    """
     leaves = spec.leaf_addresses()
-    n = len(leaves)
-    dist = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist[i, j] = dist[j, i] = tree_boundary_distance(spec, leaves[i], leaves[j])
-    return BoundarySet(leaves, dist)
+    k, n = spec.arity, spec.depth
+    idx = np.arange(len(leaves))
+    agree = np.zeros((len(leaves), len(leaves)), dtype=np.int8)
+    for m in range(1, n + 1):
+        p = idx // k ** (n - m)
+        agree += p[:, None] == p[None, :]
+    r, L0 = spec.ratio, spec.base_length
+    table = np.array([2.0 * L0 * r ** (a + 1) * (1.0 - r ** (n - a)) / (1.0 - r)
+                      for a in range(n)] + [0.0])
+    return BoundarySet(leaves, table[agree])
 
 
 def graph_boundary_set(g: MetricGraph) -> BoundarySet:
+    """Path metric on the boundary vertices, from one multi-source Dijkstra.
+
+    Parallel edges keep their shortest length (a sparse matrix would sum
+    them)."""
     pts = sorted(g.boundary)
-    n = len(pts)
-    dist = np.zeros((n, n))
-    for i, p in enumerate(pts):
-        dp = multi_source_distance(g, {p})
-        for j, q in enumerate(pts):
-            dist[i, j] = dp[q]
+    index = {v: i for i, v in enumerate(g.vertices)}
+    shortest = {}
+    for e in g.edges:
+        key = tuple(sorted((index[e.u], index[e.v])))
+        shortest[key] = min(e.length, shortest.get(key, np.inf))
+    ends = np.array(list(shortest), dtype=np.intp).reshape(-1, 2)
+    A = csr_matrix((list(shortest.values()), (ends[:, 0], ends[:, 1])),
+                   shape=(len(index), len(index)))
+    src = [index[p] for p in pts]
+    dist = dijkstra(A, directed=False, indices=src)[:, src]
     dist = (dist + dist.T) / 2.0
     return BoundarySet(pts, dist)
 
@@ -99,35 +119,61 @@ class Partition:
         return {p: i for i, cell in enumerate(self.cells) for p in cell}
 
 
-def _partition_from_groups(groups) -> Partition:
-    cells = sorted((tuple(sorted(grp)) for grp in groups), key=lambda c: c[0])
-    return Partition(tuple(cells))
+def _partition_from_labels(points, labels) -> Partition:
+    """Cells of the points grouped by component label; each cell sorted, cells
+    ordered by smallest member."""
+    labels = labels.tolist()
+    order = sorted(range(len(points)), key=points.__getitem__)
+    groups = {}
+    for i in order:
+        groups.setdefault(labels[i], []).append(points[i])
+    return Partition(tuple(tuple(grp) for grp in groups.values()))
 
 
 def epsilon_components(b: BoundarySet, eps: float) -> Partition:
     """Connected components of the graph with an edge whenever d < eps."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    n = len(b)
-    parent = list(range(n))
+    _, labels = connected_components(csr_matrix(b.dist < eps), directed=False)
+    return _partition_from_labels(b.points, labels)
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    for i in range(n):
-        row = b.dist[i]
-        for j in range(i + 1, n):
-            if row[j] < eps:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(b.points[i])
-    return _partition_from_groups(groups.values())
+def _mst(b: BoundarySet):
+    """Endpoints and weights (i, j, w) of a minimum spanning tree of the metric.
+
+    Prim's algorithm on the dense table: one vectorised row update per point,
+    with no sparse copy of the n x n metric."""
+    D = b.dist
+    n = len(D)
+    best = D[0].copy()
+    parent = np.zeros(n, dtype=np.intp)
+    done = np.zeros(n, dtype=bool)
+    done[0] = True
+    best[0] = np.inf
+    order = np.empty(n - 1, dtype=np.intp)
+    for t in range(n - 1):
+        j = int(np.argmin(best))
+        if done[j]:                      # only infinite distances remain
+            j = int(np.flatnonzero(~done)[0])
+        order[t] = j
+        done[j] = True
+        best[j] = np.inf
+        row = D[j]
+        closer = (row < best) & ~done
+        best[closer] = row[closer]
+        parent[closer] = j
+    i = parent[order]
+    return i, order, D[i, order]
+
+
+def _jumps(n: int, w) -> list:
+    w = np.sort(w)
+    out = []
+    for alpha in np.unique(w)[::-1]:
+        before = n - int(np.count_nonzero(w < alpha))
+        after = n - int(np.count_nonzero(w <= alpha))
+        out.append((float(alpha), before, after))
+    return out
 
 
 def jump_values(b: BoundarySet):
@@ -137,17 +183,9 @@ def jump_values(b: BoundarySet):
     epsilon-components at eps = alpha (left limit, by strictness) and just
     above alpha.  Computed from the minimum spanning tree of the metric.
     """
-    n = len(b)
-    if n < 2:
+    if len(b) < 2:
         return []
-    mst = minimum_spanning_tree(csr_matrix(np.triu(b.dist)))
-    w = np.sort(mst.data)
-    out = []
-    for alpha in np.unique(w)[::-1]:
-        before = n - int(np.count_nonzero(w < alpha))
-        after = n - int(np.count_nonzero(w <= alpha))
-        out.append((float(alpha), before, after))
-    return out
+    return _jumps(len(b), _mst(b)[2])
 
 
 @dataclass
@@ -187,12 +225,22 @@ def mesh(p: Partition, b: BoundarySet) -> float:
 
 
 def canonical_nested_partitions(b: BoundarySet) -> CellTree:
-    if len(b) == 0:
+    """Cut the single-linkage dendrogram at every jump value.
+
+    The epsilon-components at eps are the components of the minimum spanning
+    tree's edges of weight < eps (Gower & Ross 1969), so one MST gives every
+    level."""
+    n = len(b)
+    if n == 0:
         raise ValueError("boundary set is empty")
-    jumps = jump_values(b)
+    i, j, w = _mst(b)
+    jumps = _jumps(n, w)
     levels = [Partition((tuple(b.points),))]
     for alpha, _, _ in jumps:
-        levels.append(epsilon_components(b, alpha))
+        keep = w < alpha
+        forest = csr_matrix((w[keep], (i[keep], j[keep])), shape=(n, n))
+        _, labels = connected_components(forest, directed=False)
+        levels.append(_partition_from_labels(b.points, labels))
     meshes = [mesh(p, b) for p in levels]
     return CellTree(b, levels, jumps, meshes)
 

@@ -6,9 +6,9 @@ import pytest
 from mgbound import (metric_graph, validate, multi_source_distance,
                      epsilon_subgraph, split_boundary_vertices,
                      min_vertex_separator, solve_dirichlet)
-from mgbound.graph import adjacency, degree
+from mgbound.graph import adjacency
 
-from util import path_graph, star_graph, random_connected_graph
+from util import min_separator_size_bruteforce, path_graph, star_graph, random_connected_graph
 
 
 def test_validate_minimal_graph():
@@ -102,7 +102,7 @@ def test_split_boundary_vertices_cycle():
                      ["a"])
     sg, ident = split_boundary_vertices(g)
     assert sorted(sg.boundary) == ["a@0", "a@1"]
-    assert all(degree(sg, v) == 1 for v in sg.boundary)
+    assert all(len(adjacency(sg)[v]) == 1 for v in sg.boundary)
     assert ident == {"a@0": "a", "a@1": "a"}
     assert sg.total_length() == g.total_length()
 
@@ -154,6 +154,25 @@ def test_separator_inseparable():
     g = path_graph([1.0])
     with pytest.raises(ValueError, match="inseparable"):
         min_vertex_separator(g, {"p0"}, {"p1"})
+
+
+def test_separator_matches_bruteforce_minimum_on_small_graphs():
+    rng = np.random.default_rng(13)
+    checked = 0
+    while checked < 60:
+        g = random_connected_graph(rng, max_vertices=10)
+        vs = list(g.vertices)
+        rng.shuffle(vs)
+        a, b = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+        S, T = set(vs[:a]), set(vs[a:a + b])
+        if any({e.u, e.v} & S and {e.u, e.v} & T for e in g.edges):
+            with pytest.raises(ValueError, match="inseparable"):
+                min_vertex_separator(g, S, T)
+            continue
+        W = min_vertex_separator(g, S, T)
+        assert not set(W) & (S | T)
+        assert len(W) == min_separator_size_bruteforce(g, S, T)
+        checked += 1
 
 
 def test_adjacency_deterministic_order():

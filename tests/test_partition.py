@@ -5,10 +5,11 @@ from mgbound import (TreeFamilySpec, BoundarySet, tree_boundary_distance,
                      tree_boundary_set, graph_boundary_set, epsilon_components,
                      jump_values, canonical_nested_partitions, mesh,
                      assign_leaves_to_cells, build_kary_tree,
-                     multi_source_distance)
+                     metric_graph, multi_source_distance)
 from mgbound.partition import Partition
 
-from util import components_bruteforce, star_graph
+from util import (components_bruteforce, components_union_find, random_connected_graph,
+                  star_graph)
 
 SPEC3 = TreeFamilySpec(arity=2, ratio=0.25, depth=3)
 
@@ -117,6 +118,7 @@ def test_components_match_bruteforce_oracle():
     for eps in rng.uniform(1e-4, 1.0, size=20):
         got = epsilon_components(b, float(eps)).cells
         assert got == components_bruteforce(b, float(eps))
+        assert got == components_union_find(b, float(eps))
 
 
 def test_cell_separation_and_chaining():
@@ -185,3 +187,97 @@ def test_jump_closed_form_invariant():
             expect = 2 * r ** (a + 1) * (1 - r ** (n - a)) / (1 - r)
             assert alpha == pytest.approx(expect, abs=1e-12)
             assert (after, before) == (k ** a, k ** (a + 1))
+
+
+def _random_boundary_set(rng, kind):
+    """Random metric on 2..40 points named in shuffled order, with ties:
+    planar distances rounded to one decimal, or an ultrametric whose merge
+    heights repeat."""
+    n = int(rng.integers(2, 41))
+    names = [f"q{i:02d}" for i in rng.permutation(n)]
+    if kind == "rounded":
+        X = rng.uniform(0.0, 3.0, size=(n, 2))
+        d = np.round(np.sqrt(((X[:, None] - X[None]) ** 2).sum(axis=2)), 1)
+        d = np.maximum(d, 0.1)
+    else:
+        depth = int(rng.integers(1, 6))
+        code = rng.integers(0, 2 ** depth, size=n)
+        heights = np.sort(rng.choice([0.5, 1.0, 2.0, 4.0], size=depth + 1))[::-1]
+        shared = np.zeros((n, n), dtype=int)
+        for m in range(1, depth + 1):
+            p = code >> (depth - m)
+            shared += p[:, None] == p[None, :]
+        d = heights[shared]
+    np.fill_diagonal(d, 0.0)
+    return BoundarySet(names, d)
+
+
+@pytest.mark.parametrize("kind", ["rounded", "ultrametric"])
+def test_canonical_levels_match_components_on_random_metrics(kind):
+    rng = np.random.default_rng(11 if kind == "rounded" else 12)
+    for _ in range(30):
+        b = _random_boundary_set(rng, kind)
+        tree = canonical_nested_partitions(b)
+        assert tree.jumps == jump_values(b)
+        assert len(tree.levels) == len(tree.jumps) + 1
+        assert len(tree.levels[0]) == 1 and set(tree.levels[0].cells[0]) == set(b.points)
+        assert len(tree.levels[-1]) == len(b)
+        for level, (alpha, before, after) in zip(tree.levels[1:], tree.jumps):
+            assert level.cells == components_bruteforce(b, alpha)
+            assert level.cells == components_union_find(b, alpha)
+            assert level == epsilon_components(b, alpha)
+            assert len(level) == before
+            assert len(epsilon_components(b, alpha * (1 - 1e-9))) == before
+            assert len(epsilon_components(b, alpha * (1 + 1e-9))) == after
+        assert tree.mesh == [mesh(p, b) for p in tree.levels]
+
+
+def test_canonical_partitions_with_infinite_distances():
+    inf = np.inf
+    d = np.array([[0.0, 1.0, inf, inf], [1.0, 0.0, inf, inf],
+                  [inf, inf, 0.0, 2.0], [inf, inf, 2.0, 0.0]])
+    with np.errstate(invalid="ignore"):
+        b = BoundarySet(["a", "b", "c", "d"], d)
+    tree = canonical_nested_partitions(b)
+    assert tree.jumps == [(inf, 2, 1), (2.0, 3, 2), (1.0, 4, 3)]
+    assert [p.cells for p in tree.levels[1:]] == [
+        (("a", "b"), ("c", "d")), (("a", "b"), ("c",), ("d",)),
+        (("a",), ("b",), ("c",), ("d",))]
+
+
+@pytest.mark.parametrize("k, r, n", [(2, 0.25, 10), (3, 0.4, 6), (10, 0.5, 3)])
+def test_tree_boundary_set_equals_scalar_distance(k, r, n):
+    spec = TreeFamilySpec(arity=k, ratio=r, depth=n)
+    b = tree_boundary_set(spec)
+    assert list(b.points) == spec.leaf_addresses()
+    assert np.all(np.diag(b.dist) == 0.0)
+    rows = np.random.default_rng(k).choice(len(b), size=48, replace=False)
+    for i in sorted(set(rows.tolist()) | {0, len(b) - 1}):
+        x = b.points[i]
+        expect = [tree_boundary_distance(spec, x, y) if y != x else 0.0 for y in b.points]
+        assert b.dist[i].tolist() == expect
+
+
+def _assert_boundary_metric(g):
+    b = graph_boundary_set(g)
+    assert b.points == tuple(sorted(g.boundary))
+    d = {p: multi_source_distance(g, {p}) for p in b.points}
+    for i, p in enumerate(b.points):
+        for j, q in enumerate(b.points):
+            assert b.dist[i, j] == pytest.approx((d[p][q] + d[q][p]) / 2, rel=1e-14, abs=0)
+
+
+def test_graph_boundary_set_parallel_edges_keep_the_shortest():
+    # csr_matrix would sum the parallel a-b edges to length 4
+    g = metric_graph(["a", "b", "c"],
+                     [("e0", "a", "b", 3.0), ("e1", "b", "a", 1.0), ("e2", "b", "c", 2.0),
+                      ("e3", "c", "b", 5.0)], ["a", "c"])
+    b = graph_boundary_set(g)
+    assert b.dist.tolist() == [[0.0, 3.0], [3.0, 0.0]]
+    _assert_boundary_metric(g)
+
+
+def test_graph_boundary_set_matches_dijkstra_on_random_graphs():
+    rng = np.random.default_rng(9)
+    for _ in range(15):
+        _assert_boundary_metric(random_connected_graph(rng, max_vertices=30))

@@ -58,6 +58,58 @@ def components_bruteforce(b, eps):
     return tuple(sorted(cells, key=lambda c: c[0]))
 
 
+def components_union_find(b, eps):
+    """Epsilon-components by union-find over every pair with d < eps."""
+    n = len(b.points)
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i in range(n):
+        row = b.dist[i]
+        for j in range(i + 1, n):
+            if row[j] < eps:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[ri] = rj
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(b.points[i])
+    return tuple(sorted((tuple(sorted(grp)) for grp in groups.values()), key=lambda c: c[0]))
+
+
+def min_separator_size_bruteforce(g, S, T):
+    """Smallest number of vertices outside S and T whose removal leaves no
+    S-T path, by trying every subset in order of size."""
+    from itertools import combinations
+    S, T = set(S), set(T)
+    free = [v for v in g.vertices if v not in S and v not in T]
+    adj = {v: set() for v in g.vertices}
+    for e in g.edges:
+        adj[e.u].add(e.v)
+        adj[e.v].add(e.u)
+
+    def separates(W):
+        seen, stack = set(S), list(S)
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in seen and w not in W:
+                    if w in T:
+                        return False
+                    seen.add(w)
+                    stack.append(w)
+        return True
+
+    for size in range(len(free) + 1):
+        if any(separates(set(W)) for W in combinations(free, size)):
+            return size
+    raise ValueError("S and T cannot be separated")
+
+
 def star_graph(k=3, length=1.0):
     verts = ["c"] + [f"v{i}" for i in range(1, k + 1)]
     edges = [(f"e{i}", "c", f"v{i}", length) for i in range(1, k + 1)]
