@@ -19,7 +19,7 @@ import numpy as np
 from . import families, harmonic, measures, dtn as dtn_mod, haar as haar_mod
 from .families import TreeFamilySpec, CounterexampleSpec
 from .graph import validate
-from .partition import (canonical_nested_partitions, tree_boundary_set,
+from .partition import (_cell_diameter, canonical_nested_partitions, tree_boundary_set,
                         graph_boundary_set)
 
 
@@ -141,9 +141,7 @@ def cmd_partitions(args):
     for level, part in enumerate(tree.levels):
         alpha = "" if level == 0 else _fmt(tree.jumps[level - 1][0])
         for ci, cell in enumerate(part.cells):
-            idx = [b.index[x] for x in cell]
-            diam = float(b.dist[np.ix_(idx, idx)].max()) if len(idx) > 1 else 0.0
-            rows.append((level, ci, alpha, _fmt(diam), ";".join(cell)))
+            rows.append((level, ci, alpha, _fmt(_cell_diameter(b, cell)), ";".join(cell)))
     rep.artifact("cells.csv", _csv(rows))
     fine = tree.mesh
     rep.check("mesh nonincreasing", 0.0, 0.0,
@@ -170,6 +168,10 @@ def _write_dtn(rep, tag, D: dtn_mod.DtNMatrix):
     for i, b in enumerate(D.basis):
         rows.append((b,) + tuple(_fmt(x) for x in D.matrix[i]))
     rep.artifact(f"{tag}.csv", _csv(rows))
+    _check_dtn_invariants(rep, D)
+
+
+def _check_dtn_invariants(rep, D: dtn_mod.DtNMatrix):
     inv = D.check_invariants()
     rep.check_le("dtn symmetry", inv["symmetry_error"], 1e-10)
     rep.check_le("dtn kernel", inv["kernel_error"], 1e-10)
@@ -313,10 +315,7 @@ def cmd_check(args):
     D = dtn_mod.dtn_matrix(g)
     S = dtn_mod.schur_complement_dtn(g)
     rep.check_le("dtn vs schur oracle", float(np.max(np.abs(D.matrix - S.matrix))), 1e-9)
-    inv = D.check_invariants()
-    rep.check_le("dtn symmetry", inv["symmetry_error"], 1e-10)
-    rep.check_le("dtn kernel", inv["kernel_error"], 1e-10)
-    rep.check("dtn psd", inv["min_eigenvalue"], 1e-10, inv["min_eigenvalue"] >= -1e-10)
+    _check_dtn_invariants(rep, D)
 
     lim = measures.exit_measure_limit(spec, 0, range(4, 13), 1e-8)
     rep.check_le("exit measure total vs (2-r)/r",

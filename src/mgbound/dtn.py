@@ -22,7 +22,8 @@ from .graph import MetricGraph
 from .harmonic import HarmonicSolver, assemble_laplacian, dirichlet_energy
 # bound here unused: perfbench's tracer test wraps vertex_flux through this module
 from .harmonic import vertex_flux  # noqa: F401
-from .measures import _check_schedule, _level_prefixes, exit_measure
+from .families import _addresses
+from .measures import _check_schedule, exit_measure
 from .partition import Partition, assign_leaves_to_cells
 
 
@@ -61,10 +62,11 @@ class DtNMatrix:
         return report
 
 
-def _check_weights(keys, mu):
-    w = np.array([float(mu[k]) for k in keys])
-    if np.any(w <= 0) or not np.all(np.isfinite(w)):
-        raise ValueError("all mu weights must be positive and finite")
+def _check_weights(weights, n: int) -> np.ndarray:
+    """The weights as a float array: exactly n of them, each positive and finite."""
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (n,) or not np.all((w > 0) & np.isfinite(w)):
+        raise ValueError(f"weights must be positive and finite, {n} of them")
     return w
 
 
@@ -80,8 +82,8 @@ def dtn_matrix(g: MetricGraph, mu: dict | None = None) -> DtNMatrix:
     if set(mu) != set(bverts):
         raise ValueError("mu must cover exactly the boundary vertices")
     solver = HarmonicSolver(g)
-    w = _check_weights(solver.boundary, mu)
     n = len(solver.boundary)
+    w = _check_weights([mu[v] for v in solver.boundary], n)
     Lam = solver.boundary_flux(sp.identity(n, format="csc"))
     Lam /= w[:, None]
     return DtNMatrix(solver.boundary, Lam, w)
@@ -92,7 +94,7 @@ def schur_complement_dtn(g: MetricGraph, mu: dict | None = None) -> DtNMatrix:
     bverts = sorted(g.boundary)
     if mu is None:
         mu = {v: 1.0 for v in bverts}
-    w = _check_weights(bverts, mu)
+    w = _check_weights([mu[v] for v in bverts], len(bverts))
     lap = assemble_laplacian(g)
     L = lap.matrix.toarray()
     bb, ii = lap.boundary_idx, lap.interior_idx
@@ -114,13 +116,6 @@ def inner_product_mu(F, G, weights) -> float:
     return float(np.sum(F * G * w) / np.sum(w))
 
 
-def _check_cell_weights(cell_weights, ncells: int) -> np.ndarray:
-    w = np.asarray(cell_weights, dtype=float)
-    if w.shape != (ncells,) or np.any(w <= 0):
-        raise ValueError("cell weights must be positive, one per cell")
-    return w
-
-
 def compressed_dtn(g: MetricGraph, cells: Partition, cell_weights,
                    assignment: dict | None = None) -> DtNMatrix:
     """DtN compressed to functions constant on the cells of a boundary
@@ -136,29 +131,12 @@ def compressed_dtn(g: MetricGraph, cells: Partition, cell_weights,
     counts = np.bincount([assignment[v] for v in g.boundary], minlength=nc)
     if np.any(counts[:nc] == 0):
         raise ValueError("every cell must contain at least one boundary vertex")
-    w = _check_cell_weights(cell_weights, nc)
+    w = _check_weights(cell_weights, nc)
     solver = HarmonicSolver(g)
     cell = np.array([assignment[v] for v in solver.boundary])
     A = sp.csc_matrix((np.ones(len(cell)), (np.arange(len(cell)), cell)),
                       shape=(len(cell), nc))
     return DtNMatrix(cells.labels, (A.T @ solver.boundary_flux(A)) / w[:, None], w)
-
-
-def compression_oracle(full: DtNMatrix, cells: Partition, assignment: dict,
-                       cell_weights) -> np.ndarray:
-    """Explicit P Lam P with the mu-orthogonal projection onto cell-constant
-    functions, expressed in the cell indicator basis.  Test oracle for
-    compressed_dtn."""
-    nb = len(full.basis)
-    nc = len(cells)
-    A = np.zeros((nb, nc))  # indicator columns
-    for i, v in enumerate(full.basis):
-        A[i, assignment[v]] = 1.0
-    w = full.weights
-    cw = np.asarray(cell_weights, dtype=float)
-    # projection of Lam 1_E onto cell space, in cell coordinates:
-    # row n = (1/mu(E_n)) sum_{v in E_n} mu(v) (Lam 1_Em)(v)
-    return (A.T @ (w[:, None] * (full.matrix @ A))) / cw[:, None]
 
 
 @dataclass
@@ -182,11 +160,10 @@ def compressed_dtn_limit(spec: TreeFamilySpec, level: int, depths, tol: float,
     then are the change tests run.
     """
     depths = _check_schedule(depths, tol, level)
-    prefixes = _level_prefixes(spec, level)
-    cells = Partition(tuple((p,) for p in prefixes))
+    cells = Partition(tuple((p,) for p in _addresses(spec.arity, level)))
     weights = None
     if cell_weights is not None:
-        weights = _check_cell_weights(cell_weights, len(cells))
+        weights = _check_weights(cell_weights, len(cells))
     unit = np.ones(len(cells))
     nu = None
     pending = []  # (depth, unscaled cell flux) awaiting the weights

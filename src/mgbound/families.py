@@ -19,6 +19,15 @@ VERTEX_CAP = 10 ** 6
 _DIGITS = "0123456789"
 
 
+def _addresses(arity: int, length: int) -> list:
+    """All words of the given length over the first `arity` digits, in sorted
+    order: the vertex addresses at that depth ([""] at depth 0)."""
+    words = [""]
+    for _ in range(length):
+        words = [w + c for w in words for c in _DIGITS[:arity]]
+    return words
+
+
 @dataclass(frozen=True)
 class TreeFamilySpec:
     """Rooted k-ary tree; level-d edges have length base_length * ratio**d."""
@@ -47,10 +56,7 @@ class TreeFamilySpec:
         return replace(self, depth=depth)
 
     def leaf_addresses(self):
-        words = [""]
-        for _ in range(self.depth):
-            words = [w + c for w in words for c in _DIGITS[:self.arity]]
-        return sorted(words)
+        return _addresses(self.arity, self.depth)
 
 
 ROOT = "root"

@@ -8,13 +8,13 @@ here is a pure function.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, maximum_flow
+from scipy.sparse.csgraph import (breadth_first_order, connected_components, dijkstra,
+                                  maximum_flow)
 
 
 @dataclass(frozen=True)
@@ -73,24 +73,42 @@ def adjacency(g: MetricGraph):
     return adj
 
 
-def _components(vertices, edges):
-    parent = {v: v for v in vertices}
+def _edge_arrays(g: MetricGraph):
+    """Edge endpoints and lengths as arrays (u, v, length), endpoints given by
+    their positions in g.vertices and edges in g.edges order.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    Cached on the instance, like `adjacency`.
+    """
+    arrays = getattr(g, "_edge_array_view", None)
+    if arrays is None:
+        pos = {v: i for i, v in enumerate(g.vertices)}
+        m = len(g.edges)
+        arrays = (np.fromiter((pos[e.u] for e in g.edges), dtype=np.intp, count=m),
+                  np.fromiter((pos[e.v] for e in g.edges), dtype=np.intp, count=m),
+                  np.fromiter((e.length for e in g.edges), dtype=float, count=m))
+        object.__setattr__(g, "_edge_array_view", arrays)
+    return arrays
 
-    for e in edges:
-        if e.u in parent and e.v in parent:
-            ru, rv = find(e.u), find(e.v)
-            if ru != rv:
-                parent[ru] = rv
-    groups = {}
-    for v in vertices:
-        groups.setdefault(find(v), []).append(v)
-    return list(groups.values())
+
+def _shortest_edge_matrix(g: MetricGraph) -> csr_matrix:
+    """Sparse upper-triangular length matrix for csgraph's undirected routines.
+
+    Parallel edges keep their shortest length (a sparse matrix would sum
+    them)."""
+    u, v, length = _edge_arrays(g)
+    n = len(g.vertices)
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    order = np.lexsort((length, hi, lo))
+    lo, hi = lo[order], hi[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    return csr_matrix((length[order][first], (lo[first], hi[first])), shape=(n, n))
+
+
+def _component_labels(n: int, u, v) -> np.ndarray:
+    """Connected-component label of each of n vertices joined by edges (u, v)."""
+    A = csr_matrix((np.ones(len(u)), (u, v)), shape=(n, n))
+    return connected_components(A, directed=False)[1]
 
 
 def validate(g: MetricGraph) -> list:
@@ -109,7 +127,7 @@ def validate(g: MetricGraph) -> list:
 
     eids = set()
     deg = {v: 0 for v in g.vertices}
-    usable = []
+    usable = []  # (u, v) of the edges that count for degree and connectivity
     for e in g.edges:
         if e.id in eids:
             problems.append(f"duplicate edge id {e.id!r}")
@@ -125,7 +143,7 @@ def validate(g: MetricGraph) -> list:
             continue
         deg[e.u] += 1
         deg[e.v] += 1
-        usable.append(e)
+        usable.append((e.u, e.v))
 
     for b in sorted(g.boundary):
         if b not in vset:
@@ -137,7 +155,9 @@ def validate(g: MetricGraph) -> list:
         elif deg[v] == 1 and v not in g.boundary:
             problems.append(f"degree-1 vertex {v!r} not in boundary")
 
-    if g.vertices and len(_components(g.vertices, usable)) > 1:
+    pos = {v: i for i, v in enumerate(deg)}  # a duplicated vertex id counts once
+    ends = np.array([(pos[a], pos[b]) for a, b in usable], dtype=np.intp).reshape(-1, 2)
+    if pos and _component_labels(len(pos), ends[:, 0], ends[:, 1]).max() > 0:
         problems.append("graph is not connected")
     return problems
 
@@ -149,31 +169,18 @@ def require_valid(g: MetricGraph):
 
 
 def multi_source_distance(g: MetricGraph, sources) -> dict:
-    """Exact shortest path-length distance from the source set to every vertex."""
+    """Exact shortest path-length distance from the source set to every vertex,
+    from one csgraph Dijkstra (inf where unreachable)."""
     sources = set(sources)
     if not sources:
         raise ValueError("source set is empty")
     unknown = sources - set(g.vertices)
     if unknown:
         raise KeyError(f"unknown vertex ids: {sorted(unknown)}")
-    dist = {v: math.inf for v in g.vertices}
-    heap = []
-    for s in sorted(sources):
-        dist[s] = 0.0
-        heap.append((0.0, s))
-    heapq.heapify(heap)
-    adj = adjacency(g)
-    while heap:
-        d, v = heapq.heappop(heap)
-        if d > dist[v]:
-            continue
-        for e in adj[v]:
-            w = e.other(v)
-            nd = d + e.length
-            if nd < dist[w]:
-                dist[w] = nd
-                heapq.heappush(heap, (nd, w))
-    return dist
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    dist = dijkstra(_shortest_edge_matrix(g), directed=False,
+                    indices=[pos[s] for s in sorted(sources)], min_only=True)
+    return dict(zip(g.vertices, dist.tolist()))
 
 
 def epsilon_subgraph(g: MetricGraph, eps: float):
@@ -253,15 +260,18 @@ def min_vertex_separator(g: MetricGraph, S, T):
     # infinite capacity, since no cut has more than n unit arcs
     n = len(g.vertices)
     index = {v: i for i, v in enumerate(g.vertices)}
+    s_idx = np.array([index[x] for x in S])
+    t_idx = np.array([index[x] for x in T])
+    u, v, _ = _edge_arrays(g)
     src, snk, inf = 2 * n, 2 * n + 1, n + 1
-    arcs = [(2 * i, 2 * i + 1, inf if (v in S or v in T) else 1)
-            for v, i in index.items()]
-    for e in g.edges:
-        u, v = index[e.u], index[e.v]
-        arcs += [(2 * u + 1, 2 * v, inf), (2 * v + 1, 2 * u, inf)]
-    arcs += [(src, 2 * index[s], inf) for s in S]
-    arcs += [(2 * index[t] + 1, snk, inf) for t in T]
-    tail, head, cap = np.array(arcs, dtype=np.int32).T
+    # arcs: in -> out of every vertex, out -> in both ways along every edge,
+    # src -> S and T -> snk; only the in -> out arcs of other vertices are finite
+    node = np.arange(n)
+    tail = np.concatenate([2 * node, 2 * u + 1, 2 * v + 1, np.full(len(S), src), 2 * t_idx + 1])
+    head = np.concatenate([2 * node + 1, 2 * v, 2 * u, 2 * s_idx, np.full(len(T), snk)])
+    cap = np.full(len(tail), inf, dtype=np.int32)
+    cap[:n] = 1
+    cap[s_idx] = cap[t_idx] = inf
     C = csr_matrix((cap, (tail, head)), shape=(2 * n + 2, 2 * n + 2))
     flow = maximum_flow(C, src, snk).flow
     # the sink side of the cut: every node that reaches snk in the residual
@@ -271,13 +281,12 @@ def min_vertex_separator(g: MetricGraph, S, T):
     sink_side = np.zeros(2 * n + 2, dtype=bool)
     sink_side[breadth_first_order(residual.T.tocsr(), snk, directed=True,
                                   return_predecessors=False)] = True
-    W = sorted(v for v, i in index.items() if sink_side[2 * i + 1] and not sink_side[2 * i])
+    cut = sink_side[1:2 * n:2] & ~sink_side[0:2 * n:2]
+    W = sorted(g.vertices[i] for i in np.flatnonzero(cut))
 
     # connectivity recheck after removal
-    remaining = [v for v in g.vertices if v not in W]
-    edges = [e for e in g.edges if e.u not in W and e.v not in W]
-    for comp in _components(remaining, edges):
-        cs = set(comp)
-        if cs & S and cs & T:
-            raise RuntimeError("separator verification failed")
+    kept = ~cut[u] & ~cut[v]
+    labels = _component_labels(n, u[kept], v[kept])
+    if set(labels[s_idx]) & set(labels[t_idx]):
+        raise RuntimeError("separator verification failed")
     return W

@@ -20,7 +20,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .families import CounterexampleSpec
-from .graph import Edge, MetricGraph, adjacency
+from .graph import Edge, MetricGraph, _edge_arrays, adjacency
 
 DIRECT_LIMIT = 20000
 CG_TOL = 1e-12
@@ -36,21 +36,21 @@ class WeightedLaplacian:
 
 
 def assemble_laplacian(g: MetricGraph, boundary=None) -> WeightedLaplacian:
+    """One COO call from the edge arrays: per edge, the triplets (i, j), (j, i),
+    (i, i), (j, j) with conductance -c, -c, c, c, duplicates summed in edge
+    order."""
     bset = frozenset(boundary) if boundary is not None else g.boundary
     order = g.vertices
-    pos = {v: i for i, v in enumerate(order)}
     n = len(order)
-    rows, cols, vals = [], [], []
-    for e in g.edges:
-        c = 1.0 / e.length
-        i, j = pos[e.u], pos[e.v]
-        rows += [i, j, i, j]
-        cols += [j, i, i, j]
-        vals += [-c, -c, c, c]
+    u, v, length = _edge_arrays(g)
+    c = 1.0 / length
+    rows = np.column_stack([u, v, u, v]).ravel()
+    cols = np.column_stack([v, u, u, v]).ravel()
+    vals = np.column_stack([-c, -c, c, c]).ravel()
     L = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    interior = np.array([i for i, v in enumerate(order) if v not in bset], dtype=int)
-    bnd = np.array([i for i, v in enumerate(order) if v in bset], dtype=int)
-    return WeightedLaplacian(order, L, interior, bnd)
+    on_boundary = np.fromiter((x in bset for x in order), dtype=bool, count=n)
+    return WeightedLaplacian(order, L, np.flatnonzero(~on_boundary),
+                             np.flatnonzero(on_boundary))
 
 
 @dataclass

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import TreeFamilySpec, build_kary_tree, ROOT
+from .families import TreeFamilySpec, _addresses, build_kary_tree, ROOT
 from .graph import MetricGraph
 from .harmonic import HarmonicSolver
 from .partition import CellTree, Partition, assign_leaves_to_cells
@@ -120,13 +120,6 @@ def exit_measure_point_masses(g: MetricGraph, w) -> dict:
     return dict(zip(pts, nu))
 
 
-def _level_prefixes(spec: TreeFamilySpec, level: int):
-    words = [""]
-    for _ in range(level):
-        words = [w + c for w in words for c in "0123456789"[:spec.arity]]
-    return words
-
-
 @dataclass
 class LimitResult:
     cells: tuple          # cell labels (address prefixes)
@@ -155,7 +148,7 @@ def exit_measure_limit(spec: TreeFamilySpec, level: int, depths, tol: float,
     last iterate is returned with converged=False.
     """
     depths = _check_schedule(depths, tol, level)
-    prefixes = _level_prefixes(spec, level)
+    prefixes = _addresses(spec.arity, level)
     cells = Partition(tuple((p,) for p in prefixes))
     trace = []
     prev = None

@@ -14,7 +14,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .families import TreeFamilySpec
-from .graph import MetricGraph
+from .graph import MetricGraph, _shortest_edge_matrix
 
 
 class BoundarySet:
@@ -84,21 +84,12 @@ def tree_boundary_set(spec: TreeFamilySpec) -> BoundarySet:
 
 
 def graph_boundary_set(g: MetricGraph) -> BoundarySet:
-    """Path metric on the boundary vertices, from one multi-source Dijkstra.
-
-    Parallel edges keep their shortest length (a sparse matrix would sum
-    them)."""
+    """Path metric on the boundary vertices, from one multi-source Dijkstra
+    over the graph's shortest-parallel-edge length matrix."""
     pts = sorted(g.boundary)
-    index = {v: i for i, v in enumerate(g.vertices)}
-    shortest = {}
-    for e in g.edges:
-        key = tuple(sorted((index[e.u], index[e.v])))
-        shortest[key] = min(e.length, shortest.get(key, np.inf))
-    ends = np.array(list(shortest), dtype=np.intp).reshape(-1, 2)
-    A = csr_matrix((list(shortest.values()), (ends[:, 0], ends[:, 1])),
-                   shape=(len(index), len(index)))
-    src = [index[p] for p in pts]
-    dist = dijkstra(A, directed=False, indices=src)[:, src]
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    src = [pos[p] for p in pts]
+    dist = dijkstra(_shortest_edge_matrix(g), directed=False, indices=src)[:, src]
     dist = (dist + dist.T) / 2.0
     return BoundarySet(pts, dist)
 
@@ -214,14 +205,14 @@ class CellTree:
         return out
 
 
+def _cell_diameter(b: BoundarySet, cell) -> float:
+    idx = [b.index[x] for x in cell]
+    return float(b.dist[np.ix_(idx, idx)].max()) if len(idx) > 1 else 0.0
+
+
 def mesh(p: Partition, b: BoundarySet) -> float:
     """Maximum cell diameter; 0 for all-singleton partitions."""
-    worst = 0.0
-    for cell in p.cells:
-        idx = [b.index[x] for x in cell]
-        if len(idx) > 1:
-            worst = max(worst, float(b.dist[np.ix_(idx, idx)].max()))
-    return worst
+    return max((_cell_diameter(b, cell) for cell in p.cells), default=0.0)
 
 
 def canonical_nested_partitions(b: BoundarySet) -> CellTree:

@@ -7,10 +7,9 @@ from mgbound import (metric_graph, dtn_matrix, schur_complement_dtn,
                      inner_product_mu, compressed_dtn, compressed_dtn_limit,
                      quadratic_form_check, TreeFamilySpec, build_kary_tree,
                      exit_measure_limit)
-from mgbound.dtn import compression_oracle
 from mgbound.partition import Partition
 
-from util import star_graph, random_connected_graph
+from util import compression_oracle, star_graph, random_connected_graph
 
 SPEC = TreeFamilySpec(arity=2, ratio=0.25, depth=3)
 
@@ -123,6 +122,24 @@ def test_compressed_empty_cell_rejected():
     cells = Partition((("v1",), ("v2", "v3"), ("zz",)))
     with pytest.raises(ValueError):
         compressed_dtn(g, cells, np.ones(3), {"v1": 0, "v2": 1, "v3": 1})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0])
+def test_compressed_dtn_rejects_nonfinite_and_nonpositive_weights(bad):
+    g = star_graph(3)
+    cells = Partition((("v1",), ("v2", "v3")))
+    with pytest.raises(ValueError, match="weights"):
+        compressed_dtn(g, cells, [bad, 1.0])
+    with pytest.raises(ValueError, match="weights"):
+        compressed_dtn(g, cells, [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="weights"):
+        dtn_matrix(g, {"v1": 1.0, "v2": bad, "v3": 1.0})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_compressed_dtn_limit_rejects_nonfinite_weights(bad):
+    with pytest.raises(ValueError, match="weights"):
+        compressed_dtn_limit(SPEC, 1, [2, 3], 1e-6, cell_weights=[bad, bad])
 
 
 def test_compressed_dtn_limit_level1():

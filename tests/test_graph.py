@@ -8,7 +8,8 @@ from mgbound import (metric_graph, validate, multi_source_distance,
                      min_vertex_separator, solve_dirichlet)
 from mgbound.graph import adjacency
 
-from util import min_separator_size_bruteforce, path_graph, star_graph, random_connected_graph
+from util import (dijkstra_reference, min_separator_size_bruteforce, path_graph, star_graph,
+                  random_connected_graph, with_parallel_edges)
 
 
 def test_validate_minimal_graph():
@@ -44,12 +45,39 @@ def test_multi_source_distance_path():
     assert d2["p1"] == 1.0
 
 
+def test_validate_unknown_vertex_and_second_component_never_raises():
+    g = metric_graph(["a", "b", "c", "d"],
+                     [("e1", "a", "b", 1.0), ("e2", "c", "d", 1.0), ("e3", "b", "zz", 1.0)],
+                     ["a", "b", "c", "d"])
+    probs = validate(g)
+    assert any("e3" in p and "unknown vertex" in p for p in probs)
+    assert any("not connected" in p for p in probs)
+
+
 def test_multi_source_distance_triangle():
     g = metric_graph(["a", "b", "c"],
                      [("e1", "a", "b", 1.0), ("e2", "b", "c", 1.0), ("e3", "a", "c", 1.0)],
                      [])
     d = multi_source_distance(g, {"a"})
     assert d["b"] == 1.0 and d["c"] == 1.0
+
+
+def test_multi_source_distance_errors():
+    g = path_graph([1.0, 2.0])
+    with pytest.raises(ValueError, match="empty"):
+        multi_source_distance(g, set())
+    with pytest.raises(KeyError, match="zz"):
+        multi_source_distance(g, {"p0", "zz"})
+
+
+def test_multi_source_distance_matches_heap_dijkstra_with_parallel_edges():
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        g = with_parallel_edges(random_connected_graph(rng, max_vertices=40), rng)
+        vs = list(g.vertices)
+        rng.shuffle(vs)
+        src = set(vs[:int(rng.integers(1, 4))])
+        assert multi_source_distance(g, src) == dijkstra_reference(g, src)
 
 
 def test_distance_edge_lipschitz_random():
@@ -84,7 +112,7 @@ def test_epsilon_subgraph_monotone_nesting():
     rng = np.random.default_rng(11)
     for _ in range(10):
         g = random_connected_graph(rng, max_vertices=20)
-        dist = multi_source_distance(g, g.boundary)
+        dist = dijkstra_reference(g, g.boundary)
         inradius = max((dist[e.u] + dist[e.v] + e.length) / 2 for e in g.edges)
         eps_pairs = sorted(rng.uniform(1e-6, inradius, size=2))
         try:

@@ -8,7 +8,8 @@ from mgbound import (metric_graph, solve_dirichlet, edge_derivative, vertex_flux
                      HarmonicSolver, TreeFamilySpec, build_kary_tree)
 from mgbound.harmonic import FLUX_BLOCK
 
-from util import path_graph, star_graph, random_connected_graph
+from util import (laplacian_reference, path_graph, star_graph, random_connected_graph,
+                  with_parallel_edges)
 
 
 def edge_by_id(g, eid):
@@ -27,6 +28,21 @@ def test_laplacian_parallel_edges_add():
     g = metric_graph(["a", "b"],
                      [("e1", "a", "b", 1.0), ("e2", "a", "b", 1.0)], ["a", "b"])
     assert np.allclose(assemble_laplacian(g).matrix.toarray(), [[2, -2], [-2, 2]])
+
+
+def test_laplacian_equals_the_per_edge_loop():
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        g = with_parallel_edges(random_connected_graph(rng), rng)
+        pinned = set(g.boundary) | {g.interior()[0]} if g.interior() else None
+        for boundary in (None, pinned):
+            lap = assemble_laplacian(g, boundary)
+            L, interior, bnd = laplacian_reference(g, boundary)
+            assert lap.order == g.vertices
+            for name in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(lap.matrix, name), getattr(L, name)), name
+            assert np.array_equal(lap.interior_idx, interior)
+            assert np.array_equal(lap.boundary_idx, bnd)
 
 
 def test_laplacian_row_sums_and_signs():

@@ -5,11 +5,11 @@ from mgbound import (TreeFamilySpec, BoundarySet, tree_boundary_distance,
                      tree_boundary_set, graph_boundary_set, epsilon_components,
                      jump_values, canonical_nested_partitions, mesh,
                      assign_leaves_to_cells, build_kary_tree,
-                     metric_graph, multi_source_distance)
+                     metric_graph)
 from mgbound.partition import Partition
 
-from util import (components_bruteforce, components_union_find, random_connected_graph,
-                  star_graph)
+from util import (components_bruteforce, components_union_find, dijkstra_reference,
+                  random_connected_graph, star_graph)
 
 SPEC3 = TreeFamilySpec(arity=2, ratio=0.25, depth=3)
 
@@ -28,7 +28,7 @@ def test_tree_distance_matches_graph_dijkstra():
     g, _ = build_kary_tree(SPEC3)
     leaves = sorted(g.boundary)
     for x in leaves[:3]:
-        d = multi_source_distance(g, {x})
+        d = dijkstra_reference(g, {x})
         for y in leaves:
             if y != x:
                 assert d[y] == pytest.approx(tree_boundary_distance(SPEC3, x, y), abs=1e-14)
@@ -261,7 +261,7 @@ def test_tree_boundary_set_equals_scalar_distance(k, r, n):
 def _assert_boundary_metric(g):
     b = graph_boundary_set(g)
     assert b.points == tuple(sorted(g.boundary))
-    d = {p: multi_source_distance(g, {p}) for p in b.points}
+    d = {p: dijkstra_reference(g, {p}) for p in b.points}
     for i, p in enumerate(b.points):
         for j, q in enumerate(b.points):
             assert b.dist[i, j] == pytest.approx((d[p][q] + d[q][p]) / 2, rel=1e-14, abs=0)

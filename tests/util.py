@@ -1,5 +1,9 @@
 """Shared test helpers: seeded random graphs and brute-force oracles."""
+import heapq
+import math
+
 import numpy as np
+import scipy.sparse as sp
 
 from mgbound import metric_graph
 
@@ -33,6 +37,14 @@ def random_connected_graph(rng, max_vertices=50, min_boundary=2):
     if len(boundary) == n and n > 2:
         boundary.discard(sorted(boundary, key=lambda v: -deg[v])[0])
     return metric_graph(verts, edges, boundary)
+
+
+def with_parallel_edges(g, rng, share=0.3):
+    """g plus, for a random share of its edges, a parallel edge of a new random
+    length (endpoints reversed)."""
+    extra = [(f"y{k:03d}", e.v, e.u, float(rng.uniform(0.1, 10.0)))
+             for k, e in enumerate(g.edges) if rng.random() < share]
+    return metric_graph(g.vertices, list(g.edges) + extra, g.boundary)
 
 
 def components_bruteforce(b, eps):
@@ -123,3 +135,64 @@ def path_graph(lengths, boundary=None):
     if boundary is None:
         boundary = [verts[0], verts[-1]]
     return metric_graph(verts, edges, boundary)
+
+
+def dijkstra_reference(g, sources):
+    """Shortest path-length distance from the source set to every vertex, by a
+    binary-heap Dijkstra over the incident edges (independent of the library
+    and of csgraph)."""
+    dist = {v: math.inf for v in g.vertices}
+    heap = []
+    for s in sorted(set(sources)):
+        dist[s] = 0.0
+        heap.append((0.0, s))
+    heapq.heapify(heap)
+    adj = {v: [] for v in g.vertices}
+    for e in g.edges:
+        adj[e.u].append((e.v, e.length))
+        adj[e.v].append((e.u, e.length))
+    while heap:
+        d, v = heapq.heappop(heap)
+        if d > dist[v]:
+            continue
+        for w, length in adj[v]:
+            nd = d + length
+            if nd < dist[w]:
+                dist[w] = nd
+                heapq.heappush(heap, (nd, w))
+    return dist
+
+
+def laplacian_reference(g, boundary=None):
+    """Weighted Laplacian (CSR) and interior/boundary positions, assembled by a
+    loop over the edges: per edge the triplets (i, j), (j, i), (i, i), (j, j)."""
+    bset = frozenset(boundary) if boundary is not None else g.boundary
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    n = len(g.vertices)
+    rows, cols, vals = [], [], []
+    for e in g.edges:
+        c = 1.0 / e.length
+        i, j = pos[e.u], pos[e.v]
+        rows += [i, j, i, j]
+        cols += [j, i, i, j]
+        vals += [-c, -c, c, c]
+    L = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    interior = np.array([i for i, v in enumerate(g.vertices) if v not in bset], dtype=int)
+    bnd = np.array([i for i, v in enumerate(g.vertices) if v in bset], dtype=int)
+    return L, interior, bnd
+
+
+def compression_oracle(full, cells, assignment, cell_weights):
+    """Explicit P Lam P with the mu-orthogonal projection onto cell-constant
+    functions, expressed in the cell indicator basis.  Oracle for
+    compressed_dtn."""
+    nb = len(full.basis)
+    nc = len(cells)
+    A = np.zeros((nb, nc))  # indicator columns
+    for i, v in enumerate(full.basis):
+        A[i, assignment[v]] = 1.0
+    w = full.weights
+    cw = np.asarray(cell_weights, dtype=float)
+    # projection of Lam 1_E onto cell space, in cell coordinates:
+    # row n = (1/mu(E_n)) sum_{v in E_n} mu(v) (Lam 1_Em)(v)
+    return (A.T @ (w[:, None] * (full.matrix @ A))) / cw[:, None]
