@@ -2,11 +2,19 @@
 positive cell measure, with analysis/synthesis transforms and the
 multiresolution operator whose eigenvalues are the reciprocal jump values.
 
-Construction: per parent cell with children E(1..M), modified Gram-Schmidt
-on [1_parent, 1_E(1), ..., 1_E(M-1)] in the L2(mu) inner product; the
-parent indicator reproduces the coarser space, the remaining M-1 functions
-are the new details.  Details of different parents have disjoint support,
-so orthonormality is global.
+Construction, in closed form (unbalanced Haar; Girardi & Sweldens, J. Fourier
+Anal. Appl. 1997): a parent cell with children E_1..E_M in cell order, child
+masses m_i, tails T_j = E_j u ... u E_M and M_j = mu(T_j) gives the details
+
+    psi_j = (1_{E_j} - (m_j / M_j) 1_{T_j}) / (sqrt(m_j) sqrt(M_{j+1} / M_j)),
+
+j = 1..M-1, which Gram-Schmidt on [1_parent, 1_E(1), ..., 1_E(M-1)] gives in
+exact arithmetic.  psi_j is exactly 0 outside T_j, positive on E_j and
+negative on T_{j+1}, where its values sqrt((M_{j+1} / M_j) / m_j) and
+-sqrt((m_j / M_j) / M_{j+1}) are roots of quotients: no product of masses is
+formed, so none underflows.  Details are orthogonal to every function
+constant on their parent's level, and details of different parents have
+disjoint support, so orthonormality is global.
 """
 from __future__ import annotations
 
@@ -16,8 +24,6 @@ import numpy as np
 
 from .measures import CellMeasure
 from .partition import CellTree
-
-_NORM_FLOOR = 1e-14
 
 
 @dataclass
@@ -38,55 +44,50 @@ class HaarBasis:
         return self.functions @ W.T
 
 
-def _cell_indicators(tree: CellTree, level: int) -> np.ndarray:
-    """Indicator vectors of level cells over the finest-level cells."""
-    finest = tree.levels[tree.finest]
-    cell_of_point = tree.levels[level].cell_of()
-    out = np.zeros((tree.ncells(level), tree.ncells(tree.finest)))
-    for fi, fcell in enumerate(finest.cells):
-        out[cell_of_point[fcell[0]], fi] = 1.0
-    return out
-
-
 def build_haar_basis(tree: CellTree, mu: CellMeasure) -> HaarBasis:
     if mu.tree is not tree:
         raise ValueError("measure was built on a different cell tree")
-    if not mu.is_positive():
-        raise ValueError("mu must be strictly positive on every cell")
-    K = tree.ncells(tree.finest)
+    given = np.fromiter(mu.mass.values(), dtype=float, count=len(mu.mass))
+    if not np.all((given > 0) & (given < np.inf)):
+        raise ValueError("mu must be finite and strictly positive on every cell")
+    finest = tree.levels[tree.finest].cells
+    K = len(finest)
     w = mu.level_slice(tree.finest)
-    total = mu.total()
-
-    funcs = [np.ones(K) / np.sqrt(total)]
-    levels = [0]
-
-    def dot(a, b):
-        return float(np.sum(a * b * w))
-
+    labels = []  # per level: finest cell -> index of the cell containing it
+    for part in tree.levels:
+        cell_of = part.cell_of()
+        labels.append(np.array([cell_of[c[0]] for c in finest], dtype=np.intp))
+    # cell masses summed up the tree from w: pairwise sums on binary trees,
+    # where one sequential sum over w drifts by several ulp
+    mass = [w]
+    for level in range(tree.finest, 0, -1):
+        parent_of = np.empty(tree.ncells(level), dtype=np.intp)
+        parent_of[labels[level]] = labels[level - 1]
+        mass.insert(0, np.bincount(parent_of, weights=mass[0]))
+    functions = np.zeros((K, K))
+    functions[0] = 1.0 / np.sqrt(mu.total())
+    levels = np.zeros(K, dtype=int)
+    row = 1
     for level in range(tree.finest):
-        ind_child = _cell_indicators(tree, level + 1)
-        ind_parent = _cell_indicators(tree, level)
-        for parent, kids in sorted(tree.children_map(level).items()):
-            if len(kids) == 1:
+        child = labels[level + 1]
+        by_parent = np.split(np.argsort(labels[level], kind="stable"),
+                             np.cumsum(np.bincount(labels[level]))[:-1])
+        for p, kids in tree.children_map(level).items():
+            M = len(kids)
+            if M == 1:
                 continue
-            vectors = [ind_parent[parent]] + [ind_child[k] for k in kids[:-1]]
-            ortho = []
-            for vec in vectors:
-                v = vec.copy()
-                for _ in range(2):  # one re-orthogonalization pass
-                    for q in ortho:
-                        v -= dot(v, q) * q
-                nrm = np.sqrt(dot(v, v))
-                if nrm < _NORM_FLOOR:
-                    raise ValueError("zero-mass cell encountered during Gram-Schmidt")
-                ortho.append(v / nrm)
-            for q in ortho[1:]:
-                nz = np.nonzero(np.abs(q) > 1e-12)[0]
-                if len(nz) and q[nz[0]] < 0:
-                    q = -q
-                funcs.append(q)
-                levels.append(level + 1)
-    return HaarBasis(tree, w, np.array(funcs), np.array(levels))
+            mk = mass[level + 1][kids]
+            tail = np.cumsum(mk[::-1])[::-1]
+            on_e = np.sqrt(tail[1:] / tail[:-1] / mk[:-1])
+            after = -np.sqrt(mk[:-1] / tail[:-1] / tail[1:])
+            j = np.arange(M - 1)
+            block = np.where(j[:, None] < np.arange(M), after[:, None], 0.0)
+            block[j, j] = on_e
+            cols = by_parent[p]
+            functions[row:row + M - 1, cols] = block[:, np.searchsorted(kids, child[cols])]
+            levels[row:row + M - 1] = level + 1
+            row += M - 1
+    return HaarBasis(tree, w, functions, levels)
 
 
 def analyze(basis: HaarBasis, F) -> np.ndarray:
@@ -111,11 +112,8 @@ def multiresolution_eigenvalues(basis: HaarBasis) -> np.ndarray:
     jumps = basis.tree.jumps
     if basis.levels.max(initial=0) > len(jumps):
         raise ValueError("jump list is shorter than the basis levels")
-    lam = np.zeros(len(basis))
-    for k, lev in enumerate(basis.levels):
-        if lev > 0:
-            lam[k] = 1.0 / jumps[lev - 1][0]
-    return lam
+    alpha = np.array([np.inf] + [a for a, _, _ in jumps])
+    return 1.0 / alpha[basis.levels]
 
 
 def multiresolution_operator(basis: HaarBasis, F) -> np.ndarray:

@@ -26,12 +26,12 @@ class BoundarySet:
         n = len(self.points)
         if self.dist.shape != (n, n):
             raise ValueError("distance table shape does not match point count")
-        if np.any(np.abs(np.diag(self.dist)) > 0):
+        if np.any(np.diag(self.dist) != 0):
             raise ValueError("d(x,x) must be 0")
-        if np.max(np.abs(self.dist - self.dist.T)) > 1e-12:
+        if np.any(np.abs(self.dist - self.dist.T) > 1e-12):
             raise ValueError("distance table must be symmetric")
-        off = self.dist[~np.eye(n, dtype=bool)]
-        if n > 1 and np.min(off) <= 0:
+        # the diagonal is 0, so this counts the off-diagonal and rejects NaN
+        if np.count_nonzero(self.dist > 0) != n * (n - 1):
             raise ValueError("distinct points must have positive distance")
         self.index = {p: i for i, p in enumerate(self.points)}
 

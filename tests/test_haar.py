@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from mgbound import (TreeFamilySpec, BoundarySet, CellMeasure, build_kary_tree,
+from mgbound import (TreeFamilySpec, CounterexampleSpec, BoundarySet, CellMeasure,
+                     build_kary_tree, build_counterexample, graph_boundary_set,
                      tree_boundary_set, canonical_nested_partitions,
                      equal_split_measure, counting_measure,
                      cell_measure_from_point_masses, exit_measure_point_masses,
                      build_haar_basis, analyze, synthesize,
                      multiresolution_operator, multiresolution_eigenvalues)
+
+from util import haar_gram_schmidt_reference
 
 
 def dyadic_tree(depth):
@@ -55,6 +58,72 @@ def test_zero_mass_cell_rejected():
     mu = CellMeasure(tree, {(0, 0): 1.0, (1, 0): 1.0, (1, 1): 0.0})
     with pytest.raises(ValueError):
         build_haar_basis(tree, mu)
+
+
+def test_infinite_cell_mass_rejected():
+    _, tree = dyadic_tree(1)
+    mu = CellMeasure(tree, {(0, 0): np.inf, (1, 0): np.inf, (1, 1): 1.0})
+    with pytest.raises(ValueError):
+        build_haar_basis(tree, mu)
+
+
+def spine_tree():
+    return canonical_nested_partitions(
+        graph_boundary_set(build_counterexample(CounterexampleSpec(spine=12))))
+
+
+@pytest.mark.parametrize("family", ["binary-6", "ternary-4", "spine-12"])
+@pytest.mark.parametrize("measure", ["rho", "counting", "random"])
+def test_closed_form_matches_gram_schmidt_reference(family, measure):
+    if family == "spine-12":
+        tree = spine_tree()
+    else:
+        arity, depth = {"binary-6": (2, 6), "ternary-4": (3, 4)}[family]
+        tree = canonical_nested_partitions(tree_boundary_set(
+            TreeFamilySpec(arity=arity, ratio=0.25, depth=depth)))
+    rng = np.random.default_rng(17)
+    mu = {"rho": equal_split_measure, "counting": counting_measure,
+          "random": lambda t: cell_measure_from_point_masses(
+              t, {x: float(rng.uniform(0.1, 10.0)) for x in t.boundary.points}),
+          }[measure](tree)
+    basis = build_haar_basis(tree, mu)
+    ref, ref_levels = haar_gram_schmidt_reference(tree, mu)
+    assert np.array_equal(basis.levels, ref_levels)
+    scale = np.max(np.abs(ref), axis=1, keepdims=True)
+    # Gram-Schmidt's sign rule reads rounding residue on the spine tree
+    sign = np.sign(np.sum(basis.functions * ref, axis=1, keepdims=True))
+    if family != "spine-12":
+        assert np.all(sign == 1.0)
+    assert np.all(np.abs(basis.functions - sign * ref) <= 1e-12 * scale)
+
+
+def test_spine_details_supported_on_tail_and_positive_on_first_child():
+    tree = spine_tree()
+    basis = build_haar_basis(tree, equal_split_measure(tree))
+    finest = tree.levels[tree.finest].cells
+    row = 1
+    for level in range(tree.finest):
+        cell_of = tree.levels[level + 1].cell_of()
+        child = np.array([cell_of[c[0]] for c in finest])
+        for _, kids in sorted(tree.children_map(level).items()):
+            for j in range(len(kids) - 1):
+                f = basis.functions[row]
+                on_tail = np.isin(child, kids[j:])
+                assert basis.levels[row] == level + 1
+                assert np.all(f[~on_tail] == 0.0)
+                assert np.all(f[child == kids[j]] > 0)
+                assert np.all(f[on_tail & (child != kids[j])] < 0)
+                row += 1
+    assert row == len(basis)
+
+
+@pytest.mark.parametrize("factor", [1e-200, 1e200])
+def test_gram_identity_at_extreme_mass_scales(factor):
+    for tree in (dyadic_tree(6)[1], spine_tree()):
+        rho = equal_split_measure(tree)
+        mu = CellMeasure(tree, {k: v * factor for k, v in rho.mass.items()})
+        basis = build_haar_basis(tree, mu)
+        assert np.max(np.abs(basis.gram_matrix() - np.eye(len(basis)))) < 1e-12
 
 
 def test_analyze_synthesize_round_trip():

@@ -245,6 +245,17 @@ def test_canonical_partitions_with_infinite_distances():
         (("a",), ("b",), ("c",), ("d",))]
 
 
+def test_boundary_set_rejects_nan_and_asymmetric_tables():
+    nan, inf = np.nan, np.inf
+    bad = [np.array([[0.0, 1.0, 2.0], [1.0, 0.0, nan], [2.0, nan, 0.0]]),
+           np.array([[0.0, 1.0], [1.0, nan]]),
+           # an infinite pair (inf - inf = nan) must not hide the asymmetry
+           np.array([[0.0, 1.0, inf], [5.0, 0.0, 2.0], [inf, 2.0, 0.0]])]
+    for d in bad:
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+            BoundarySet(["a", "b", "c"][:len(d)], d)
+
+
 @pytest.mark.parametrize("k, r, n", [(2, 0.25, 10), (3, 0.4, 6), (10, 0.5, 3)])
 def test_tree_boundary_set_equals_scalar_distance(k, r, n):
     spec = TreeFamilySpec(arity=k, ratio=r, depth=n)

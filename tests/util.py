@@ -196,3 +196,43 @@ def compression_oracle(full, cells, assignment, cell_weights):
     # projection of Lam 1_E onto cell space, in cell coordinates:
     # row n = (1/mu(E_n)) sum_{v in E_n} mu(v) (Lam 1_Em)(v)
     return (A.T @ (w[:, None] * (full.matrix @ A))) / cw[:, None]
+
+
+def haar_gram_schmidt_reference(tree, mu):
+    """Haar functions and birth levels by modified Gram-Schmidt with one
+    re-orthogonalization pass: per parent cell with children E(1..M), on
+    [1_parent, 1_E(1), ..., 1_E(M-1)] in L2(mu) over the finest cells, each
+    detail signed so its first entry above 1e-12 in magnitude is positive.
+    Oracle for build_haar_basis."""
+    finest = tree.levels[tree.finest].cells
+    w = mu.level_slice(tree.finest)
+
+    def indicators(level):
+        cell_of = tree.levels[level].cell_of()
+        out = np.zeros((tree.ncells(level), len(finest)))
+        for fi, fcell in enumerate(finest):
+            out[cell_of[fcell[0]], fi] = 1.0
+        return out
+
+    def dot(a, b):
+        return float(np.sum(a * b * w))
+
+    funcs = [np.ones(len(finest)) / np.sqrt(mu.total())]
+    levels = [0]
+    for level in range(tree.finest):
+        ind_child, ind_parent = indicators(level + 1), indicators(level)
+        for parent, kids in sorted(tree.children_map(level).items()):
+            if len(kids) == 1:
+                continue
+            ortho = []
+            for vec in [ind_parent[parent]] + [ind_child[k] for k in kids[:-1]]:
+                v = vec.copy()
+                for _ in range(2):
+                    for q in ortho:
+                        v -= dot(v, q) * q
+                ortho.append(v / np.sqrt(dot(v, v)))
+            for q in ortho[1:]:
+                nz = np.nonzero(np.abs(q) > 1e-12)[0]
+                funcs.append(-q if len(nz) and q[nz[0]] < 0 else q)
+                levels.append(level + 1)
+    return np.array(funcs), np.array(levels)
