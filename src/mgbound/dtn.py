@@ -17,14 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .families import TreeFamilySpec, build_kary_tree, ROOT
+from .families import TreeFamilySpec, ROOT
 from .graph import MetricGraph
 from .harmonic import HarmonicSolver, assemble_laplacian, dirichlet_energy
 # bound here unused: perfbench's tracer test wraps vertex_flux through this module
 from .harmonic import vertex_flux  # noqa: F401
 from .families import _addresses
-from .measures import _check_schedule, exit_measure
-from .partition import Partition, assign_leaves_to_cells
+from .measures import _check_schedule, _exit_masses, _truncation
+from .partition import Partition
 
 
 @dataclass
@@ -134,9 +134,15 @@ def compressed_dtn(g: MetricGraph, cells: Partition, cell_weights,
     w = _check_weights(cell_weights, nc)
     solver = HarmonicSolver(g)
     cell = np.array([assignment[v] for v in solver.boundary])
+    return DtNMatrix(cells.labels, _cell_flux(solver, cell, nc) / w[:, None], w)
+
+
+def _cell_flux(solver: HarmonicSolver, cell: np.ndarray, ncells: int) -> np.ndarray:
+    """A^T S A for the indicator matrix A of the cells given by `cell`, one
+    cell index per vertex of `solver.boundary`: the unscaled compressed DtN."""
     A = sp.csc_matrix((np.ones(len(cell)), (np.arange(len(cell)), cell)),
-                      shape=(len(cell), nc))
-    return DtNMatrix(cells.labels, (A.T @ solver.boundary_flux(A)) / w[:, None], w)
+                      shape=(len(cell), ncells))
+    return A.T @ solver.boundary_flux(A)
 
 
 @dataclass
@@ -155,33 +161,35 @@ def compressed_dtn_limit(spec: TreeFamilySpec, level: int, depths, tol: float,
     cell_weights defaults to `exit_measure_limit(spec, level, depths, tol,
     w=w_source).masses`, the exit measure from the family root over the same
     depth schedule (positive on every cell).  Both limits run in one sweep
-    that builds each truncation once: the unscaled cell fluxes are kept
-    until the exit measure has converged (or the schedule ends), and only
-    then are the change tests run.
+    that builds and factors each truncation once: its exit measure and its
+    compressed DtN come from the same unpinned `HarmonicSolver`, leaves go to
+    cells by leaf index, and the unscaled cell fluxes are kept until the exit
+    measure has converged (or the schedule ends), and only then are the
+    change tests run.
     """
     depths = _check_schedule(depths, tol, level)
     cells = Partition(tuple((p,) for p in _addresses(spec.arity, level)))
+    nc = len(cells)
     weights = None
     if cell_weights is not None:
-        weights = _check_weights(cell_weights, len(cells))
-    unit = np.ones(len(cells))
+        weights = _check_weights(cell_weights, nc)
     nu = None
     pending = []  # (depth, unscaled cell flux) awaiting the weights
     prev = None
     trace = []
     result = None
     for d in depths:
-        g, _ = build_kary_tree(spec.at_depth(d))
-        assignment = assign_leaves_to_cells(g.boundary, cells, level)
+        solver, cell = _truncation(spec, d, level)
         if weights is None:
-            nu_d = exit_measure(g, w_source, cells, assignment)
+            nu_d = _exit_masses(solver, w_source, cell, nc)
             if d == depths[-1] or (
                     nu is not None and float(np.max(np.abs(nu_d - nu))) < tol):
                 weights = nu_d
             nu = nu_d
-        # unit weights leave the cell fluxes unscaled, so that dividing by
-        # the weights later gives what compressed_dtn would give with them
-        pending.append((d, compressed_dtn(g, cells, unit, assignment).matrix))
+        # dividing these fluxes by the weights later gives what
+        # compressed_dtn would give with them
+        pending.append((d, _cell_flux(solver, cell, nc)))
+        del solver  # free this truncation before the next one is built
         if weights is None:
             continue
         for dp, flux in pending:

@@ -12,6 +12,8 @@ import json
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .graph import MetricGraph, metric_graph, validate
 
 VERTEX_CAP = 10 ** 6
@@ -64,24 +66,37 @@ ROOT = "root"
 
 def build_kary_tree(spec: TreeFamilySpec):
     """Return (graph, address table).  Vertex ids are root-to-vertex words
-    over {0..k-1} ("root" for the root); boundary = the depth-n leaves."""
+    over {0..k-1} ("root" for the root); boundary = the depth-n leaves.
+
+    The graph is made from arrays, with no `Edge` until one is asked for.
+    Sorted, the addresses are the preorder of the tree and "root" comes last,
+    so the vertex a_1..a_m sits at sum_j (1 + a_j * S(n - j)) - 1, where
+    S(h) = (k^(h+1) - 1)/(k - 1) is the size of a height-h subtree.  Each edge
+    is named "e" + its child's address and sits at its child's position.
+    """
     if spec.vertex_count() > VERTEX_CAP:
         raise ValueError(f"tree would exceed the vertex cap ({VERTEX_CAP})")
-    vertices = [ROOT]
-    edges = []
+    k, depth = spec.arity, spec.depth
+    m = spec.vertex_count() - 1  # edges, one per non-root vertex
+    words = np.empty(m, dtype=object)
+    parent = np.empty(m, dtype=np.intp)
+    length = np.empty(m)
     frontier = [""]
-    for level in range(1, spec.depth + 1):
-        length = spec.edge_length(level)
-        nxt = []
-        for word in frontier:
-            parent_id = ROOT if word == "" else word
-            for c in _DIGITS[:spec.arity]:
-                child = word + c
-                vertices.append(child)
-                edges.append((f"e{child}", parent_id, child, length))
-                nxt.append(child)
-        frontier = nxt
-    g = metric_graph(vertices, edges, frontier)
+    above = np.array([-1])  # positions of the previous level; the root's children start at 0
+    for level in range(1, depth + 1):
+        frontier = [word + c for word in frontier for c in _DIGITS[:k]]
+        subtree = (k ** (depth - level + 1) - 1) // (k - 1)
+        at = np.repeat(above, k)
+        child = at + 1 + np.tile(np.arange(k) * subtree, k ** (level - 1))
+        words[child] = frontier
+        parent[child] = at if level > 1 else m
+        length[child] = spec.edge_length(level)
+        above = child
+    on_boundary = np.zeros(m + 1, dtype=bool)
+    on_boundary[above] = True
+    words = words.tolist()
+    g = MetricGraph.from_arrays(words + [ROOT], ["e" + word for word in words],
+                                parent, np.arange(m), length, on_boundary)
     return g, {leaf: leaf for leaf in frontier}
 
 

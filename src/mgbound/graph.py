@@ -9,7 +9,8 @@ here is a pure function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
+from itertools import compress
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -32,11 +33,65 @@ class Edge:
         raise ValueError(f"vertex {w!r} is not an endpoint of edge {self.id!r}")
 
 
-@dataclass(frozen=True)
 class MetricGraph:
-    vertices: tuple
-    edges: tuple
-    boundary: frozenset
+    """Sorted vertex ids, edges sorted by id, and the boundary vertex set.
+
+    The edges have two equal forms: `edges`, a tuple of `Edge`s, and the
+    arrays of `_edge_arrays` (endpoint positions in `vertices`, lengths).  A
+    graph made from `Edge`s (`metric_graph`) fills the arrays on first use; a
+    graph made from arrays (`from_arrays`) builds its `Edge`s on first access
+    of `edges`.  Either form is cached on the instance.  Equality, hashing and
+    repr are those of the (vertices, edges, boundary) triple, and the instance
+    is immutable.
+    """
+
+    def __init__(self, vertices, edges, boundary):
+        vars(self).update(vertices=tuple(vertices), _edges=tuple(edges),
+                          boundary=frozenset(boundary))
+
+    @classmethod
+    def from_arrays(cls, vertices, edge_ids, u, v, length, on_boundary) -> "MetricGraph":
+        """A graph from its edge ids, the positions of their endpoints in
+        `vertices`, their lengths, and a boolean boundary mask over
+        `vertices`; the vertices and the edge ids must already be sorted."""
+        vertices = tuple(vertices)
+        g = cls.__new__(cls)
+        vars(g).update(vertices=vertices, _edges=None, _edge_ids=tuple(edge_ids),
+                       _edge_array_view=(u, v, length), _boundary_mask=on_boundary,
+                       boundary=frozenset(compress(vertices, on_boundary.tolist())))
+        return g
+
+    @property
+    def edges(self) -> tuple:
+        edges = self._edges
+        if edges is None:
+            u, v, length = self._edge_array_view
+            names = self.vertices
+            edges = tuple(map(Edge, self._edge_ids, [names[i] for i in u.tolist()],
+                              [names[i] for i in v.tolist()], length.tolist()))
+            object.__setattr__(self, "_edges", edges)
+        return edges
+
+    def _key(self):
+        return self.vertices, self.edges, self.boundary
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"MetricGraph(vertices={self.vertices!r}, edges={self.edges!r}, "
+                f"boundary={self.boundary!r})")
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def interior(self):
         return [v for v in self.vertices if v not in self.boundary]
@@ -77,7 +132,10 @@ def _edge_arrays(g: MetricGraph):
     """Edge endpoints and lengths as arrays (u, v, length), endpoints given by
     their positions in g.vertices and edges in g.edges order.
 
-    Cached on the instance, like `adjacency`.
+    A graph made from arrays holds them from the start.  A graph made from
+    `Edge`s fills them on first use and caches them on the instance, like
+    `adjacency`; an edge to an unknown vertex raises KeyError here, so such a
+    graph can still be made and reported by `validate`.
     """
     arrays = getattr(g, "_edge_array_view", None)
     if arrays is None:
@@ -88,6 +146,18 @@ def _edge_arrays(g: MetricGraph):
                   np.fromiter((e.length for e in g.edges), dtype=float, count=m))
         object.__setattr__(g, "_edge_array_view", arrays)
     return arrays
+
+
+def _on_boundary(g: MetricGraph) -> np.ndarray:
+    """Boolean mask over g.vertices of the boundary vertices; given by a graph
+    made from arrays, otherwise made on first use and cached like
+    `_edge_arrays`."""
+    mask = getattr(g, "_boundary_mask", None)
+    if mask is None:
+        mask = np.fromiter((v in g.boundary for v in g.vertices), dtype=bool,
+                           count=len(g.vertices))
+        object.__setattr__(g, "_boundary_mask", mask)
+    return mask
 
 
 def _shortest_edge_matrix(g: MetricGraph) -> csr_matrix:

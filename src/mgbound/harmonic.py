@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .families import CounterexampleSpec
-from .graph import Edge, MetricGraph, _edge_arrays, adjacency
+from .graph import Edge, MetricGraph, _edge_arrays, _on_boundary, adjacency
 
 DIRECT_LIMIT = 20000
 CG_TOL = 1e-12
@@ -39,7 +40,6 @@ def assemble_laplacian(g: MetricGraph, boundary=None) -> WeightedLaplacian:
     """One COO call from the edge arrays: per edge, the triplets (i, j), (j, i),
     (i, i), (j, j) with conductance -c, -c, c, c, duplicates summed in edge
     order."""
-    bset = frozenset(boundary) if boundary is not None else g.boundary
     order = g.vertices
     n = len(order)
     u, v, length = _edge_arrays(g)
@@ -48,7 +48,11 @@ def assemble_laplacian(g: MetricGraph, boundary=None) -> WeightedLaplacian:
     cols = np.column_stack([v, u, u, v]).ravel()
     vals = np.column_stack([-c, -c, c, c]).ravel()
     L = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    on_boundary = np.fromiter((x in bset for x in order), dtype=bool, count=n)
+    if boundary is None:
+        on_boundary = _on_boundary(g)
+    else:
+        bset = frozenset(boundary)
+        on_boundary = np.fromiter((x in bset for x in order), dtype=bool, count=n)
     return WeightedLaplacian(order, L, np.flatnonzero(~on_boundary),
                              np.flatnonzero(on_boundary))
 
@@ -86,13 +90,15 @@ class HarmonicSolver:
 
     def __init__(self, g: MetricGraph, boundary=None,
                  direct_limit: int = DIRECT_LIMIT, cg_tol: float = CG_TOL):
-        bset = frozenset(boundary) if boundary is not None else g.boundary
-        if not bset:
+        bset = frozenset(boundary) if boundary is not None else None
+        if not (g.boundary if bset is None else bset):
             raise ValueError("boundary is empty")
         self.graph = g
         self.lap = assemble_laplacian(g, bset)
-        self.boundary = tuple(self.lap.order[i] for i in self.lap.boundary_idx)
-        self.interior = tuple(self.lap.order[i] for i in self.lap.interior_idx)
+        on_boundary = np.zeros(len(self.lap.order), dtype=bool)
+        on_boundary[self.lap.boundary_idx] = True
+        self.boundary = tuple(compress(self.lap.order, on_boundary.tolist()))
+        self.interior = tuple(compress(self.lap.order, (~on_boundary).tolist()))
         self.cg_tol = cg_tol
         self._use_direct = len(self.interior) <= direct_limit
         L = self.lap.matrix
@@ -137,6 +143,23 @@ class HarmonicSolver:
         if self.interior:
             vals.update(zip(self.interior, self._solve_interior(-(self.L_IB @ F))))
         return HarmonicFunction(self.graph, vals, self.boundary)
+
+    def source_flux(self, w) -> np.ndarray:
+        """Boundary fluxes, in `self.boundary` order, of the harmonic function
+        that is 1 at the interior vertex w and 0 on the boundary, from this
+        factorization with w left unpinned: x = L_II^{-1} e_w is harmonic
+        everywhere but at w, so the function is x / x_w on the interior and
+        its fluxes are L_BI x / x_w."""
+        try:
+            i = self.interior.index(w)
+        except ValueError:
+            if w in self.boundary:
+                raise ValueError(f"source vertex {w!r} lies on the boundary") from None
+            raise KeyError(f"unknown vertex {w!r}") from None
+        e = np.zeros(len(self.interior))
+        e[i] = 1.0
+        x = self._solve_interior(e)
+        return (self.L_BI @ x) / x[i]
 
     def boundary_flux(self, F) -> np.ndarray:
         """Boundary fluxes of the harmonic extensions of the columns of F.

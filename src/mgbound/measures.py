@@ -11,6 +11,7 @@ priori.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from .families import TreeFamilySpec, _addresses, build_kary_tree, ROOT
 from .graph import MetricGraph
 from .harmonic import HarmonicSolver
-from .partition import CellTree, Partition, assign_leaves_to_cells
+from .partition import CellTree, Partition
 
 ADDITIVITY_TOL = 1e-10
 
@@ -36,6 +37,12 @@ class CellMeasure:
         return np.array([self.mass[(level, ci)] for ci in range(self.tree.ncells(level))])
 
     def check_additivity(self, tol: float = ADDITIVITY_TOL):
+        """Largest gap between a cell's mass and the sum of its children's;
+        raises if it exceeds tol or if any mass is NaN or infinite (a gap
+        such as inf - inf would be NaN and compare as no gap at all)."""
+        bad = [key for key, m in self.mass.items() if not math.isfinite(m)]
+        if bad:
+            raise AssertionError(f"non-finite mass at cells {bad[:5]}")
         worst = 0.0
         for level in range(self.tree.finest):
             for parent, kids in self.tree.children_map(level).items():
@@ -47,7 +54,7 @@ class CellMeasure:
         return worst
 
     def is_positive(self) -> bool:
-        return all(m > 0 for m in self.mass.values())
+        return all(0 < m < math.inf for m in self.mass.values())
 
 
 def equal_split_measure(tree: CellTree) -> CellMeasure:
@@ -84,31 +91,32 @@ def exit_measure(g: MetricGraph, w, cells: Partition, assignment: dict | None = 
                  normalize: bool = False) -> np.ndarray:
     """Harmonic flux from a unit potential at w into each boundary cell.
 
-    Solves the Dirichlet problem with value 1 at w and 0 on the boundary;
-    cell mass = sum over its boundary vertices of the inward flux
-    (f(neighbor) - f(v)) / l_e.  The total equals the effective conductance
-    between w and the boundary; with normalize=True masses sum to 1
-    (harmonic-measure convention).
+    Solves the Dirichlet problem with value 1 at w and 0 on the boundary on
+    the graph's own interior factorization, w left unpinned
+    (`HarmonicSolver.source_flux`: with L_II x = e_w the solution is x / x_w);
+    cell mass = sum over its boundary vertices v of the inward flux
+    -(L_BI x)_v / x_w, that is (f(neighbor) - f(v)) / l_e.  The total equals
+    the effective conductance 1 / x_w between w and the boundary; with
+    normalize=True masses sum to 1 (harmonic-measure convention).
     """
-    if w in g.boundary:
-        raise ValueError(f"source vertex {w!r} lies on the boundary")
-    if w not in set(g.vertices):
-        raise KeyError(f"unknown vertex {w!r}")
-    if not g.boundary:
-        raise ValueError("graph has no boundary")
     if assignment is None:
         assignment = cells.cell_of()
-    solver = HarmonicSolver(g, boundary=set(g.boundary) | {w})
-    source = np.array([[1.0 if v == w else 0.0] for v in solver.boundary])
-    flux = solver.boundary_flux(source)[:, 0]
-    rows = [i for i, v in enumerate(solver.boundary) if v != w]
-    cell = [assignment[solver.boundary[i]] for i in rows]
-    nu = np.bincount(cell, weights=-flux[rows], minlength=len(cells))
+    solver = HarmonicSolver(g)
+    cell = np.fromiter((assignment[v] for v in solver.boundary), dtype=np.intp,
+                       count=len(solver.boundary))
+    nu = _exit_masses(solver, w, cell, len(cells))
+    if normalize:
+        nu = nu / nu.sum()
+    return nu
+
+
+def _exit_masses(solver: HarmonicSolver, w, cell: np.ndarray, ncells: int) -> np.ndarray:
+    """Exit masses from w of the cells given by `cell`, one cell index per
+    vertex of `solver.boundary`."""
+    nu = np.bincount(cell, weights=-solver.source_flux(w), minlength=ncells)
     if np.min(nu) <= 0:
         raise RuntimeError("exit measure produced a nonpositive cell mass; "
                            "solver output violates positivity")
-    if normalize:
-        nu = nu / nu.sum()
     return nu
 
 
@@ -139,9 +147,20 @@ def _check_schedule(depths, tol: float, level: int) -> list:
     return depths
 
 
+def _truncation(spec: TreeFamilySpec, depth: int, level: int):
+    """The unpinned solver of the depth-`depth` truncation, and the
+    level-`level` prefix cell of each of its boundary vertices: leaf i in
+    sorted order has the base-k digits of i as its address, so its cell is
+    i // k^(depth - level)."""
+    g, _ = build_kary_tree(spec.at_depth(depth))
+    k = spec.arity
+    return HarmonicSolver(g), np.arange(k ** depth) // k ** (depth - level)
+
+
 def exit_measure_limit(spec: TreeFamilySpec, level: int, depths, tol: float,
                        w=ROOT) -> LimitResult:
-    """Exit measure on level-`level` prefix cells via increasing truncations.
+    """Exit measure on level-`level` prefix cells via increasing truncations,
+    one factorization each.
 
     Returns the first iterate whose max cellwise change drops below tol,
     with the full change sequence; if the schedule is exhausted first, the
@@ -149,12 +168,12 @@ def exit_measure_limit(spec: TreeFamilySpec, level: int, depths, tol: float,
     """
     depths = _check_schedule(depths, tol, level)
     prefixes = _addresses(spec.arity, level)
-    cells = Partition(tuple((p,) for p in prefixes))
     trace = []
     prev = None
     for d in depths:
-        g, _ = build_kary_tree(spec.at_depth(d))
-        nu = exit_measure(g, w, cells, assign_leaves_to_cells(g.boundary, cells, level))
+        solver, cell = _truncation(spec, d, level)
+        nu = _exit_masses(solver, w, cell, len(prefixes))
+        del solver  # free this truncation before the next one is built
         if prev is not None:
             change = float(np.max(np.abs(nu - prev)))
             trace.append((d, change))

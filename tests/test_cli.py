@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import mgbound
 from mgbound.cli import main
 
 
@@ -149,3 +152,32 @@ def test_error_exit_code(tmp_path, capsys):
     assert rc == 2
     err = json.loads(capsys.readouterr().err)
     assert "error" in err
+
+
+@pytest.mark.parametrize("source", ["nope", "0000"])  # unknown; a leaf at depth 4
+def test_exit_measure_bad_source_vertex(tmp_path, capsys, source):
+    rc = main(["--outdir", str(tmp_path / "o"), "exit-measure", "--depths", "4:6",
+               "--source-vertex", source])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert "error" in err and source in err["message"]
+
+
+def test_truncation_limit_artifacts_do_not_depend_on_hash_seed(tmp_path):
+    """Each limit command, run in a fresh interpreter under two hash seeds,
+    writes the same artifact bytes."""
+    src = os.path.dirname(os.path.dirname(mgbound.__file__))
+    commands = [["exit-measure", "--level", "2", "--depths", "4:12"],
+                ["dtn-limit", "--level", "2", "--depths", "4:10"]]
+    written = {}
+    for seed in ("1", "2"):
+        cwd = tmp_path / f"seed{seed}"
+        cwd.mkdir()
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        for argv in commands:
+            subprocess.run([sys.executable, "-m", "mgbound.cli", "--outdir", "out", *argv],
+                           cwd=cwd, env=env, check=False, capture_output=True, timeout=120)
+        written[seed] = {p.name: p.read_bytes() for p in sorted((cwd / "out").iterdir())
+                         if p.name != "report.json"}
+    assert len(written["1"]) == 4  # a matrix and a trace, a measure and a trace
+    assert written["1"] == written["2"]

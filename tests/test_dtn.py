@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-import mgbound.dtn
 import mgbound.measures
 from mgbound import (metric_graph, dtn_matrix, schur_complement_dtn,
                      inner_product_mu, compressed_dtn, compressed_dtn_limit,
                      quadratic_form_check, TreeFamilySpec, build_kary_tree,
-                     exit_measure_limit)
+                     exit_measure_limit, Edge, HarmonicSolver)
 from mgbound.partition import Partition
 
 from util import compression_oracle, star_graph, random_connected_graph
@@ -171,19 +170,40 @@ def test_compressed_dtn_limit_default_weights_are_the_exit_measure_limit(
     weights = exit_measure_limit(SPEC, level, depths, tol).masses
     given = compressed_dtn_limit(SPEC, level, depths, tol, cell_weights=weights)
     built = []
+    solvers = []
+    init = HarmonicSolver.__init__
 
     def build(spec):
         built.append(spec.depth)
         return build_kary_tree(spec)
 
-    monkeypatch.setattr(mgbound.dtn, "build_kary_tree", build)
+    def counting_init(self, *args, **kwargs):
+        solvers.append(args)
+        init(self, *args, **kwargs)
+
     monkeypatch.setattr(mgbound.measures, "build_kary_tree", build)
+    monkeypatch.setattr(HarmonicSolver, "__init__", counting_init)
     default = compressed_dtn_limit(SPEC, level, depths, tol)
     assert np.array_equal(default.dtn.matrix, given.dtn.matrix)
     assert np.array_equal(default.dtn.weights, weights)
     assert default.trace == given.trace
     assert default.converged == given.converged
     assert len(built) == len(set(built))  # each truncation is built once
+    assert len(solvers) == len(built)  # and factored once
+
+
+def test_truncation_sweeps_construct_no_edge(monkeypatch):
+    made = []
+    init = Edge.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Edge, "__init__", counting_init)
+    exit_measure_limit(SPEC, 2, range(4, 11), 1e-12)
+    compressed_dtn_limit(SPEC, 2, range(4, 11), 1e-12)
+    assert made == []
 
 
 def test_quadratic_form_star():

@@ -1,10 +1,14 @@
 import json
 
+import numpy as np
 import pytest
 
 from mgbound import (TreeFamilySpec, CounterexampleSpec, build_kary_tree,
                      build_counterexample, load_graph, save_graph, validate)
 from mgbound.families import GraphFormatError
+from mgbound.graph import _edge_arrays
+
+from util import kary_tree_reference
 
 
 def test_depth1_binary():
@@ -40,6 +44,26 @@ def test_vertex_count_formula():
         g, _ = build_kary_tree(spec)
         assert len(g.vertices) == (k ** (n + 1) - 1) // (k - 1)
         assert len(g.edges) == (k ** (n + 1) - k) // (k - 1)
+
+
+@pytest.mark.parametrize("arity, depth", [(2, 1), (2, 6), (3, 4), (10, 2)])
+def test_array_built_tree_equals_the_per_level_reference(arity, depth):
+    spec = TreeFamilySpec(arity=arity, ratio=0.3, depth=depth)
+    g, addr = build_kary_tree(spec)
+    ref, ref_addr = kary_tree_reference(spec)
+    # the array view first: g holds it from construction, ref fills it from its Edges
+    for a, b in zip(_edge_arrays(g), _edge_arrays(ref)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert g.vertices == ref.vertices
+    assert g.edges == ref.edges
+    assert g.boundary == ref.boundary
+    assert addr == ref_addr and list(addr) == list(ref_addr)
+    assert g == ref and repr(g) == repr(ref) and hash(g) == hash(ref)
+    text = save_graph(g)
+    assert text == save_graph(ref)
+    assert load_graph(text) == g
+    with pytest.raises(AttributeError):
+        g.vertices = ()
 
 
 def test_vertex_cap():

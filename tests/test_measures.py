@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mgbound import (TreeFamilySpec, build_kary_tree, tree_boundary_set,
+from mgbound import (CellMeasure, TreeFamilySpec, build_kary_tree, tree_boundary_set,
                      canonical_nested_partitions, equal_split_measure,
                      counting_measure, cell_measure_from_point_masses,
                      exit_measure, exit_measure_point_masses, exit_measure_limit,
@@ -9,7 +9,8 @@ from mgbound import (TreeFamilySpec, build_kary_tree, tree_boundary_set,
                      vertex_flux)
 from mgbound.partition import Partition
 
-from util import star_graph
+from util import (exit_mass_closed_form, exit_measure_pinned, path_graph,
+                  random_connected_graph, star_graph, with_parallel_edges)
 
 SPEC3 = TreeFamilySpec(arity=2, ratio=0.25, depth=3)
 
@@ -52,6 +53,61 @@ def test_counting_measure(tree3):
     assert cnt.total() == 8.0
     assert np.allclose(cnt.level_slice(1), [4.0, 4.0])
     cnt.check_additivity()
+
+
+@pytest.mark.parametrize("mass", [
+    {(0, 0): np.inf, (1, 0): np.inf, (1, 1): 1.0},
+    {(0, 0): 2.0, (1, 0): np.nan, (1, 1): 1.0},
+    {(0, 0): -np.inf, (1, 0): -np.inf, (1, 1): 1.0},
+])
+def test_nonfinite_masses_fail_additivity_and_positivity(mass):
+    tree = canonical_nested_partitions(tree_boundary_set(SPEC3.at_depth(1)))
+    nu = CellMeasure(tree, mass)
+    with pytest.raises(AssertionError, match="non-finite"):
+        nu.check_additivity()
+    assert not nu.is_positive()
+
+
+def _pinned_cases():
+    """(graph, interior source, boundary singleton cells, pinned exit masses):
+    a star, a path, a path with parallel edges and ten random graphs, with
+    sources drawn from a seeded generator.  Exit masses must be positive, so
+    a random graph where the source does not reach every boundary vertex
+    through the interior is passed over."""
+    rng = np.random.default_rng(2024)
+    fixed = [star_graph(4, length=0.7), path_graph([1.0, 0.5, 2.0, 0.25]),
+             with_parallel_edges(path_graph([1.0, 2.0, 0.5]), rng, share=1.0)]
+    cases = []
+    for g in fixed + [random_connected_graph(rng) for _ in range(40)]:
+        interior = g.interior()
+        if not interior:
+            continue
+        w = interior[int(rng.integers(len(interior)))]
+        cells = Partition(tuple((b,) for b in sorted(g.boundary)))
+        ref = exit_measure_pinned(g, w, cells)
+        if np.all(ref > 0):
+            cases.append((g, w, cells, ref))
+    assert [g for g, *_ in cases[:3]] == fixed and len(cases) >= 13
+    return cases[:13]
+
+
+def test_exit_measure_matches_the_pinned_solve():
+    for g, w, cells, ref in _pinned_cases():
+        nu = exit_measure(g, w, cells)
+        assert np.max(np.abs(nu - ref)) <= 1e-12 * np.max(ref), (g.vertices, w)
+
+
+@pytest.mark.parametrize("arity, ratio, level, depths", [
+    (2, 0.25, 2, range(4, 15)),
+    (3, 0.4, 1, range(3, 10)),
+    (2, 0.5, 3, range(4, 15)),
+])
+def test_exit_measure_limit_iterates_match_the_closed_form(arity, ratio, level, depths):
+    spec = TreeFamilySpec(arity=arity, ratio=ratio, depth=1)
+    for d in depths:
+        nu = exit_measure_limit(spec, level, [d], 1.0).masses
+        exact = exit_mass_closed_form(arity, ratio, 1.0, level, d)
+        assert np.max(np.abs(nu - exact)) <= 1e-12 * exact, d
 
 
 def test_exit_measure_star():

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from mgbound import metric_graph
+from mgbound import HarmonicSolver, metric_graph, vertex_flux
+from mgbound.families import ROOT, _DIGITS
 
 
 def random_connected_graph(rng, max_vertices=50, min_boundary=2):
@@ -236,3 +237,42 @@ def haar_gram_schmidt_reference(tree, mu):
                 funcs.append(-q if len(nz) and q[nz[0]] < 0 else q)
                 levels.append(level + 1)
     return np.array(funcs), np.array(levels)
+
+
+def kary_tree_reference(spec):
+    """(graph, address table) of a k-ary tree built level by level from
+    (id, u, v, length) tuples through `metric_graph`, which sorts them.
+    Oracle for the array-built `build_kary_tree`."""
+    vertices = [ROOT]
+    edges = []
+    frontier = [""]
+    for level in range(1, spec.depth + 1):
+        length = spec.edge_length(level)
+        nxt = []
+        for word in frontier:
+            parent_id = ROOT if word == "" else word
+            for c in _DIGITS[:spec.arity]:
+                child = word + c
+                vertices.append(child)
+                edges.append((f"e{child}", parent_id, child, length))
+                nxt.append(child)
+        frontier = nxt
+    return metric_graph(vertices, edges, frontier), {leaf: leaf for leaf in frontier}
+
+
+def exit_measure_pinned(g, w, cells):
+    """Exit masses of the cells from a unit potential at w, by the Dirichlet
+    solve with w pinned (boundary B + {w}) and the inward `vertex_flux` at
+    each boundary vertex.  Oracle for the unpinned `exit_measure`."""
+    f = HarmonicSolver(g, boundary=set(g.boundary) | {w}).solve(
+        {**{v: 0.0 for v in g.boundary}, w: 1.0})
+    return np.array([-sum(vertex_flux(f, v) for v in cell) for cell in cells.cells])
+
+
+def exit_mass_closed_form(k, r, base_length, level, depth):
+    """Exit mass from the root of each level-`level` prefix cell of the depth-
+    `depth` k-ary tree: 1 / (k^level R_d), with R_d = L0 sum_{m=1..d} (r/k)^m
+    the resistance from the root to the tied leaves (the k^m level-m edges of
+    length L0 r^m in parallel, level after level in series)."""
+    R = base_length * sum((r / k) ** m for m in range(1, depth + 1))
+    return 1.0 / (k ** level * R)
