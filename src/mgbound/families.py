@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -68,36 +69,71 @@ def build_kary_tree(spec: TreeFamilySpec):
     """Return (graph, address table).  Vertex ids are root-to-vertex words
     over {0..k-1} ("root" for the root); boundary = the depth-n leaves.
 
-    The graph is made from arrays, with no `Edge` until one is asked for.
+    The graph is made from arrays, with no name until one is asked for.
     Sorted, the addresses are the preorder of the tree and "root" comes last,
     so the vertex a_1..a_m sits at sum_j (1 + a_j * S(n - j)) - 1, where
     S(h) = (k^(h+1) - 1)/(k - 1) is the size of a height-h subtree.  Each edge
     is named "e" + its child's address and sits at its child's position.
     """
+    return _kary_graph(spec), {leaf: leaf for leaf in spec.leaf_addresses()}
+
+
+def _level_positions(arity: int, depth: int):
+    """The positions, in sorted vertex order, of the vertices of each level
+    1..depth of the tree, each level in sorted order."""
+    above = np.array([-1])  # the root's children start at position 0
+    for level in range(1, depth + 1):
+        subtree = (arity ** (depth - level + 1) - 1) // (arity - 1)
+        above = np.repeat(above, arity) + 1 + np.tile(np.arange(arity) * subtree,
+                                                       arity ** (level - 1))
+        yield above
+
+
+def _kary_graph(spec: TreeFamilySpec) -> MetricGraph:
+    """The graph of `build_kary_tree`, made from arrays in sorted order, its
+    names left to `_kary_names`."""
     if spec.vertex_count() > VERTEX_CAP:
         raise ValueError(f"tree would exceed the vertex cap ({VERTEX_CAP})")
     k, depth = spec.arity, spec.depth
     m = spec.vertex_count() - 1  # edges, one per non-root vertex
-    words = np.empty(m, dtype=object)
     parent = np.empty(m, dtype=np.intp)
     length = np.empty(m)
-    frontier = [""]
-    above = np.array([-1])  # positions of the previous level; the root's children start at 0
-    for level in range(1, depth + 1):
-        frontier = [word + c for word in frontier for c in _DIGITS[:k]]
-        subtree = (k ** (depth - level + 1) - 1) // (k - 1)
-        at = np.repeat(above, k)
-        child = at + 1 + np.tile(np.arange(k) * subtree, k ** (level - 1))
-        words[child] = frontier
-        parent[child] = at if level > 1 else m
+    above = np.array([m])  # the root sits last
+    for level, child in enumerate(_level_positions(k, depth), start=1):
+        parent[child] = np.repeat(above, k)
         length[child] = spec.edge_length(level)
         above = child
     on_boundary = np.zeros(m + 1, dtype=bool)
     on_boundary[above] = True
+    return MetricGraph.from_arrays(partial(_kary_names, spec), parent, np.arange(m),
+                                   length, on_boundary)
+
+
+def _kary_names(spec: TreeFamilySpec):
+    """(vertex ids, edge ids) of the tree, both sorted."""
+    words = np.empty(spec.vertex_count() - 1, dtype=object)
+    frontier = [""]
+    for child in _level_positions(spec.arity, spec.depth):
+        frontier = [word + c for word in frontier for c in _DIGITS[:spec.arity]]
+        words[child] = frontier
     words = words.tolist()
-    g = MetricGraph.from_arrays(words + [ROOT], ["e" + word for word in words],
-                                parent, np.arange(m), length, on_boundary)
-    return g, {leaf: leaf for leaf in frontier}
+    return words + [ROOT], ["e" + word for word in words]
+
+
+def _interior_position(spec: TreeFamilySpec, w) -> int:
+    """Position of the vertex w among the sorted interior vertices of the
+    tree.  The interior vertices form the tree one level shallower, in the
+    same preorder, so a_1..a_m sits at sum_j (1 + a_j * S(n - 1 - j)) - 1
+    (see `build_kary_tree`), and the root last.  An id that is not a vertex
+    raises KeyError and a leaf raises ValueError."""
+    k, n = spec.arity, spec.depth
+    if w == ROOT:
+        return (k ** n - 1) // (k - 1) - 1
+    if not (isinstance(w, str) and 0 < len(w) <= n and set(w) <= set(_DIGITS[:k])):
+        raise KeyError(f"unknown vertex {w!r}")
+    if len(w) == n:
+        raise ValueError(f"source vertex {w!r} lies on the boundary")
+    return sum(1 + int(a) * (k ** (n - j) - 1) // (k - 1) for j, a in enumerate(w, 1)) - 1
 
 
 @dataclass(frozen=True)

@@ -36,41 +36,56 @@ class Edge:
 class MetricGraph:
     """Sorted vertex ids, edges sorted by id, and the boundary vertex set.
 
-    The edges have two equal forms: `edges`, a tuple of `Edge`s, and the
-    arrays of `_edge_arrays` (endpoint positions in `vertices`, lengths).  A
-    graph made from `Edge`s (`metric_graph`) fills the arrays on first use; a
-    graph made from arrays (`from_arrays`) builds its `Edge`s on first access
-    of `edges`.  Either form is cached on the instance.  Equality, hashing and
-    repr are those of the (vertices, edges, boundary) triple, and the instance
-    is immutable.
+    The graph has two equal forms: the names (`vertices`, `boundary`, and
+    `edges`, a tuple of `Edge`s) and the arrays of `_edge_arrays` (endpoint
+    positions in `vertices`, lengths) and `_on_boundary` (a boolean mask over
+    `vertices`).  A graph made from names (`metric_graph`) fills the arrays on
+    first use; a graph made from arrays (`from_arrays`) makes each name
+    attribute on its first access.  Either form is cached on the instance.
+    Equality, hashing and repr are those of the (vertices, edges, boundary)
+    triple, and the instance is immutable.
     """
 
     def __init__(self, vertices, edges, boundary):
-        vars(self).update(vertices=tuple(vertices), _edges=tuple(edges),
-                          boundary=frozenset(boundary))
+        vars(self).update(_vertices=tuple(vertices), _edges=tuple(edges),
+                          _boundary=frozenset(boundary))
 
     @classmethod
-    def from_arrays(cls, vertices, edge_ids, u, v, length, on_boundary) -> "MetricGraph":
-        """A graph from its edge ids, the positions of their endpoints in
-        `vertices`, their lengths, and a boolean boundary mask over
-        `vertices`; the vertices and the edge ids must already be sorted."""
-        vertices = tuple(vertices)
+    def from_arrays(cls, names, u, v, length, on_boundary) -> "MetricGraph":
+        """A graph from the positions of its edges' endpoints in the sorted
+        vertex order, their lengths, and a boolean boundary mask over the
+        vertex positions.  `names()` returns (vertex ids, edge ids), the vertex
+        ids sorted and the edge ids sorted and in the order of the arrays; it
+        is called on the first access of `vertices`, `boundary` or `edges`, so
+        code that reads only the arrays makes no name."""
         g = cls.__new__(cls)
-        vars(g).update(vertices=vertices, _edges=None, _edge_ids=tuple(edge_ids),
-                       _edge_array_view=(u, v, length), _boundary_mask=on_boundary,
-                       boundary=frozenset(compress(vertices, on_boundary.tolist())))
+        vars(g).update(_names=names, _vertices=None, _edges=None, _boundary=None,
+                       _edge_array_view=(u, v, length), _boundary_mask=on_boundary)
         return g
 
     @property
+    def vertices(self) -> tuple:
+        if self._vertices is None:
+            vertices, edge_ids = self._names()
+            vars(self).update(_vertices=tuple(vertices), _edge_ids=tuple(edge_ids))
+        return self._vertices
+
+    @property
+    def boundary(self) -> frozenset:
+        if self._boundary is None:
+            vars(self)["_boundary"] = frozenset(
+                compress(self.vertices, self._boundary_mask.tolist()))
+        return self._boundary
+
+    @property
     def edges(self) -> tuple:
-        edges = self._edges
-        if edges is None:
+        if self._edges is None:
             u, v, length = self._edge_array_view
             names = self.vertices
-            edges = tuple(map(Edge, self._edge_ids, [names[i] for i in u.tolist()],
-                              [names[i] for i in v.tolist()], length.tolist()))
-            object.__setattr__(self, "_edges", edges)
-        return edges
+            vars(self)["_edges"] = tuple(map(
+                Edge, self._edge_ids, [names[i] for i in u.tolist()],
+                [names[i] for i in v.tolist()], length.tolist()))
+        return self._edges
 
     def _key(self):
         return self.vertices, self.edges, self.boundary

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 
 import numpy as np
@@ -36,25 +37,31 @@ class WeightedLaplacian:
     boundary_idx: np.ndarray
 
 
-def assemble_laplacian(g: MetricGraph, boundary=None) -> WeightedLaplacian:
-    """One COO call from the edge arrays: per edge, the triplets (i, j), (j, i),
-    (i, i), (j, j) with conductance -c, -c, c, c, duplicates summed in edge
-    order."""
-    order = g.vertices
-    n = len(order)
+def _laplacian_triplets(g: MetricGraph):
+    """Per edge, the triplets (i, j), (j, i), (i, i), (j, j) with conductance
+    -c, -c, c, c, in edge order: (rows, cols, values) of the Laplacian, with
+    duplicates to be summed."""
     u, v, length = _edge_arrays(g)
     c = 1.0 / length
-    rows = np.column_stack([u, v, u, v]).ravel()
-    cols = np.column_stack([v, u, u, v]).ravel()
-    vals = np.column_stack([-c, -c, c, c]).ravel()
-    L = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    return (np.column_stack([u, v, u, v]).ravel(), np.column_stack([v, u, u, v]).ravel(),
+            np.column_stack([-c, -c, c, c]).ravel())
+
+
+def _boundary_mask(g: MetricGraph, boundary) -> np.ndarray:
+    """Boolean mask over g.vertices of `boundary`, by default g's own."""
     if boundary is None:
-        on_boundary = _on_boundary(g)
-    else:
-        bset = frozenset(boundary)
-        on_boundary = np.fromiter((x in bset for x in order), dtype=bool, count=n)
-    return WeightedLaplacian(order, L, np.flatnonzero(~on_boundary),
-                             np.flatnonzero(on_boundary))
+        return _on_boundary(g)
+    bset = frozenset(boundary)
+    return np.fromiter((x in bset for x in g.vertices), dtype=bool, count=len(g.vertices))
+
+
+def assemble_laplacian(g: MetricGraph, boundary=None) -> WeightedLaplacian:
+    """One COO call over all the triplets of `_laplacian_triplets`."""
+    n = len(g.vertices)
+    rows, cols, vals = _laplacian_triplets(g)
+    on_boundary = _boundary_mask(g, boundary)
+    return WeightedLaplacian(g.vertices, sp.csr_matrix((vals, (rows, cols)), shape=(n, n)),
+                             np.flatnonzero(~on_boundary), np.flatnonzero(on_boundary))
 
 
 @dataclass
@@ -82,35 +89,53 @@ def dirichlet_energy(f: HarmonicFunction) -> float:
 class HarmonicSolver:
     """Dirichlet solver with a reusable interior factorization.
 
-    The factorization is immutable after construction and may be shared
-    across threads for repeated right-hand sides.  `boundary` overrides
-    the graph's boundary set (used to pin extra vertices, e.g. the source
-    of an exit measure).
+    The blocks L_II, L_IB, L_BI and L_BB of the weighted Laplacian are
+    assembled straight from the edge arrays: each triplet goes to the block
+    of its row and column, its endpoints renumbered by their rank within
+    their own block.  No full Laplacian is formed, and no vertex name is
+    made until `boundary` or `interior` (the sorted vertex ids of each block)
+    is first read.  The factorization is immutable after construction and
+    may be shared across threads for repeated right-hand sides.  `boundary`
+    overrides the graph's boundary set (used to pin extra vertices).
     """
 
     def __init__(self, g: MetricGraph, boundary=None,
                  direct_limit: int = DIRECT_LIMIT, cg_tol: float = CG_TOL):
-        bset = frozenset(boundary) if boundary is not None else None
-        if not (g.boundary if bset is None else bset):
+        on_boundary = _boundary_mask(g, boundary)
+        if not on_boundary.any():
             raise ValueError("boundary is empty")
         self.graph = g
-        self.lap = assemble_laplacian(g, bset)
-        on_boundary = np.zeros(len(self.lap.order), dtype=bool)
-        on_boundary[self.lap.boundary_idx] = True
-        self.boundary = tuple(compress(self.lap.order, on_boundary.tolist()))
-        self.interior = tuple(compress(self.lap.order, (~on_boundary).tolist()))
+        self._is_boundary = on_boundary
         self.cg_tol = cg_tol
-        self._use_direct = len(self.interior) <= direct_limit
-        L = self.lap.matrix
-        ii = self.lap.interior_idx
-        bb = self.lap.boundary_idx
-        self.L_BB = L[np.ix_(bb, bb)].tocsr()
-        if self.interior:
-            self.L_II = L[np.ix_(ii, ii)].tocsc()
-            self.L_IB = L[np.ix_(ii, bb)].tocsr()
-            self.L_BI = L[np.ix_(bb, ii)].tocsr()
-            if self._use_direct:
-                self._lu = spla.splu(self.L_II)
+        n_b = int(np.count_nonzero(on_boundary))
+        n_i = len(on_boundary) - n_b
+        self._use_direct = n_i <= direct_limit
+        rank = np.empty(len(on_boundary), dtype=np.intp)
+        rank[on_boundary] = np.arange(n_b)
+        rank[~on_boundary] = np.arange(n_i)
+        rows, cols, vals = _laplacian_triplets(g)
+        row_b, col_b = on_boundary[rows], on_boundary[cols]
+        size = {True: n_b, False: n_i}
+
+        def block(fmt, row_side, col_side):
+            at = np.flatnonzero((row_b == row_side) & (col_b == col_side))
+            return fmt((vals[at], (rank[rows[at]], rank[cols[at]])),
+                       shape=(size[row_side], size[col_side]))
+
+        self.L_II = block(sp.csc_matrix, False, False)
+        self.L_IB = block(sp.csr_matrix, False, True)
+        self.L_BI = block(sp.csr_matrix, True, False)
+        self.L_BB = block(sp.csr_matrix, True, True)
+        if n_i and self._use_direct:
+            self._lu = spla.splu(self.L_II)
+
+    @cached_property
+    def boundary(self) -> tuple:
+        return tuple(compress(self.graph.vertices, self._is_boundary.tolist()))
+
+    @cached_property
+    def interior(self) -> tuple:
+        return tuple(compress(self.graph.vertices, (~self._is_boundary).tolist()))
 
     def _solve_interior(self, rhs: np.ndarray) -> np.ndarray:
         """X with L_II X = rhs, for a vector or an n_I x m block."""
@@ -144,19 +169,13 @@ class HarmonicSolver:
             vals.update(zip(self.interior, self._solve_interior(-(self.L_IB @ F))))
         return HarmonicFunction(self.graph, vals, self.boundary)
 
-    def source_flux(self, w) -> np.ndarray:
+    def source_flux(self, i: int) -> np.ndarray:
         """Boundary fluxes, in `self.boundary` order, of the harmonic function
-        that is 1 at the interior vertex w and 0 on the boundary, from this
-        factorization with w left unpinned: x = L_II^{-1} e_w is harmonic
-        everywhere but at w, so the function is x / x_w on the interior and
-        its fluxes are L_BI x / x_w."""
-        try:
-            i = self.interior.index(w)
-        except ValueError:
-            if w in self.boundary:
-                raise ValueError(f"source vertex {w!r} lies on the boundary") from None
-            raise KeyError(f"unknown vertex {w!r}") from None
-        e = np.zeros(len(self.interior))
+        that is 1 at the interior vertex `self.interior[i]` and 0 on the
+        boundary, from this factorization with that vertex left unpinned:
+        x = L_II^{-1} e_i is harmonic everywhere but at it, so the function
+        is x / x_i on the interior and its fluxes are L_BI x / x_i."""
+        e = np.zeros(self.L_II.shape[0])
         e[i] = 1.0
         x = self._solve_interior(e)
         return (self.L_BI @ x) / x[i]
@@ -171,15 +190,16 @@ class HarmonicSolver:
         L_BB - L_BI L_II^{-1} L_IB applied to F.  Columns are solved in
         blocks of FLUX_BLOCK, so the result is the only n_B x m array.
         """
-        if F.ndim != 2 or F.shape[0] != len(self.boundary):
-            raise ValueError(f"F must have {len(self.boundary)} rows, one per boundary vertex")
+        n_b = self.L_BB.shape[0]
+        if F.ndim != 2 or F.shape[0] != n_b:
+            raise ValueError(f"F must have {n_b} rows, one per boundary vertex")
         out = np.empty(F.shape)
         for j in range(0, F.shape[1], FLUX_BLOCK):
             cols = slice(j, j + FLUX_BLOCK)
             block = F[:, cols]
             block = block.toarray() if sp.issparse(block) else np.asarray(block, dtype=float)
             out[:, cols] = self.L_BB @ block
-            if self.interior:
+            if self.L_II.shape[0]:
                 # L_BI X = -L_BI (L_II^{-1} L_IB F)
                 out[:, cols] -= self.L_BI @ self._solve_interior(self.L_IB @ block)
         return out

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import TreeFamilySpec, _addresses, build_kary_tree, ROOT
+from .families import TreeFamilySpec, _addresses, _interior_position, _kary_graph, ROOT
 from .graph import MetricGraph
 from .harmonic import HarmonicSolver
 from .partition import CellTree, Partition
@@ -104,16 +104,22 @@ def exit_measure(g: MetricGraph, w, cells: Partition, assignment: dict | None = 
     solver = HarmonicSolver(g)
     cell = np.fromiter((assignment[v] for v in solver.boundary), dtype=np.intp,
                        count=len(solver.boundary))
-    nu = _exit_masses(solver, w, cell, len(cells))
+    try:
+        i = solver.interior.index(w)
+    except ValueError:
+        if w in solver.boundary:
+            raise ValueError(f"source vertex {w!r} lies on the boundary") from None
+        raise KeyError(f"unknown vertex {w!r}") from None
+    nu = _exit_masses(solver, i, cell, len(cells))
     if normalize:
         nu = nu / nu.sum()
     return nu
 
 
-def _exit_masses(solver: HarmonicSolver, w, cell: np.ndarray, ncells: int) -> np.ndarray:
-    """Exit masses from w of the cells given by `cell`, one cell index per
-    vertex of `solver.boundary`."""
-    nu = np.bincount(cell, weights=-solver.source_flux(w), minlength=ncells)
+def _exit_masses(solver: HarmonicSolver, i: int, cell: np.ndarray, ncells: int) -> np.ndarray:
+    """Exit masses from the interior vertex `solver.interior[i]` of the cells
+    given by `cell`, one cell index per vertex of `solver.boundary`."""
+    nu = np.bincount(cell, weights=-solver.source_flux(i), minlength=ncells)
     if np.min(nu) <= 0:
         raise RuntimeError("exit measure produced a nonpositive cell mass; "
                            "solver output violates positivity")
@@ -151,8 +157,8 @@ def _truncation(spec: TreeFamilySpec, depth: int, level: int):
     """The unpinned solver of the depth-`depth` truncation, and the
     level-`level` prefix cell of each of its boundary vertices: leaf i in
     sorted order has the base-k digits of i as its address, so its cell is
-    i // k^(depth - level)."""
-    g, _ = build_kary_tree(spec.at_depth(depth))
+    i // k^(depth - level).  Neither makes a vertex name."""
+    g = _kary_graph(spec.at_depth(depth))
     k = spec.arity
     return HarmonicSolver(g), np.arange(k ** depth) // k ** (depth - level)
 
@@ -172,7 +178,8 @@ def exit_measure_limit(spec: TreeFamilySpec, level: int, depths, tol: float,
     prev = None
     for d in depths:
         solver, cell = _truncation(spec, d, level)
-        nu = _exit_masses(solver, w, cell, len(prefixes))
+        nu = _exit_masses(solver, _interior_position(spec.at_depth(d), w), cell,
+                          len(prefixes))
         del solver  # free this truncation before the next one is built
         if prev is not None:
             change = float(np.max(np.abs(nu - prev)))

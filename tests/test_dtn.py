@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
+import mgbound.dtn
 import mgbound.measures
 from mgbound import (metric_graph, dtn_matrix, schur_complement_dtn,
                      inner_product_mu, compressed_dtn, compressed_dtn_limit,
                      quadratic_form_check, TreeFamilySpec, build_kary_tree,
-                     exit_measure_limit, Edge, HarmonicSolver)
+                     exit_measure_limit, Edge, HarmonicSolver, MetricGraph)
+from mgbound.families import _kary_graph
 from mgbound.partition import Partition
 
-from util import compression_oracle, star_graph, random_connected_graph
+from util import (compressed_flux_reduced, compression_oracle, star_graph,
+                  random_connected_graph)
 
 SPEC = TreeFamilySpec(arity=2, ratio=0.25, depth=3)
 
@@ -175,13 +178,13 @@ def test_compressed_dtn_limit_default_weights_are_the_exit_measure_limit(
 
     def build(spec):
         built.append(spec.depth)
-        return build_kary_tree(spec)
+        return _kary_graph(spec)
 
     def counting_init(self, *args, **kwargs):
         solvers.append(args)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(mgbound.measures, "build_kary_tree", build)
+    monkeypatch.setattr(mgbound.measures, "_kary_graph", build)
     monkeypatch.setattr(HarmonicSolver, "__init__", counting_init)
     default = compressed_dtn_limit(SPEC, level, depths, tol)
     assert np.array_equal(default.dtn.matrix, given.dtn.matrix)
@@ -204,6 +207,61 @@ def test_truncation_sweeps_construct_no_edge(monkeypatch):
     exit_measure_limit(SPEC, 2, range(4, 11), 1e-12)
     compressed_dtn_limit(SPEC, 2, range(4, 11), 1e-12)
     assert made == []
+
+
+def test_truncation_sweeps_make_no_vertex_name(monkeypatch):
+    named = []
+    from_arrays = MetricGraph.from_arrays.__func__
+
+    def spy(cls, names, *arrays):
+        def counting_names():
+            named.append(names)
+            return names()
+        return from_arrays(cls, counting_names, *arrays)
+
+    monkeypatch.setattr(MetricGraph, "from_arrays", classmethod(spy))
+    exit_measure_limit(SPEC, 2, range(4, 11), 1e-12)
+    compressed_dtn_limit(SPEC, 2, range(4, 11), 1e-12)
+    assert named == []
+    assert build_kary_tree(SPEC)[0].vertices[-1] == "root" and len(named) == 1
+
+
+CLOSED_FORM_CASES = [(2, 0.25, 2, range(6, 15)), (3, 0.4, 1, range(4, 9)),
+                     (2, 0.5, 3, range(6, 14))]
+
+
+@pytest.mark.parametrize("arity, ratio, level, depths", CLOSED_FORM_CASES)
+def test_compressed_dtn_matches_the_reduced_graph(arity, ratio, level, depths):
+    """Within 1e-12 of the exact Kron reduction at every depth, where a
+    diagonal computed as a flux is off by up to 7e-9."""
+    prefixes = TreeFamilySpec(arity=arity, ratio=ratio, depth=level).leaf_addresses()
+    cells = Partition(tuple((p,) for p in prefixes))
+    for d in depths:
+        g, _ = build_kary_tree(TreeFamilySpec(arity=arity, ratio=ratio, depth=d))
+        D = compressed_dtn(g, cells, np.ones(len(cells)),
+                           {leaf: prefixes.index(leaf[:level]) for leaf in g.boundary})
+        exact = compressed_flux_reduced(arity, ratio, 1.0, level, d)
+        assert np.max(np.abs(D.matrix - exact)) < 1e-12, d
+
+
+@pytest.mark.parametrize("arity, ratio, level, depths", CLOSED_FORM_CASES)
+def test_compressed_dtn_limit_iterates_match_the_reduced_graph(
+        monkeypatch, arity, ratio, level, depths):
+    fluxes = []
+    cell_flux = mgbound.dtn._cell_flux
+
+    def recording(*args):
+        fluxes.append(cell_flux(*args))
+        return fluxes[-1]
+
+    monkeypatch.setattr(mgbound.dtn, "_cell_flux", recording)
+    spec = TreeFamilySpec(arity=arity, ratio=ratio)
+    res = compressed_dtn_limit(spec, level, depths, 1e-15)
+    assert not res.converged and len(fluxes) == len(depths)
+    for d, flux in zip(depths, fluxes):
+        exact = compressed_flux_reduced(arity, ratio, 1.0, level, d)
+        assert np.max(np.abs(flux - exact)) < 1e-12, d
+    assert np.array_equal(res.dtn.matrix, fluxes[-1] / res.dtn.weights[:, None])
 
 
 def test_quadratic_form_star():

@@ -5,7 +5,7 @@ import pytest
 
 from mgbound import (TreeFamilySpec, CounterexampleSpec, build_kary_tree,
                      build_counterexample, load_graph, save_graph, validate)
-from mgbound.families import GraphFormatError
+from mgbound.families import GraphFormatError, _interior_position
 from mgbound.graph import _edge_arrays
 
 from util import kary_tree_reference
@@ -64,6 +64,23 @@ def test_array_built_tree_equals_the_per_level_reference(arity, depth):
     assert load_graph(text) == g
     with pytest.raises(AttributeError):
         g.vertices = ()
+
+
+@pytest.mark.parametrize("arity, depth", [(2, 1), (2, 6), (3, 4), (10, 2)])
+def test_interior_position_is_the_sorted_interior_index(arity, depth):
+    spec = TreeFamilySpec(arity=arity, ratio=0.3, depth=depth)
+    interior = build_kary_tree(spec)[0].interior()
+    assert [_interior_position(spec, w) for w in interior] == list(range(len(interior)))
+    assert interior[-1] == "root"
+    leaf = "0" * depth
+    with pytest.raises(ValueError, match=f"source vertex '{leaf}' lies on the boundary"):
+        _interior_position(spec, leaf)
+    for bad in ["", "x", "root0", str(arity - 1) * (depth + 1), 0]:
+        with pytest.raises(KeyError, match="unknown vertex"):
+            _interior_position(spec, bad)
+    if arity < 10:  # a digit that is not below the arity
+        with pytest.raises(KeyError, match="unknown vertex"):
+            _interior_position(spec, str(arity))
 
 
 def test_vertex_cap():

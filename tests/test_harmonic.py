@@ -209,6 +209,50 @@ def test_boundary_flux_spans_several_blocks():
         solver.boundary_flux(F[1:])
 
 
+def laplacian_blocks(g, boundary=None):
+    """L_BB, L_II, L_IB and L_BI cut out of `assemble_laplacian`, dense, and
+    the largest |entry| of the whole matrix."""
+    lap = assemble_laplacian(g, boundary)
+    L, ii, bb = lap.matrix, lap.interior_idx, lap.boundary_idx
+    return ([L[np.ix_(r, c)].toarray() for r, c in ((bb, bb), (ii, ii), (ii, bb), (bb, ii))],
+            abs(L).max())
+
+
+def solver_blocks(solver):
+    return [b.toarray() for b in (solver.L_BB, solver.L_II, solver.L_IB, solver.L_BI)]
+
+
+@pytest.mark.parametrize("arity, depth", [(2, 1), (2, 6), (3, 4), (10, 2)])
+def test_solver_blocks_equal_the_laplacian_blocks_on_trees(arity, depth):
+    """At r = 1/4 every conductance is a power of two, so each entry's sum is
+    exact in any order and the blocks are equal."""
+    g, _ = build_kary_tree(TreeFamilySpec(arity=arity, ratio=0.25, depth=depth))
+    for got, want in zip(solver_blocks(HarmonicSolver(g)), laplacian_blocks(g)[0]):
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_solver_blocks_match_the_laplacian_blocks_with_parallel_edges():
+    """A block may sum an entry's terms in another order than the full
+    matrix does (at arity 10, depth 2, r = 0.3 ten diagonal entries of L_II
+    differ by one ulp), so the blocks agree to 4 ulp of the largest entry."""
+    rng = np.random.default_rng(47)
+    graphs = [build_kary_tree(TreeFamilySpec(arity=k, ratio=0.3, depth=d))[0]
+              for k, d in [(2, 6), (3, 4), (10, 2)]]
+    graphs += [with_parallel_edges(random_connected_graph(rng, max_vertices=30), rng)
+               for _ in range(30)]
+    for g in graphs:
+        for boundary in (None, set(g.boundary) | {g.interior()[0]}):
+            solver = HarmonicSolver(g, boundary=boundary)
+            blocks, scale = laplacian_blocks(g, boundary)
+            for got, want in zip(solver_blocks(solver), blocks):
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want), initial=0.0) <= 4 * np.spacing(scale)
+            assert solver.boundary == tuple(v for v in g.vertices
+                                            if v in (boundary or g.boundary))
+            assert solver.interior == tuple(v for v in g.vertices
+                                            if v not in (boundary or g.boundary))
+
+
 def test_cg_branch_matches_direct():
     g, _ = build_kary_tree(TreeFamilySpec(arity=2, ratio=0.25, depth=5))
     direct = HarmonicSolver(g)

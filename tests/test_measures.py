@@ -6,7 +6,7 @@ from mgbound import (CellMeasure, TreeFamilySpec, build_kary_tree, tree_boundary
                      counting_measure, cell_measure_from_point_masses,
                      exit_measure, exit_measure_point_masses, exit_measure_limit,
                      dominance_constant, metric_graph, HarmonicSolver,
-                     vertex_flux)
+                     vertex_flux, compressed_dtn_limit)
 from mgbound.partition import Partition
 
 from util import (exit_mass_closed_form, exit_measure_pinned, path_graph,
@@ -128,6 +128,19 @@ def test_exit_measure_w_on_boundary_rejected():
     g = star_graph(3)
     with pytest.raises(ValueError, match="boundary"):
         exit_measure(g, "v1", Partition((("v1",), ("v2",), ("v3",))))
+
+
+@pytest.mark.parametrize("source", ["000", "0000", "2", "", "x", "root0", 5])
+def test_limit_sweeps_reject_a_bad_source_as_the_named_solve_does(source):
+    """The sweeps locate the source by its address; a bad one raises the
+    error type and message that the name lookup of `exit_measure` raises."""
+    with pytest.raises((KeyError, ValueError)) as named:
+        exit_measure_point_masses(build_kary_tree(SPEC3)[0], source)
+    for sweep in (lambda: exit_measure_limit(SPEC3, 1, [3, 4], 1e-12, w=source),
+                  lambda: compressed_dtn_limit(SPEC3, 1, [3, 4], 1e-12, w_source=source)):
+        with pytest.raises(named.type) as swept:
+            sweep()
+        assert type(swept.value) is named.type and str(swept.value) == str(named.value)
 
 
 def test_exit_measure_normalized():

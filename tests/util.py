@@ -1,6 +1,8 @@
 """Shared test helpers: seeded random graphs and brute-force oracles."""
 import heapq
 import math
+from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
@@ -276,3 +278,42 @@ def exit_mass_closed_form(k, r, base_length, level, depth):
     length L0 r^m in parallel, level after level in series)."""
     R = base_length * sum((r / k) ** m for m in range(1, depth + 1))
     return 1.0 / (k ** level * R)
+
+
+def compressed_flux_reduced(k, r, base_length, level, depth):
+    """Unscaled compressed DtN (A^T S A) of the depth-`depth` k-ary tree on
+    its level-`level` prefix cells, in sorted prefix order, by exact rational
+    Kron reduction of the reduced graph.  With a cell's leaves tied, the
+    vertices of each level of the subtree below a level-`level` vertex share
+    one potential, so that subtree is one series resistor of
+    sum_{m=level+1..depth} l_m / k^(m-level), where l_m is the float length of
+    a level-m edge.  The reduced graph is the top `level` levels of the tree
+    with one such resistor from each level-`level` vertex to its cell's
+    vertex; its interior is eliminated one vertex at a time in fractions.
+    Independent of the library and of floating-point solves."""
+    edge = [Fraction(base_length * r ** m) for m in range(depth + 1)]
+    tail = sum(edge[m] / k ** (m - level) for m in range(level + 1, depth + 1))
+    top = ["".join(w) for m in range(level + 1) for w in product(_DIGITS[:k], repeat=m)]
+    cells = top[-k ** level:]
+    pos = {w: i for i, w in enumerate(top)}
+    n = len(top) + len(cells)
+    L = [[Fraction(0)] * n for _ in range(n)]
+
+    def join(i, j, resistance):
+        c = 1 / resistance
+        L[i][i] += c
+        L[j][j] += c
+        L[i][j] -= c
+        L[j][i] -= c
+
+    for w in top[1:]:
+        join(pos[w[:-1]], pos[w], edge[len(w)])
+    for c, p in enumerate(cells):
+        join(pos[p], len(top) + c, tail)
+    for p in range(len(top)):  # Kron reduction: eliminate each top vertex
+        for i in range(p + 1, n):
+            if L[i][p]:
+                f = L[i][p] / L[p][p]
+                for j in range(p + 1, n):
+                    L[i][j] -= f * L[p][j]
+    return np.array([[float(x) for x in row[len(top):]] for row in L[len(top):]])
