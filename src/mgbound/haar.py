@@ -44,35 +44,35 @@ class HaarBasis:
         return self.functions @ W.T
 
 
+def _groups(label: np.ndarray) -> list:
+    """Positions holding each label value, in increasing order."""
+    return np.split(np.argsort(label, kind="stable"), np.cumsum(np.bincount(label))[:-1])
+
+
 def build_haar_basis(tree: CellTree, mu: CellMeasure) -> HaarBasis:
     if mu.tree is not tree:
         raise ValueError("measure was built on a different cell tree")
     given = np.fromiter(mu.mass.values(), dtype=float, count=len(mu.mass))
     if not np.all((given > 0) & (given < np.inf)):
         raise ValueError("mu must be finite and strictly positive on every cell")
-    finest = tree.levels[tree.finest].cells
-    K = len(finest)
+    K = tree.ncells(tree.finest)
     w = mu.level_slice(tree.finest)
-    labels = []  # per level: finest cell -> index of the cell containing it
-    for part in tree.levels:
-        cell_of = part.cell_of()
-        labels.append(np.array([cell_of[c[0]] for c in finest], dtype=np.intp))
+    rep = np.empty(K, dtype=np.intp)  # one point of each finest cell
+    rep[tree.cell[tree.finest]] = np.arange(len(tree.boundary))
+    labels = [c[rep] for c in tree.cell]  # per level: finest cell -> its cell
     # cell masses summed up the tree from w: pairwise sums on binary trees,
     # where one sequential sum over w drifts by several ulp
     mass = [w]
     for level in range(tree.finest, 0, -1):
-        parent_of = np.empty(tree.ncells(level), dtype=np.intp)
-        parent_of[labels[level]] = labels[level - 1]
-        mass.insert(0, np.bincount(parent_of, weights=mass[0]))
+        mass.insert(0, np.bincount(tree.parent(level), weights=mass[0]))
     functions = np.zeros((K, K))
     functions[0] = 1.0 / np.sqrt(mu.total())
     levels = np.zeros(K, dtype=int)
     row = 1
     for level in range(tree.finest):
         child = labels[level + 1]
-        by_parent = np.split(np.argsort(labels[level], kind="stable"),
-                             np.cumsum(np.bincount(labels[level]))[:-1])
-        for p, kids in tree.children_map(level).items():
+        by_parent = _groups(labels[level])
+        for p, kids in enumerate(_groups(tree.parent(level + 1))):
             M = len(kids)
             if M == 1:
                 continue

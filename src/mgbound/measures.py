@@ -19,7 +19,7 @@ import numpy as np
 from .families import TreeFamilySpec, _addresses, _interior_position, _kary_graph, ROOT
 from .graph import MetricGraph
 from .harmonic import HarmonicSolver
-from .partition import CellTree, Partition
+from .partition import CellTree, Partition, _sorted_order
 
 ADDITIVITY_TOL = 1e-10
 
@@ -44,11 +44,9 @@ class CellMeasure:
         if bad:
             raise AssertionError(f"non-finite mass at cells {bad[:5]}")
         worst = 0.0
-        for level in range(self.tree.finest):
-            for parent, kids in self.tree.children_map(level).items():
-                gap = abs(self.mass[(level, parent)]
-                          - sum(self.mass[(level + 1, k)] for k in kids))
-                worst = max(worst, gap)
+        for level in range(1, self.tree.finest + 1):
+            kids = np.bincount(self.tree.parent(level), weights=self.level_slice(level))
+            worst = max(worst, float(np.max(np.abs(self.level_slice(level - 1) - kids))))
         if worst > tol:
             raise AssertionError(f"additivity violated by {worst:.3e}")
         return worst
@@ -57,34 +55,34 @@ class CellMeasure:
         return all(0 < m < math.inf for m in self.mass.values())
 
 
+def _from_levels(tree: CellTree, masses) -> CellMeasure:
+    """The measure with masses[level][ci] on cell ci of each level."""
+    return CellMeasure(tree, {(level, ci): m for level, arr in enumerate(masses)
+                              for ci, m in enumerate(arr.tolist())})
+
+
 def equal_split_measure(tree: CellTree) -> CellMeasure:
     """Mass 1 on Omega; each refinement splits a cell's mass equally among
     its children."""
-    mass = {(0, 0): 1.0}
-    for level in range(tree.finest):
-        for parent, kids in tree.children_map(level).items():
-            share = mass[(level, parent)] / len(kids)
-            for k in kids:
-                mass[(level + 1, k)] = share
-    return CellMeasure(tree, mass)
+    masses = [np.ones(1)]
+    for level in range(1, tree.finest + 1):
+        parent = tree.parent(level)
+        masses.append(masses[-1][parent] / np.bincount(parent)[parent])
+    return _from_levels(tree, masses)
 
 
 def counting_measure(tree: CellTree) -> CellMeasure:
-    mass = {}
-    for level, p in enumerate(tree.levels):
-        for ci, cell in enumerate(p.cells):
-            mass[(level, ci)] = float(len(cell))
-    return CellMeasure(tree, mass)
+    return _from_levels(tree, [np.bincount(c).astype(float) for c in tree.cell])
 
 
 def cell_measure_from_point_masses(tree: CellTree, point_mass: dict) -> CellMeasure:
     """Aggregate per-point masses up the cell tree (finest cells are
-    singletons for canonical trees, but multi-point cells are summed too)."""
-    mass = {}
-    for level, p in enumerate(tree.levels):
-        for ci, cell in enumerate(p.cells):
-            mass[(level, ci)] = float(sum(point_mass[x] for x in cell))
-    return CellMeasure(tree, mass)
+    singletons for canonical trees, but multi-point cells are summed too),
+    each cell's members added in sorted order."""
+    points = tree.boundary.points
+    order = _sorted_order(points)
+    w = np.array([point_mass[points[i]] for i in order.tolist()], dtype=float)
+    return _from_levels(tree, [np.bincount(c[order], weights=w) for c in tree.cell])
 
 
 def exit_measure(g: MetricGraph, w, cells: Partition, assignment: dict | None = None,

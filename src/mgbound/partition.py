@@ -110,15 +110,25 @@ class Partition:
         return {p: i for i, cell in enumerate(self.cells) for p in cell}
 
 
-def _partition_from_labels(points, labels) -> Partition:
-    """Cells of the points grouped by component label; each cell sorted, cells
-    ordered by smallest member."""
-    labels = labels.tolist()
-    order = sorted(range(len(points)), key=points.__getitem__)
-    groups = {}
-    for i in order:
-        groups.setdefault(labels[i], []).append(points[i])
-    return Partition(tuple(tuple(grp) for grp in groups.values()))
+def _sorted_order(points) -> np.ndarray:
+    return np.array(sorted(range(len(points)), key=points.__getitem__), dtype=np.intp)
+
+
+def _cell_index(labels, order) -> np.ndarray:
+    """Cell index of each point from its component label, the cells numbered
+    by smallest member; `order` lists the point indices in sorted order."""
+    _, first, inv = np.unique(labels[order], return_index=True, return_inverse=True)
+    cell = np.empty(len(order), dtype=np.intp)
+    cell[order] = np.argsort(np.argsort(first))[inv]
+    return cell
+
+
+def _partition(points, order, cell) -> Partition:
+    """The cells given by `cell`, each listing its members in sorted order."""
+    members = order[np.argsort(cell[order], kind="stable")]
+    names = [points[i] for i in members.tolist()]
+    cuts = np.cumsum(np.bincount(cell)).tolist()
+    return Partition(tuple(tuple(names[s:e]) for s, e in zip([0] + cuts, cuts)))
 
 
 def epsilon_components(b: BoundarySet, eps: float) -> Partition:
@@ -126,7 +136,8 @@ def epsilon_components(b: BoundarySet, eps: float) -> Partition:
     if eps <= 0:
         raise ValueError("eps must be positive")
     _, labels = connected_components(csr_matrix(b.dist < eps), directed=False)
-    return _partition_from_labels(b.points, labels)
+    order = _sorted_order(b.points)
+    return _partition(b.points, order, _cell_index(labels, order))
 
 
 def _mst(b: BoundarySet):
@@ -183,11 +194,13 @@ def jump_values(b: BoundarySet):
 class CellTree:
     """Canonical nested partition: level j = epsilon-components at the j-th
     jump value.  levels[0] is the single cell Omega; the final level is
-    all singletons."""
+    all singletons.  cell[j][i] is the index in levels[j] of the cell that
+    holds boundary.points[i]."""
     boundary: BoundarySet
     levels: list
     jumps: list
     mesh: list
+    cell: list
 
     def ncells(self, level: int) -> int:
         return len(self.levels[level])
@@ -196,12 +209,13 @@ class CellTree:
     def finest(self) -> int:
         return len(self.levels) - 1
 
-    def children_map(self, level: int) -> dict:
-        """Parent cell index at `level` -> child cell indices at level+1."""
-        parent_of = self.levels[level].cell_of()
-        out = {i: [] for i in range(self.ncells(level))}
-        for ci, cell in enumerate(self.levels[level + 1].cells):
-            out[parent_of[cell[0]]].append(ci)
+    def parent(self, level: int) -> np.ndarray:
+        """Index in levels[level - 1] of the cell holding each cell of
+        levels[level]."""
+        if not 1 <= level <= self.finest:
+            raise ValueError(f"level {level} has no parent level")
+        out = np.empty(self.ncells(level), dtype=np.intp)
+        out[self.cell[level]] = self.cell[level - 1]
         return out
 
 
@@ -215,6 +229,22 @@ def mesh(p: Partition, b: BoundarySet) -> float:
     return max((_cell_diameter(b, cell) for cell in p.cells), default=0.0)
 
 
+def _meshes(b: BoundarySet, cell: list) -> list:
+    """`mesh` of every level.  With the points sorted by their cell at every
+    level, coarsest first, each cell is one contiguous diagonal block of the
+    permuted table."""
+    order = np.lexsort(cell[::-1])
+    D = b.dist[np.ix_(order, order)]
+    out = []
+    for c in cell:
+        c = c[order]
+        cuts = (np.flatnonzero(c[1:] != c[:-1]) + 1).tolist()
+        out.append(max((float(D[s:e, s:e].max())
+                        for s, e in zip([0] + cuts, cuts + [len(c)]) if e - s > 1),
+                       default=0.0))
+    return out
+
+
 def canonical_nested_partitions(b: BoundarySet) -> CellTree:
     """Cut the single-linkage dendrogram at every jump value.
 
@@ -226,43 +256,12 @@ def canonical_nested_partitions(b: BoundarySet) -> CellTree:
         raise ValueError("boundary set is empty")
     i, j, w = _mst(b)
     jumps = _jumps(n, w)
-    levels = [Partition((tuple(b.points),))]
+    order = _sorted_order(b.points)
+    cell = [np.zeros(n, dtype=np.intp)]
     for alpha, _, _ in jumps:
         keep = w < alpha
         forest = csr_matrix((w[keep], (i[keep], j[keep])), shape=(n, n))
         _, labels = connected_components(forest, directed=False)
-        levels.append(_partition_from_labels(b.points, labels))
-    meshes = [mesh(p, b) for p in levels]
-    return CellTree(b, levels, jumps, meshes)
-
-
-def assign_leaves_to_cells(leaves, cells: Partition, prefix_len: int | None = None) -> dict:
-    """Map each leaf to its cell index.
-
-    With prefix_len set (tree families), a leaf address belongs to the cell
-    whose member addresses share its length-prefix_len prefix; the leaves may
-    come from a deeper truncation than the partition.  Without it (finite
-    graphs), the assignment is identity on boundary vertices.
-    """
-    if prefix_len is None:
-        lookup = cells.cell_of()
-        out = {}
-        for leaf in leaves:
-            if leaf not in lookup:
-                raise KeyError(f"boundary vertex {leaf!r} not found in any cell")
-            out[leaf] = lookup[leaf]
-        return out
-    lookup = {}
-    for i, cell in enumerate(cells.cells):
-        for pt in cell:
-            key = pt[:prefix_len]
-            if lookup.setdefault(key, i) != i:
-                raise KeyError(f"prefix {key!r} spans multiple cells; "
-                               "partition is not a prefix partition at this level")
-    out = {}
-    for leaf in leaves:
-        key = leaf[:prefix_len]
-        if key not in lookup:
-            raise KeyError(f"no cell matches prefix {key!r}")
-        out[leaf] = lookup[key]
-    return out
+        cell.append(_cell_index(labels, order))
+    levels = [_partition(b.points, order, c) for c in cell]
+    return CellTree(b, levels, jumps, _meshes(b, cell), cell)

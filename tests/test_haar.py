@@ -9,7 +9,7 @@ from mgbound import (TreeFamilySpec, CounterexampleSpec, BoundarySet, CellMeasur
                      build_haar_basis, analyze, synthesize,
                      multiresolution_operator, multiresolution_eigenvalues)
 
-from util import haar_gram_schmidt_reference
+from util import children_by_name, haar_gram_schmidt_reference
 
 
 def dyadic_tree(depth):
@@ -105,7 +105,7 @@ def test_spine_details_supported_on_tail_and_positive_on_first_child():
     for level in range(tree.finest):
         cell_of = tree.levels[level + 1].cell_of()
         child = np.array([cell_of[c[0]] for c in finest])
-        for _, kids in sorted(tree.children_map(level).items()):
+        for kids in children_by_name(tree, level).values():
             for j in range(len(kids) - 1):
                 f = basis.functions[row]
                 on_tail = np.isin(child, kids[j:])

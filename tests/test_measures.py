@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from mgbound import (CellMeasure, TreeFamilySpec, build_kary_tree, tree_boundary_set,
+from mgbound import (CellMeasure, TreeFamilySpec, CounterexampleSpec, build_counterexample,
+                     build_kary_tree, tree_boundary_set, graph_boundary_set,
                      canonical_nested_partitions, equal_split_measure,
                      counting_measure, cell_measure_from_point_masses,
                      exit_measure, exit_measure_point_masses, exit_measure_limit,
@@ -9,8 +10,10 @@ from mgbound import (CellMeasure, TreeFamilySpec, build_kary_tree, tree_boundary
                      vertex_flux, compressed_dtn_limit)
 from mgbound.partition import Partition
 
-from util import (exit_mass_closed_form, exit_measure_pinned, path_graph,
-                  random_connected_graph, star_graph, with_parallel_edges)
+from util import (additivity_reference, counting_reference, equal_split_reference,
+                  exit_mass_closed_form, exit_measure_pinned, path_graph,
+                  point_mass_reference, random_boundary_set, random_connected_graph,
+                  star_graph, with_parallel_edges)
 
 SPEC3 = TreeFamilySpec(arity=2, ratio=0.25, depth=3)
 
@@ -53,6 +56,28 @@ def test_counting_measure(tree3):
     assert cnt.total() == 8.0
     assert np.allclose(cnt.level_slice(1), [4.0, 4.0])
     cnt.check_additivity()
+
+
+def _reference_cases():
+    yield tree_boundary_set(SPEC3.at_depth(10))
+    yield graph_boundary_set(build_counterexample(CounterexampleSpec(spine=12)))
+    for seed, kind in [(11, "rounded"), (12, "ultrametric")]:
+        rng = np.random.default_rng(seed)
+        for _ in range(10):
+            yield random_boundary_set(rng, kind)
+
+
+def test_measures_equal_the_per_cell_loops():
+    rng = np.random.default_rng(23)
+    for b in _reference_cases():
+        tree = canonical_nested_partitions(b)
+        pm = {x: float(rng.uniform(0.1, 10.0)) for x in b.points}
+        for mu, ref in [(equal_split_measure(tree), equal_split_reference(tree)),
+                        (counting_measure(tree), counting_reference(tree)),
+                        (cell_measure_from_point_masses(tree, pm),
+                         point_mass_reference(tree, pm))]:
+            assert mu.mass == ref
+            assert mu.check_additivity(tol=np.inf) == additivity_reference(tree, ref)
 
 
 @pytest.mark.parametrize("mass", [

@@ -4,12 +4,11 @@ import pytest
 from mgbound import (TreeFamilySpec, BoundarySet, tree_boundary_distance,
                      tree_boundary_set, graph_boundary_set, epsilon_components,
                      jump_values, canonical_nested_partitions, mesh,
-                     assign_leaves_to_cells, build_kary_tree,
-                     metric_graph)
+                     build_kary_tree, metric_graph)
 from mgbound.partition import Partition
 
 from util import (components_bruteforce, components_union_find, dijkstra_reference,
-                  random_connected_graph, star_graph)
+                  random_boundary_set, random_connected_graph, star_graph)
 
 SPEC3 = TreeFamilySpec(arity=2, ratio=0.25, depth=3)
 
@@ -78,6 +77,10 @@ def test_canonical_nested_partitions_tree():
         for cell in tree.levels[level + 1].cells:
             parents = {parent_of[x] for x in cell}
             assert len(parents) == 1
+    with pytest.raises(ValueError):
+        tree.parent(0)
+    with pytest.raises(ValueError):
+        tree.parent(tree.finest + 1)
 
 
 def test_canonical_partition_singleton():
@@ -140,36 +143,6 @@ def test_left_continuity_of_component_count():
         assert len(epsilon_components(b, alpha * (1 + 1e-9))) == after
 
 
-def test_assign_leaves_prefix():
-    b = tree_boundary_set(SPEC3)
-    tree = canonical_nested_partitions(b)
-    level1 = tree.levels[1]
-    g, _ = build_kary_tree(SPEC3)
-    a = assign_leaves_to_cells(sorted(g.boundary), level1, prefix_len=1)
-    assert a["010"] == 0 and a["110"] == 1
-    level2 = tree.levels[2]
-    a2 = assign_leaves_to_cells(sorted(g.boundary), level2, prefix_len=2)
-    assert all(level2.cells[a2[leaf]][0].startswith(leaf[:2]) for leaf in a2)
-
-
-def test_assign_deeper_truncation():
-    deep, _ = build_kary_tree(SPEC3.at_depth(5))
-    b = tree_boundary_set(SPEC3)
-    level1 = canonical_nested_partitions(b).levels[1]
-    a = assign_leaves_to_cells(sorted(deep.boundary), level1, prefix_len=1)
-    assert len(a) == 32
-    assert a["00000"] == 0 and a["10101"] == 1
-
-
-def test_assign_identity_finite_graph():
-    g = star_graph(3)
-    cells = Partition((("v1",), ("v2", "v3")))
-    a = assign_leaves_to_cells(sorted(g.boundary), cells)
-    assert a == {"v1": 0, "v2": 1, "v3": 1}
-    with pytest.raises(KeyError):
-        assign_leaves_to_cells(["nope"], cells)
-
-
 def test_graph_boundary_set():
     g = star_graph(3)
     b = graph_boundary_set(g)
@@ -189,38 +162,15 @@ def test_jump_closed_form_invariant():
             assert (after, before) == (k ** a, k ** (a + 1))
 
 
-def _random_boundary_set(rng, kind):
-    """Random metric on 2..40 points named in shuffled order, with ties:
-    planar distances rounded to one decimal, or an ultrametric whose merge
-    heights repeat."""
-    n = int(rng.integers(2, 41))
-    names = [f"q{i:02d}" for i in rng.permutation(n)]
-    if kind == "rounded":
-        X = rng.uniform(0.0, 3.0, size=(n, 2))
-        d = np.round(np.sqrt(((X[:, None] - X[None]) ** 2).sum(axis=2)), 1)
-        d = np.maximum(d, 0.1)
-    else:
-        depth = int(rng.integers(1, 6))
-        code = rng.integers(0, 2 ** depth, size=n)
-        heights = np.sort(rng.choice([0.5, 1.0, 2.0, 4.0], size=depth + 1))[::-1]
-        shared = np.zeros((n, n), dtype=int)
-        for m in range(1, depth + 1):
-            p = code >> (depth - m)
-            shared += p[:, None] == p[None, :]
-        d = heights[shared]
-    np.fill_diagonal(d, 0.0)
-    return BoundarySet(names, d)
-
-
 @pytest.mark.parametrize("kind", ["rounded", "ultrametric"])
 def test_canonical_levels_match_components_on_random_metrics(kind):
     rng = np.random.default_rng(11 if kind == "rounded" else 12)
     for _ in range(30):
-        b = _random_boundary_set(rng, kind)
+        b = random_boundary_set(rng, kind)
         tree = canonical_nested_partitions(b)
         assert tree.jumps == jump_values(b)
         assert len(tree.levels) == len(tree.jumps) + 1
-        assert len(tree.levels[0]) == 1 and set(tree.levels[0].cells[0]) == set(b.points)
+        assert tree.levels[0].cells == (tuple(sorted(b.points)),)
         assert len(tree.levels[-1]) == len(b)
         for level, (alpha, before, after) in zip(tree.levels[1:], tree.jumps):
             assert level.cells == components_bruteforce(b, alpha)
@@ -230,6 +180,13 @@ def test_canonical_levels_match_components_on_random_metrics(kind):
             assert len(epsilon_components(b, alpha * (1 - 1e-9))) == before
             assert len(epsilon_components(b, alpha * (1 + 1e-9))) == after
         assert tree.mesh == [mesh(p, b) for p in tree.levels]
+        for j, level in enumerate(tree.levels):
+            cell_of = level.cell_of()
+            assert tree.cell[j].tolist() == [cell_of[x] for x in b.points]
+            if j:
+                above = tree.levels[j - 1].cell_of()
+                assert ([{above[x] for x in c} for c in level.cells]
+                        == [{p} for p in tree.parent(j).tolist()])
 
 
 def test_canonical_partitions_with_infinite_distances():

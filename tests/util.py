@@ -7,7 +7,7 @@ from itertools import product
 import numpy as np
 import scipy.sparse as sp
 
-from mgbound import HarmonicSolver, metric_graph, vertex_flux
+from mgbound import BoundarySet, HarmonicSolver, metric_graph, vertex_flux
 from mgbound.families import ROOT, _DIGITS
 
 
@@ -95,6 +95,29 @@ def components_union_find(b, eps):
     for i in range(n):
         groups.setdefault(find(i), []).append(b.points[i])
     return tuple(sorted((tuple(sorted(grp)) for grp in groups.values()), key=lambda c: c[0]))
+
+
+def random_boundary_set(rng, kind):
+    """Random metric on 2..40 points named in shuffled order, with ties:
+    planar distances rounded to one decimal ("rounded"), or an ultrametric
+    whose merge heights repeat."""
+    n = int(rng.integers(2, 41))
+    names = [f"q{i:02d}" for i in rng.permutation(n)]
+    if kind == "rounded":
+        X = rng.uniform(0.0, 3.0, size=(n, 2))
+        d = np.round(np.sqrt(((X[:, None] - X[None]) ** 2).sum(axis=2)), 1)
+        d = np.maximum(d, 0.1)
+    else:
+        depth = int(rng.integers(1, 6))
+        code = rng.integers(0, 2 ** depth, size=n)
+        heights = np.sort(rng.choice([0.5, 1.0, 2.0, 4.0], size=depth + 1))[::-1]
+        shared = np.zeros((n, n), dtype=int)
+        for m in range(1, depth + 1):
+            p = code >> (depth - m)
+            shared += p[:, None] == p[None, :]
+        d = heights[shared]
+    np.fill_diagonal(d, 0.0)
+    return BoundarySet(names, d)
 
 
 def min_separator_size_bruteforce(g, S, T):
@@ -201,6 +224,57 @@ def compression_oracle(full, cells, assignment, cell_weights):
     return (A.T @ (w[:, None] * (full.matrix @ A))) / cw[:, None]
 
 
+def children_by_name(tree, level):
+    """Cell index at `level` -> indices of its child cells at level + 1,
+    found by looking up each child's first member by name."""
+    parent_of = tree.levels[level].cell_of()
+    out = {i: [] for i in range(tree.ncells(level))}
+    for ci, cell in enumerate(tree.levels[level + 1].cells):
+        out[parent_of[cell[0]]].append(ci)
+    return out
+
+
+def _sum_left_to_right(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def equal_split_reference(tree):
+    """Per-cell loop of the equal-splitting measure.  The four measure
+    references are the oracles for the array-based `mgbound.measures`; they
+    add in the same order, so the results must be equal to the last bit."""
+    mass = {(0, 0): 1.0}
+    for level in range(tree.finest):
+        for parent, kids in children_by_name(tree, level).items():
+            share = mass[(level, parent)] / len(kids)
+            for k in kids:
+                mass[(level + 1, k)] = share
+    return mass
+
+
+def counting_reference(tree):
+    return {(level, ci): float(len(cell)) for level, p in enumerate(tree.levels)
+            for ci, cell in enumerate(p.cells)}
+
+
+def point_mass_reference(tree, point_mass):
+    """Each cell's point masses added in its (sorted) member order."""
+    return {(level, ci): _sum_left_to_right(point_mass[x] for x in cell)
+            for level, p in enumerate(tree.levels) for ci, cell in enumerate(p.cells)}
+
+
+def additivity_reference(tree, mass):
+    """Largest gap between a cell's mass and the sum of its children's."""
+    worst = 0.0
+    for level in range(tree.finest):
+        for parent, kids in children_by_name(tree, level).items():
+            kid_sum = _sum_left_to_right(mass[(level + 1, k)] for k in kids)
+            worst = max(worst, abs(mass[(level, parent)] - kid_sum))
+    return worst
+
+
 def haar_gram_schmidt_reference(tree, mu):
     """Haar functions and birth levels by modified Gram-Schmidt with one
     re-orthogonalization pass: per parent cell with children E(1..M), on
@@ -224,7 +298,7 @@ def haar_gram_schmidt_reference(tree, mu):
     levels = [0]
     for level in range(tree.finest):
         ind_child, ind_parent = indicators(level + 1), indicators(level)
-        for parent, kids in sorted(tree.children_map(level).items()):
+        for parent, kids in children_by_name(tree, level).items():
             if len(kids) == 1:
                 continue
             ortho = []
