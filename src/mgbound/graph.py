@@ -247,12 +247,6 @@ def validate(g: MetricGraph) -> list:
     return problems
 
 
-def require_valid(g: MetricGraph):
-    problems = validate(g)
-    if problems:
-        raise ValueError("invalid metric graph: " + "; ".join(problems))
-
-
 def multi_source_distance(g: MetricGraph, sources) -> dict:
     """Exact shortest path-length distance from the source set to every vertex,
     from one csgraph Dijkstra (inf where unreachable)."""

@@ -20,12 +20,12 @@ from itertools import compress
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import breadth_first_order
 
 from .families import CounterexampleSpec
-from .graph import Edge, MetricGraph, _edge_arrays, _on_boundary, adjacency
+from .graph import (Edge, MetricGraph, _component_labels, _edge_arrays, _on_boundary,
+                    adjacency)
 
-DIRECT_LIMIT = 20000
-CG_TOL = 1e-12
 FLUX_BLOCK = 64  # right-hand sides per interior solve in boundary_flux
 
 
@@ -94,40 +94,92 @@ class HarmonicSolver:
     of its row and column, its endpoints renumbered by their rank within
     their own block.  No full Laplacian is formed, and no vertex name is
     made until `boundary` or `interior` (the sorted vertex ids of each block)
-    is first read.  The factorization is immutable after construction and
-    may be shared across threads for repeated right-hand sides.  `boundary`
-    overrides the graph's boundary set (used to pin extra vertices).
+    is first read.  L_II is factored by tree elimination when the interior
+    induces a forest (`_eliminate_forest`, which never reads L_II), else by
+    `splu` with two refinement passes.  The factorization is immutable after
+    construction and may be shared across threads for repeated right-hand
+    sides.  `boundary` overrides the graph's boundary set (used to pin extra
+    vertices).
     """
 
-    def __init__(self, g: MetricGraph, boundary=None,
-                 direct_limit: int = DIRECT_LIMIT, cg_tol: float = CG_TOL):
+    _use_direct = True  # every solve is direct; perfbench's tracer reads this
+
+    def __init__(self, g: MetricGraph, boundary=None):
         on_boundary = _boundary_mask(g, boundary)
         if not on_boundary.any():
             raise ValueError("boundary is empty")
         self.graph = g
         self._is_boundary = on_boundary
-        self.cg_tol = cg_tol
         n_b = int(np.count_nonzero(on_boundary))
         n_i = len(on_boundary) - n_b
-        self._use_direct = n_i <= direct_limit
-        rank = np.empty(len(on_boundary), dtype=np.intp)
-        rank[on_boundary] = np.arange(n_b)
-        rank[~on_boundary] = np.arange(n_i)
-        rows, cols, vals = _laplacian_triplets(g)
-        row_b, col_b = on_boundary[rows], on_boundary[cols]
-        size = {True: n_b, False: n_i}
-
-        def block(fmt, row_side, col_side):
-            at = np.flatnonzero((row_b == row_side) & (col_b == col_side))
-            return fmt((vals[at], (rank[rows[at]], rank[cols[at]])),
-                       shape=(size[row_side], size[col_side]))
-
-        self.L_II = block(sp.csc_matrix, False, False)
-        self.L_IB = block(sp.csr_matrix, False, True)
-        self.L_BI = block(sp.csr_matrix, True, False)
-        self.L_BB = block(sp.csr_matrix, True, True)
-        if n_i and self._use_direct:
+        self._rank = np.where(on_boundary, np.cumsum(on_boundary), np.cumsum(~on_boundary)) - 1
+        self.L_IB, self.L_BI, self.L_BB = self._blocks("IB", "BI", "BB")
+        self._forest = self._eliminate_forest(n_i) if n_i else None
+        if n_i and self._forest is None:
             self._lu = spla.splu(self.L_II)
+
+    def _blocks(self, *names):
+        """The Laplacian blocks named "IB", "BI", "BB" or "II" (in CSC, for
+        `splu`; the others in CSR), from one pass over its triplets."""
+        rows, cols, vals = _laplacian_triplets(self.graph)
+        row_b, col_b = self._is_boundary[rows], self._is_boundary[cols]
+        n_b = int(np.count_nonzero(self._is_boundary))
+        size = {"B": n_b, "I": len(self._is_boundary) - n_b}
+        out = []
+        for r, c in names:
+            at = np.flatnonzero((row_b == (r == "B")) & (col_b == (c == "B")))
+            fmt = sp.csc_matrix if r + c == "II" else sp.csr_matrix
+            out.append(fmt((vals[at], (self._rank[rows[at]], self._rank[cols[at]])),
+                           shape=(size[r], size[c])))
+        return out
+
+    @cached_property
+    def L_II(self) -> sp.csc_matrix:
+        return self._blocks("II")[0]
+
+    def _eliminate_forest(self, n_i: int):
+        """Elimination of L_II children before parents, with no fill (Parter
+        1961), or None unless the interior induces a forest (n_I minus its
+        number of components edges; parallel edges make a cycle).  In one
+        breadth-first order L_II = (I - W) D (I - W)^T with W[parent(v), v] =
+        a_v / d_v, a_v the conductance of v's parent edge, and pivot d_v =
+        a_v + g_v: g_v, the subtree's conductance to the boundary, is v's own
+        plus a_c g_c / (a_c + g_c) over its children c, so no pivot loses
+        digits to cancellation.  Returns the rank at each position and its
+        inverse, D, and per level, deepest first, (lo, mid, hi,
+        W[lo:mid, mid:hi], its entries as a column, their parents)."""
+        u, v, length = _edge_arrays(self.graph)
+        c, b, rank = 1.0 / length, self._is_boundary, self._rank
+        inner = ~(b[u] | b[v])
+        iu, iv = rank[u[inner]], rank[v[inner]]
+        labels = _component_labels(n_i, iu, iv)
+        roots = np.unique(labels, return_index=True)[1]  # each component's first vertex
+        if len(iu) != n_i - len(roots):
+            return None
+        # one breadth-first order, from an extra vertex n_i joined to the roots
+        src, dst = np.r_[iu, iv, np.full(len(roots), n_i)], np.r_[iv, iu, roots]
+        adj = sp.csr_matrix((np.ones(len(src)), (src, dst)), shape=(n_i + 1, n_i + 1))
+        order, pred = breadth_first_order(adj, n_i, return_predecessors=True)
+        pos = np.empty(n_i + 1, dtype=np.intp)
+        pos[order] = np.arange(-1, n_i)
+        up = pos[pred[order[1:]]]  # parent's position, -1 at a root; nondecreasing
+        a = np.zeros(n_i)
+        a[pos[np.where(pred[iu] == iv, iu, iv)]] = c[inner]
+        cross = b[u] != b[v]
+        g = np.bincount(pos[rank[np.where(b[u], v, u)[cross]]], c[cross], minlength=n_i)
+        bounds = [0]  # level j is [bounds[j], bounds[j + 1])
+        while bounds[-1] < n_i:
+            bounds.append(int(np.searchsorted(up, bounds[-1])))
+        levels = []
+        for lo, mid, hi in reversed(list(zip(bounds, bounds[1:], bounds[2:]))):
+            w = a[mid:hi] / (a[mid:hi] + g[mid:hi])
+            g[lo:mid] += np.bincount(up[mid:hi] - lo, w * g[mid:hi], minlength=mid - lo)
+            indptr = np.searchsorted(up, np.arange(lo, mid + 1)) - mid
+            W = sp.csr_array((w, np.arange(hi - mid), indptr), shape=(mid - lo, hi - mid))
+            levels.append((lo, mid, hi, W, w[:, None], up[mid:hi]))
+        if not np.all(g[:len(roots)] > 0):
+            raise RuntimeError("L_II is singular: an interior component has no boundary")
+        return order[1:], pos[:-1], (a + g)[:, None], levels
 
     @cached_property
     def boundary(self) -> tuple:
@@ -139,23 +191,21 @@ class HarmonicSolver:
 
     def _solve_interior(self, rhs: np.ndarray) -> np.ndarray:
         """X with L_II X = rhs, for a vector or an n_I x m block."""
-        if self._use_direct:
+        if self._forest is None:
             x = self._lu.solve(rhs)
             # iterative refinement: recovers digits lost to the
             # ill-conditioning of deep truncations (cond ~ 1/min l_e)
             for _ in range(2):
                 x += self._lu.solve(rhs - self.L_II @ x)
             return x
-        cols = rhs.reshape(len(rhs), -1)
-        x = np.empty_like(cols)
-        for j in range(cols.shape[1]):
-            x[:, j], info = spla.cg(self.L_II, cols[:, j], rtol=self.cg_tol,
-                                    maxiter=20 * len(cols))
-            if info != 0:
-                res = (np.linalg.norm(self.L_II @ x[:, j] - cols[:, j])
-                       / max(np.linalg.norm(cols[:, j]), 1e-300))
-                raise RuntimeError(f"CG did not converge (info={info}, rel residual={res:.3e})")
-        return x.reshape(rhs.shape)
+        perm, inverse, pivots, levels = self._forest
+        y = rhs.reshape(len(rhs), -1)[perm]
+        for lo, mid, hi, W, w, p in levels:  # deepest first: (I - W) z = rhs
+            y[lo:mid] += W @ y[mid:hi]
+        y /= pivots
+        for lo, mid, hi, W, w, p in reversed(levels):  # roots first: (I - W)^T x = z / D
+            y[mid:hi] += w * y[p]
+        return y[inverse].reshape(rhs.shape)
 
     def solve(self, boundary_values: dict) -> HarmonicFunction:
         missing = [v for v in self.boundary if v not in boundary_values]
@@ -175,7 +225,7 @@ class HarmonicSolver:
         boundary, from this factorization with that vertex left unpinned:
         x = L_II^{-1} e_i is harmonic everywhere but at it, so the function
         is x / x_i on the interior and its fluxes are L_BI x / x_i."""
-        e = np.zeros(self.L_II.shape[0])
+        e = np.zeros(self.L_IB.shape[0])
         e[i] = 1.0
         x = self._solve_interior(e)
         return (self.L_BI @ x) / x[i]
@@ -199,7 +249,7 @@ class HarmonicSolver:
             block = F[:, cols]
             block = block.toarray() if sp.issparse(block) else np.asarray(block, dtype=float)
             out[:, cols] = self.L_BB @ block
-            if self.L_II.shape[0]:
+            if self.L_IB.shape[0]:
                 # L_BI X = -L_BI (L_II^{-1} L_IB F)
                 out[:, cols] -= self.L_BI @ self._solve_interior(self.L_IB @ block)
         return out

@@ -116,8 +116,14 @@ def exit_measure(g: MetricGraph, w, cells: Partition, assignment: dict | None = 
 
 def _exit_masses(solver: HarmonicSolver, i: int, cell: np.ndarray, ncells: int) -> np.ndarray:
     """Exit masses from the interior vertex `solver.interior[i]` of the cells
-    given by `cell`, one cell index per vertex of `solver.boundary`."""
-    nu = np.bincount(cell, weights=-solver.source_flux(i), minlength=ncells)
+    given by `cell`, one cell index per vertex of `solver.boundary`.
+    Contiguous cells of equal size, as in the truncation sweeps, are summed
+    pairwise (Higham 1993), not by bincount's running sum."""
+    flux, size = -solver.source_flux(i), len(cell) // ncells
+    if size and np.array_equal(cell, np.arange(len(cell)) // size):
+        nu = flux.reshape(ncells, size).sum(axis=1)
+    else:
+        nu = np.bincount(cell, weights=flux, minlength=ncells)
     if np.min(nu) <= 0:
         raise RuntimeError("exit measure produced a nonpositive cell mass; "
                            "solver output violates positivity")

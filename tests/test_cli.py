@@ -98,6 +98,17 @@ def test_exit_measure_limit(tmp_path):
     assert masses["1"] == pytest.approx(3.5, abs=1e-8)
 
 
+@pytest.mark.parametrize("command", ["dtn-limit", "exit-measure"])
+def test_truncation_limits_reach_1e_12(tmp_path, command):
+    """The binary r = 1/4 limits converge to 1e-12 within depth 17 (131071
+    interior vertices at the last depth)."""
+    rc, out, report = run(tmp_path, command, "--level", "2", "--depths", "4:17",
+                          "--tol", "1e-12")
+    assert rc == 0 and report["ok"]
+    _, rows = read_csv(artifact(out, report, "trace.csv"))
+    assert float(rows[-1][1]) < 1e-12
+
+
 def test_haar_gram_check(tmp_path):
     for measure in ("rho", "counting", "exit"):
         rc, _, report = run(tmp_path, "haar", "--depth", "3",

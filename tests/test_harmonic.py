@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from mgbound import (metric_graph, solve_dirichlet, edge_derivative, vertex_flux,
                      dirichlet_energy, check_harmonic, counterexample_recurrence,
@@ -253,16 +254,119 @@ def test_solver_blocks_match_the_laplacian_blocks_with_parallel_edges():
                                             if v not in (boundary or g.boundary))
 
 
-def test_cg_branch_matches_direct():
-    g, _ = build_kary_tree(TreeFamilySpec(arity=2, ratio=0.25, depth=5))
-    direct = HarmonicSolver(g)
-    cg = HarmonicSolver(g, direct_limit=0)
-    assert direct._use_direct and not cg._use_direct
-    identity = np.eye(len(direct.boundary))
-    assert np.max(np.abs(cg.boundary_flux(identity) - direct.boundary_flux(identity))) < 1e-9
-    F = {v: float(i % 3) for i, v in enumerate(direct.boundary)}
-    fd, fc = direct.solve(F), cg.solve(F)
-    assert max(abs(fd.values[v] - fc.values[v]) for v in g.vertices) < 1e-10
+def interior_forest(g, boundary):
+    """Whether the interior vertices induce a forest, and their number of
+    components, by union-find over the edges between them: an edge whose
+    ends are already joined, a parallel edge included, closes a cycle."""
+    parent = {v: v for v in g.vertices if v not in boundary}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    forest = True
+    for e in g.edges:
+        if e.u in parent and e.v in parent:
+            ru, rv = find(e.u), find(e.v)
+            forest = forest and ru != rv
+            parent[ru] = rv
+    return forest, len({find(v) for v in parent})
+
+
+def forced_splu(g, boundary=None):
+    """g's solver with its interior factored by `splu` whatever its structure."""
+    solver = HarmonicSolver(g, boundary=boundary)
+    solver._forest = None
+    solver._lu = spla.splu(solver.L_II)
+    return solver
+
+
+def check_solver_paths(g, boundary, rng):
+    """`solve`, multi-column `boundary_flux` and every `source_flux` of g's
+    solver against the same solver forced onto `splu` and against dense
+    solves of the blocks of `laplacian_reference`.  Returns whether the
+    solver took the forest path."""
+    solver, lu = HarmonicSolver(g, boundary=boundary), forced_splu(g, boundary)
+    L, ii, bb = laplacian_reference(g, boundary)
+    L = L.toarray()
+    L_II, L_IB, L_BI = L[np.ix_(ii, ii)], L[np.ix_(ii, bb)], L[np.ix_(bb, ii)]
+    S = L[np.ix_(bb, bb)] - L_BI @ np.linalg.solve(L_II, L_IB)
+    F = rng.normal(size=(len(bb), 3))
+    dense = S @ F
+    scale = np.abs(S).max() * np.abs(F).max() * len(bb)
+    flux = solver.boundary_flux(F)
+    assert np.max(np.abs(flux - dense)) <= 1e-12 * scale
+    assert np.max(np.abs(flux - lu.boundary_flux(F))) <= 1e-12 * scale
+    values = solver.solve(dict(zip(solver.boundary, F[:, 0])))
+    x = np.linalg.solve(L_II, -L_IB @ F[:, 0])
+    got = np.array([values.values[v] for v in solver.interior])
+    assert np.max(np.abs(got - x), initial=0.0) <= 1e-12 * np.abs(F[:, 0]).max() * len(ii)
+    for i in range(len(ii)):
+        e = np.linalg.solve(L_II, np.eye(len(ii))[i])
+        want = L_BI @ e / e[i]
+        assert np.max(np.abs(solver.source_flux(i) - want)) <= 1e-12 * np.abs(want).sum()
+        assert np.max(np.abs(lu.source_flux(i) - want)) <= 1e-12 * np.abs(want).sum()
+    return solver._forest is not None
+
+
+def test_forest_path_on_random_trees():
+    rng = np.random.default_rng(53)
+    for _ in range(40):
+        g = random_connected_graph(rng, max_vertices=40, extra_edges=False)
+        pinned = [set(g.boundary) | {g.interior()[0]}] if len(g.interior()) > 1 else []
+        for boundary in [None] + pinned:
+            assert check_solver_paths(g, boundary, rng)
+
+
+def test_forest_path_when_the_boundary_cuts_the_interior():
+    rng = np.random.default_rng(59)
+    pieces = []
+    for _ in range(40):
+        g = random_connected_graph(rng, max_vertices=40, extra_edges=False)
+        inner = g.interior()
+        boundary = set(g.boundary) | set(rng.choice(inner, size=len(inner) // 3, replace=False))
+        pieces.append(interior_forest(g, boundary)[1])
+        assert check_solver_paths(g, boundary, rng)
+    assert max(pieces) >= 4 and sum(p > 1 for p in pieces) >= 30
+
+
+def test_forest_path_on_the_pendant_spine_and_kary_trees():
+    rng = np.random.default_rng(61)
+    graphs = [build_counterexample(CounterexampleSpec(spine=12)),
+              build_kary_tree(TreeFamilySpec(arity=3, ratio=0.4, depth=4))[0]]
+    for g in graphs:
+        for boundary in (None, set(g.boundary) | {g.interior()[-1]}):
+            assert check_solver_paths(g, boundary, rng)
+
+
+def test_cycles_and_parallel_interior_edges_take_splu():
+    rng = np.random.default_rng(67)
+    paths = []
+    for _ in range(20):
+        for g in (random_connected_graph(rng, max_vertices=30),
+                  with_parallel_edges(random_connected_graph(rng, max_vertices=30,
+                                                             extra_edges=False), rng)):
+            forest = interior_forest(g, g.boundary)[0]
+            assert check_solver_paths(g, None, rng) == forest
+            paths.append(forest)
+    assert 5 <= sum(paths) <= 35
+    # one parallel pair between the two interior vertices is a cycle
+    assert not check_solver_paths(parallel_edge_graph(), None, rng)
+
+
+def test_forest_path_assembles_l_ii_only_when_read():
+    g, _ = build_kary_tree(TreeFamilySpec(arity=2, ratio=0.3, depth=5))
+    solver = HarmonicSolver(g)
+    assert solver._forest is not None and "L_II" not in vars(solver)
+    assert np.array_equal(solver.L_II.toarray(), laplacian_blocks(g)[0][1])
+
+
+def test_forest_with_an_interior_component_cut_off_from_the_boundary_is_singular():
+    g = metric_graph(["a", "b", "c", "d"], [("e1", "a", "b", 1.0), ("e2", "c", "d", 1.0)],
+                     ["a"])
+    with pytest.raises(RuntimeError, match="singular"):
+        HarmonicSolver(g)
 
 
 def test_recurrence_values():

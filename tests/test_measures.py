@@ -135,6 +135,17 @@ def test_exit_measure_limit_iterates_match_the_closed_form(arity, ratio, level, 
         assert np.max(np.abs(nu - exact)) <= 1e-12 * exact, d
 
 
+@pytest.mark.parametrize("arity, ratio, level, depth", [
+    (2, 0.25, 2, 15), (2, 0.25, 2, 17), (3, 0.4, 1, 10), (3, 0.4, 1, 11)])
+def test_exit_measure_limit_masses_are_within_4_ulp(arity, ratio, level, depth):
+    """Each cell's fluxes summed pairwise: within 4 ulp of the exact mass
+    (a running sum leaves them up to 4246 ulp off at (3, 0.4, 1, 11))."""
+    spec = TreeFamilySpec(arity=arity, ratio=ratio, depth=1)
+    nu = exit_measure_limit(spec, level, [depth], 1.0).masses
+    exact = exit_mass_closed_form(arity, ratio, 1.0, level, depth)
+    assert np.max(np.abs(nu - exact)) <= 4 * np.spacing(exact)
+
+
 def test_exit_measure_star():
     g = star_graph(3)
     cells = Partition((("v1",), ("v2",), ("v3",)))

@@ -11,16 +11,17 @@ from mgbound import BoundarySet, HarmonicSolver, metric_graph, vertex_flux
 from mgbound.families import ROOT, _DIGITS
 
 
-def random_connected_graph(rng, max_vertices=50, min_boundary=2):
-    """Random spanning tree plus extra edges; lengths uniform in [0.1, 10];
-    boundary = all degree-1 vertices plus random extras (>= min_boundary)."""
+def random_connected_graph(rng, max_vertices=50, min_boundary=2, extra_edges=True):
+    """Random spanning tree plus extra edges (none with extra_edges=False);
+    lengths uniform in [0.1, 10]; boundary = all degree-1 vertices plus
+    random extras (>= min_boundary)."""
     n = int(rng.integers(4, max_vertices + 1))
     verts = [f"v{i:03d}" for i in range(n)]
     edges = []
     for i in range(1, n):
         j = int(rng.integers(0, i))
         edges.append((f"t{i:03d}", verts[j], verts[i], float(rng.uniform(0.1, 10.0))))
-    for k in range(int(rng.integers(0, n))):
+    for k in range(int(rng.integers(0, n)) if extra_edges else 0):
         i, j = rng.integers(0, n, size=2)
         if i != j:
             edges.append((f"x{k:03d}", verts[int(i)], verts[int(j)],
@@ -349,9 +350,11 @@ def exit_mass_closed_form(k, r, base_length, level, depth):
     """Exit mass from the root of each level-`level` prefix cell of the depth-
     `depth` k-ary tree: 1 / (k^level R_d), with R_d = L0 sum_{m=1..d} (r/k)^m
     the resistance from the root to the tied leaves (the k^m level-m edges of
-    length L0 r^m in parallel, level after level in series)."""
-    R = base_length * sum((r / k) ** m for m in range(1, depth + 1))
-    return 1.0 / (k ** level * R)
+    length L0 r^m in parallel, level after level in series).  R_d is summed
+    in fractions over the float edge lengths the library uses, so the result
+    is the exact mass rounded once."""
+    R = sum(Fraction(base_length * r ** m) / k ** m for m in range(1, depth + 1))
+    return float(1 / (k ** level * R))
 
 
 def compressed_flux_reduced(k, r, base_length, level, depth):
