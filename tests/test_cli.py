@@ -3,9 +3,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import mgbound
+from mgbound import DtNMatrix, cli
 from mgbound.cli import main
 
 
@@ -76,6 +78,33 @@ def test_dtn_invariant_checks(tmp_path):
     assert {"dtn symmetry", "dtn kernel", "dtn psd"} <= names
     header, rows = read_csv(artifact(out, report, "matrix.csv"))
     assert len(rows) == 8 and len(header) == 9
+
+
+def test_dtn_invariants_are_relative_to_the_diagonal(tmp_path):
+    """At binary r = 1/4, depth 9, the kernel error is 2.6e-10 from rounding
+    alone, above any fixed 1e-10; relative to max|Lam_vv| = 1.4e5 it is 2e-15."""
+    rc, out, report = run(tmp_path, "dtn", "--depth", "9")
+    assert rc == 0 and report["ok"]
+    checks = {c["name"]: c for c in report["checks"]}
+    header, rows = read_csv(artifact(out, report, "matrix.csv"))
+    scale = max(abs(float(r[1 + i])) for i, r in enumerate(rows))
+    for name in ("dtn symmetry", "dtn kernel", "dtn psd"):
+        c = checks[name]
+        assert c["passed"] and c["tolerance"] == 1e-12 and c["scale"] == scale
+        assert c["value"] == c["absolute"] / scale
+    assert checks["dtn kernel"]["absolute"] > 1e-10
+    assert checks["dtn psd"]["absolute"] <= 0.0
+
+
+def test_dtn_csv_is_written_row_by_row_with_the_bytes_of_fmt(tmp_path):
+    values = np.array([[-0.0, 1e-300, 3.0], [np.inf, -np.inf, -2.0], [0.1, 1 / 3, 5e-324]])
+    D = DtNMatrix(("a", "b", "c"), values, np.ones(3))
+    rows = [("basis",) + D.basis] + [(b,) + tuple(cli._fmt(x) for x in row)
+                                     for b, row in zip(D.basis, values)]
+    path = tmp_path / "m.csv"
+    cli._atomic_write(str(path), cli._dtn_lines(D))
+    assert path.read_bytes() == cli._csv(rows).encode()
+    assert path.read_text().splitlines()[1] == "a,-0,1e-300,3"
 
 
 def test_dtn_limit(tmp_path):

@@ -6,12 +6,14 @@ import mgbound.measures
 from mgbound import (metric_graph, dtn_matrix, schur_complement_dtn,
                      inner_product_mu, compressed_dtn, compressed_dtn_limit,
                      quadratic_form_check, TreeFamilySpec, build_kary_tree,
-                     exit_measure_limit, Edge, HarmonicSolver, MetricGraph)
+                     build_counterexample, CounterexampleSpec, exit_measure_limit,
+                     DtNMatrix, Edge, HarmonicSolver, MetricGraph)
 from mgbound.families import _kary_graph
 from mgbound.partition import Partition
 
-from util import (compressed_flux_reduced, compression_oracle, star_graph,
-                  random_connected_graph)
+from test_acceptance import _criterion1_graphs, _random_two_cells
+from util import (compressed_flux_reduced, compression_oracle, dtn_min_eigenvalue,
+                  star_graph, random_connected_graph)
 
 SPEC = TreeFamilySpec(arity=2, ratio=0.25, depth=3)
 
@@ -47,6 +49,73 @@ def test_dtn_vs_schur_deep_tree():
     S = schur_complement_dtn(g)
     assert D.basis == S.basis
     assert np.max(np.abs(D.matrix - S.matrix)) < 1e-9
+
+
+def _certified_cases():
+    """(DtN matrix, floor for its certified bound): the criterion-02 graphs and
+    their two-cell compressions, binary depth-10 trees, the spine-12 graph
+    and a compressed limit.  At r = 1/4 the depth-10 map's rows sum to 0 only
+    within 1e-9 (its diagonal is 5.6e5), which fails the library's absolute
+    kernel check too, so its floor is relative to the diagonal."""
+    for g, mu, rng in _criterion1_graphs():
+        cells, assignment = _random_two_cells(g, rng)
+        cw = np.array([sum(mu[v] for v in cell) for cell in cells.cells])
+        yield dtn_matrix(g, mu), 1e-10
+        yield compressed_dtn(g, cells, cw, assignment), 1e-10
+    yield dtn_matrix(build_kary_tree(TreeFamilySpec(arity=2, ratio=0.5, depth=10))[0]), 1e-10
+    deep = dtn_matrix(build_kary_tree(TreeFamilySpec(arity=2, ratio=0.25, depth=10))[0])
+    yield deep, 1e-12 * np.max(np.diag(deep.matrix))
+    spine = build_counterexample(CounterexampleSpec(spine=12))
+    rng = np.random.default_rng(12)
+    yield dtn_matrix(spine, {v: float(rng.uniform(0.5, 2.0)) for v in spine.boundary}), 1e-10
+    yield compressed_dtn_limit(SPEC, 2, range(4, 12), 1e-8).dtn, 1e-10
+
+
+def test_certified_eigenvalue_bound_is_below_the_eigensolve():
+    """The Gershgorin bound is not above the dense eigensolve's minimum, and
+    on DtN maps, which are Laplacians, it stays within rounding of 0.  Both
+    round: each is exact only to about n eps max|S| / min(w), so the bound
+    may meet the eigensolve's -1e-16 with a 0."""
+    count = 0
+    for D, floor in _certified_cases():
+        inv = D.check_invariants()
+        S = D.weights[:, None] * D.matrix
+        slack = 2 * len(D.basis) * np.finfo(float).eps * np.max(np.abs(S)) / D.weights.min()
+        assert -floor <= inv["min_eigenvalue"] <= dtn_min_eigenvalue(D) + slack, inv
+        assert inv["max_offdiagonal"] <= 0.0, inv
+        count += 1
+    assert count == 104
+
+
+def test_certificate_rejects_an_indefinite_matrix():
+    """Minus a path Laplacian, weighted: symmetric in mu, constants in its
+    kernel, every other eigenvalue negative."""
+    w = np.array([1.0, 2.0, 4.0])
+    lam = np.array([[-1.0, 1.0, 0.0], [1.0, -2.0, 1.0], [0.0, 1.0, -1.0]]) / w[:, None]
+    D = DtNMatrix(("a", "b", "c"), lam, w)
+    inv = D.check_invariants()
+    assert inv["symmetry_error"] == 0.0 and inv["kernel_error"] == 0.0
+    assert inv["min_eigenvalue"] <= dtn_min_eigenvalue(D) < 0
+    assert not inv["ok"]
+
+
+def test_certificate_rejects_a_psd_matrix_that_is_not_a_laplacian():
+    """v v^T with v = (1, 1, -2) is symmetric, PSD and sends constants to 0,
+    but its positive off-diagonal makes it no Laplacian: no graph has it as
+    a DtN map, so the certificate reports it."""
+    v = np.array([1.0, 1.0, -2.0])
+    D = DtNMatrix(("a", "b", "c"), np.outer(v, v), np.ones(3))
+    inv = D.check_invariants()
+    assert dtn_min_eigenvalue(D) > -1e-14
+    assert inv["max_offdiagonal"] == 1.0
+    assert inv["gershgorin"] == inv["min_eigenvalue"] == -2.0
+    assert not inv["ok"]
+
+
+def test_certificate_propagates_nan():
+    lam = np.array([[1.0, -1.0], [-1.0, np.nan]])
+    inv = DtNMatrix(("a", "b"), lam, np.ones(2)).check_invariants()
+    assert np.isnan(inv["min_eigenvalue"]) and not inv["ok"]
 
 
 def test_dtn_scale_law():

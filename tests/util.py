@@ -225,6 +225,15 @@ def compression_oracle(full, cells, assignment, cell_weights):
     return (A.T @ (w[:, None] * (full.matrix @ A))) / cw[:, None]
 
 
+def dtn_min_eigenvalue(D):
+    """Least eigenvalue of D^(1/2) Lam D^(-1/2), symmetrized, by a dense
+    eigensolve.  Oracle for the certified lower bound `min_eigenvalue` of
+    `DtNMatrix.check_invariants`."""
+    s = np.sqrt(D.weights)
+    M = (s[:, None] * D.matrix) / s[None, :]
+    return float(np.min(np.linalg.eigvalsh((M + M.T) / 2.0)))
+
+
 def children_by_name(tree, level):
     """Cell index at `level` -> indices of its child cells at level + 1,
     found by looking up each child's first member by name."""
