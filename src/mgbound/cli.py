@@ -12,15 +12,13 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
 from . import families, harmonic, measures, dtn as dtn_mod, haar as haar_mod
 from .families import TreeFamilySpec, CounterexampleSpec
 from .graph import validate
-from .partition import (_cell_diameter, canonical_nested_partitions, tree_boundary_set,
-                        graph_boundary_set)
+from .partition import canonical_nested_partitions, tree_boundary_set, graph_boundary_set
 
 
 def _fmt(x) -> str:
@@ -29,12 +27,14 @@ def _fmt(x) -> str:
 
 def _atomic_write(path: str, text):
     """Write `text`, a string or an iterable of strings written one at a time,
-    to a temporary file beside `path`, then rename it to `path`."""
+    to a new file beside `path`, made by open() and so with its mode (0o666
+    less the umask, where mkstemp gives 0600), then rename it to `path`."""
     d = os.path.dirname(path) or "."
     os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
+    tmp = os.path.join(d, f".tmp-{os.urandom(8).hex()}")
+    fh = open(tmp, "x")  # exclusive: never a file or link already there
     try:
-        with os.fdopen(fd, "w") as fh:
+        with fh:
             fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
@@ -44,7 +44,8 @@ def _atomic_write(path: str, text):
 
 
 def _config_hash(args: argparse.Namespace) -> str:
-    cfg = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+    """Hash of the configuration, less --outdir: names alike in every outdir."""
+    cfg = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "outdir")}
     blob = json.dumps(cfg, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
@@ -144,8 +145,8 @@ def cmd_partitions(args):
     rows = [("level", "cell", "jump", "diameter", "members")]
     for level, part in enumerate(tree.levels):
         alpha = "" if level == 0 else _fmt(tree.jumps[level - 1][0])
-        for ci, cell in enumerate(part.cells):
-            rows.append((level, ci, alpha, _fmt(_cell_diameter(b, cell)), ";".join(cell)))
+        for ci, (cell, diam) in enumerate(zip(part.cells, tree.diameter[level].tolist())):
+            rows.append((level, ci, alpha, _fmt(diam), ";".join(cell)))
     rep.artifact("cells.csv", _csv(rows))
     fine = tree.mesh
     rep.check("mesh nonincreasing", 0.0, 0.0,
@@ -224,15 +225,20 @@ def cmd_dtn(args):
     return rep.finish()
 
 
+def _write_trace(rep, name: str, res, tol: float):
+    """A truncation limit's trace.csv, and the check that it converged."""
+    rows = [("depth", "change")] + [(d, _fmt(c)) for d, c in res.trace]
+    rep.artifact("trace.csv", _csv(rows))
+    final = res.trace[-1][1] if res.trace else float("inf")
+    rep.check(f"{name} converged", final, tol, res.converged)
+
+
 def cmd_dtn_limit(args):
     rep = Reporter(args)
     res = dtn_mod.compressed_dtn_limit(_tree_spec(args), args.level,
                                        _parse_depths(args.depths), args.tol)
     _write_dtn(rep, "matrix", res.dtn)
-    rows = [("depth", "change")] + [(d, _fmt(c)) for d, c in res.trace]
-    rep.artifact("trace.csv", _csv(rows))
-    final = res.trace[-1][1] if res.trace else float("inf")
-    rep.check("dtn limit converged", final, args.tol, res.converged)
+    _write_trace(rep, "dtn limit", res, args.tol)
     return rep.finish()
 
 
@@ -245,10 +251,7 @@ def cmd_exit_measure(args):
     rows = [("cell", "mass")] + [
         (p if p else "(root)", _fmt(m)) for p, m in zip(res.cells, masses)]
     rep.artifact("measure.csv", _csv(rows))
-    rows = [("depth", "change")] + [(d, _fmt(c)) for d, c in res.trace]
-    rep.artifact("trace.csv", _csv(rows))
-    final = res.trace[-1][1] if res.trace else float("inf")
-    rep.check("exit measure converged", final, args.tol, res.converged)
+    _write_trace(rep, "exit measure", res, args.tol)
     rep.check("exit measure positive", float(np.min(masses)), 0.0,
               bool(np.min(masses) > 0))
     return rep.finish()

@@ -1,5 +1,6 @@
 """Dirichlet-to-Neumann matrices on finite metric graphs, their compressions
-to boundary partitions, and the truncation-limit procedure for families.
+to boundary partitions, and their truncation limits on tree families (by the
+truncation sweep and stopping rule of `measures`).
 
 The map sends boundary values F to the mu-normalized boundary flux of the
 harmonic extension: (Lam F)(v) = mu(v)^{-1} * sum over incident edges of the
@@ -19,17 +20,17 @@ bound on the least eigenvalue of the symmetrized map, with no eigensolve.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
 
-from .families import TreeFamilySpec, ROOT
+from .families import TreeFamilySpec, ROOT, _addresses
 from .graph import MetricGraph
 from .harmonic import HarmonicSolver, assemble_laplacian, dirichlet_energy
 # bound here unused: perfbench's tracer test wraps vertex_flux through this module
 from .harmonic import vertex_flux  # noqa: F401
-from .families import _addresses, _interior_position
-from .measures import _check_schedule, _exit_masses, _truncation
+from .measures import _check_schedule, _exit_step, _limit, _sweep
 from .partition import Partition
 
 INVARIANT_BLOCK = 64  # rows of S per step of check_invariants' pass
@@ -196,49 +197,31 @@ def compressed_dtn_limit(spec: TreeFamilySpec, level: int, depths, tol: float,
 
     cell_weights defaults to `exit_measure_limit(spec, level, depths, tol,
     w=w_source).masses`, the exit measure from the family root over the same
-    depth schedule (positive on every cell).  Both limits run in one sweep
-    that builds and factors each truncation once: its exit measure and its
-    compressed DtN come from the same unpinned `HarmonicSolver`, leaves go to
-    cells by leaf index, and the unscaled cell fluxes are kept until the exit
-    measure has converged (or the schedule ends), and only then are the
-    change tests run.
+    depth schedule (positive on every cell).  Each truncation is built and
+    factored once: the weights' limit records each truncation's unscaled
+    cell flux beside its exit masses, and the matrix's limit runs over those
+    fluxes and then the remaining depths, each divided by the weights.
     """
     depths = _check_schedule(depths, tol, level)
     cells = Partition(tuple((p,) for p in _addresses(spec.arity, level)))
     nc = len(cells)
-    weights = None
-    if cell_weights is not None:
+    fluxes = []  # unscaled cell flux of each truncation the weights' limit drew
+    if cell_weights is None:
+        exit_masses = _exit_step(w_source, nc)
+
+        def step(solver, cell, truncation):
+            nu = exit_masses(solver, cell, truncation)
+            fluxes.append(_cell_flux(solver, cell, nc))
+            return nu
+        weights = _limit(_sweep(spec, level, depths, step), tol)[0]
+    else:
         weights = _check_weights(cell_weights, nc)
-    nu = None
-    pending = []  # (depth, unscaled cell flux) awaiting the weights
-    prev = None
-    trace = []
-    result = None
-    for d in depths:
-        solver, cell = _truncation(spec, d, level)
-        if weights is None:
-            nu_d = _exit_masses(solver, _interior_position(spec.at_depth(d), w_source),
-                                cell, nc)
-            if d == depths[-1] or (
-                    nu is not None and float(np.max(np.abs(nu_d - nu))) < tol):
-                weights = nu_d
-            nu = nu_d
-        # dividing these fluxes by the weights later gives what
-        # compressed_dtn would give with them
-        pending.append((d, _cell_flux(solver, cell, nc)))
-        del solver  # free this truncation before the next one is built
-        if weights is None:
-            continue
-        for dp, flux in pending:
-            result = DtNMatrix(cells.labels, flux / weights[:, None], weights)
-            if prev is not None:
-                change = float(np.max(np.abs(result.matrix - prev)))
-                trace.append((dp, change))
-                if change < tol:
-                    return DtNLimitResult(result, trace, True)
-            prev = result.matrix
-        pending.clear()
-    return DtNLimitResult(result, trace, False)
+    rest = _sweep(spec, level, depths[len(fluxes):],
+                  lambda solver, cell, truncation: _cell_flux(solver, cell, nc))
+    # dividing a flux by the weights gives what compressed_dtn gives with them
+    matrices = ((d, flux / weights[:, None]) for d, flux in chain(zip(depths, fluxes), rest))
+    matrix, trace, converged = _limit(matrices, tol)
+    return DtNLimitResult(DtNMatrix(cells.labels, matrix, weights), trace, converged)
 
 
 def quadratic_form_check(g: MetricGraph, mu: dict, F: dict):

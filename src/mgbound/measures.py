@@ -157,41 +157,47 @@ def _check_schedule(depths, tol: float, level: int) -> list:
     return depths
 
 
-def _truncation(spec: TreeFamilySpec, depth: int, level: int):
-    """The unpinned solver of the depth-`depth` truncation, and the
-    level-`level` prefix cell of each of its boundary vertices: leaf i in
-    sorted order has the base-k digits of i as its address, so its cell is
-    i // k^(depth - level).  Neither makes a vertex name."""
-    g = _kary_graph(spec.at_depth(depth))
-    k = spec.arity
-    return HarmonicSolver(g), np.arange(k ** depth) // k ** (depth - level)
+def _sweep(spec: TreeFamilySpec, level: int, depths, step):
+    """(d, step(solver, cell, truncation)) for each depth d: the depth-d
+    tree's spec, its unpinned solver, built and factored once, and each
+    leaf's level-`level` prefix cell (leaf i has the base-k digits of i as
+    address).  The solver, only a call argument, is freed before the yield."""
+    for d in depths:
+        truncation = spec.at_depth(d)
+        cell = np.arange(spec.arity ** d) // spec.arity ** (d - level)
+        yield d, step(HarmonicSolver(_kary_graph(truncation)), cell, truncation)
+
+
+def _exit_step(w, ncells: int):
+    """The `_sweep` step that gives a truncation's exit masses from vertex w."""
+    return lambda solver, cell, truncation: _exit_masses(
+        solver, _interior_position(truncation, w), cell, ncells)
+
+
+def _limit(iterates, tol: float):
+    """The stopping rule of a truncation limit over (depth, value) pairs:
+    (value, trace, converged) for the first value whose max-norm change is
+    below tol, drawing no iterate after it, or else for the last value."""
+    trace, prev = [], None
+    for d, value in iterates:
+        if prev is not None:
+            change = float(np.max(np.abs(value - prev)))
+            trace.append((d, change))
+            if change < tol:
+                return value, trace, True
+        prev = value
+    return prev, trace, False
 
 
 def exit_measure_limit(spec: TreeFamilySpec, level: int, depths, tol: float,
                        w=ROOT) -> LimitResult:
     """Exit measure on level-`level` prefix cells via increasing truncations,
-    one factorization each.
-
-    Returns the first iterate whose max cellwise change drops below tol,
-    with the full change sequence; if the schedule is exhausted first, the
-    last iterate is returned with converged=False.
-    """
+    one factorization each: the first iterate whose max cellwise change drops
+    below tol, with the change sequence, or else the last with converged=False."""
     depths = _check_schedule(depths, tol, level)
     prefixes = _addresses(spec.arity, level)
-    trace = []
-    prev = None
-    for d in depths:
-        solver, cell = _truncation(spec, d, level)
-        nu = _exit_masses(solver, _interior_position(spec.at_depth(d), w), cell,
-                          len(prefixes))
-        del solver  # free this truncation before the next one is built
-        if prev is not None:
-            change = float(np.max(np.abs(nu - prev)))
-            trace.append((d, change))
-            if change < tol:
-                return LimitResult(tuple(prefixes), nu, trace, True)
-        prev = nu
-    return LimitResult(tuple(prefixes), prev, trace, False)
+    sweep = _sweep(spec, level, depths, _exit_step(w, len(prefixes)))
+    return LimitResult(tuple(prefixes), *_limit(sweep, tol))
 
 
 def dominance_constant(nu1, nu2) -> float:

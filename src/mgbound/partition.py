@@ -195,12 +195,16 @@ class CellTree:
     """Canonical nested partition: level j = epsilon-components at the j-th
     jump value.  levels[0] is the single cell Omega; the final level is
     all singletons.  cell[j][i] is the index in levels[j] of the cell that
-    holds boundary.points[i]."""
+    holds boundary.points[i], and mesh[j] the largest cell diameter."""
     boundary: BoundarySet
     levels: list
     jumps: list
-    mesh: list
+    diameter: list  # diameter[j][c]: of cell c of levels[j], 0 for a singleton
     cell: list
+
+    @property
+    def mesh(self) -> list:
+        return [float(d.max()) for d in self.diameter]
 
     def ncells(self, level: int) -> int:
         return len(self.levels[level])
@@ -229,19 +233,21 @@ def mesh(p: Partition, b: BoundarySet) -> float:
     return max((_cell_diameter(b, cell) for cell in p.cells), default=0.0)
 
 
-def _meshes(b: BoundarySet, cell: list) -> list:
-    """`mesh` of every level.  With the points sorted by their cell at every
-    level, coarsest first, each cell is one contiguous diagonal block of the
-    permuted table."""
+def _diameters(b: BoundarySet, cell: list) -> list:
+    """The diameter of every cell of every level, indexed by cell.  With the
+    points sorted by their cell at every level, coarsest first, each cell is
+    one contiguous diagonal block of the permuted table."""
     order = np.lexsort(cell[::-1])
     D = b.dist[np.ix_(order, order)]
     out = []
     for c in cell:
         c = c[order]
         cuts = (np.flatnonzero(c[1:] != c[:-1]) + 1).tolist()
-        out.append(max((float(D[s:e, s:e].max())
-                        for s, e in zip([0] + cuts, cuts + [len(c)]) if e - s > 1),
-                       default=0.0))
+        diam = np.zeros(len(cuts) + 1)
+        for s, e in zip([0] + cuts, cuts + [len(c)]):
+            if e - s > 1:
+                diam[c[s]] = D[s:e, s:e].max()
+        out.append(diam)
     return out
 
 
@@ -264,4 +270,4 @@ def canonical_nested_partitions(b: BoundarySet) -> CellTree:
         _, labels = connected_components(forest, directed=False)
         cell.append(_cell_index(labels, order))
     levels = [_partition(b.points, order, c) for c in cell]
-    return CellTree(b, levels, jumps, _meshes(b, cell), cell)
+    return CellTree(b, levels, jumps, _diameters(b, cell), cell)

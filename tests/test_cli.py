@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -7,8 +8,10 @@ import numpy as np
 import pytest
 
 import mgbound
-from mgbound import DtNMatrix, cli
+from mgbound import (CounterexampleSpec, DtNMatrix, TreeFamilySpec, build_counterexample, cli,
+                     graph_boundary_set, tree_boundary_set)
 from mgbound.cli import main
+from mgbound.partition import _cell_diameter
 
 
 def run(tmp_path, *argv):
@@ -53,6 +56,20 @@ def test_partitions_jump_values(tmp_path):
     # level 0 is one cell with all 8 leaves
     lvl0 = [r for r in rows if r[0] == "0"]
     assert len(lvl0) == 1 and len(lvl0[0][4].split(";")) == 8
+
+
+@pytest.mark.parametrize("argv, b", [
+    (["--depth", "5"], tree_boundary_set(TreeFamilySpec(depth=5))),
+    (["--family", "counterexample", "--spine", "7"],
+     graph_boundary_set(build_counterexample(CounterexampleSpec(spine=7)))),
+])
+def test_partitions_cell_diameters_match_the_per_cell_oracle(tmp_path, argv, b):
+    rc, out, report = run(tmp_path, "partitions", *argv)
+    assert rc == 0 and report["ok"]
+    _, rows = read_csv(artifact(out, report, "cells.csv"))
+    assert len({r[0] for r in rows}) > 2
+    for row in rows:
+        assert row[3] == cli._fmt(_cell_diameter(b, row[4].split(";"))), row
 
 
 def test_solve_and_check(tmp_path):
@@ -138,6 +155,28 @@ def test_truncation_limits_reach_1e_12(tmp_path, command):
     assert float(rows[-1][1]) < 1e-12
 
 
+@pytest.mark.parametrize("command, check", [("dtn-limit", "dtn limit converged"),
+                                            ("exit-measure", "exit measure converged")])
+def test_truncation_limit_that_does_not_converge_exits_1(tmp_path, capsys, command, check):
+    rc, out, report = run(tmp_path, command, "--depths", "4:5", "--tol", "1e-14")
+    assert rc == 1 and not report["ok"]
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == [check]
+    assert "[FAIL]" in capsys.readouterr().out
+    _, rows = read_csv(artifact(out, report, "trace.csv"))
+    assert [r[0] for r in rows] == ["5"] and float(rows[0][1]) > 1e-14
+
+
+@pytest.mark.parametrize("command", ["dtn-limit", "exit-measure"])
+@pytest.mark.parametrize("flags, message", [(["--depths", "6:4"], "depth schedule"),
+                                            (["--tol", "-1"], "tol must be positive")])
+def test_truncation_limit_bad_schedule_exits_2(tmp_path, capsys, command, flags, message):
+    rc = main(["--outdir", str(tmp_path / "o"), command, *flags])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and message in err["message"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_haar_gram_check(tmp_path):
     for measure in ("rho", "counting", "exit"):
         rc, _, report = run(tmp_path, "haar", "--depth", "3",
@@ -184,6 +223,33 @@ def test_reproducible_artifacts(tmp_path):
     first = artifact(out, report, "cells.csv").read_bytes()
     rc2, out2, rep2 = run(tmp_path, "partitions", "--depth", "3")
     assert artifact(out2, rep2, "cells.csv").read_bytes() == first
+
+
+def test_artifact_names_and_bytes_do_not_depend_on_outdir(tmp_path):
+    argv = ["dtn-limit", "--arity", "3", "--ratio", "0.4", "--level", "1", "--depths", "3:9"]
+    written = []
+    for outdir in ("o1", "o2"):
+        out = tmp_path / outdir
+        assert main(["--outdir", str(out), *argv]) == 0
+        written.append({p.name: p.read_bytes() for p in out.iterdir() if p.name != "report.json"})
+    assert len(written[0]) == 2 and written[0] == written[1]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027, 0o077])
+def test_artifacts_get_the_mode_open_gives(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        rc, out, report = run(tmp_path, "gen", "--depth", "2")
+        with open(tmp_path / "plain", "w"):
+            pass
+    finally:
+        os.umask(old)
+    assert rc == 0
+    mode = stat.S_IMODE((tmp_path / "plain").stat().st_mode)
+    assert mode == 0o666 & ~umask
+    names = sorted(p.name for p in out.iterdir())
+    assert names == sorted(["report.json", os.path.basename(report["artifacts"][0])])
+    assert {stat.S_IMODE((out / n).stat().st_mode) for n in names} == {mode}
 
 
 def test_error_exit_code(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -262,6 +264,60 @@ def test_compressed_dtn_limit_default_weights_are_the_exit_measure_limit(
     assert default.converged == given.converged
     assert len(built) == len(set(built))  # each truncation is built once
     assert len(solvers) == len(built)  # and factored once
+
+
+@pytest.mark.parametrize("level, depths, tol", [
+    (1, range(3, 10), 1e-6),   # the matrix settles before the weights
+    (2, range(3, 9), 1e-5),    # the weights settle before the matrix
+    (2, [3, 4, 5], 1e-12),     # neither settles within the schedule
+])
+def test_compressed_dtn_limit_solves_for_exit_masses_only_until_the_weights_settle(
+        monkeypatch, level, depths, tol):
+    weights = exit_measure_limit(SPEC, level, depths, tol)
+    settled = weights.trace[-1][0] if weights.converged else depths[-1]
+    built, solved = [], []  # truncation depths, and the depth of each source solve
+    source_flux = HarmonicSolver.source_flux
+
+    def build(spec):
+        built.append(spec.depth)
+        return _kary_graph(spec)
+
+    def counting_source_flux(self, i):
+        solved.append(built[-1])
+        return source_flux(self, i)
+
+    monkeypatch.setattr(mgbound.measures, "_kary_graph", build)
+    monkeypatch.setattr(HarmonicSolver, "source_flux", counting_source_flux)
+    compressed_dtn_limit(SPEC, level, depths, tol)
+    assert solved == [d for d in depths if d <= settled]
+    built.clear()
+    solved.clear()
+    compressed_dtn_limit(SPEC, level, depths, tol, cell_weights=weights.masses)
+    assert built and solved == []
+
+
+@pytest.mark.parametrize("limit", [
+    lambda: exit_measure_limit(SPEC, 2, range(3, 9), 1e-5),
+    lambda: compressed_dtn_limit(SPEC, 2, range(3, 9), 1e-5),  # both of its sweeps run
+    lambda: compressed_dtn_limit(SPEC, 2, range(3, 9), 1e-5, cell_weights=[1.0] * 4),
+])
+def test_truncation_sweeps_free_each_solver_before_building_the_next(monkeypatch, limit):
+    solvers = []
+    init = HarmonicSolver.__init__
+
+    def tracking_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        solvers.append(weakref.ref(self))
+
+    def build(spec):
+        alive = [ref for ref in solvers if ref() is not None]
+        assert not alive, f"{len(alive)} solver(s) alive when depth {spec.depth} is built"
+        return _kary_graph(spec)
+
+    monkeypatch.setattr(HarmonicSolver, "__init__", tracking_init)
+    monkeypatch.setattr(mgbound.measures, "_kary_graph", build)
+    limit()
+    assert len(solvers) > 1
 
 
 def test_truncation_sweeps_construct_no_edge(monkeypatch):

@@ -5,7 +5,7 @@ from mgbound import (TreeFamilySpec, BoundarySet, tree_boundary_distance,
                      tree_boundary_set, graph_boundary_set, epsilon_components,
                      jump_values, canonical_nested_partitions, mesh,
                      build_kary_tree, metric_graph)
-from mgbound.partition import Partition
+from mgbound.partition import Partition, _cell_diameter
 
 from util import (components_bruteforce, components_union_find, dijkstra_reference,
                   random_boundary_set, random_connected_graph, star_graph)
@@ -180,6 +180,8 @@ def test_canonical_levels_match_components_on_random_metrics(kind):
             assert len(epsilon_components(b, alpha * (1 - 1e-9))) == before
             assert len(epsilon_components(b, alpha * (1 + 1e-9))) == after
         assert tree.mesh == [mesh(p, b) for p in tree.levels]
+        assert ([d.tolist() for d in tree.diameter]
+                == [[_cell_diameter(b, c) for c in p.cells] for p in tree.levels])
         for j, level in enumerate(tree.levels):
             cell_of = level.cell_of()
             assert tree.cell[j].tolist() == [cell_of[x] for x in b.points]
