@@ -14,6 +14,7 @@ import os
 import sys
 
 import numpy as np
+from scipy.sparse import eye_array
 
 from . import families, harmonic, measures, dtn as dtn_mod, haar as haar_mod
 from .families import TreeFamilySpec, CounterexampleSpec
@@ -168,18 +169,17 @@ def cmd_solve(args):
     return rep.finish()
 
 
-def _dtn_lines(D: dtn_mod.DtNMatrix):
-    """The DtN matrix as CSV lines, the basis first and then one line per
-    row, each formatted only when written: the same bytes as `_csv` over
-    `_fmt` of every entry, with no n^2 list of strings."""
-    yield ",".join(map(str, ("basis",) + D.basis)) + "\n"
-    entries = ",".join(["%.17g"] * len(D.basis)) + "\n"
-    for b, row in zip(D.basis, D.matrix):
-        yield f"{b}," + entries % tuple(row.tolist())
+def _matrix_lines(header, labels, rows):
+    """CSV lines of a matrix: the header, then per row its label and its
+    entries, each row formatted only when written: the same bytes as `_csv`
+    over `_fmt` of every entry, with no n^2 list of strings."""
+    yield ",".join(map(str, header)) + "\n"
+    for label, row in zip(labels, rows):
+        yield f"{label}," + (",".join(["%.17g"] * len(row)) + "\n") % tuple(row.tolist())
 
 
 def _write_dtn(rep, tag, D: dtn_mod.DtNMatrix):
-    rep.artifact(f"{tag}.csv", _dtn_lines(D))
+    rep.artifact(f"{tag}.csv", _matrix_lines(("basis",) + D.basis, D.basis, D.matrix))
     _check_dtn_invariants(rep, D)
 
 
@@ -252,8 +252,6 @@ def cmd_exit_measure(args):
         (p if p else "(root)", _fmt(m)) for p, m in zip(res.cells, masses)]
     rep.artifact("measure.csv", _csv(rows))
     _write_trace(rep, "exit measure", res, args.tol)
-    rep.check("exit measure positive", float(np.min(masses)), 0.0,
-              bool(np.min(masses) > 0))
     return rep.finish()
 
 
@@ -271,19 +269,27 @@ def _build_basis(args):
     return tree, mu, haar_mod.build_haar_basis(tree, mu)
 
 
+def _csr_rows(M):
+    """The rows of a CSR matrix as dense arrays, made one at a time."""
+    for s, e in zip(M.indptr[:-1].tolist(), M.indptr[1:].tolist()):
+        row = np.zeros(M.shape[1])
+        row[M.indices[s:e]] = M.data[s:e]
+        yield row
+
+
+def _gram_error(basis: haar_mod.HaarBasis) -> float:
+    """max|G - I| over the sparse Gram matrix of the basis."""
+    return float(abs(basis.gram_matrix() - eye_array(len(basis), format="csr")).max())
+
+
 def cmd_haar(args):
     rep = Reporter(args)
     tree, _, basis = _build_basis(args)
-    finest = tree.levels[tree.finest]
-    rows = [("function", "level") + tuple(c[0] for c in finest.cells)]
-    for k in range(len(basis)):
-        rows.append((k, int(basis.levels[k]))
-                    + tuple(_fmt(x) for x in basis.functions[k]))
-    rep.artifact("basis.csv", _csv(rows))
+    header = ("function", "level") + tuple(c[0] for c in tree.levels[tree.finest].cells)
+    labels = (f"{k},{level}" for k, level in enumerate(basis.levels.tolist()))
+    rep.artifact("basis.csv", _matrix_lines(header, labels, _csr_rows(basis.matrix)))
     if args.check:
-        gram = basis.gram_matrix()
-        err = float(np.max(np.abs(gram - np.eye(len(basis)))))
-        rep.check_le("gram identity", err, 1e-10)
+        rep.check_le("gram identity", _gram_error(basis), 1e-10)
     return rep.finish()
 
 
@@ -294,20 +300,18 @@ def cmd_haar_apply(args):
         lines = [ln.strip().split(",") for ln in fh if ln.strip()]
     table = {k: float(v) for k, v in lines}
     finest = basis.tree.levels[basis.tree.finest]
+    if args.op == "synthesize":  # input column holds coefficients indexed 0..K-1
+        keys = [str(k) for k in range(len(basis))]
+    else:
+        keys = [c[0] for c in finest.cells]
+    x = np.array([table[k] for k in keys])
     if args.op == "analyze":
-        F = np.array([table[c[0]] for c in finest.cells])
-        out = haar_mod.analyze(basis, F)
+        out = haar_mod.analyze(basis, x)
         rows = [("coefficient", "value")] + [(k, _fmt(v)) for k, v in enumerate(out)]
-    elif args.op == "operator":
-        F = np.array([table[c[0]] for c in finest.cells])
-        out = haar_mod.multiresolution_operator(basis, F)
+    else:
+        op = haar_mod.synthesize if args.op == "synthesize" else haar_mod.multiresolution_operator
         rows = [("cell", "value")] + [
-            (c[0], _fmt(v)) for c, v in zip(finest.cells, out)]
-    else:  # synthesize: input column holds coefficients indexed 0..K-1
-        coeffs = np.array([table[str(k)] for k in range(len(basis))])
-        out = haar_mod.synthesize(basis, coeffs)
-        rows = [("cell", "value")] + [
-            (c[0], _fmt(v)) for c, v in zip(finest.cells, out)]
+            (c[0], _fmt(v)) for c, v in zip(finest.cells, op(basis, x))]
     rep.artifact("result.csv", _csv(rows))
     return rep.finish()
 
@@ -344,8 +348,7 @@ def cmd_check(args):
     rep.check_le("rho additivity", rho.check_additivity(), 1e-10)
 
     basis = haar_mod.build_haar_basis(tree, rho)
-    gram_err = float(np.max(np.abs(basis.gram_matrix() - np.eye(len(basis)))))
-    rep.check_le("haar gram identity", gram_err, 1e-10)
+    rep.check_le("haar gram identity", _gram_error(basis), 1e-10)
 
     g, _ = families.build_kary_tree(spec)
     D = dtn_mod.dtn_matrix(g)

@@ -15,12 +15,21 @@ negative on T_{j+1}, where its values sqrt((M_{j+1} / M_j) / m_j) and
 formed, so none underflows.  Details are orthogonal to every function
 constant on their parent's level, and details of different parents have
 disjoint support, so orthonormality is global.
+
+Storage: the basis is one scipy CSR matrix, rows ordered by level, then
+parent, then j, built from COO triplets with array operations per level and
+no loop over parent cells.  A finest cell in child E_i of a parent with M
+children lies in min(i, M-1) of its details (i counted from 1), so a k-ary
+tree's basis has O(K depth) non-zeros for K finest cells; analysis and
+synthesis are sparse products costing O(nnz), and the dense K x K view
+`HaarBasis.functions` is made only on demand.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .measures import CellMeasure
 from .partition import CellTree
@@ -29,24 +38,41 @@ from .partition import CellTree
 @dataclass
 class HaarBasis:
     tree: CellTree
-    weights: np.ndarray    # mu masses of the finest-level cells
-    functions: np.ndarray  # rows = basis functions as values on finest cells
-    levels: np.ndarray     # birth level per function (0 = the constant)
+    weights: np.ndarray  # mu masses of the finest-level cells
+    matrix: csr_array    # rows = basis functions as values on finest cells
+    levels: np.ndarray   # birth level per function (0 = the constant)
 
     def __len__(self):
-        return self.functions.shape[0]
+        return self.matrix.shape[0]
+
+    @property
+    def functions(self) -> np.ndarray:
+        """The basis as a dense K x K array, made on each call."""
+        return self.matrix.toarray()
 
     def dot(self, F, G) -> float:
         return float(np.sum(np.asarray(F) * np.asarray(G) * self.weights))
 
-    def gram_matrix(self) -> np.ndarray:
-        W = self.functions * self.weights[None, :]
-        return self.functions @ W.T
+    def gram_matrix(self) -> csr_array:
+        return self.matrix @ self.matrix.multiply(self.weights[None, :]).T
 
 
-def _groups(label: np.ndarray) -> list:
-    """Positions holding each label value, in increasing order."""
-    return np.split(np.argsort(label, kind="stable"), np.cumsum(np.bincount(label))[:-1])
+def _detail_values(mass: np.ndarray, kids: np.ndarray, start: np.ndarray,
+                   count: np.ndarray):
+    """(on_e, after) per child cell: the values of the detail born of that
+    child on it and on its later siblings.  `kids` lists the children grouped
+    by parent, a parent's group of count[p] at start[p].  The parents with M
+    children form one M-column block, whose tails are np.cumsum(m[::-1])[::-1]
+    of each row, the same sums in the same order; the last child of each
+    parent carries no detail, and its entries stay 0."""
+    on_e, after = np.zeros(len(mass)), np.zeros(len(mass))
+    for M in np.unique(count[count > 1]).tolist():
+        block = kids[start[count == M][:, None] + np.arange(M)]
+        mk = mass[block]
+        tail = np.cumsum(mk[:, ::-1], axis=1)[:, ::-1]
+        on_e[block[:, :-1]] = np.sqrt(tail[:, 1:] / tail[:, :-1] / mk[:, :-1])
+        after[block[:, :-1]] = -np.sqrt(mk[:, :-1] / tail[:, :-1] / tail[:, 1:])
+    return on_e, after
 
 
 def build_haar_basis(tree: CellTree, mu: CellMeasure) -> HaarBasis:
@@ -65,29 +91,34 @@ def build_haar_basis(tree: CellTree, mu: CellMeasure) -> HaarBasis:
     mass = [w]
     for level in range(tree.finest, 0, -1):
         mass.insert(0, np.bincount(tree.parent(level), weights=mass[0]))
-    functions = np.zeros((K, K))
-    functions[0] = 1.0 / np.sqrt(mu.total())
-    levels = np.zeros(K, dtype=int)
-    row = 1
+    finest = np.arange(K)
+    rows, cols = [np.zeros(K, dtype=np.intp)], [finest]
+    vals = [np.full(K, 1.0 / np.sqrt(mu.total()))]
+    levels = [np.zeros(1, dtype=int)]
     for level in range(tree.finest):
-        child = labels[level + 1]
-        by_parent = _groups(labels[level])
-        for p, kids in enumerate(_groups(tree.parent(level + 1))):
-            M = len(kids)
-            if M == 1:
-                continue
-            mk = mass[level + 1][kids]
-            tail = np.cumsum(mk[::-1])[::-1]
-            on_e = np.sqrt(tail[1:] / tail[:-1] / mk[:-1])
-            after = -np.sqrt(mk[:-1] / tail[:-1] / tail[1:])
-            j = np.arange(M - 1)
-            block = np.where(j[:, None] < np.arange(M), after[:, None], 0.0)
-            block[j, j] = on_e
-            cols = by_parent[p]
-            functions[row:row + M - 1, cols] = block[:, np.searchsorted(kids, child[cols])]
-            levels[row:row + M - 1] = level + 1
-            row += M - 1
-    return HaarBasis(tree, w, functions, levels)
+        parent = tree.parent(level + 1)
+        kids = np.argsort(parent, kind="stable")  # grouped by parent, in cell order
+        count = np.bincount(parent, minlength=tree.ncells(level))
+        start = np.cumsum(count) - count
+        pos = np.empty_like(kids)  # each child's place among its siblings
+        pos[kids] = np.arange(len(kids)) - start[parent[kids]]
+        on_e, after = _detail_values(mass[level + 1], kids, start, count)
+        ndetail = count - 1  # details of each parent, rows in parent order
+        first = sum(map(len, levels)) + np.cumsum(ndetail) - ndetail
+        # finest cell f in child i of a parent with M children lies in that
+        # parent's details j = 0..min(i, M - 2): on_e for j = i, after for j < i
+        p, i = labels[level], pos[labels[level + 1]]
+        n = np.minimum(i + 1, ndetail[p])
+        f = np.repeat(finest, n)
+        j = np.arange(len(f)) - np.repeat(np.cumsum(n) - n, n)
+        born = kids[start[p[f]] + j]
+        rows.append(first[p[f]] + j)
+        cols.append(f)
+        vals.append(np.where(j < i[f], after[born], on_e[born]))
+        levels.append(np.full(int(ndetail.sum()), level + 1))
+    matrix = csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                       shape=(K, K))
+    return HaarBasis(tree, w, matrix, np.concatenate(levels))
 
 
 def analyze(basis: HaarBasis, F) -> np.ndarray:
@@ -95,14 +126,14 @@ def analyze(basis: HaarBasis, F) -> np.ndarray:
     F = np.asarray(F, dtype=float)
     if F.shape != basis.weights.shape:
         raise ValueError("function must be given on the finest-level cells")
-    return basis.functions @ (F * basis.weights)
+    return basis.matrix @ (F * basis.weights)
 
 
 def synthesize(basis: HaarBasis, coeffs) -> np.ndarray:
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (len(basis),):
         raise ValueError("coefficient count does not match the basis")
-    return basis.functions.T @ coeffs
+    return basis.matrix.T @ coeffs
 
 
 def multiresolution_eigenvalues(basis: HaarBasis) -> np.ndarray:

@@ -8,8 +8,12 @@ import numpy as np
 import pytest
 
 import mgbound
-from mgbound import (CounterexampleSpec, DtNMatrix, TreeFamilySpec, build_counterexample, cli,
-                     graph_boundary_set, tree_boundary_set)
+from mgbound import (CounterexampleSpec, DtNMatrix, TreeFamilySpec, build_counterexample,
+                     build_haar_basis, build_kary_tree, canonical_nested_partitions,
+                     cell_measure_from_point_masses, cli, equal_split_measure,
+                     exit_measure_point_masses, graph_boundary_set, multiresolution_operator,
+                     tree_boundary_set)
+from mgbound.families import ROOT
 from mgbound.cli import main
 from mgbound.partition import _cell_diameter
 
@@ -119,7 +123,7 @@ def test_dtn_csv_is_written_row_by_row_with_the_bytes_of_fmt(tmp_path):
     rows = [("basis",) + D.basis] + [(b,) + tuple(cli._fmt(x) for x in row)
                                      for b, row in zip(D.basis, values)]
     path = tmp_path / "m.csv"
-    cli._atomic_write(str(path), cli._dtn_lines(D))
+    cli._atomic_write(str(path), cli._matrix_lines(("basis",) + D.basis, D.basis, values))
     assert path.read_bytes() == cli._csv(rows).encode()
     assert path.read_text().splitlines()[1] == "a,-0,1e-300,3"
 
@@ -184,6 +188,20 @@ def test_haar_gram_check(tmp_path):
         assert rc == 0 and report["ok"], measure
 
 
+def test_haar_csv_holds_the_dense_basis_with_the_bytes_of_fmt(tmp_path):
+    rc, out, report = run(tmp_path, "haar", "--depth", "3", "--measure", "exit")
+    assert rc == 0
+    spec = TreeFamilySpec(arity=2, ratio=0.25, depth=3)
+    tree = canonical_nested_partitions(tree_boundary_set(spec))
+    g, _ = build_kary_tree(spec)
+    basis = build_haar_basis(tree, cell_measure_from_point_masses(
+        tree, exit_measure_point_masses(g, ROOT)))
+    rows = [("function", "level") + tuple(spec.leaf_addresses())] + [
+        (k, level) + tuple(cli._fmt(x) for x in f)
+        for k, (level, f) in enumerate(zip(basis.levels.tolist(), basis.functions))]
+    assert artifact(out, report, "basis.csv").read_bytes() == cli._csv(rows).encode()
+
+
 def test_haar_apply_round_trip(tmp_path):
     fn = tmp_path / "f.csv"
     leaves = [f"{i:02b}" for i in range(4)]
@@ -199,6 +217,25 @@ def test_haar_apply_round_trip(tmp_path):
     assert rc2 == 0
     _, back = read_csv(artifact(out2, rep2, "result.csv"))
     assert [float(r[1]) for r in back] == pytest.approx([3, 1, -2, 5], abs=1e-10)
+
+
+def test_haar_apply_operator_matches_library(tmp_path):
+    spec = TreeFamilySpec(arity=2, ratio=0.25, depth=3)
+    tree = canonical_nested_partitions(tree_boundary_set(spec))
+    basis = build_haar_basis(tree, equal_split_measure(tree))
+    leaves = spec.leaf_addresses()
+    F = np.random.default_rng(3).normal(size=len(leaves))
+    for name, values in (("f", F), ("one", np.ones(len(leaves)))):
+        fn = tmp_path / f"{name}.csv"
+        fn.write_text("\n".join(f"{a},{v!r}" for a, v in zip(leaves, values.tolist())))
+        rc, out, report = run(tmp_path, "haar-apply", "--depth", "3",
+                              "--function", str(fn), "--op", "operator")
+        assert rc == 0 and report["ok"]
+        _, rows = read_csv(artifact(out, report, "result.csv"))
+        assert [r[0] for r in rows] == leaves
+        got = np.array([float(r[1]) for r in rows])
+        want = multiresolution_operator(basis, values) if name == "f" else 0.0
+        assert np.max(np.abs(got - want)) <= 1e-12, name
 
 
 def test_counterexample_divergence(tmp_path):

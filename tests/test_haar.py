@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,10 @@ from mgbound import (TreeFamilySpec, CounterexampleSpec, BoundarySet, CellMeasur
                      build_haar_basis, analyze, synthesize,
                      multiresolution_operator, multiresolution_eigenvalues)
 
-from util import children_by_name, haar_gram_schmidt_reference
+from mgbound.families import ROOT
+
+from util import (children_by_name, haar_dense_reference, haar_gram_schmidt_reference,
+                  star_graph)
 
 
 def dyadic_tree(depth):
@@ -97,9 +102,92 @@ def test_closed_form_matches_gram_schmidt_reference(family, measure):
     assert np.all(np.abs(basis.functions - sign * ref) <= 1e-12 * scale)
 
 
+def _family(name):
+    """(graph, cell tree, exit source vertex) of a named test family."""
+    if name == "spine-12":
+        spec = CounterexampleSpec(spine=12)
+        g = build_counterexample(spec)
+        return g, canonical_nested_partitions(graph_boundary_set(g)), spec.spine_vertex(6)
+    if name == "star-40":  # one parent cell with 40 children
+        g = star_graph(40)
+        return g, canonical_nested_partitions(graph_boundary_set(g)), "c"
+    spec = {"binary-6": TreeFamilySpec(arity=2, ratio=0.25, depth=6),
+            "ternary-4": TreeFamilySpec(arity=3, ratio=0.4, depth=4)}[name]
+    g, _ = build_kary_tree(spec)
+    return g, canonical_nested_partitions(tree_boundary_set(spec)), ROOT
+
+
+def _measure(name, g, tree, source):
+    if name == "exit":
+        return cell_measure_from_point_masses(tree, exit_measure_point_masses(g, source))
+    return {"rho": equal_split_measure, "counting": counting_measure}[name](tree)
+
+
+def _support_count(tree):
+    """K + the sum over levels and finest cells of min(i + 1, M - 1), the
+    finest cell lying in child i of a parent with M children."""
+    finest = tree.levels[tree.finest].cells
+    total = len(finest)
+    for level in range(tree.finest):
+        cell_of = tree.levels[level + 1].cell_of()
+        for kids in children_by_name(tree, level).values():
+            for c in finest:
+                if cell_of[c[0]] in kids:
+                    total += min(kids.index(cell_of[c[0]]) + 1, len(kids) - 1)
+    return total
+
+
+@pytest.mark.parametrize("family", ["binary-6", "ternary-4", "spine-12", "star-40"])
+@pytest.mark.parametrize("measure", ["rho", "counting", "exit"])
+def test_sparse_basis_equals_dense_reference(family, measure):
+    g, tree, source = _family(family)
+    mu = _measure(measure, g, tree, source)
+    basis = build_haar_basis(tree, mu)
+    ref, ref_levels = haar_dense_reference(tree, mu)
+    assert np.array_equal(basis.functions, ref)
+    assert np.array_equal(basis.levels, ref_levels)
+    assert basis.matrix.nnz == _support_count(tree)  # no stored zeros
+
+
+def test_depth_12_transforms_form_no_dense_array():
+    K = 4096
+    _, tree = dyadic_tree(12)
+    mu = equal_split_measure(tree)
+    F = np.random.default_rng(12).normal(size=(4, K))
+    tracemalloc.start()
+    try:
+        basis = build_haar_basis(tree, mu)
+        C = [analyze(basis, f) for f in F]
+        R = [synthesize(basis, c) for c in C]
+        T = [multiresolution_operator(basis, f) for f in F]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(basis) == K and len(T) == 4
+    assert peak < 16 * 2 ** 20  # one dense K x K float array is 128 MiB
+    for f, c, r in zip(F, C, R):
+        assert np.max(np.abs(r - f)) < 1e-10
+        assert abs(np.sum(c ** 2) - basis.dot(f, f)) < 1e-10
+
+
+@pytest.mark.parametrize("depth", [3, 8])
+def test_sparse_transforms_match_dense_products(depth):
+    _, tree = dyadic_tree(depth)
+    for mu in (equal_split_measure(tree), counting_measure(tree)):
+        basis = build_haar_basis(tree, mu)
+        ref, _ = haar_dense_reference(tree, mu)
+        lam = multiresolution_eigenvalues(basis)
+        for f in np.random.default_rng(depth).normal(size=(4, len(basis))):
+            c = ref @ (f * basis.weights)
+            for got, want in ((analyze(basis, f), c), (synthesize(basis, f), ref.T @ f),
+                              (multiresolution_operator(basis, f), ref.T @ (lam * c))):
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_spine_details_supported_on_tail_and_positive_on_first_child():
     tree = spine_tree()
     basis = build_haar_basis(tree, equal_split_measure(tree))
+    functions = basis.functions
     finest = tree.levels[tree.finest].cells
     row = 1
     for level in range(tree.finest):
@@ -107,7 +195,7 @@ def test_spine_details_supported_on_tail_and_positive_on_first_child():
         child = np.array([cell_of[c[0]] for c in finest])
         for kids in children_by_name(tree, level).values():
             for j in range(len(kids) - 1):
-                f = basis.functions[row]
+                f = functions[row]
                 on_tail = np.isin(child, kids[j:])
                 assert basis.levels[row] == level + 1
                 assert np.all(f[~on_tail] == 0.0)

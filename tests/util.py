@@ -325,6 +325,48 @@ def haar_gram_schmidt_reference(tree, mu):
     return np.array(funcs), np.array(levels)
 
 
+def haar_dense_reference(tree, mu):
+    """Haar functions and birth levels as a dense K x K array, written one
+    parent cell at a time from the closed-form unbalanced-Haar block (the
+    construction `build_haar_basis` stored before its sparse build).
+    Oracle for build_haar_basis, which must equal it exactly."""
+    def groups(label):
+        return np.split(np.argsort(label, kind="stable"),
+                        np.cumsum(np.bincount(label))[:-1])
+
+    K = tree.ncells(tree.finest)
+    w = mu.level_slice(tree.finest)
+    rep = np.empty(K, dtype=np.intp)
+    rep[tree.cell[tree.finest]] = np.arange(len(tree.boundary))
+    labels = [c[rep] for c in tree.cell]
+    mass = [w]
+    for level in range(tree.finest, 0, -1):
+        mass.insert(0, np.bincount(tree.parent(level), weights=mass[0]))
+    functions = np.zeros((K, K))
+    functions[0] = 1.0 / np.sqrt(mu.total())
+    levels = np.zeros(K, dtype=int)
+    row = 1
+    for level in range(tree.finest):
+        child = labels[level + 1]
+        by_parent = groups(labels[level])
+        for p, kids in enumerate(groups(tree.parent(level + 1))):
+            M = len(kids)
+            if M == 1:
+                continue
+            mk = mass[level + 1][kids]
+            tail = np.cumsum(mk[::-1])[::-1]
+            on_e = np.sqrt(tail[1:] / tail[:-1] / mk[:-1])
+            after = -np.sqrt(mk[:-1] / tail[:-1] / tail[1:])
+            j = np.arange(M - 1)
+            block = np.where(j[:, None] < np.arange(M), after[:, None], 0.0)
+            block[j, j] = on_e
+            cols = by_parent[p]
+            functions[row:row + M - 1, cols] = block[:, np.searchsorted(kids, child[cols])]
+            levels[row:row + M - 1] = level + 1
+            row += M - 1
+    return functions, levels
+
+
 def kary_tree_reference(spec):
     """(graph, address table) of a k-ary tree built level by level from
     (id, u, v, length) tuples through `metric_graph`, which sorts them.
