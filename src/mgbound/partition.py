@@ -8,6 +8,7 @@ the boundary case.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -15,6 +16,9 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .families import TreeFamilySpec
 from .graph import MetricGraph, _shortest_edge_matrix
+
+
+_SYMMETRY_ROWS = 1024  # rows per block of the symmetry check
 
 
 class BoundarySet:
@@ -28,8 +32,11 @@ class BoundarySet:
             raise ValueError("distance table shape does not match point count")
         if np.any(np.diag(self.dist) != 0):
             raise ValueError("d(x,x) must be 0")
-        if np.any(np.abs(self.dist - self.dist.T) > 1e-12):
-            raise ValueError("distance table must be symmetric")
+        # by row blocks, so that no n x n float temporary is made
+        for s in range(0, n, _SYMMETRY_ROWS):
+            rows = self.dist[s:s + _SYMMETRY_ROWS]
+            if np.any(np.abs(rows - self.dist[:, s:s + _SYMMETRY_ROWS].T) > 1e-12):
+                raise ValueError("distance table must be symmetric")
         # the diagonal is 0, so this counts the off-diagonal and rejects NaN
         if np.count_nonzero(self.dist > 0) != n * (n - 1):
             raise ValueError("distinct points must have positive distance")
@@ -61,26 +68,62 @@ def tree_boundary_distance(spec: TreeFamilySpec, x: str, y: str) -> float:
     return 2.0 * L0 * r ** (a + 1) * (1.0 - r ** (n - a)) / (1.0 - r)
 
 
+class _KaryBoundarySet(BoundarySet):
+    """The depth-n leaves of a k-ary tree, leaf i in sorted order having the
+    base-k digits of i as its address.  Two leaves share a length-m prefix
+    exactly when i // k^(n-m) agree, and leaves whose first disagreement is
+    at depth a (n on the diagonal) are table[a] apart.  The cells of level j
+    are the k^j prefix classes, so the whole hierarchy is read from the
+    (n + 1)-entry table; the n x n table is made only when `dist` is read."""
+
+    def __init__(self, points, arity: int, table: np.ndarray):
+        self.points = tuple(points)
+        self.index = {p: i for i, p in enumerate(self.points)}
+        self.arity, self.table = arity, table
+
+    @cached_property
+    def dist(self) -> np.ndarray:
+        k, n = self.arity, len(self.table) - 1
+        idx = np.arange(len(self))
+        agree = np.zeros((len(self), len(self)), dtype=np.int8)
+        for m in range(1, n + 1):
+            p = idx // k ** (n - m)
+            agree += p[:, None] == p[None, :]
+        return self.table[agree]
+
+    def diameter(self) -> float:
+        return float(self.table[0])
+
+    def jumps(self) -> list:
+        k = self.arity
+        return [(float(t), k ** (a + 1), k ** a) for a, t in enumerate(self.table[:-1])]
+
+    def cell_tree(self) -> CellTree:
+        k, n, N = self.arity, len(self.table) - 1, len(self)
+        size = [k ** (n - j) for j in range(n + 1)]  # points per level-j cell
+        cell = [np.arange(N, dtype=np.intp) // m for m in size]
+        levels = [Partition(tuple(self.points[s:s + m] for s in range(0, N, m)))
+                  for m in size]
+        diameter = [np.full(N // m, t) for m, t in zip(size, self.table)]  # table[n] = 0
+        return CellTree(self, levels, self.jumps(), diameter, cell)
+
+
 def tree_boundary_set(spec: TreeFamilySpec) -> BoundarySet:
     """Boundary set of the depth-n leaves, from their first-disagreement depths.
 
-    Leaf i in sorted order has the base-k digits of i as its address, so two
-    leaves share a length-m prefix exactly when i // k^(n-m) agree; the
-    number of shared prefixes is the first-disagreement depth (n on the
-    diagonal).  The distances come from an (n+1)-entry table built with the
-    expression of `tree_boundary_distance`, so they are bit-identical to it.
-    """
-    leaves = spec.leaf_addresses()
+    The distances come from an (n+1)-entry table built with the expression of
+    `tree_boundary_distance`, so they are bit-identical to it.  A table that
+    is finite and strictly decreasing to 0 is carried as it is, with the
+    hierarchy in closed form; any other is expanded and validated by
+    `BoundarySet`, which rejects it or cuts it by the generic path."""
     k, n = spec.arity, spec.depth
-    idx = np.arange(len(leaves))
-    agree = np.zeros((len(leaves), len(leaves)), dtype=np.int8)
-    for m in range(1, n + 1):
-        p = idx // k ** (n - m)
-        agree += p[:, None] == p[None, :]
     r, L0 = spec.ratio, spec.base_length
     table = np.array([2.0 * L0 * r ** (a + 1) * (1.0 - r ** (n - a)) / (1.0 - r)
                       for a in range(n)] + [0.0])
-    return BoundarySet(leaves, table[agree])
+    b = _KaryBoundarySet(spec.leaf_addresses(), k, table)
+    if np.isfinite(table[0]) and np.all(table[:-1] > table[1:]):
+        return b
+    return BoundarySet(b.points, b.dist)
 
 
 def graph_boundary_set(g: MetricGraph) -> BoundarySet:
@@ -170,12 +213,10 @@ def _mst(b: BoundarySet):
 
 def _jumps(n: int, w) -> list:
     w = np.sort(w)
-    out = []
-    for alpha in np.unique(w)[::-1]:
-        before = n - int(np.count_nonzero(w < alpha))
-        after = n - int(np.count_nonzero(w <= alpha))
-        out.append((float(alpha), before, after))
-    return out
+    alpha = np.unique(w)[::-1]
+    before = n - np.searchsorted(w, alpha, side="left")   # n - #(w < alpha)
+    after = n - np.searchsorted(w, alpha, side="right")   # n - #(w <= alpha)
+    return list(zip(alpha.tolist(), before.tolist(), after.tolist()))
 
 
 def jump_values(b: BoundarySet):
@@ -183,8 +224,11 @@ def jump_values(b: BoundarySet):
 
     Each entry is (alpha, count_before, count_after): the number of
     epsilon-components at eps = alpha (left limit, by strictness) and just
-    above alpha.  Computed from the minimum spanning tree of the metric.
+    above alpha.  Computed from the minimum spanning tree of the metric, or
+    read from the distance table of a k-ary tree's leaves.
     """
+    if isinstance(b, _KaryBoundarySet):
+        return b.jumps()
     if len(b) < 2:
         return []
     return _jumps(len(b), _mst(b)[2])
@@ -256,7 +300,9 @@ def canonical_nested_partitions(b: BoundarySet) -> CellTree:
 
     The epsilon-components at eps are the components of the minimum spanning
     tree's edges of weight < eps (Gower & Ross 1969), so one MST gives every
-    level."""
+    level.  The leaves of a k-ary tree carry their levels in closed form."""
+    if isinstance(b, _KaryBoundarySet):
+        return b.cell_tree()
     n = len(b)
     if n == 0:
         raise ValueError("boundary set is empty")

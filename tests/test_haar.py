@@ -1,8 +1,13 @@
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import mgbound
 from mgbound import (TreeFamilySpec, CounterexampleSpec, BoundarySet, CellMeasure,
                      build_kary_tree, build_counterexample, graph_boundary_set,
                      tree_boundary_set, canonical_nested_partitions,
@@ -168,6 +173,52 @@ def test_depth_12_transforms_form_no_dense_array():
     for f, c, r in zip(F, C, R):
         assert np.max(np.abs(r - f)) < 1e-10
         assert abs(np.sum(c ** 2) - basis.dot(f, f)) < 1e-10
+
+
+DEPTH_16 = """
+import json, resource
+import numpy as np
+from scipy.sparse import eye_array
+from mgbound import (TreeFamilySpec, tree_boundary_set, canonical_nested_partitions,
+                     equal_split_measure, counting_measure, build_haar_basis,
+                     analyze, synthesize)
+spec = TreeFamilySpec(arity=2, ratio=0.25, depth=16)
+tree = canonical_nested_partitions(tree_boundary_set(spec))
+F = np.random.default_rng(16).normal(size=(2, tree.ncells(tree.finest)))
+out = {}
+for name, measure in (("rho", equal_split_measure), ("counting", counting_measure)):
+    basis = build_haar_basis(tree, measure(tree))
+    C = [analyze(basis, f) for f in F]
+    out[name] = {
+        "size": len(basis),
+        "round_trip": max(float(np.max(np.abs(synthesize(basis, c) - f)))
+                          for f, c in zip(F, C)),
+        "parseval": max(abs(float(np.sum(c ** 2)) - basis.dot(f, f)) / basis.dot(f, f)
+                        for f, c in zip(F, C)),
+        "gram": float(abs(basis.gram_matrix() - eye_array(len(basis), format="csr")).max()),
+    }
+out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps(out))
+"""
+
+
+def test_depth_16_cell_tree_and_bases_in_bounded_memory():
+    """Binary depth 16 (65 536 leaves), where one n x n float table is
+    32 GiB: the cell tree, both measures and both bases, in a fresh
+    interpreter that reports its own peak RSS."""
+    src = os.path.dirname(os.path.dirname(mgbound.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-c", DEPTH_16], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    out = json.loads(run.stdout)
+    for name in ("rho", "counting"):
+        res = out[name]
+        assert res["size"] == 2 ** 16
+        assert res["round_trip"] < 1e-10, name
+        assert res["parseval"] < 1e-10, name
+        assert res["gram"] < 1e-10, name
+    assert out["peak_rss_mb"] < 400
 
 
 @pytest.mark.parametrize("depth", [3, 8])

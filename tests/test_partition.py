@@ -4,7 +4,8 @@ import pytest
 from mgbound import (TreeFamilySpec, BoundarySet, tree_boundary_distance,
                      tree_boundary_set, graph_boundary_set, epsilon_components,
                      jump_values, canonical_nested_partitions, mesh,
-                     build_kary_tree, metric_graph)
+                     build_kary_tree, metric_graph, equal_split_measure,
+                     counting_measure, build_haar_basis)
 from mgbound.partition import Partition, _cell_diameter
 
 from util import (components_bruteforce, components_union_find, dijkstra_reference,
@@ -209,10 +210,49 @@ def test_boundary_set_rejects_nan_and_asymmetric_tables():
     bad = [np.array([[0.0, 1.0, 2.0], [1.0, 0.0, nan], [2.0, nan, 0.0]]),
            np.array([[0.0, 1.0], [1.0, nan]]),
            # an infinite pair (inf - inf = nan) must not hide the asymmetry
-           np.array([[0.0, 1.0, inf], [5.0, 0.0, 2.0], [inf, 2.0, 0.0]])]
+           np.array([[0.0, 1.0, inf], [5.0, 0.0, 2.0], [inf, 2.0, 0.0]]),
+           np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 1.0], [2.0, 1.0, 0.0]])]
     for d in bad:
         with pytest.raises(ValueError), np.errstate(invalid="ignore"):
             BoundarySet(["a", "b", "c"][:len(d)], d)
+
+
+def test_boundary_set_symmetry_is_checked_in_every_row_block():
+    n = 1100  # two row blocks; both points of the asymmetric pair lie in the second
+    d = 1.0 - np.eye(n)
+    d[1050, 1070] = 2.0
+    with pytest.raises(ValueError, match="symmetric"):
+        BoundarySet([f"p{i:04d}" for i in range(n)], d)
+
+
+@pytest.mark.parametrize("k, r, n", [(2, 0.25, n) for n in range(1, 11)]
+                         + [(3, 0.4, n) for n in range(1, 7)]
+                         + [(2, 0.5, 9), (5, 0.3, 4), (10, 0.1, 3)])
+def test_kary_closed_form_hierarchy_equals_the_mst_path(k, r, n):
+    b = tree_boundary_set(TreeFamilySpec(arity=k, ratio=r, depth=n))
+    tree = canonical_nested_partitions(b)
+    for mu in (equal_split_measure(tree), counting_measure(tree)):
+        build_haar_basis(tree, mu)
+    assert jump_values(b) == tree.jumps
+    assert "dist" not in vars(b)  # the n x n table was never made
+    generic = BoundarySet(b.points, b.dist)
+    ref = canonical_nested_partitions(generic)
+    assert tree.jumps == ref.jumps == jump_values(generic)
+    assert tree.mesh == ref.mesh
+    assert b.diameter() == generic.diameter()
+    assert len(tree.levels) == len(ref.levels) == n + 1
+    for j in range(n + 1):
+        assert tree.levels[j].cells == ref.levels[j].cells
+        assert tree.cell[j].dtype == ref.cell[j].dtype
+        assert np.array_equal(tree.cell[j], ref.cell[j])
+        assert tree.diameter[j].dtype == ref.diameter[j].dtype
+        assert np.array_equal(tree.diameter[j], ref.diameter[j])
+
+
+def test_kary_table_that_is_not_strictly_decreasing_takes_the_generic_path():
+    # r^2 underflows to 0, so leaves below depth 1 would coincide
+    with pytest.raises(ValueError, match="positive distance"):
+        tree_boundary_set(TreeFamilySpec(ratio=1e-200, depth=3))
 
 
 @pytest.mark.parametrize("k, r, n", [(2, 0.25, 10), (3, 0.4, 6), (10, 0.5, 3)])
