@@ -263,9 +263,9 @@ def _build_basis(args):
     elif args.measure == "counting":
         mu = measures.counting_measure(tree)
     else:
-        g, _ = families.build_kary_tree(spec)
-        pm = measures.exit_measure_point_masses(g, families.ROOT)
-        mu = measures.cell_measure_from_point_masses(tree, pm)
+        leaf_masses = measures._truncation_exit_masses(spec, spec.depth, families.ROOT)
+        mu = measures.cell_measure_from_point_masses(
+            tree, dict(zip(spec.leaf_addresses(), leaf_masses.tolist())))
     return tree, mu, haar_mod.build_haar_basis(tree, mu)
 
 

@@ -1,6 +1,6 @@
 """Dirichlet-to-Neumann matrices on finite metric graphs, their compressions
-to boundary partitions, and their truncation limits on tree families (by the
-truncation sweep and stopping rule of `measures`).
+to boundary partitions, and their truncation limits on tree families (in
+closed form from the branch resistances, by the stopping rule of `measures`).
 
 The map sends boundary values F to the mu-normalized boundary flux of the
 harmonic extension: (Lam F)(v) = mu(v)^{-1} * sum over incident edges of the
@@ -20,7 +20,6 @@ bound on the least eigenvalue of the symmetrized map, with no eigensolve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,7 +29,8 @@ from .graph import MetricGraph
 from .harmonic import HarmonicSolver, assemble_laplacian, dirichlet_energy
 # bound here unused: perfbench's tracer test wraps vertex_flux through this module
 from .harmonic import vertex_flux  # noqa: F401
-from .measures import _check_schedule, _exit_step, _limit, _sweep
+from .measures import (_check_schedule, _common_prefix, _limit, _path_potentials,
+                       _truncation_exit_masses)
 from .partition import Partition
 
 INVARIANT_BLOCK = 64  # rows of S per step of check_invariants' pass
@@ -182,6 +182,22 @@ def _cell_flux(solver: HarmonicSolver, cell: np.ndarray, ncells: int) -> np.ndar
     return C
 
 
+def _truncation_cell_flux(spec: TreeFamilySpec, level: int) -> np.ndarray:
+    """A^T S A, the unscaled compressed DtN, of the depth-d tree `spec` on its
+    level-`level` prefix cells: with one cell's leaves at 1 (`_path_potentials`,
+    tied), the k - 1 branches off its path at p_j each carry u_j / rho[j + 1]
+    into their k^(level - j - 1) cells, so two cells whose longest common
+    prefix has length j < level share the entry -u_j / (rho[j + 1]
+    k^(level - j - 1)); each diagonal is minus its row's off-diagonal sum."""
+    k = spec.arity
+    rho, u = _path_potentials(spec, level, tied=True)
+    entry = [-u[j] / (rho[j + 1] * k ** (level - j - 1)) for j in range(level)] + [0.0]
+    cell = np.arange(k ** level)
+    C = np.array(entry)[_common_prefix(k, level, cell[:, None], cell[None, :])]
+    np.fill_diagonal(C, -C.sum(axis=1))
+    return C
+
+
 @dataclass
 class DtNLimitResult:
     dtn: DtNMatrix
@@ -193,33 +209,21 @@ def compressed_dtn_limit(spec: TreeFamilySpec, level: int, depths, tol: float,
                          cell_weights=None, w_source=ROOT) -> DtNLimitResult:
     """Compressed DtN maps on successive truncations, leaves assigned to
     level-`level` prefix cells, stopping when the max-norm change of the
-    matrix drops below tol.
-
-    cell_weights defaults to `exit_measure_limit(spec, level, depths, tol,
-    w=w_source).masses`, the exit measure from the family root over the same
-    depth schedule (positive on every cell).  Each truncation is built and
-    factored once: the weights' limit records each truncation's unscaled
-    cell flux beside its exit masses, and the matrix's limit runs over those
-    fluxes and then the remaining depths, each divided by the weights.
-    """
+    matrix drops below tol.  Each truncation's map is computed once, in
+    closed form (`_truncation_cell_flux`, no graph and no vertex cap), and
+    divided by the weights.  cell_weights defaults to the masses of
+    `exit_measure_limit(spec, level, depths, tol, w=w_source)`, whose exit
+    masses are computed only for the depths that limit draws."""
     depths = _check_schedule(depths, tol, level)
     cells = Partition(tuple((p,) for p in _addresses(spec.arity, level)))
-    nc = len(cells)
-    fluxes = []  # unscaled cell flux of each truncation the weights' limit drew
     if cell_weights is None:
-        exit_masses = _exit_step(w_source, nc)
-
-        def step(solver, cell, truncation):
-            nu = exit_masses(solver, cell, truncation)
-            fluxes.append(_cell_flux(solver, cell, nc))
-            return nu
-        weights = _limit(_sweep(spec, level, depths, step), tol)[0]
+        weights = _limit(((d, _truncation_exit_masses(spec.at_depth(d), level, w_source))
+                          for d in depths), tol)[0]
     else:
-        weights = _check_weights(cell_weights, nc)
-    rest = _sweep(spec, level, depths[len(fluxes):],
-                  lambda solver, cell, truncation: _cell_flux(solver, cell, nc))
+        weights = _check_weights(cell_weights, len(cells))
     # dividing a flux by the weights gives what compressed_dtn gives with them
-    matrices = ((d, flux / weights[:, None]) for d, flux in chain(zip(depths, fluxes), rest))
+    matrices = ((d, _truncation_cell_flux(spec.at_depth(d), level) / weights[:, None])
+                for d in depths)
     matrix, trace, converged = _limit(matrices, tol)
     return DtNLimitResult(DtNMatrix(cells.labels, matrix, weights), trace, converged)
 

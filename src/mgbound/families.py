@@ -120,20 +120,29 @@ def _kary_names(spec: TreeFamilySpec):
     return words + [ROOT], ["e" + word for word in words]
 
 
+def _source_address(spec: TreeFamilySpec, w) -> str:
+    """The address of the interior vertex w ("" for the root).  A non-vertex
+    raises KeyError and a leaf ValueError, as `measures.exit_measure` does."""
+    if w == ROOT:
+        return ""
+    if not (isinstance(w, str) and 0 < len(w) <= spec.depth
+            and set(w) <= set(_DIGITS[:spec.arity])):
+        raise KeyError(f"unknown vertex {w!r}")
+    if len(w) == spec.depth:
+        raise ValueError(f"source vertex {w!r} lies on the boundary")
+    return w
+
+
 def _interior_position(spec: TreeFamilySpec, w) -> int:
     """Position of the vertex w among the sorted interior vertices of the
     tree.  The interior vertices form the tree one level shallower, in the
     same preorder, so a_1..a_m sits at sum_j (1 + a_j * S(n - 1 - j)) - 1
-    (see `build_kary_tree`), and the root last.  An id that is not a vertex
-    raises KeyError and a leaf raises ValueError."""
-    k, n = spec.arity, spec.depth
-    if w == ROOT:
+    (see `build_kary_tree`), and the root last.  Bad ids raise as in
+    `_source_address`."""
+    k, n, a = spec.arity, spec.depth, _source_address(spec, w)
+    if not a:
         return (k ** n - 1) // (k - 1) - 1
-    if not (isinstance(w, str) and 0 < len(w) <= n and set(w) <= set(_DIGITS[:k])):
-        raise KeyError(f"unknown vertex {w!r}")
-    if len(w) == n:
-        raise ValueError(f"source vertex {w!r} lies on the boundary")
-    return sum(1 + int(a) * (k ** (n - j) - 1) // (k - 1) for j, a in enumerate(w, 1)) - 1
+    return sum(1 + int(c) * (k ** (n - j) - 1) // (k - 1) for j, c in enumerate(a, 1)) - 1
 
 
 @dataclass(frozen=True)

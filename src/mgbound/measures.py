@@ -7,7 +7,9 @@ on any finite graph the weak form equals a boundary flux sum, and that sum
 is what is evaluated here.  On truncations the function is pinned to 0 at
 truncation leaves, the proxy for vanishing on the completion boundary; the
 limit operation quantifies the induced error rather than bounding it a
-priori.
+priori.  A k-ary truncation needs no graph: series-parallel (Kron) reduction
+leaves branch resistances rho_j = l_j + rho_{j+1} / k and one pass along the
+source's path (`_path_potentials`), O(depth + k^level), with no vertex cap.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import TreeFamilySpec, _addresses, _interior_position, _kary_graph, ROOT
+from .families import TreeFamilySpec, _addresses, _source_address, ROOT
 from .graph import MetricGraph
 from .harmonic import HarmonicSolver
 from .partition import CellTree, Partition, _sorted_order
@@ -108,18 +110,8 @@ def exit_measure(g: MetricGraph, w, cells: Partition, assignment: dict | None = 
         if w in solver.boundary:
             raise ValueError(f"source vertex {w!r} lies on the boundary") from None
         raise KeyError(f"unknown vertex {w!r}") from None
-    nu = _exit_masses(solver, i, cell, len(cells))
-    if normalize:
-        nu = nu / nu.sum()
-    return nu
-
-
-def _exit_masses(solver: HarmonicSolver, i: int, cell: np.ndarray, ncells: int) -> np.ndarray:
-    """Exit masses from the interior vertex `solver.interior[i]` of the cells
-    given by `cell`, one cell index per vertex of `solver.boundary`.
-    Contiguous cells of equal size, as in the truncation sweeps, are summed
-    pairwise (Higham 1993), not by bincount's running sum."""
-    flux, size = -solver.source_flux(i), len(cell) // ncells
+    # contiguous equal cells are summed pairwise (Higham 1993), not by bincount
+    flux, ncells, size = -solver.source_flux(i), len(cells), len(cell) // len(cells)
     if size and np.array_equal(cell, np.arange(len(cell)) // size):
         nu = flux.reshape(ncells, size).sum(axis=1)
     else:
@@ -127,6 +119,8 @@ def _exit_masses(solver: HarmonicSolver, i: int, cell: np.ndarray, ncells: int) 
     if np.min(nu) <= 0:
         raise RuntimeError("exit measure produced a nonpositive cell mass; "
                            "solver output violates positivity")
+    if normalize:
+        nu = nu / nu.sum()
     return nu
 
 
@@ -148,8 +142,10 @@ class LimitResult:
 
 def _check_schedule(depths, tol: float, level: int) -> list:
     depths = list(depths)
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
+    if level < 0:
+        raise ValueError("level must be nonnegative")
     if any(b <= a for a, b in zip(depths, depths[1:])) or not depths:
         raise ValueError("depth schedule must be nonempty and strictly increasing")
     if min(depths) < max(level, 1):
@@ -157,21 +153,51 @@ def _check_schedule(depths, tol: float, level: int) -> list:
     return depths
 
 
-def _sweep(spec: TreeFamilySpec, level: int, depths, step):
-    """(d, step(solver, cell, truncation)) for each depth d: the depth-d
-    tree's spec, its unpinned solver, built and factored once, and each
-    leaf's level-`level` prefix cell (leaf i has the base-k digits of i as
-    address).  The solver, only a call argument, is freed before the yield."""
-    for d in depths:
-        truncation = spec.at_depth(d)
-        cell = np.arange(spec.arity ** d) // spec.arity ** (d - level)
-        yield d, step(HarmonicSolver(_kary_graph(truncation)), cell, truncation)
+def _path_potentials(spec: TreeFamilySpec, m: int, tied: bool = False):
+    """(rho, u) on the depth-d tree with every leaf grounded but the end p_m
+    of the path p_0 = root .. p_m held at 1 (tied: p_m's leaves held at 1).
+    rho[j] = l_j + rho[j + 1] / k is a level-j branch's resistance, its edge
+    of length l_j included (rho[d + 1] = 0).  p_j's conductance to ground off
+    the path below it is H_j = (k - 1) / rho[j + 1] + G_j, G_j = 1 / (l_j +
+    1 / H_{j - 1}) through its parent edge (G_0 = 0); u_m = 1 (tied: 1 / (1 +
+    rho[m + 1] G_m / k)), u_{j - 1} = u_j / (1 + l_j H_{j - 1}): no subtraction."""
+    k, d = spec.arity, spec.depth
+    l, rho = [spec.edge_length(j) for j in range(d + 1)], [0.0] * (d + 2)
+    for j in range(d, 0, -1):
+        rho[j] = l[j] + rho[j + 1] / k
+    H, g = [], 0.0
+    for j in range(m):
+        H.append((k - 1) / rho[j + 1] + g)
+        g = 1 / (l[j + 1] + 1 / H[j])
+    u = [1 / (1 + rho[m + 1] / k * g) if tied else 1.0]
+    for j in range(m, 0, -1):
+        u.append(u[-1] / (1 + l[j] * H[j - 1]))
+    return rho, u[::-1]
 
 
-def _exit_step(w, ncells: int):
-    """The `_sweep` step that gives a truncation's exit masses from vertex w."""
-    return lambda solver, cell, truncation: _exit_masses(
-        solver, _interior_position(truncation, w), cell, ncells)
+def _common_prefix(k: int, level: int, a, b) -> np.ndarray:
+    """Longest common prefix lengths of the level-`level` cells a and b,
+    index arrays broadcast together (cell i has the base-k digits of i)."""
+    n = np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=np.intp)
+    for t in range(level):
+        n += a // k ** t == b // k ** t
+    return n
+
+
+def _truncation_exit_masses(spec: TreeFamilySpec, level: int, w) -> np.ndarray:
+    """Exit masses from w = p_m (`_path_potentials`) of the level-`level`
+    prefix cells of the depth-d tree `spec`: the k - 1 branches off the path
+    at p_j each carry u_j / rho[j + 1] and the k child branches of w
+    1 / rho[m + 1].  A branch rooted at depth t <= level spreads equally over
+    its k^(level - t) cells; one rooted deeper lies inside w's cell."""
+    k, a = spec.arity, _source_address(spec, w)
+    m = len(a)
+    rho, u = _path_potentials(spec, m)
+    share = [u[s] / (rho[s + 1] * k ** (level - s - 1)) for s in range(min(m + 1, level))]
+    if m >= level:  # w's own cell
+        share.append(sum((k - 1) * u[j] / rho[j + 1] for j in range(level, m)) + k / rho[m + 1])
+    home = int(a[:level].ljust(level, "0") or "0", k)  # w's cell, or the first below w
+    return np.array(share)[np.minimum(_common_prefix(k, level, np.arange(k ** level), home), m)]
 
 
 def _limit(iterates, tol: float):
@@ -192,12 +218,13 @@ def _limit(iterates, tol: float):
 def exit_measure_limit(spec: TreeFamilySpec, level: int, depths, tol: float,
                        w=ROOT) -> LimitResult:
     """Exit measure on level-`level` prefix cells via increasing truncations,
-    one factorization each: the first iterate whose max cellwise change drops
-    below tol, with the change sequence, or else the last with converged=False."""
+    each computed once in closed form (`_truncation_exit_masses`, with no
+    graph and no vertex cap): the first iterate whose max cellwise change
+    drops below tol, with the change sequence, or else the last with
+    converged=False."""
     depths = _check_schedule(depths, tol, level)
-    prefixes = _addresses(spec.arity, level)
-    sweep = _sweep(spec, level, depths, _exit_step(w, len(prefixes)))
-    return LimitResult(tuple(prefixes), *_limit(sweep, tol))
+    iterates = ((d, _truncation_exit_masses(spec.at_depth(d), level, w)) for d in depths)
+    return LimitResult(tuple(_addresses(spec.arity, level)), *_limit(iterates, tol))
 
 
 def dominance_constant(nu1, nu2) -> float:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import stat
@@ -159,6 +160,17 @@ def test_truncation_limits_reach_1e_12(tmp_path, command):
     assert float(rows[-1][1]) < 1e-12
 
 
+@pytest.mark.parametrize("command", ["dtn-limit", "exit-measure"])
+def test_truncation_limits_run_past_the_old_vertex_cap(tmp_path, command):
+    """At r = 0.9 the binary limits need depth 34 or more to settle to 1e-12,
+    far past the 10^6 vertices (depth 18) a graph build may hold."""
+    rc, out, report = run(tmp_path, command, "--ratio", "0.9", "--level", "2",
+                          "--depths", "4:45", "--tol", "1e-12")
+    assert rc == 0 and report["ok"]
+    _, rows = read_csv(artifact(out, report, "trace.csv"))
+    assert int(rows[-1][0]) > 18 and float(rows[-1][1]) < 1e-12
+
+
 @pytest.mark.parametrize("command, check", [("dtn-limit", "dtn limit converged"),
                                             ("exit-measure", "exit measure converged")])
 def test_truncation_limit_that_does_not_converge_exits_1(tmp_path, capsys, command, check):
@@ -172,7 +184,9 @@ def test_truncation_limit_that_does_not_converge_exits_1(tmp_path, capsys, comma
 
 @pytest.mark.parametrize("command", ["dtn-limit", "exit-measure"])
 @pytest.mark.parametrize("flags, message", [(["--depths", "6:4"], "depth schedule"),
-                                            (["--tol", "-1"], "tol must be positive")])
+                                            (["--tol", "-1"], "tol must be positive"),
+                                            (["--tol", "nan"], "tol must be positive"),
+                                            (["--level", "-1"], "level must be nonnegative")])
 def test_truncation_limit_bad_schedule_exits_2(tmp_path, capsys, command, flags, message):
     rc = main(["--outdir", str(tmp_path / "o"), command, *flags])
     assert rc == 2
@@ -200,6 +214,19 @@ def test_haar_csv_holds_the_dense_basis_with_the_bytes_of_fmt(tmp_path):
         (k, level) + tuple(cli._fmt(x) for x in f)
         for k, (level, f) in enumerate(zip(basis.levels.tolist(), basis.functions))]
     assert artifact(out, report, "basis.csv").read_bytes() == cli._csv(rows).encode()
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+def test_haar_exit_measure_is_the_graph_solve_from_the_root(arity):
+    """`haar --measure exit` takes its leaf masses from the closed form; they
+    are the graph's exit masses to 1e-13 relative."""
+    for depth in range(1, 9):
+        tree, mu, _ = cli._build_basis(argparse.Namespace(
+            arity=arity, ratio=0.25, base_length=1.0, depth=depth, measure="exit"))
+        g, _ = build_kary_tree(TreeFamilySpec(arity=arity, ratio=0.25, depth=depth))
+        ref = cell_measure_from_point_masses(tree, exit_measure_point_masses(g, ROOT))
+        got, want = mu.level_slice(depth), ref.level_slice(depth)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want), depth
 
 
 def test_haar_apply_round_trip(tmp_path):

@@ -1,16 +1,14 @@
-import weakref
-
 import numpy as np
 import pytest
 
 import mgbound.dtn
-import mgbound.measures
+import mgbound.families
 from mgbound import (metric_graph, dtn_matrix, schur_complement_dtn,
                      inner_product_mu, compressed_dtn, compressed_dtn_limit,
                      quadratic_form_check, TreeFamilySpec, build_kary_tree,
                      build_counterexample, CounterexampleSpec, exit_measure_limit,
                      DtNMatrix, Edge, HarmonicSolver, MetricGraph)
-from mgbound.families import _kary_graph
+from mgbound.families import _addresses
 from mgbound.partition import Partition
 
 from test_acceptance import _criterion1_graphs, _random_two_cells
@@ -234,6 +232,25 @@ def test_compressed_dtn_limit_level0():
     assert abs(res.dtn.matrix[0, 0]) < 1e-12
 
 
+def _count_truncations(monkeypatch):
+    """The depth of each call of the two per-depth closed forms that
+    `compressed_dtn_limit` draws on: (exit-mass depths, cell-flux depths)."""
+    exits, fluxes = [], []
+    exit_masses, cell_flux = mgbound.dtn._truncation_exit_masses, mgbound.dtn._truncation_cell_flux
+
+    def counting_exit_masses(spec, *args):
+        exits.append(spec.depth)
+        return exit_masses(spec, *args)
+
+    def counting_cell_flux(spec, *args):
+        fluxes.append(spec.depth)
+        return cell_flux(spec, *args)
+
+    monkeypatch.setattr(mgbound.dtn, "_truncation_exit_masses", counting_exit_masses)
+    monkeypatch.setattr(mgbound.dtn, "_truncation_cell_flux", counting_cell_flux)
+    return exits, fluxes
+
+
 @pytest.mark.parametrize("level, depths, tol", [
     (1, range(3, 10), 1e-6),   # the matrix settles before the weights
     (2, range(3, 9), 1e-5),    # the weights settle before the matrix
@@ -243,27 +260,14 @@ def test_compressed_dtn_limit_default_weights_are_the_exit_measure_limit(
         monkeypatch, level, depths, tol):
     weights = exit_measure_limit(SPEC, level, depths, tol).masses
     given = compressed_dtn_limit(SPEC, level, depths, tol, cell_weights=weights)
-    built = []
-    solvers = []
-    init = HarmonicSolver.__init__
-
-    def build(spec):
-        built.append(spec.depth)
-        return _kary_graph(spec)
-
-    def counting_init(self, *args, **kwargs):
-        solvers.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(mgbound.measures, "_kary_graph", build)
-    monkeypatch.setattr(HarmonicSolver, "__init__", counting_init)
+    exits, fluxes = _count_truncations(monkeypatch)
     default = compressed_dtn_limit(SPEC, level, depths, tol)
     assert np.array_equal(default.dtn.matrix, given.dtn.matrix)
     assert np.array_equal(default.dtn.weights, weights)
     assert default.trace == given.trace
     assert default.converged == given.converged
-    assert len(built) == len(set(built))  # each truncation is built once
-    assert len(solvers) == len(built)  # and factored once
+    assert len(exits) == len(set(exits))  # each truncation's exit masses are computed once
+    assert len(fluxes) == len(set(fluxes))  # and its map once
 
 
 @pytest.mark.parametrize("level, depths, tol", [
@@ -275,19 +279,7 @@ def test_compressed_dtn_limit_solves_for_exit_masses_only_until_the_weights_sett
         monkeypatch, level, depths, tol):
     weights = exit_measure_limit(SPEC, level, depths, tol)
     settled = weights.trace[-1][0] if weights.converged else depths[-1]
-    built, solved = [], []  # truncation depths, and the depth of each source solve
-    source_flux = HarmonicSolver.source_flux
-
-    def build(spec):
-        built.append(spec.depth)
-        return _kary_graph(spec)
-
-    def counting_source_flux(self, i):
-        solved.append(built[-1])
-        return source_flux(self, i)
-
-    monkeypatch.setattr(mgbound.measures, "_kary_graph", build)
-    monkeypatch.setattr(HarmonicSolver, "source_flux", counting_source_flux)
+    solved, built = _count_truncations(monkeypatch)
     compressed_dtn_limit(SPEC, level, depths, tol)
     assert solved == [d for d in depths if d <= settled]
     built.clear()
@@ -296,28 +288,15 @@ def test_compressed_dtn_limit_solves_for_exit_masses_only_until_the_weights_sett
     assert built and solved == []
 
 
-@pytest.mark.parametrize("limit", [
-    lambda: exit_measure_limit(SPEC, 2, range(3, 9), 1e-5),
-    lambda: compressed_dtn_limit(SPEC, 2, range(3, 9), 1e-5),  # both of its sweeps run
-    lambda: compressed_dtn_limit(SPEC, 2, range(3, 9), 1e-5, cell_weights=[1.0] * 4),
-])
-def test_truncation_sweeps_free_each_solver_before_building_the_next(monkeypatch, limit):
-    solvers = []
-    init = HarmonicSolver.__init__
+def test_truncation_limits_build_no_graph_and_no_solver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a truncation limit built a graph or a solver")
 
-    def tracking_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        solvers.append(weakref.ref(self))
-
-    def build(spec):
-        alive = [ref for ref in solvers if ref() is not None]
-        assert not alive, f"{len(alive)} solver(s) alive when depth {spec.depth} is built"
-        return _kary_graph(spec)
-
-    monkeypatch.setattr(HarmonicSolver, "__init__", tracking_init)
-    monkeypatch.setattr(mgbound.measures, "_kary_graph", build)
-    limit()
-    assert len(solvers) > 1
+    monkeypatch.setattr(HarmonicSolver, "__init__", refuse)
+    monkeypatch.setattr(MetricGraph, "from_arrays", classmethod(refuse))
+    monkeypatch.setattr(mgbound.families, "_kary_graph", refuse)
+    exit_measure_limit(SPEC, 2, range(4, 11), 1e-12, w="01")
+    compressed_dtn_limit(SPEC, 2, range(4, 11), 1e-12)
 
 
 def test_truncation_sweeps_construct_no_edge(monkeypatch):
@@ -385,17 +364,46 @@ def test_compressed_dtn_matches_the_reduced_graph_on_deep_truncations(arity, rat
     assert np.max(np.abs(D.matrix - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
+@pytest.mark.parametrize("arity, ratio", [(2, 0.25), (3, 0.4), (2, 0.5), (4, 0.2)])
+def test_truncation_cell_flux_matches_the_graph_solve(arity, ratio):
+    """The closed form against `compressed_dtn` on the built tree, on the
+    prefix cells of every level with at most 1024 cells, at depths 1..6."""
+    for d in range(1, 7):
+        spec = TreeFamilySpec(arity=arity, ratio=ratio, depth=d)
+        g, _ = build_kary_tree(spec)
+        for level in range(d + 1):
+            if arity ** level > 1024:
+                break
+            cells = Partition(tuple((p,) for p in _addresses(arity, level)))
+            exact = compressed_dtn(g, cells, np.ones(len(cells)),
+                                   {leaf: int(leaf[:level] or "0", arity)
+                                    for leaf in g.boundary}).matrix
+            flux = mgbound.dtn._truncation_cell_flux(spec, level)
+            assert np.max(np.abs(flux - exact)) <= 1e-13 * np.max(np.abs(exact)), (d, level)
+
+
+@pytest.mark.parametrize("arity, ratio, level", [(2, 0.25, 2), (3, 0.4, 1), (2, 0.5, 3),
+                                                 (4, 0.2, 2)])
+@pytest.mark.parametrize("depth", [20, 30])
+def test_truncation_cell_flux_matches_the_reduced_graph_past_the_old_vertex_cap(
+        arity, ratio, level, depth):
+    flux = mgbound.dtn._truncation_cell_flux(TreeFamilySpec(arity=arity, ratio=ratio,
+                                                            depth=depth), level)
+    exact = compressed_flux_reduced(arity, ratio, 1.0, level, depth)
+    assert np.max(np.abs(flux - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+
 @pytest.mark.parametrize("arity, ratio, level, depths", CLOSED_FORM_CASES)
 def test_compressed_dtn_limit_iterates_match_the_reduced_graph(
         monkeypatch, arity, ratio, level, depths):
     fluxes = []
-    cell_flux = mgbound.dtn._cell_flux
+    cell_flux = mgbound.dtn._truncation_cell_flux
 
     def recording(*args):
         fluxes.append(cell_flux(*args))
         return fluxes[-1]
 
-    monkeypatch.setattr(mgbound.dtn, "_cell_flux", recording)
+    monkeypatch.setattr(mgbound.dtn, "_truncation_cell_flux", recording)
     spec = TreeFamilySpec(arity=arity, ratio=ratio)
     res = compressed_dtn_limit(spec, level, depths, 1e-15)
     assert not res.converged and len(fluxes) == len(depths)

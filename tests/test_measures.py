@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import mgbound.measures
+
 from mgbound import (CellMeasure, TreeFamilySpec, CounterexampleSpec, build_counterexample,
                      build_kary_tree, tree_boundary_set, graph_boundary_set,
                      canonical_nested_partitions, equal_split_measure,
@@ -136,14 +138,36 @@ def test_exit_measure_limit_iterates_match_the_closed_form(arity, ratio, level, 
 
 
 @pytest.mark.parametrize("arity, ratio, level, depth", [
-    (2, 0.25, 2, 15), (2, 0.25, 2, 17), (3, 0.4, 1, 10), (3, 0.4, 1, 11)])
+    (2, 0.25, 2, 15), (2, 0.25, 2, 17), (3, 0.4, 1, 10), (3, 0.4, 1, 11),
+    (2, 0.25, 2, 20), (3, 0.4, 1, 30), (2, 0.5, 3, 30), (4, 0.2, 2, 20)])
 def test_exit_measure_limit_masses_are_within_4_ulp(arity, ratio, level, depth):
-    """Each cell's fluxes summed pairwise: within 4 ulp of the exact mass
-    (a running sum leaves them up to 4246 ulp off at (3, 0.4, 1, 11))."""
+    """Within 4 ulp of the exact mass, also past the 10^6-vertex cap that
+    truncation limits had when they solved on the graph."""
     spec = TreeFamilySpec(arity=arity, ratio=ratio, depth=1)
     nu = exit_measure_limit(spec, level, [depth], 1.0).masses
     exact = exit_mass_closed_form(arity, ratio, 1.0, level, depth)
     assert np.max(np.abs(nu - exact)) <= 4 * np.spacing(exact)
+
+
+TREE_FAMILIES = [(2, 0.25), (3, 0.4), (2, 0.5), (4, 0.2)]
+
+
+@pytest.mark.parametrize("arity, ratio", TREE_FAMILIES)
+def test_truncation_exit_masses_match_the_graph_solve(arity, ratio):
+    """The closed form against `exit_measure` on the built tree, from every
+    interior source, on the prefix cells of every level, at depths 1..6.
+    The graph's leaf masses are summed into each level's cells."""
+    for d in range(1, 7):
+        spec = TreeFamilySpec(arity=arity, ratio=ratio, depth=d)
+        g, _ = build_kary_tree(spec)
+        leaves = Partition(tuple((leaf,) for leaf in spec.leaf_addresses()))
+        assignment = leaves.cell_of()
+        for w in g.interior():
+            on_leaves = exit_measure(g, w, leaves, assignment)
+            for level in range(d + 1):
+                ref = on_leaves.reshape(arity ** level, -1).sum(axis=1)
+                nu = mgbound.measures._truncation_exit_masses(spec, level, w)
+                assert np.max(np.abs(nu - ref)) <= 1e-13 * np.max(ref), (d, w, level)
 
 
 def test_exit_measure_star():
@@ -240,6 +264,14 @@ def test_exit_measure_limit_bad_schedule():
         exit_measure_limit(SPEC3, 1, [5, 4], 1e-8)
     with pytest.raises(ValueError):
         exit_measure_limit(SPEC3, 1, [4, 5], -1.0)
+
+
+@pytest.mark.parametrize("level, tol, message", [(-1, 1e-8, "level must be nonnegative"),
+                                                 (1, np.nan, "tol must be positive")])
+def test_truncation_limits_reject_a_negative_level_and_a_nan_tol(level, tol, message):
+    for limit in (exit_measure_limit, compressed_dtn_limit):
+        with pytest.raises(ValueError, match=message):
+            limit(SPEC3, level, [4, 5], tol)
 
 
 def test_dominance_constant_basics():
