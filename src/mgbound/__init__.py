@@ -17,7 +17,7 @@ from .measures import (CellMeasure, equal_split_measure, counting_measure,
                        cell_measure_from_point_masses, exit_measure,
                        exit_measure_point_masses, exit_measure_limit,
                        dominance_constant)
-from .dtn import (DtNMatrix, dtn_matrix, schur_complement_dtn, inner_product_mu,
+from .dtn import (DtNMatrix, dtn_matrix, inner_product_mu,
                   compressed_dtn, compressed_dtn_limit, quadratic_form_check)
 from .haar import (HaarBasis, build_haar_basis, analyze, synthesize,
                    multiresolution_operator, multiresolution_eigenvalues)

@@ -352,8 +352,10 @@ def cmd_check(args):
 
     g, _ = families.build_kary_tree(spec)
     D = dtn_mod.dtn_matrix(g)
-    S = dtn_mod.schur_complement_dtn(g)
-    rep.check_le("dtn vs schur oracle", float(np.max(np.abs(D.matrix - S.matrix))), 1e-9)
+    # the compressed map on the singleton cells of level = depth is the full
+    # Schur complement, in closed form with no graph and no solve
+    S = dtn_mod._truncation_cell_flux(spec, spec.depth)
+    rep.check_le("dtn vs closed form", float(np.max(np.abs(D.matrix - S))), 1e-9)
     _check_dtn_invariants(rep, D)
 
     lim = measures.exit_measure_limit(spec, 0, range(4, 13), 1e-8)

@@ -8,8 +8,7 @@ oriented derivative at v.  That flux is the Schur complement
 S = L_BB - L_BI L_II^{-1} L_IB of the weighted Laplacian applied to F, and
 every flux quantity here is one call of `HarmonicSolver.boundary_flux`: the
 full map is S itself, the compressed map is A^T S A for the leaf-to-cell
-indicator matrix A, and the energy form is F^T S F.  The dense Schur
-complement `schur_complement_dtn` is kept only as a test oracle.
+indicator matrix A, and the energy form is F^T S F.
 
 A Schur complement of a Laplacian is itself a Laplacian (Kron reduction):
 symmetric, off-diagonals <= 0, rows summing to 0.  `check_invariants`
@@ -24,13 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .families import TreeFamilySpec, ROOT, _addresses
+from .families import TreeFamilySpec, ROOT, _addresses, _common_prefix
 from .graph import MetricGraph
-from .harmonic import HarmonicSolver, assemble_laplacian, dirichlet_energy
+from .harmonic import HarmonicSolver, dirichlet_energy
 # bound here unused: perfbench's tracer test wraps vertex_flux through this module
 from .harmonic import vertex_flux  # noqa: F401
-from .measures import (_check_schedule, _common_prefix, _limit, _path_potentials,
-                       _truncation_exit_masses)
+from .measures import _check_schedule, _limit, _path_potentials, _truncation_exit_masses
 from .partition import Partition
 
 INVARIANT_BLOCK = 64  # rows of S per step of check_invariants' pass
@@ -114,25 +112,6 @@ def dtn_matrix(g: MetricGraph, mu: dict | None = None) -> DtNMatrix:
     Lam = solver.boundary_flux(sp.identity(n, format="csc"))
     Lam /= w[:, None]
     return DtNMatrix(solver.boundary, Lam, w)
-
-
-def schur_complement_dtn(g: MetricGraph, mu: dict | None = None) -> DtNMatrix:
-    """Dense Schur-complement oracle: D_mu^{-1} (L_BB - L_BI L_II^{-1} L_IB)."""
-    bverts = sorted(g.boundary)
-    if mu is None:
-        mu = {v: 1.0 for v in bverts}
-    w = _check_weights([mu[v] for v in bverts], len(bverts))
-    lap = assemble_laplacian(g)
-    L = lap.matrix.toarray()
-    bb, ii = lap.boundary_idx, lap.interior_idx
-    L_BB = L[np.ix_(bb, bb)]
-    if len(ii):
-        L_BI = L[np.ix_(bb, ii)]
-        L_II = L[np.ix_(ii, ii)]
-        S = L_BB - L_BI @ np.linalg.solve(L_II, L_BI.T)
-    else:
-        S = L_BB
-    return DtNMatrix(tuple(bverts), S / w[:, None], w)
 
 
 def inner_product_mu(F, G, weights) -> float:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -31,6 +30,16 @@ def _addresses(arity: int, length: int) -> list:
     return words
 
 
+def _common_prefix(arity: int, length: int, a, b) -> np.ndarray:
+    """Longest common prefix lengths of the words of `_addresses(arity,
+    length)` at the indices a and b (index arrays broadcast together: word i
+    has the base-k digits of i), as int8, one byte per pair."""
+    n = np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=np.int8)
+    for t in range(length):
+        n += a // arity ** t == b // arity ** t
+    return n
+
+
 @dataclass(frozen=True)
 class TreeFamilySpec:
     """Rooted k-ary tree; level-d edges have length base_length * ratio**d."""
@@ -44,8 +53,8 @@ class TreeFamilySpec:
             raise ValueError(f"arity must be an integer in [2, {len(_DIGITS)}]")
         if not (0.0 < self.ratio < 1.0):
             raise ValueError("ratio must lie in (0, 1)")
-        if self.base_length <= 0:
-            raise ValueError("base_length must be positive")
+        if not (0.0 < self.base_length < math.inf):
+            raise ValueError("base_length must be positive and finite")
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
 
@@ -69,11 +78,11 @@ def build_kary_tree(spec: TreeFamilySpec):
     """Return (graph, address table).  Vertex ids are root-to-vertex words
     over {0..k-1} ("root" for the root); boundary = the depth-n leaves.
 
-    The graph is made from arrays, with no name until one is asked for.
-    Sorted, the addresses are the preorder of the tree and "root" comes last,
-    so the vertex a_1..a_m sits at sum_j (1 + a_j * S(n - j)) - 1, where
-    S(h) = (k^(h+1) - 1)/(k - 1) is the size of a height-h subtree.  Each edge
-    is named "e" + its child's address and sits at its child's position.
+    The graph is made from arrays.  Sorted, the addresses are the preorder
+    of the tree and "root" comes last, so the vertex a_1..a_m sits at
+    sum_j (1 + a_j * S(n - j)) - 1, where S(h) = (k^(h+1) - 1)/(k - 1) is the
+    size of a height-h subtree.  Each edge is named "e" + its child's address
+    and sits at its child's position.
     """
     return _kary_graph(spec), {leaf: leaf for leaf in spec.leaf_addresses()}
 
@@ -90,34 +99,26 @@ def _level_positions(arity: int, depth: int):
 
 
 def _kary_graph(spec: TreeFamilySpec) -> MetricGraph:
-    """The graph of `build_kary_tree`, made from arrays in sorted order, its
-    names left to `_kary_names`."""
+    """The graph of `build_kary_tree`, made from arrays in sorted order."""
     if spec.vertex_count() > VERTEX_CAP:
         raise ValueError(f"tree would exceed the vertex cap ({VERTEX_CAP})")
     k, depth = spec.arity, spec.depth
     m = spec.vertex_count() - 1  # edges, one per non-root vertex
     parent = np.empty(m, dtype=np.intp)
     length = np.empty(m)
-    above = np.array([m])  # the root sits last
+    words = np.empty(m, dtype=object)
+    above, frontier = np.array([m]), [""]  # the root sits last
     for level, child in enumerate(_level_positions(k, depth), start=1):
         parent[child] = np.repeat(above, k)
         length[child] = spec.edge_length(level)
+        frontier = [word + c for word in frontier for c in _DIGITS[:k]]
+        words[child] = frontier
         above = child
     on_boundary = np.zeros(m + 1, dtype=bool)
     on_boundary[above] = True
-    return MetricGraph.from_arrays(partial(_kary_names, spec), parent, np.arange(m),
-                                   length, on_boundary)
-
-
-def _kary_names(spec: TreeFamilySpec):
-    """(vertex ids, edge ids) of the tree, both sorted."""
-    words = np.empty(spec.vertex_count() - 1, dtype=object)
-    frontier = [""]
-    for child in _level_positions(spec.arity, spec.depth):
-        frontier = [word + c for word in frontier for c in _DIGITS[:spec.arity]]
-        words[child] = frontier
     words = words.tolist()
-    return words + [ROOT], ["e" + word for word in words]
+    return MetricGraph.from_arrays(words + [ROOT], ["e" + word for word in words], parent,
+                                   np.arange(m), length, on_boundary)
 
 
 def _source_address(spec: TreeFamilySpec, w) -> str:
@@ -131,18 +132,6 @@ def _source_address(spec: TreeFamilySpec, w) -> str:
     if len(w) == spec.depth:
         raise ValueError(f"source vertex {w!r} lies on the boundary")
     return w
-
-
-def _interior_position(spec: TreeFamilySpec, w) -> int:
-    """Position of the vertex w among the sorted interior vertices of the
-    tree.  The interior vertices form the tree one level shallower, in the
-    same preorder, so a_1..a_m sits at sum_j (1 + a_j * S(n - 1 - j)) - 1
-    (see `build_kary_tree`), and the root last.  Bad ids raise as in
-    `_source_address`."""
-    k, n, a = spec.arity, spec.depth, _source_address(spec, w)
-    if not a:
-        return (k ** n - 1) // (k - 1) - 1
-    return sum(1 + int(c) * (k ** (n - j) - 1) // (k - 1) for j, c in enumerate(a, 1)) - 1
 
 
 @dataclass(frozen=True)

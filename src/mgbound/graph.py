@@ -9,7 +9,7 @@ here is a pure function.
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from itertools import compress
 
 import numpy as np
@@ -33,80 +33,32 @@ class Edge:
         raise ValueError(f"vertex {w!r} is not an endpoint of edge {self.id!r}")
 
 
+@dataclass(frozen=True)
 class MetricGraph:
     """Sorted vertex ids, edges sorted by id, and the boundary vertex set.
 
-    The graph has two equal forms: the names (`vertices`, `boundary`, and
-    `edges`, a tuple of `Edge`s) and the arrays of `_edge_arrays` (endpoint
-    positions in `vertices`, lengths) and `_on_boundary` (a boolean mask over
-    `vertices`).  A graph made from names (`metric_graph`) fills the arrays on
-    first use; a graph made from arrays (`from_arrays`) makes each name
-    attribute on its first access.  Either form is cached on the instance.
-    Equality, hashing and repr are those of the (vertices, edges, boundary)
-    triple, and the instance is immutable.
+    `_edge_arrays` (endpoint positions in `vertices`, lengths) and
+    `_on_boundary` (a boolean mask over `vertices`) give the same graph as
+    arrays, cached on the instance: a graph made by `from_arrays` holds them
+    from the start, one made from names fills them on first use.
     """
-
-    def __init__(self, vertices, edges, boundary):
-        vars(self).update(_vertices=tuple(vertices), _edges=tuple(edges),
-                          _boundary=frozenset(boundary))
+    vertices: tuple
+    edges: tuple
+    boundary: frozenset
 
     @classmethod
-    def from_arrays(cls, names, u, v, length, on_boundary) -> "MetricGraph":
-        """A graph from the positions of its edges' endpoints in the sorted
-        vertex order, their lengths, and a boolean boundary mask over the
-        vertex positions.  `names()` returns (vertex ids, edge ids), the vertex
-        ids sorted and the edge ids sorted and in the order of the arrays; it
-        is called on the first access of `vertices`, `boundary` or `edges`, so
-        code that reads only the arrays makes no name."""
-        g = cls.__new__(cls)
-        vars(g).update(_names=names, _vertices=None, _edges=None, _boundary=None,
-                       _edge_array_view=(u, v, length), _boundary_mask=on_boundary)
+    def from_arrays(cls, vertices, edge_ids, u, v, length, on_boundary) -> "MetricGraph":
+        """A graph from its sorted vertex ids, its sorted edge ids, the
+        positions in `vertices` of their endpoints, their lengths, and a
+        boolean boundary mask over `vertices`.  The names are made here and
+        the arrays kept as the graph's array form."""
+        vertices = tuple(vertices)
+        edges = tuple(map(Edge, edge_ids, [vertices[i] for i in u.tolist()],
+                          [vertices[i] for i in v.tolist()], length.tolist()))
+        g = cls(vertices, edges, frozenset(compress(vertices, on_boundary.tolist())))
+        object.__setattr__(g, "_edge_array_view", (u, v, length))
+        object.__setattr__(g, "_boundary_mask", on_boundary)
         return g
-
-    @property
-    def vertices(self) -> tuple:
-        if self._vertices is None:
-            vertices, edge_ids = self._names()
-            vars(self).update(_vertices=tuple(vertices), _edge_ids=tuple(edge_ids))
-        return self._vertices
-
-    @property
-    def boundary(self) -> frozenset:
-        if self._boundary is None:
-            vars(self)["_boundary"] = frozenset(
-                compress(self.vertices, self._boundary_mask.tolist()))
-        return self._boundary
-
-    @property
-    def edges(self) -> tuple:
-        if self._edges is None:
-            u, v, length = self._edge_array_view
-            names = self.vertices
-            vars(self)["_edges"] = tuple(map(
-                Edge, self._edge_ids, [names[i] for i in u.tolist()],
-                [names[i] for i in v.tolist()], length.tolist()))
-        return self._edges
-
-    def _key(self):
-        return self.vertices, self.edges, self.boundary
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (f"MetricGraph(vertices={self.vertices!r}, edges={self.edges!r}, "
-                f"boundary={self.boundary!r})")
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def interior(self):
         return [v for v in self.vertices if v not in self.boundary]
@@ -147,10 +99,10 @@ def _edge_arrays(g: MetricGraph):
     """Edge endpoints and lengths as arrays (u, v, length), endpoints given by
     their positions in g.vertices and edges in g.edges order.
 
-    A graph made from arrays holds them from the start.  A graph made from
-    `Edge`s fills them on first use and caches them on the instance, like
-    `adjacency`; an edge to an unknown vertex raises KeyError here, so such a
-    graph can still be made and reported by `validate`.
+    A graph made by `from_arrays` holds them from the start.  Any other fills
+    them on first use and caches them on the instance, like `adjacency`; an
+    edge to an unknown vertex raises KeyError here, so such a graph can still
+    be made and reported by `validate`.
     """
     arrays = getattr(g, "_edge_array_view", None)
     if arrays is None:
@@ -165,7 +117,7 @@ def _edge_arrays(g: MetricGraph):
 
 def _on_boundary(g: MetricGraph) -> np.ndarray:
     """Boolean mask over g.vertices of the boundary vertices; given by a graph
-    made from arrays, otherwise made on first use and cached like
+    made by `from_arrays`, otherwise made on first use and cached like
     `_edge_arrays`."""
     mask = getattr(g, "_boundary_mask", None)
     if mask is None:

@@ -78,8 +78,7 @@ def _detail_values(mass: np.ndarray, kids: np.ndarray, start: np.ndarray,
 def build_haar_basis(tree: CellTree, mu: CellMeasure) -> HaarBasis:
     if mu.tree is not tree:
         raise ValueError("measure was built on a different cell tree")
-    given = np.fromiter(mu.mass.values(), dtype=float, count=len(mu.mass))
-    if not np.all((given > 0) & (given < np.inf)):
+    if not mu.is_positive():
         raise ValueError("mu must be finite and strictly positive on every cell")
     K = tree.ncells(tree.finest)
     w = mu.level_slice(tree.finest)

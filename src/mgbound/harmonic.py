@@ -92,9 +92,9 @@ class HarmonicSolver:
     The blocks L_II, L_IB, L_BI and L_BB of the weighted Laplacian are
     assembled straight from the edge arrays: each triplet goes to the block
     of its row and column, its endpoints renumbered by their rank within
-    their own block.  No full Laplacian is formed, and no vertex name is
-    made until `boundary` or `interior` (the sorted vertex ids of each block)
-    is first read.  L_II is factored by tree elimination when the interior
+    their own block.  No full Laplacian is formed, and `boundary` and
+    `interior` (the sorted vertex ids of each block) are made on first read.
+    L_II is factored by tree elimination when the interior
     induces a forest (`_eliminate_forest`, which never reads L_II), else by
     `splu` with two refinement passes.  The factorization is immutable after
     construction and may be shared across threads for repeated right-hand

@@ -13,12 +13,12 @@ source's path (`_path_potentials`), O(depth + k^level), with no vertex cap.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .families import TreeFamilySpec, _addresses, _source_address, ROOT
+from .families import TreeFamilySpec, _addresses, _common_prefix, _source_address, ROOT
 from .graph import MetricGraph
 from .harmonic import HarmonicSolver
 from .partition import CellTree, Partition, _sorted_order
@@ -28,39 +28,52 @@ ADDITIVITY_TOL = 1e-10
 
 @dataclass
 class CellMeasure:
-    """Nonnegative additive set function on the cells of a CellTree."""
+    """Nonnegative additive set function on the cells of a CellTree:
+    masses[j][c] is the mass of cell c of level j, one read-only float array
+    per level of the tree."""
     tree: CellTree
-    mass: dict  # (level, cell index) -> mass
+    masses: list
+
+    def __post_init__(self):
+        self.masses = [np.array(m, dtype=float) for m in self.masses]
+        if [m.shape for m in self.masses] != [(self.tree.ncells(j),)
+                                              for j in range(self.tree.finest + 1)]:
+            raise ValueError("masses must hold one array per level of the tree, "
+                             "one mass per cell")
+        for m in self.masses:
+            m.flags.writeable = False
+
+    @cached_property
+    def mass(self) -> dict:
+        """(level, cell index) -> mass, made on first read."""
+        return {(level, ci): m for level, arr in enumerate(self.masses)
+                for ci, m in enumerate(arr.tolist())}
 
     def total(self) -> float:
-        return self.mass[(0, 0)]
+        return float(self.masses[0][0])
 
     def level_slice(self, level: int) -> np.ndarray:
-        return np.array([self.mass[(level, ci)] for ci in range(self.tree.ncells(level))])
+        return self.masses[level]
 
     def check_additivity(self, tol: float = ADDITIVITY_TOL):
         """Largest gap between a cell's mass and the sum of its children's;
         raises if it exceeds tol or if any mass is NaN or infinite (a gap
         such as inf - inf would be NaN and compare as no gap at all)."""
-        bad = [key for key, m in self.mass.items() if not math.isfinite(m)]
-        if bad:
-            raise AssertionError(f"non-finite mass at cells {bad[:5]}")
+        for level, m in enumerate(self.masses):
+            bad = np.flatnonzero(~np.isfinite(m))
+            if len(bad):
+                raise AssertionError(f"non-finite mass at level {level}, cells "
+                                     f"{bad[:5].tolist()}")
         worst = 0.0
         for level in range(1, self.tree.finest + 1):
-            kids = np.bincount(self.tree.parent(level), weights=self.level_slice(level))
-            worst = max(worst, float(np.max(np.abs(self.level_slice(level - 1) - kids))))
+            kids = np.bincount(self.tree.parent(level), weights=self.masses[level])
+            worst = max(worst, float(np.max(np.abs(self.masses[level - 1] - kids))))
         if worst > tol:
             raise AssertionError(f"additivity violated by {worst:.3e}")
         return worst
 
     def is_positive(self) -> bool:
-        return all(0 < m < math.inf for m in self.mass.values())
-
-
-def _from_levels(tree: CellTree, masses) -> CellMeasure:
-    """The measure with masses[level][ci] on cell ci of each level."""
-    return CellMeasure(tree, {(level, ci): m for level, arr in enumerate(masses)
-                              for ci, m in enumerate(arr.tolist())})
+        return all(np.all((m > 0) & (m < np.inf)) for m in self.masses)
 
 
 def equal_split_measure(tree: CellTree) -> CellMeasure:
@@ -70,11 +83,11 @@ def equal_split_measure(tree: CellTree) -> CellMeasure:
     for level in range(1, tree.finest + 1):
         parent = tree.parent(level)
         masses.append(masses[-1][parent] / np.bincount(parent)[parent])
-    return _from_levels(tree, masses)
+    return CellMeasure(tree, masses)
 
 
 def counting_measure(tree: CellTree) -> CellMeasure:
-    return _from_levels(tree, [np.bincount(c).astype(float) for c in tree.cell])
+    return CellMeasure(tree, [np.bincount(c).astype(float) for c in tree.cell])
 
 
 def cell_measure_from_point_masses(tree: CellTree, point_mass: dict) -> CellMeasure:
@@ -84,7 +97,7 @@ def cell_measure_from_point_masses(tree: CellTree, point_mass: dict) -> CellMeas
     points = tree.boundary.points
     order = _sorted_order(points)
     w = np.array([point_mass[points[i]] for i in order.tolist()], dtype=float)
-    return _from_levels(tree, [np.bincount(c[order], weights=w) for c in tree.cell])
+    return CellMeasure(tree, [np.bincount(c[order], weights=w) for c in tree.cell])
 
 
 def exit_measure(g: MetricGraph, w, cells: Partition, assignment: dict | None = None,
@@ -175,15 +188,6 @@ def _path_potentials(spec: TreeFamilySpec, m: int, tied: bool = False):
     return rho, u[::-1]
 
 
-def _common_prefix(k: int, level: int, a, b) -> np.ndarray:
-    """Longest common prefix lengths of the level-`level` cells a and b,
-    index arrays broadcast together (cell i has the base-k digits of i)."""
-    n = np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=np.intp)
-    for t in range(level):
-        n += a // k ** t == b // k ** t
-    return n
-
-
 def _truncation_exit_masses(spec: TreeFamilySpec, level: int, w) -> np.ndarray:
     """Exit masses from w = p_m (`_path_potentials`) of the level-`level`
     prefix cells of the depth-d tree `spec`: the k - 1 branches off the path
@@ -197,7 +201,8 @@ def _truncation_exit_masses(spec: TreeFamilySpec, level: int, w) -> np.ndarray:
     if m >= level:  # w's own cell
         share.append(sum((k - 1) * u[j] / rho[j + 1] for j in range(level, m)) + k / rho[m + 1])
     home = int(a[:level].ljust(level, "0") or "0", k)  # w's cell, or the first below w
-    return np.array(share)[np.minimum(_common_prefix(k, level, np.arange(k ** level), home), m)]
+    return np.array(share)[np.minimum(_common_prefix(k, level, np.arange(k ** level), home),
+                                      min(m, level))]
 
 
 def _limit(iterates, tol: float):

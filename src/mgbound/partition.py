@@ -14,7 +14,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from .families import TreeFamilySpec
+from .families import TreeFamilySpec, _common_prefix
 from .graph import MetricGraph, _shortest_edge_matrix
 
 
@@ -83,13 +83,9 @@ class _KaryBoundarySet(BoundarySet):
 
     @cached_property
     def dist(self) -> np.ndarray:
-        k, n = self.arity, len(self.table) - 1
         idx = np.arange(len(self))
-        agree = np.zeros((len(self), len(self)), dtype=np.int8)
-        for m in range(1, n + 1):
-            p = idx // k ** (n - m)
-            agree += p[:, None] == p[None, :]
-        return self.table[agree]
+        return self.table[_common_prefix(self.arity, len(self.table) - 1,
+                                         idx[:, None], idx[None, :])]
 
     def diameter(self) -> float:
         return float(self.table[0])
@@ -102,10 +98,8 @@ class _KaryBoundarySet(BoundarySet):
         k, n, N = self.arity, len(self.table) - 1, len(self)
         size = [k ** (n - j) for j in range(n + 1)]  # points per level-j cell
         cell = [np.arange(N, dtype=np.intp) // m for m in size]
-        levels = [Partition(tuple(self.points[s:s + m] for s in range(0, N, m)))
-                  for m in size]
         diameter = [np.full(N // m, t) for m, t in zip(size, self.table)]  # table[n] = 0
-        return CellTree(self, levels, self.jumps(), diameter, cell)
+        return CellTree(self, self.jumps(), diameter, cell)
 
 
 def tree_boundary_set(spec: TreeFamilySpec) -> BoundarySet:
@@ -237,29 +231,35 @@ def jump_values(b: BoundarySet):
 @dataclass
 class CellTree:
     """Canonical nested partition: level j = epsilon-components at the j-th
-    jump value.  levels[0] is the single cell Omega; the final level is
-    all singletons.  cell[j][i] is the index in levels[j] of the cell that
-    holds boundary.points[i], and mesh[j] the largest cell diameter."""
+    jump value.  Level 0 is the single cell Omega; the final level is all
+    singletons.  cell[j][i] is the index of the level-j cell that holds
+    boundary.points[i], the cells of a level numbered by smallest member, and
+    mesh[j] the largest cell diameter.  The levels as named `Partition`s are
+    made from `cell` on the first read of `levels`."""
     boundary: BoundarySet
-    levels: list
     jumps: list
-    diameter: list  # diameter[j][c]: of cell c of levels[j], 0 for a singleton
+    diameter: list  # diameter[j][c]: of cell c of level j, 0 for a singleton
     cell: list
+
+    @cached_property
+    def levels(self) -> list:
+        points = self.boundary.points
+        order = _sorted_order(points)
+        return [_partition(points, order, c) for c in self.cell]
 
     @property
     def mesh(self) -> list:
         return [float(d.max()) for d in self.diameter]
 
     def ncells(self, level: int) -> int:
-        return len(self.levels[level])
+        return int(self.cell[level].max()) + 1
 
     @property
     def finest(self) -> int:
-        return len(self.levels) - 1
+        return len(self.cell) - 1
 
     def parent(self, level: int) -> np.ndarray:
-        """Index in levels[level - 1] of the cell holding each cell of
-        levels[level]."""
+        """Index in level - 1 of the cell holding each cell of level `level`."""
         if not 1 <= level <= self.finest:
             raise ValueError(f"level {level} has no parent level")
         out = np.empty(self.ncells(level), dtype=np.intp)
@@ -315,5 +315,4 @@ def canonical_nested_partitions(b: BoundarySet) -> CellTree:
         forest = csr_matrix((w[keep], (i[keep], j[keep])), shape=(n, n))
         _, labels = connected_components(forest, directed=False)
         cell.append(_cell_index(labels, order))
-    levels = [_partition(b.points, order, c) for c in cell]
-    return CellTree(b, levels, jumps, _diameters(b, cell), cell)
+    return CellTree(b, jumps, _diameters(b, cell), cell)

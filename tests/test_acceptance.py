@@ -13,7 +13,7 @@ from mgbound import (TreeFamilySpec, CounterexampleSpec, build_kary_tree,
                      equal_split_measure, counting_measure,
                      cell_measure_from_point_masses, exit_measure,
                      exit_measure_point_masses, exit_measure_limit,
-                     dominance_constant, dtn_matrix, schur_complement_dtn,
+                     dominance_constant, dtn_matrix,
                      compressed_dtn, compressed_dtn_limit,
                      quadratic_form_check, build_haar_basis, analyze,
                      synthesize, HarmonicSolver, solve_dirichlet,
@@ -21,7 +21,8 @@ from mgbound import (TreeFamilySpec, CounterexampleSpec, build_kary_tree,
 from mgbound.families import ROOT
 from mgbound.partition import Partition
 
-from util import components_bruteforce, random_connected_graph, star_graph
+from util import (components_bruteforce, random_connected_graph, schur_complement_dtn,
+                  star_graph)
 
 TREE = TreeFamilySpec(arity=2, ratio=0.25, depth=5)
 

@@ -195,6 +195,18 @@ def test_truncation_limit_bad_schedule_exits_2(tmp_path, capsys, command, flags,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "0"])
+def test_non_finite_base_length_exits_2(tmp_path, capsys, value):
+    """An infinite base length gave all-zero masses reported as converged,
+    and a NaN one a NaN trace."""
+    rc = main(["--outdir", str(tmp_path / "o"), "exit-measure", "--base-length", value,
+               "--level", "1", "--depths", "4:8"])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and "base_length" in err["message"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_haar_gram_check(tmp_path):
     for measure in ("rho", "counting", "exit"):
         rc, _, report = run(tmp_path, "haar", "--depth", "3",
@@ -278,6 +290,7 @@ def test_check_suite(tmp_path, capsys):
     rc, _, report = run(tmp_path, "check")
     assert rc == 0 and report["ok"]
     assert len(report["checks"]) >= 7
+    assert "dtn vs closed form" in [c["name"] for c in report["checks"]]
     text = capsys.readouterr().out
     assert "[pass]" in text and "[FAIL]" not in text
 

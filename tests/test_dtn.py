@@ -3,7 +3,7 @@ import pytest
 
 import mgbound.dtn
 import mgbound.families
-from mgbound import (metric_graph, dtn_matrix, schur_complement_dtn,
+from mgbound import (metric_graph, dtn_matrix,
                      inner_product_mu, compressed_dtn, compressed_dtn_limit,
                      quadratic_form_check, TreeFamilySpec, build_kary_tree,
                      build_counterexample, CounterexampleSpec, exit_measure_limit,
@@ -13,7 +13,7 @@ from mgbound.partition import Partition
 
 from test_acceptance import _criterion1_graphs, _random_two_cells
 from util import (compressed_flux_reduced, compression_oracle, dtn_min_eigenvalue,
-                  star_graph, random_connected_graph)
+                  schur_complement_dtn, star_graph, random_connected_graph)
 
 SPEC = TreeFamilySpec(arity=2, ratio=0.25, depth=3)
 
@@ -311,23 +311,6 @@ def test_truncation_sweeps_construct_no_edge(monkeypatch):
     exit_measure_limit(SPEC, 2, range(4, 11), 1e-12)
     compressed_dtn_limit(SPEC, 2, range(4, 11), 1e-12)
     assert made == []
-
-
-def test_truncation_sweeps_make_no_vertex_name(monkeypatch):
-    named = []
-    from_arrays = MetricGraph.from_arrays.__func__
-
-    def spy(cls, names, *arrays):
-        def counting_names():
-            named.append(names)
-            return names()
-        return from_arrays(cls, counting_names, *arrays)
-
-    monkeypatch.setattr(MetricGraph, "from_arrays", classmethod(spy))
-    exit_measure_limit(SPEC, 2, range(4, 11), 1e-12)
-    compressed_dtn_limit(SPEC, 2, range(4, 11), 1e-12)
-    assert named == []
-    assert build_kary_tree(SPEC)[0].vertices[-1] == "root" and len(named) == 1
 
 
 CLOSED_FORM_CASES = [(2, 0.25, 2, range(6, 15)), (3, 0.4, 1, range(4, 9)),

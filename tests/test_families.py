@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from mgbound import (TreeFamilySpec, CounterexampleSpec, build_kary_tree,
-                     build_counterexample, load_graph, save_graph, validate)
-from mgbound.families import GraphFormatError, _interior_position
-from mgbound.graph import _edge_arrays
+                     build_counterexample, load_graph, metric_graph, save_graph, validate)
+from mgbound.families import GraphFormatError
+from mgbound.graph import _edge_arrays, _on_boundary
 
 from util import kary_tree_reference
 
@@ -59,28 +59,14 @@ def test_array_built_tree_equals_the_per_level_reference(arity, depth):
     assert g.boundary == ref.boundary
     assert addr == ref_addr and list(addr) == list(ref_addr)
     assert g == ref and repr(g) == repr(ref) and hash(g) == hash(ref)
+    named = metric_graph(g.vertices, g.edges, g.boundary)
+    assert g == named and hash(g) == hash(named)
+    assert np.array_equal(_on_boundary(g), _on_boundary(named))
     text = save_graph(g)
     assert text == save_graph(ref)
     assert load_graph(text) == g
     with pytest.raises(AttributeError):
         g.vertices = ()
-
-
-@pytest.mark.parametrize("arity, depth", [(2, 1), (2, 6), (3, 4), (10, 2)])
-def test_interior_position_is_the_sorted_interior_index(arity, depth):
-    spec = TreeFamilySpec(arity=arity, ratio=0.3, depth=depth)
-    interior = build_kary_tree(spec)[0].interior()
-    assert [_interior_position(spec, w) for w in interior] == list(range(len(interior)))
-    assert interior[-1] == "root"
-    leaf = "0" * depth
-    with pytest.raises(ValueError, match=f"source vertex '{leaf}' lies on the boundary"):
-        _interior_position(spec, leaf)
-    for bad in ["", "x", "root0", str(arity - 1) * (depth + 1), 0]:
-        with pytest.raises(KeyError, match="unknown vertex"):
-            _interior_position(spec, bad)
-    if arity < 10:  # a digit that is not below the arity
-        with pytest.raises(KeyError, match="unknown vertex"):
-            _interior_position(spec, str(arity))
 
 
 def test_vertex_cap():
@@ -95,6 +81,12 @@ def test_bad_specs():
         TreeFamilySpec(ratio=1.0)
     with pytest.raises(ValueError):
         CounterexampleSpec(spine=2)
+
+
+@pytest.mark.parametrize("base_length", [0.0, -1.0, np.inf, np.nan])
+def test_base_length_must_be_positive_and_finite(base_length):
+    with pytest.raises(ValueError, match="base_length must be positive and finite"):
+        TreeFamilySpec(base_length=base_length)
 
 
 def test_counterexample_structure():

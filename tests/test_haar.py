@@ -30,7 +30,7 @@ def dyadic_tree(depth):
 def test_single_cell_basis():
     b = BoundarySet(["x"], np.zeros((1, 1)))
     tree = canonical_nested_partitions(b)
-    mu = CellMeasure(tree, {(0, 0): 4.0})
+    mu = CellMeasure(tree, [[4.0]])
     basis = build_haar_basis(tree, mu)
     assert len(basis) == 1
     assert basis.functions[0][0] == pytest.approx(0.5)  # mu(Omega)^(-1/2)
@@ -47,7 +47,7 @@ def test_binary_split_equal_masses():
 
 def test_binary_split_uneven_masses():
     _, tree = dyadic_tree(1)
-    mu = CellMeasure(tree, {(0, 0): 1.0, (1, 0): 0.75, (1, 1): 0.25})
+    mu = CellMeasure(tree, [[1.0], [0.75, 0.25]])
     basis = build_haar_basis(tree, mu)
     assert basis.functions[1] == pytest.approx([np.sqrt(1 / 3), -np.sqrt(3)])
 
@@ -65,14 +65,14 @@ def test_gram_identity_all_measures():
 
 def test_zero_mass_cell_rejected():
     _, tree = dyadic_tree(1)
-    mu = CellMeasure(tree, {(0, 0): 1.0, (1, 0): 1.0, (1, 1): 0.0})
+    mu = CellMeasure(tree, [[1.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
         build_haar_basis(tree, mu)
 
 
 def test_infinite_cell_mass_rejected():
     _, tree = dyadic_tree(1)
-    mu = CellMeasure(tree, {(0, 0): np.inf, (1, 0): np.inf, (1, 1): 1.0})
+    mu = CellMeasure(tree, [[np.inf], [np.inf, 1.0]])
     with pytest.raises(ValueError):
         build_haar_basis(tree, mu)
 
@@ -221,6 +221,30 @@ def test_depth_16_cell_tree_and_bases_in_bounded_memory():
     assert out["peak_rss_mb"] < 400
 
 
+def test_haar_chain_makes_no_named_partition_and_no_mass_dict(monkeypatch):
+    """From the boundary sets to the transforms, only the integer cell arrays
+    and the per-level mass arrays are read: no `Partition` of names is made,
+    and no measure fills its (level, cell) `mass` dict."""
+    def refuse(*args):
+        raise AssertionError("a named partition was made")
+
+    monkeypatch.setattr(mgbound.partition, "_partition", refuse)
+    spine = build_counterexample(CounterexampleSpec(spine=12))
+    made = []
+    for b in (tree_boundary_set(TreeFamilySpec(arity=2, ratio=0.25, depth=8)),
+              tree_boundary_set(TreeFamilySpec(arity=3, ratio=0.4, depth=4)),
+              graph_boundary_set(spine)):
+        tree = canonical_nested_partitions(b)
+        for mu in (equal_split_measure(tree), counting_measure(tree)):
+            mu.check_additivity()
+            basis = build_haar_basis(tree, mu)
+            f = np.linspace(-1.0, 1.0, len(basis))
+            synthesize(basis, analyze(basis, f))
+            multiresolution_operator(basis, f)
+            made.append(mu)
+    assert made and not any("mass" in vars(mu) for mu in made)
+
+
 @pytest.mark.parametrize("depth", [3, 8])
 def test_sparse_transforms_match_dense_products(depth):
     _, tree = dyadic_tree(depth)
@@ -260,7 +284,7 @@ def test_spine_details_supported_on_tail_and_positive_on_first_child():
 def test_gram_identity_at_extreme_mass_scales(factor):
     for tree in (dyadic_tree(6)[1], spine_tree()):
         rho = equal_split_measure(tree)
-        mu = CellMeasure(tree, {k: v * factor for k, v in rho.mass.items()})
+        mu = CellMeasure(tree, [m * factor for m in rho.masses])
         basis = build_haar_basis(tree, mu)
         assert np.max(np.abs(basis.gram_matrix() - np.eye(len(basis)))) < 1e-12
 

@@ -83,9 +83,9 @@ def test_measures_equal_the_per_cell_loops():
 
 
 @pytest.mark.parametrize("mass", [
-    {(0, 0): np.inf, (1, 0): np.inf, (1, 1): 1.0},
-    {(0, 0): 2.0, (1, 0): np.nan, (1, 1): 1.0},
-    {(0, 0): -np.inf, (1, 0): -np.inf, (1, 1): 1.0},
+    [[np.inf], [np.inf, 1.0]],
+    [[2.0], [np.nan, 1.0]],
+    [[-np.inf], [-np.inf, 1.0]],
 ])
 def test_nonfinite_masses_fail_additivity_and_positivity(mass):
     tree = canonical_nested_partitions(tree_boundary_set(SPEC3.at_depth(1)))
@@ -93,6 +93,27 @@ def test_nonfinite_masses_fail_additivity_and_positivity(mass):
     with pytest.raises(AssertionError, match="non-finite"):
         nu.check_additivity()
     assert not nu.is_positive()
+
+
+@pytest.mark.parametrize("masses", [
+    [[1.0]],                       # a level short
+    [[1.0], [0.5, 0.5], [0.25]],   # a level too many
+    [[1.0], [0.5, 0.25, 0.25]],    # a cell too many
+    [[1.0], [[0.5, 0.5]]],         # not one array per level
+])
+def test_masses_that_do_not_match_the_tree_levels_are_rejected(masses):
+    tree = canonical_nested_partitions(tree_boundary_set(SPEC3.at_depth(1)))
+    with pytest.raises(ValueError, match="one array per level"):
+        CellMeasure(tree, masses)
+
+
+def test_cell_measure_masses_are_read_only_copies(tree3):
+    given = [np.bincount(c).astype(float) for c in tree3.cell]
+    nu = CellMeasure(tree3, given)
+    given[0][0] = 0.0
+    assert nu.total() == 8.0
+    with pytest.raises(ValueError):
+        nu.level_slice(1)[0] = 0.0
 
 
 def _pinned_cases():

@@ -8,6 +8,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from mgbound import BoundarySet, HarmonicSolver, metric_graph, vertex_flux
+from mgbound.dtn import DtNMatrix, _check_weights
 from mgbound.families import ROOT, _DIGITS
 
 
@@ -207,6 +208,23 @@ def laplacian_reference(g, boundary=None):
     interior = np.array([i for i, v in enumerate(g.vertices) if v not in bset], dtype=int)
     bnd = np.array([i for i, v in enumerate(g.vertices) if v in bset], dtype=int)
     return L, interior, bnd
+
+
+def schur_complement_dtn(g, mu=None):
+    """Dense Schur-complement oracle for `dtn_matrix`:
+    D_mu^{-1} (L_BB - L_BI L_II^{-1} L_IB) on the Laplacian of
+    `laplacian_reference`, its boundary in sorted order."""
+    bverts = sorted(g.boundary)
+    if mu is None:
+        mu = {v: 1.0 for v in bverts}
+    w = _check_weights([mu[v] for v in bverts], len(bverts))
+    L, ii, bb = laplacian_reference(g)
+    L = L.toarray()
+    S = L[np.ix_(bb, bb)]
+    if len(ii):
+        L_BI = L[np.ix_(bb, ii)]
+        S = S - L_BI @ np.linalg.solve(L[np.ix_(ii, ii)], L_BI.T)
+    return DtNMatrix(tuple(bverts), S / w[:, None], w)
 
 
 def compression_oracle(full, cells, assignment, cell_weights):
