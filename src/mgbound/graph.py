@@ -133,7 +133,11 @@ def _shortest_edge_matrix(g: MetricGraph) -> csr_matrix:
     Parallel edges keep their shortest length (a sparse matrix would sum
     them)."""
     u, v, length = _edge_arrays(g)
-    n = len(g.vertices)
+    return _shortest_pair_matrix(u, v, length, len(g.vertices))
+
+
+def _shortest_pair_matrix(u, v, length, n: int) -> csr_matrix:
+    """n x n upper-triangular matrix of the shortest length given each pair {u, v}."""
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     order = np.lexsort((length, hi, lo))
     lo, hi = lo[order], hi[order]

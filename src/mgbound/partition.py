@@ -12,10 +12,10 @@ from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.sparse.csgraph import connected_components, dijkstra, minimum_spanning_tree
 
 from .families import TreeFamilySpec, _common_prefix
-from .graph import MetricGraph, _shortest_edge_matrix
+from .graph import MetricGraph, _edge_arrays, _shortest_edge_matrix, _shortest_pair_matrix
 
 
 _SYMMETRY_ROWS = 1024  # rows per block of the symmetry check
@@ -35,8 +35,9 @@ class BoundarySet:
         # by row blocks, so that no n x n float temporary is made
         for s in range(0, n, _SYMMETRY_ROWS):
             rows = self.dist[s:s + _SYMMETRY_ROWS]
-            if np.any(np.abs(rows - self.dist[:, s:s + _SYMMETRY_ROWS].T) > 1e-12):
-                raise ValueError("distance table must be symmetric")
+            with np.errstate(invalid="ignore"):  # inf - inf is a NaN gap, not > 1e-12
+                if np.any(np.abs(rows - self.dist[:, s:s + _SYMMETRY_ROWS].T) > 1e-12):
+                    raise ValueError("distance table must be symmetric")
         # the diagonal is 0, so this counts the off-diagonal and rejects NaN
         if np.count_nonzero(self.dist > 0) != n * (n - 1):
             raise ValueError("distinct points must have positive distance")
@@ -50,6 +51,31 @@ class BoundarySet:
 
     def diameter(self) -> float:
         return float(self.dist.max()) if len(self) > 1 else 0.0
+
+    @cached_property
+    def mst(self):
+        """Endpoints and weights (i, j, w) of a minimum spanning tree of the
+        metric, by Prim's algorithm on the dense table from point 0: one
+        vectorised row update per point, with no sparse copy of the table."""
+        D = self.dist
+        n = len(D)
+        best = np.full(n, np.inf)
+        parent = np.zeros(n, dtype=np.intp)
+        done = np.zeros(n, dtype=bool)
+        order = np.empty(n, dtype=np.intp)
+        for t in range(n):
+            j = int(np.argmin(best))
+            if done[j]:                      # only infinite distances remain
+                j = int(np.flatnonzero(~done)[0])
+            order[t] = j
+            done[j] = True
+            best[j] = np.inf
+            row = D[j]
+            closer = (row < best) & ~done
+            best[closer] = row[closer]
+            parent[closer] = j
+        i, j = parent[order[1:]], order[1:]
+        return i, j, D[i, j]
 
 
 def tree_boundary_distance(spec: TreeFamilySpec, x: str, y: str) -> float:
@@ -96,10 +122,8 @@ class _KaryBoundarySet(BoundarySet):
 
     def cell_tree(self) -> CellTree:
         k, n, N = self.arity, len(self.table) - 1, len(self)
-        size = [k ** (n - j) for j in range(n + 1)]  # points per level-j cell
-        cell = [np.arange(N, dtype=np.intp) // m for m in size]
-        diameter = [np.full(N // m, t) for m, t in zip(size, self.table)]  # table[n] = 0
-        return CellTree(self, self.jumps(), diameter, cell)
+        return CellTree(self, self.jumps(),
+                        [np.arange(N, dtype=np.intp) // k ** (n - j) for j in range(n + 1)])
 
 
 def tree_boundary_set(spec: TreeFamilySpec) -> BoundarySet:
@@ -120,15 +144,47 @@ def tree_boundary_set(spec: TreeFamilySpec) -> BoundarySet:
     return BoundarySet(b.points, b.dist)
 
 
+class _GraphBoundarySet(BoundarySet):
+    """The sorted boundary vertices of a metric graph under its path metric.
+    One Dijkstra from all of them gives each vertex its nearest point s (its
+    Voronoi region); an edge (u, v) of length l from the region of s to that
+    of t offers the pair d(s, u) + l + d(v, t), and the shortest offers span
+    an MST of the metric (Mehlhorn 1988).  The n x n table, one Dijkstra per
+    point, is made only when `dist` is read."""
+
+    def __init__(self, g: MetricGraph):
+        self.points = tuple(sorted(g.boundary))
+        self.index = {p: i for i, p in enumerate(self.points)}
+        n = len(self.points)
+        pos = {v: i for i, v in enumerate(g.vertices)}
+        self.src = np.array([pos[p] for p in self.points], dtype=np.intp)
+        self.lengths = _shortest_edge_matrix(g)
+        near, _, region = dijkstra(self.lengths, directed=False, indices=self.src,
+                                   min_only=True, return_predecessors=True)
+        u, v, length = _edge_arrays(g)
+        cross = region[u] != region[v]  # unreached vertices share the region -9999
+        w = (near[u] + length + near[v])[cross]
+        # a point in another's region, or a zero offer, lies at distance 0
+        if np.any(region[self.src] != self.src) or not np.all(w > 0):
+            raise ValueError("distinct points must have positive distance")
+        rank = np.zeros(len(g.vertices), dtype=np.intp)
+        rank[self.src] = np.arange(n)
+        s, t = rank[region[u[cross]]], rank[region[v[cross]]]
+        # point 0 offers the rest an infinite edge, joining components as Prim does
+        rest = np.arange(1, n)
+        offers = _shortest_pair_matrix(np.r_[s, 0 * rest], np.r_[t, rest], np.r_[w, np.inf * rest], n)
+        tree = minimum_spanning_tree(offers).tocoo()
+        self.mst = tree.row, tree.col, tree.data
+
+    @cached_property
+    def dist(self) -> np.ndarray:
+        dist = dijkstra(self.lengths, directed=False, indices=self.src)[:, self.src]
+        return (dist + dist.T) / 2.0
+
+
 def graph_boundary_set(g: MetricGraph) -> BoundarySet:
-    """Path metric on the boundary vertices, from one multi-source Dijkstra
-    over the graph's shortest-parallel-edge length matrix."""
-    pts = sorted(g.boundary)
-    pos = {v: i for i, v in enumerate(g.vertices)}
-    src = [pos[p] for p in pts]
-    dist = dijkstra(_shortest_edge_matrix(g), directed=False, indices=src)[:, src]
-    dist = (dist + dist.T) / 2.0
-    return BoundarySet(pts, dist)
+    """Path metric on the boundary vertices; see `_GraphBoundarySet`."""
+    return _GraphBoundarySet(g)
 
 
 @dataclass(frozen=True)
@@ -168,41 +224,21 @@ def _partition(points, order, cell) -> Partition:
     return Partition(tuple(tuple(names[s:e]) for s, e in zip([0] + cuts, cuts)))
 
 
+def _components(b: BoundarySet, eps: float) -> np.ndarray:
+    """Component labels of the minimum spanning tree's edges of weight < eps,
+    which are the epsilon-components (Gower & Ross 1969)."""
+    i, j, w = b.mst
+    keep = w < eps
+    forest = csr_matrix((w[keep], (i[keep], j[keep])), shape=(len(b), len(b)))
+    return connected_components(forest, directed=False)[1]
+
+
 def epsilon_components(b: BoundarySet, eps: float) -> Partition:
     """Connected components of the graph with an edge whenever d < eps."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    _, labels = connected_components(csr_matrix(b.dist < eps), directed=False)
     order = _sorted_order(b.points)
-    return _partition(b.points, order, _cell_index(labels, order))
-
-
-def _mst(b: BoundarySet):
-    """Endpoints and weights (i, j, w) of a minimum spanning tree of the metric.
-
-    Prim's algorithm on the dense table: one vectorised row update per point,
-    with no sparse copy of the n x n metric."""
-    D = b.dist
-    n = len(D)
-    best = D[0].copy()
-    parent = np.zeros(n, dtype=np.intp)
-    done = np.zeros(n, dtype=bool)
-    done[0] = True
-    best[0] = np.inf
-    order = np.empty(n - 1, dtype=np.intp)
-    for t in range(n - 1):
-        j = int(np.argmin(best))
-        if done[j]:                      # only infinite distances remain
-            j = int(np.flatnonzero(~done)[0])
-        order[t] = j
-        done[j] = True
-        best[j] = np.inf
-        row = D[j]
-        closer = (row < best) & ~done
-        best[closer] = row[closer]
-        parent[closer] = j
-    i = parent[order]
-    return i, order, D[i, order]
+    return _partition(b.points, order, _cell_index(_components(b, eps), order))
 
 
 def _jumps(n: int, w) -> list:
@@ -223,9 +259,7 @@ def jump_values(b: BoundarySet):
     """
     if isinstance(b, _KaryBoundarySet):
         return b.jumps()
-    if len(b) < 2:
-        return []
-    return _jumps(len(b), _mst(b)[2])
+    return _jumps(len(b), b.mst[2])
 
 
 @dataclass
@@ -235,10 +269,10 @@ class CellTree:
     singletons.  cell[j][i] is the index of the level-j cell that holds
     boundary.points[i], the cells of a level numbered by smallest member, and
     mesh[j] the largest cell diameter.  The levels as named `Partition`s are
-    made from `cell` on the first read of `levels`."""
+    made from `cell` on the first read of `levels`, and the cell diameters
+    on the first read of `diameter`."""
     boundary: BoundarySet
     jumps: list
-    diameter: list  # diameter[j][c]: of cell c of level j, 0 for a singleton
     cell: list
 
     @cached_property
@@ -246,6 +280,14 @@ class CellTree:
         points = self.boundary.points
         order = _sorted_order(points)
         return [_partition(points, order, c) for c in self.cell]
+
+    @cached_property
+    def diameter(self) -> list:
+        """diameter[j][c]: of cell c of level j, 0 for a singleton."""
+        b = self.boundary
+        if isinstance(b, _KaryBoundarySet):  # level-j cells have diameter table[j]
+            return [np.full(b.arity ** j, t) for j, t in enumerate(b.table)]
+        return _diameters(b, self.cell)
 
     @property
     def mesh(self) -> list:
@@ -306,13 +348,7 @@ def canonical_nested_partitions(b: BoundarySet) -> CellTree:
     n = len(b)
     if n == 0:
         raise ValueError("boundary set is empty")
-    i, j, w = _mst(b)
-    jumps = _jumps(n, w)
+    jumps = _jumps(n, b.mst[2])
     order = _sorted_order(b.points)
-    cell = [np.zeros(n, dtype=np.intp)]
-    for alpha, _, _ in jumps:
-        keep = w < alpha
-        forest = csr_matrix((w[keep], (i[keep], j[keep])), shape=(n, n))
-        _, labels = connected_components(forest, directed=False)
-        cell.append(_cell_index(labels, order))
-    return CellTree(b, jumps, _diameters(b, cell), cell)
+    cell = [_cell_index(_components(b, alpha), order) for alpha, _, _ in jumps]
+    return CellTree(b, jumps, [np.zeros(n, dtype=np.intp)] + cell)

@@ -1,11 +1,18 @@
+import json
+import os
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
-from mgbound import (TreeFamilySpec, BoundarySet, tree_boundary_distance,
+import mgbound
+from mgbound import (TreeFamilySpec, CounterexampleSpec, BoundarySet, tree_boundary_distance,
                      tree_boundary_set, graph_boundary_set, epsilon_components,
                      jump_values, canonical_nested_partitions, mesh,
-                     build_kary_tree, metric_graph, equal_split_measure,
-                     counting_measure, build_haar_basis)
+                     build_kary_tree, build_counterexample, metric_graph,
+                     equal_split_measure, counting_measure, build_haar_basis)
 from mgbound.partition import Partition, _cell_diameter
 
 from util import (components_bruteforce, components_union_find, dijkstra_reference,
@@ -291,3 +298,147 @@ def test_graph_boundary_set_matches_dijkstra_on_random_graphs():
     rng = np.random.default_rng(9)
     for _ in range(15):
         _assert_boundary_metric(random_connected_graph(rng, max_vertices=30))
+
+
+def _table_path(b):
+    """The hierarchy of b's n x n table, by Prim's algorithm on the table."""
+    return canonical_nested_partitions(BoundarySet(b.points, b.dist))
+
+
+def _assert_same_levels(tree, ref):
+    assert len(tree.cell) == len(ref.cell)
+    for got, want in zip(tree.cell, ref.cell):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _assert_components_match_jumps(b, tree):
+    for level, (alpha, before, after) in zip(tree.cell[1:], tree.jumps):
+        p = epsilon_components(b, alpha)
+        assert len(p) == before
+        assert [len(c) for c in p.cells] == np.bincount(level).tolist()
+        if alpha < np.inf:  # no eps lies above an infinite jump
+            assert len(epsilon_components(b, np.nextafter(alpha, np.inf))) == after
+
+
+def test_voronoi_hierarchy_equals_the_table_path_on_random_graphs():
+    """Levels are equal; the Voronoi offer d(s, u) + l + d(v, t) and the
+    symmetrized table (D + D^T) / 2 round the same distance differently, so
+    the jump values agree only to the last bits."""
+    rng = np.random.default_rng(18)
+    for _ in range(400):
+        b = graph_boundary_set(random_connected_graph(rng))
+        tree = canonical_nested_partitions(b)
+        assert "dist" not in vars(b)
+        ref = _table_path(b)
+        _assert_same_levels(tree, ref)
+        assert [j[1:] for j in tree.jumps] == [j[1:] for j in ref.jumps]
+        for (a, _, _), (e, _, _) in zip(tree.jumps, ref.jumps):
+            assert abs(a - e) <= 1e-15 * e
+        _assert_components_match_jumps(b, tree)
+        assert tree.diameter[0].tolist() == [b.diameter()]  # made on read, from the table
+
+
+@pytest.mark.parametrize("spine", [7, 12, 20])
+def test_voronoi_hierarchy_equals_the_table_path_on_spines(spine):
+    b = graph_boundary_set(build_counterexample(CounterexampleSpec(spine=spine)))
+    tree = canonical_nested_partitions(b)
+    _assert_components_match_jumps(b, tree)
+    ref = _table_path(b)
+    assert tree.jumps == ref.jumps == jump_values(b)
+    _assert_same_levels(tree, ref)
+    assert tree.mesh == ref.mesh
+
+
+def test_spine_haar_chain_makes_no_distance_table():
+    b = graph_boundary_set(build_counterexample(CounterexampleSpec(spine=12)))
+    tree = canonical_nested_partitions(b)
+    for mu in (equal_split_measure(tree), counting_measure(tree)):
+        assert mu.check_additivity() <= 1e-12
+        build_haar_basis(tree, mu)
+    assert "dist" not in vars(b) and "diameter" not in vars(tree)
+    assert tree.mesh[-1] == 0.0 and "dist" in vars(b)
+
+
+def test_disconnected_boundary_is_joined_at_infinity():
+    g = metric_graph(["a", "b", "c", "d", "e", "f"],
+                     [("e0", "a", "b", 1.0), ("e1", "c", "d", 2.0), ("e2", "d", "e", 1.5)],
+                     ["a", "b", "c", "e", "f"])  # f is a component of its own
+    b = graph_boundary_set(g)
+    tree = canonical_nested_partitions(b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ref = _table_path(b)
+    assert tree.jumps == ref.jumps == [(np.inf, 3, 1), (3.5, 4, 3), (1.0, 5, 4)]
+    _assert_same_levels(tree, ref)
+    assert tree.levels[1].cells == (("a", "b"), ("c", "e"), ("f",))
+    assert tree.mesh == ref.mesh == [np.inf, 3.5, 1.0, 0.0]
+    _assert_components_match_jumps(b, tree)
+
+
+@pytest.mark.parametrize("edges", [
+    [("e0", "a", "b", 0.0), ("e1", "b", "c", 1.0)],                          # a, b coincide
+    [("e0", "a", "m", 0.0), ("e1", "m", "b", 0.0), ("e2", "m", "c", 1.0)],   # through m
+    [("e0", "a", "m", 1.0), ("e1", "m", "b", 0.0), ("e2", "b", "c", 0.0)],   # b, c coincide
+    [("e0", "a", "b", float("nan")), ("e1", "b", "c", 1.0)],
+])
+def test_boundary_points_at_distance_zero_are_rejected(edges):
+    g = metric_graph(["a", "b", "c", "m"], edges, ["a", "b", "c"])
+    with pytest.raises(ValueError, match="positive distance"):
+        graph_boundary_set(g)
+
+
+def test_a_point_left_in_another_points_region_is_rejected(monkeypatch):
+    """Points at distance 0 tie in the multi-source Dijkstra; should the tie
+    give b's vertex to a's region, b would get no offer at all."""
+    dijkstra = mgbound.partition.dijkstra
+
+    def tie(*args, **kwargs):
+        near, pred, region = dijkstra(*args, **kwargs)
+        return near, pred, np.where(region == 1, 0, region)  # b's region goes to a
+
+    monkeypatch.setattr(mgbound.partition, "dijkstra", tie)
+    g = metric_graph(["a", "b", "c"], [("e0", "a", "b", 0.0), ("e1", "b", "c", 1.0)],
+                     ["a", "b", "c"])
+    with pytest.raises(ValueError, match="positive distance"):
+        graph_boundary_set(g)
+
+
+def test_symmetry_check_on_infinite_pairs_is_warning_free():
+    inf = np.inf
+    d = np.array([[0.0, 1.0, inf], [1.0, 0.0, inf], [inf, inf, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert jump_values(BoundarySet(["a", "b", "c"], d)) == [(inf, 2, 1), (1.0, 3, 2)]
+        d[0, 2] = 5.0  # an infinite entry paired with a finite one
+        with pytest.raises(ValueError, match="symmetric"):
+            BoundarySet(["a", "b", "c"], d)
+
+
+SPINE_40 = """
+import json
+from mgbound import (CounterexampleSpec, build_counterexample, graph_boundary_set,
+                     canonical_nested_partitions, equal_split_measure, counting_measure)
+b = graph_boundary_set(build_counterexample(CounterexampleSpec(spine=40)))
+tree = canonical_nested_partitions(b)
+gaps = [mu.check_additivity() for mu in (equal_split_measure(tree), counting_measure(tree))]
+# VmHWM, not ru_maxrss: Linux carries the forking parent's peak across exec into ru_maxrss
+with open("/proc/self/status") as fh:
+    peak = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(json.dumps({"points": len(b), "levels": len(tree.cell), "gaps": gaps,
+                  "table": "dist" in vars(b), "peak_rss_mb": peak / 1024}))
+"""
+
+
+def test_spine_40_hierarchy_and_measures_in_bounded_memory():
+    """20 541 boundary points, where the n x n table alone is 3.4 GB: the
+    hierarchy, both measures and their additivity checks, in a fresh
+    interpreter that reports its own peak RSS (Linux)."""
+    src = os.path.dirname(os.path.dirname(mgbound.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-c", SPINE_40], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    out = json.loads(run.stdout)
+    assert out["points"] == 20541 and out["levels"] == 39 and not out["table"]
+    assert max(out["gaps"]) <= 1e-10
+    assert out["peak_rss_mb"] < 150
