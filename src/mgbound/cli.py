@@ -8,6 +8,7 @@ the same command yields byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -91,31 +92,37 @@ class Reporter:
         return 0 if ok else 1
 
 
-def _add_family_flags(p: argparse.ArgumentParser):
-    p.add_argument("--family", choices=["kary", "counterexample"], default="kary")
+def _add_tree_flags(p: argparse.ArgumentParser, depth: bool = True):
+    """The k-ary family's flags; a truncation limit's schedule sets its depth."""
     p.add_argument("--arity", type=int, default=2)
     p.add_argument("--ratio", type=float, default=0.25)
     p.add_argument("--base-length", type=float, default=1.0)
-    p.add_argument("--depth", type=int, default=3)
+    if depth:
+        p.add_argument("--depth", type=int, default=3)
+
+
+def _add_family_flags(p: argparse.ArgumentParser):
+    """Both families' flags, for the commands that build either graph."""
+    p.add_argument("--family", choices=["kary", "counterexample"], default="kary")
+    _add_tree_flags(p)
     p.add_argument("--spine", type=int, default=10)
     p.add_argument("--pendant-exponent", type=float, default=2.0)
 
 
 def _tree_spec(args) -> TreeFamilySpec:
     return TreeFamilySpec(arity=args.arity, ratio=args.ratio,
-                          base_length=args.base_length, depth=args.depth)
+                          base_length=args.base_length, depth=getattr(args, "depth", 1))
 
 
 def _family_graph(args):
     if args.family == "kary":
-        g, _ = families.build_kary_tree(_tree_spec(args))
-        return g
+        return families.build_kary_tree(_tree_spec(args))[0]
     return families.build_counterexample(
         CounterexampleSpec(spine=args.spine, pendant_exponent=args.pendant_exponent))
 
 
 def _load_or_build(args):
-    if getattr(args, "graph", None):
+    if args.graph:
         with open(args.graph) as fh:
             return families.load_graph(fh.read())
     return _family_graph(args)
@@ -138,7 +145,7 @@ def cmd_gen(args):
 
 def cmd_partitions(args):
     rep = Reporter(args)
-    if getattr(args, "graph", None) or args.family == "counterexample":
+    if args.graph or args.family == "counterexample":
         b = graph_boundary_set(_load_or_build(args))
     else:
         b = tree_boundary_set(_tree_spec(args))
@@ -220,8 +227,7 @@ def cmd_dtn(args):
     if args.mu:
         with open(args.mu) as fh:
             mu = json.load(fh)
-    D = dtn_mod.dtn_matrix(g, mu)
-    _write_dtn(rep, "matrix", D)
+    _write_dtn(rep, "matrix", dtn_mod.dtn_matrix(g, mu))
     return rep.finish()
 
 
@@ -248,8 +254,7 @@ def cmd_exit_measure(args):
                                       _parse_depths(args.depths), args.tol,
                                       w=args.source_vertex)
     masses = res.masses / res.masses.sum() if args.normalize else res.masses
-    rows = [("cell", "mass")] + [
-        (p if p else "(root)", _fmt(m)) for p, m in zip(res.cells, masses)]
+    rows = [("cell", "mass")] + [(p or "(root)", _fmt(m)) for p, m in zip(res.cells, masses)]
     rep.artifact("measure.csv", _csv(rows))
     _write_trace(rep, "exit measure", res, args.tol)
     return rep.finish()
@@ -285,7 +290,7 @@ def _gram_error(basis: haar_mod.HaarBasis) -> float:
 def cmd_haar(args):
     rep = Reporter(args)
     tree, _, basis = _build_basis(args)
-    header = ("function", "level") + tuple(c[0] for c in tree.levels[tree.finest].cells)
+    header = ("function", "level") + tree.levels[tree.finest].labels
     labels = (f"{k},{level}" for k, level in enumerate(basis.levels.tolist()))
     rep.artifact("basis.csv", _matrix_lines(header, labels, _csr_rows(basis.matrix)))
     if args.check:
@@ -300,18 +305,15 @@ def cmd_haar_apply(args):
         lines = [ln.strip().split(",") for ln in fh if ln.strip()]
     table = {k: float(v) for k, v in lines}
     finest = basis.tree.levels[basis.tree.finest]
-    if args.op == "synthesize":  # input column holds coefficients indexed 0..K-1
-        keys = [str(k) for k in range(len(basis))]
-    else:
-        keys = [c[0] for c in finest.cells]
+    # synthesize reads the coefficients indexed 0..K-1, the others finest-cell values
+    keys = map(str, range(len(basis))) if args.op == "synthesize" else finest.labels
     x = np.array([table[k] for k in keys])
     if args.op == "analyze":
         out = haar_mod.analyze(basis, x)
         rows = [("coefficient", "value")] + [(k, _fmt(v)) for k, v in enumerate(out)]
     else:
         op = haar_mod.synthesize if args.op == "synthesize" else haar_mod.multiresolution_operator
-        rows = [("cell", "value")] + [
-            (c[0], _fmt(v)) for c, v in zip(finest.cells, op(basis, x))]
+        rows = [("cell", "value")] + [(c, _fmt(v)) for c, v in zip(finest.labels, op(basis, x))]
     rep.artifact("result.csv", _csv(rows))
     return rep.finish()
 
@@ -320,10 +322,9 @@ def cmd_counterexample(args):
     rep = Reporter(args)
     spec = CounterexampleSpec(spine=args.spine, pendant_exponent=args.pendant_exponent)
     res = harmonic.counterexample_recurrence(spec)
-    rows = [("n", "f", "spine_flux")]
-    for n, v in enumerate(res.values, start=1):
-        flux = _fmt(res.fluxes[n - 1]) if n - 1 < len(res.fluxes) else ""
-        rows.append((n, _fmt(v), flux))
+    fluxes = [_fmt(g) for g in res.fluxes] + [""]  # none out of the last vertex
+    rows = [("n", "f", "spine_flux")] + [
+        (n, _fmt(v), g) for n, (v, g) in enumerate(zip(res.values, fluxes), start=1)]
     rep.artifact("spine.csv", _csv(rows))
     increasing = all(b > a for a, b in zip(res.values, res.values[1:]))
     rep.check("f strictly increasing", 0.0, 0.0, increasing)
@@ -372,7 +373,9 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="mgbound",
                                  description="boundary structure of metric graphs")
     ap.add_argument("--outdir", default="out")
-    sub = ap.add_subparsers(dest="command", required=True)
+    # no abbreviations: --depth, which a limit does not read, is not --depths
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=functools.partial(
+        argparse.ArgumentParser, allow_abbrev=False))
 
     p = sub.add_parser("gen", help="emit a family graph as JSON")
     _add_family_flags(p)
@@ -396,14 +399,14 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_dtn)
 
     p = sub.add_parser("dtn-limit", help="compressed DtN truncation limit")
-    _add_family_flags(p)
+    _add_tree_flags(p, depth=False)
     p.add_argument("--level", type=int, default=1)
     p.add_argument("--depths", default="4:14")
     p.add_argument("--tol", type=float, default=1e-6)
     p.set_defaults(func=cmd_dtn_limit)
 
     p = sub.add_parser("exit-measure", help="exit measure truncation limit")
-    _add_family_flags(p)
+    _add_tree_flags(p, depth=False)
     p.add_argument("--source-vertex", default=families.ROOT)
     p.add_argument("--level", type=int, default=1)
     p.add_argument("--depths", default="4:14")
@@ -412,13 +415,13 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_exit_measure)
 
     p = sub.add_parser("haar", help="generalized Haar basis")
-    _add_family_flags(p)
+    _add_tree_flags(p)
     p.add_argument("--measure", choices=["rho", "counting", "exit"], default="rho")
     p.add_argument("--check", action="store_true")
     p.set_defaults(func=cmd_haar)
 
     p = sub.add_parser("haar-apply", help="analyze/synthesize/operator on a function")
-    _add_family_flags(p)
+    _add_tree_flags(p)
     p.add_argument("--measure", choices=["rho", "counting", "exit"], default="rho")
     p.add_argument("--function", required=True, help="CSV: cell,value (no header)")
     p.add_argument("--op", choices=["analyze", "synthesize", "operator"],

@@ -40,10 +40,6 @@ class DtNMatrix:
     matrix: np.ndarray
     weights: np.ndarray   # positive mu weights, same order as basis
 
-    @property
-    def mu_total(self) -> float:
-        return float(self.weights.sum())
-
     def check_invariants(self, sym_tol=1e-10, kernel_tol=1e-10, eig_tol=1e-10) -> dict:
         """The Laplacian certificate, in one pass over row blocks of
         S = diag(w) Lam: the symmetry error max|S - S^T|, the kernel error

@@ -123,12 +123,7 @@ def exit_measure(g: MetricGraph, w, cells: Partition, assignment: dict | None = 
         if w in solver.boundary:
             raise ValueError(f"source vertex {w!r} lies on the boundary") from None
         raise KeyError(f"unknown vertex {w!r}") from None
-    # contiguous equal cells are summed pairwise (Higham 1993), not by bincount
-    flux, ncells, size = -solver.source_flux(i), len(cells), len(cell) // len(cells)
-    if size and np.array_equal(cell, np.arange(len(cell)) // size):
-        nu = flux.reshape(ncells, size).sum(axis=1)
-    else:
-        nu = np.bincount(cell, weights=flux, minlength=ncells)
+    nu = np.bincount(cell, weights=-solver.source_flux(i), minlength=len(cells))
     if np.min(nu) <= 0:
         raise RuntimeError("exit measure produced a nonpositive cell mass; "
                            "solver output violates positivity")

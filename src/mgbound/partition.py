@@ -41,10 +41,14 @@ class BoundarySet:
         # the diagonal is 0, so this counts the off-diagonal and rejects NaN
         if np.count_nonzero(self.dist > 0) != n * (n - 1):
             raise ValueError("distinct points must have positive distance")
-        self.index = {p: i for i, p in enumerate(self.points)}
 
     def __len__(self):
         return len(self.points)
+
+    @cached_property
+    def index(self) -> dict:
+        """Point -> its position in `points`, made on first read."""
+        return {p: i for i, p in enumerate(self.points)}
 
     def d(self, x, y) -> float:
         return float(self.dist[self.index[x], self.index[y]])
@@ -104,7 +108,6 @@ class _KaryBoundarySet(BoundarySet):
 
     def __init__(self, points, arity: int, table: np.ndarray):
         self.points = tuple(points)
-        self.index = {p: i for i, p in enumerate(self.points)}
         self.arity, self.table = arity, table
 
     @cached_property
@@ -154,7 +157,6 @@ class _GraphBoundarySet(BoundarySet):
 
     def __init__(self, g: MetricGraph):
         self.points = tuple(sorted(g.boundary))
-        self.index = {p: i for i, p in enumerate(self.points)}
         n = len(self.points)
         pos = {v: i for i, v in enumerate(g.vertices)}
         self.src = np.array([pos[p] for p in self.points], dtype=np.intp)

@@ -11,9 +11,9 @@ import pytest
 import mgbound
 from mgbound import (CounterexampleSpec, DtNMatrix, TreeFamilySpec, build_counterexample,
                      build_haar_basis, build_kary_tree, canonical_nested_partitions,
-                     cell_measure_from_point_masses, cli, equal_split_measure,
-                     exit_measure_point_masses, graph_boundary_set, multiresolution_operator,
-                     tree_boundary_set)
+                     cell_measure_from_point_masses, cli, dtn_matrix, equal_split_measure,
+                     exit_measure_limit, exit_measure_point_masses, graph_boundary_set,
+                     multiresolution_operator, tree_boundary_set)
 from mgbound.families import ROOT
 from mgbound.cli import main
 from mgbound.partition import _cell_diameter
@@ -364,3 +364,108 @@ def test_truncation_limit_artifacts_do_not_depend_on_hash_seed(tmp_path):
                          if p.name != "report.json"}
     assert len(written["1"]) == 4  # a matrix and a trace, a measure and a trace
     assert written["1"] == written["2"]
+
+
+DROPPED = {"--family": "counterexample", "--spine": "7", "--pendant-exponent": "3",
+           "--depth": "9"}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command in ("dtn-limit", "exit-measure", "haar", "haar-apply")
+    for flag in DROPPED if not (flag == "--depth" and command.startswith("haar"))])
+def test_flags_a_command_does_not_read_are_rejected(tmp_path, capsys, command, flag):
+    """The truncation limits read only the k-ary family less its depth (the
+    schedule sets it) and the Haar commands only the k-ary family: any other
+    family flag is an argparse error, exit 2, with nothing written."""
+    needed = ["--function", "f.csv"] if command == "haar-apply" else []
+    with pytest.raises(SystemExit) as exc:
+        main(["--outdir", str(tmp_path / "o"), command, *needed, flag, DROPPED[flag]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {DROPPED[flag]}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_counterexample_overflow_is_reported(tmp_path):
+    """At spine 1000 the recurrence overflows at n = 729: the CSV stops at
+    f(v_729), whose outgoing flux is left blank, and the overflow check passes."""
+    rc, out, report = run(tmp_path, "counterexample", "--spine", "1000")
+    assert rc == 0 and report["ok"]
+    (check,) = [c for c in report["checks"] if c["name"].startswith("overflow index")]
+    assert check["value"] == 729.0 and check["passed"]
+    _, rows = read_csv(artifact(out, report, "spine.csv"))
+    assert [r[0] for r in rows] == [str(n) for n in range(1, 730)]
+    assert rows[-1][2] == "" and all(r[2] for r in rows[:-1])
+
+
+@pytest.mark.parametrize("command", ["partitions", "solve", "dtn"])
+def test_graph_input_gives_the_family_run_artifacts(tmp_path, command):
+    """A `gen` output read back with --graph gives the bytes of the run that
+    built the same family itself."""
+    rc, out, report = run(tmp_path, "gen", "--depth", "4")
+    graph = str(artifact(out, report, "graph.json"))
+    bv = tmp_path / "bv.json"
+    bv.write_text(json.dumps({leaf: float(i) for i, leaf in
+                              enumerate(TreeFamilySpec(depth=4).leaf_addresses())}))
+    extra = ["--boundary-values", str(bv)] if command == "solve" else []
+    written = []
+    for source in (["--depth", "4"], ["--graph", graph]):
+        rc, out, report = run(tmp_path, command, *source, *extra)
+        assert rc == 0 and report["ok"]
+        (path,) = report["artifacts"]
+        written.append((out / os.path.basename(path)).read_bytes())
+    assert written[0] == written[1]
+
+
+def test_dtn_mu_weights_the_map(tmp_path):
+    spec = TreeFamilySpec(depth=3)
+    mu = {leaf: 1.0 + i for i, leaf in enumerate(spec.leaf_addresses())}
+    path = tmp_path / "mu.json"
+    path.write_text(json.dumps(mu))
+    rc, out, report = run(tmp_path, "dtn", "--depth", "3", "--mu", str(path))
+    assert rc == 0 and report["ok"]
+    D = dtn_matrix(build_kary_tree(spec)[0], mu)
+    want = "".join(cli._matrix_lines(("basis",) + D.basis, D.basis, D.matrix))
+    assert artifact(out, report, "matrix.csv").read_text() == want
+
+
+def test_depths_comma_form(tmp_path):
+    rc, out, report = run(tmp_path, "exit-measure", "--depths", "4,6,8", "--tol", "1e-14")
+    assert rc == 1  # not converged to 1e-14 by depth 8
+    _, rows = read_csv(artifact(out, report, "trace.csv"))
+    res = exit_measure_limit(TreeFamilySpec(), 1, [4, 6, 8], 1e-14)
+    assert rows == [[str(d), cli._fmt(c)] for d, c in res.trace]
+    assert [d for d, _ in res.trace] == [6, 8]
+
+
+def test_exit_measure_normalize(tmp_path):
+    rc, out, report = run(tmp_path, "exit-measure", "--level", "2", "--depths", "4:12",
+                          "--normalize")
+    assert rc == 0 and report["ok"]
+    _, rows = read_csv(artifact(out, report, "measure.csv"))
+    masses = np.array([float(r[1]) for r in rows])
+    raw = exit_measure_limit(TreeFamilySpec(), 2, range(4, 13), 1e-8).masses
+    assert np.array_equal(masses, raw / raw.sum())
+    assert masses.sum() == pytest.approx(1.0, abs=1e-15)
+
+
+def test_atomic_write_leaves_nothing_when_the_writer_raises(tmp_path):
+    def lines():
+        yield "first\n"
+        raise RuntimeError("mid-stream")
+
+    with pytest.raises(RuntimeError, match="mid-stream"):
+        cli._atomic_write(str(tmp_path / "d" / "a.csv"), lines())
+    assert list((tmp_path / "d").iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["gen", "--depth", "2"], 0),
+    (["exit-measure", "--depths", "4:5", "--tol", "1e-14"], 1),
+    (["exit-measure", "--depths", "6:4"], 2),
+])
+def test_module_entry_point_exits_with_the_code_of_main(tmp_path, argv, code):
+    src = os.path.dirname(os.path.dirname(mgbound.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-m", "mgbound.cli", "--outdir", "out", *argv],
+                         cwd=tmp_path, env=env, capture_output=True, timeout=120)
+    assert run.returncode == code, run.stderr

@@ -424,3 +424,16 @@ def test_quadratic_form_random_nonnegative():
         ff, en = quadratic_form_check(g, mu, F)
         assert abs(ff - en) < 1e-10 * (1 + abs(en))
         assert ff >= -1e-12 and en >= 0
+
+
+def test_dtn_matrix_needs_two_boundary_vertices():
+    g = metric_graph(["a", "b", "c"], [("e1", "a", "b", 1.0), ("e2", "b", "c", 1.0),
+                                       ("e3", "c", "a", 1.0)], ["a"])
+    with pytest.raises(ValueError, match="need at least 2 boundary vertices"):
+        dtn_matrix(g)
+
+
+def test_compressed_dtn_rejects_a_boundary_vertex_without_a_cell():
+    g = star_graph(3)
+    with pytest.raises(ValueError, match="boundary vertices without a cell: \\['v3'\\]"):
+        compressed_dtn(g, Partition((("v1",), ("v2",))), [1.0, 1.0])

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import mgbound.families
 from mgbound import (TreeFamilySpec, CounterexampleSpec, build_kary_tree,
                      build_counterexample, load_graph, metric_graph, save_graph, validate)
 from mgbound.families import GraphFormatError
@@ -143,3 +144,36 @@ def test_json_rejections():
     nan = '{"vertices": ["a", "b"], "edges": [{"id": "e", "u": "a", "v": "b", "length": NaN}], "boundary": ["a", "b"]}'
     with pytest.raises(GraphFormatError):
         load_graph(nan)
+
+
+def test_tree_spec_depth_below_1_is_rejected():
+    with pytest.raises(ValueError, match="depth must be >= 1"):
+        TreeFamilySpec(depth=0)
+
+
+def test_counterexample_vertex_cap(monkeypatch):
+    monkeypatch.setattr(mgbound.families, "VERTEX_CAP", 20)
+    assert len(build_counterexample(CounterexampleSpec(spine=3)).vertices) == 7
+    with pytest.raises(ValueError, match="counterexample would exceed the vertex cap"):
+        build_counterexample(CounterexampleSpec(spine=5))  # 5 + 4 + 9 + 16 vertices
+
+
+def _graph_doc(**fields):
+    doc = {"vertices": ["a", "b"], "boundary": ["a", "b"],
+           "edges": [{"id": "e", "u": "a", "v": "b", "length": 1.0}]}
+    return json.dumps(dict(doc, **fields))
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"vertices": ["a"', "malformed JSON"),
+    (_graph_doc(vertices=["a", 2]), "vertices must be a list of strings"),
+    (_graph_doc(boundary="a"), "boundary must be a list"),
+    (_graph_doc(edges=[{"id": "e", "u": "a", "v": "b", "len": 1.0}]),
+     "each edge needs exactly the keys id, u, v, length"),
+    (_graph_doc(edges=[{"id": "e", "u": "a", "v": "b", "length": True}]),
+     "edge 'e': length must be a number"),
+    (_graph_doc(boundary=["a"]), "invalid graph: degree-1 vertex 'b' not in boundary"),
+])
+def test_load_graph_rejections(text, message):
+    with pytest.raises(GraphFormatError, match=message):
+        load_graph(text)

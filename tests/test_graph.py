@@ -206,3 +206,23 @@ def test_separator_matches_bruteforce_minimum_on_small_graphs():
 def test_adjacency_deterministic_order():
     g = star_graph(3)
     assert [e.id for e in adjacency(g)["c"]] == ["e1", "e2", "e3"]
+
+
+@pytest.mark.parametrize("vertices, edges, boundary, problem", [
+    (["a", "a", "b"], [("e", "a", "b", 1.0)], ["a", "b"], "duplicate vertex id 'a'"),
+    (["a", "b"], [("e", "a", "b", 1.0), ("e", "a", "b", 2.0)], ["a", "b"],
+     "duplicate edge id 'e'"),
+    (["a", "b"], [("e", "a", "b", 1.0)], ["a", "b", "z"], "boundary vertex 'z' not in graph"),
+])
+def test_validate_reports_duplicates_and_unknown_boundary(vertices, edges, boundary, problem):
+    assert problem in validate(metric_graph(vertices, edges, boundary))
+
+
+@pytest.mark.parametrize("S, T, error, message", [
+    (set(), {"p2"}, ValueError, "nonempty"),
+    ({"p0", "p1"}, {"p1", "p2"}, ValueError, "disjoint"),
+    ({"p0"}, {"zz"}, KeyError, "unknown vertex ids"),
+])
+def test_separator_rejects_empty_overlapping_and_unknown_sets(S, T, error, message):
+    with pytest.raises(error, match=message):
+        min_vertex_separator(path_graph([1.0, 1.0]), S, T)

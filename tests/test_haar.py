@@ -3,12 +3,13 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import mgbound
-from mgbound import (TreeFamilySpec, CounterexampleSpec, BoundarySet, CellMeasure,
+from mgbound import (TreeFamilySpec, CounterexampleSpec, BoundarySet, CellMeasure, HaarBasis,
                      build_kary_tree, build_counterexample, graph_boundary_set,
                      tree_boundary_set, canonical_nested_partitions,
                      equal_split_measure, counting_measure,
@@ -176,7 +177,7 @@ def test_depth_12_transforms_form_no_dense_array():
 
 
 DEPTH_16 = """
-import json, resource
+import json
 import numpy as np
 from scipy.sparse import eye_array
 from mgbound import (TreeFamilySpec, tree_boundary_set, canonical_nested_partitions,
@@ -197,7 +198,10 @@ for name, measure in (("rho", equal_split_measure), ("counting", counting_measur
                         for f, c in zip(F, C)),
         "gram": float(abs(basis.gram_matrix() - eye_array(len(basis), format="csr")).max()),
     }
-out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+# VmHWM, not ru_maxrss: Linux carries the forking parent's peak across exec into ru_maxrss
+with open("/proc/self/status") as fh:
+    out["peak_rss_mb"] = next(int(line.split()[1]) for line in fh
+                              if line.startswith("VmHWM:")) / 1024
 print(json.dumps(out))
 """
 
@@ -205,7 +209,7 @@ print(json.dumps(out))
 def test_depth_16_cell_tree_and_bases_in_bounded_memory():
     """Binary depth 16 (65 536 leaves), where one n x n float table is
     32 GiB: the cell tree, both measures and both bases, in a fresh
-    interpreter that reports its own peak RSS."""
+    interpreter that reports its own peak RSS (Linux)."""
     src = os.path.dirname(os.path.dirname(mgbound.__file__))
     env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
     run = subprocess.run([sys.executable, "-c", DEPTH_16], env=env, capture_output=True,
@@ -376,3 +380,19 @@ def test_dimension_mismatch_errors():
         analyze(basis, np.ones(3))
     with pytest.raises(ValueError):
         synthesize(basis, np.ones(3))
+
+
+def test_basis_rejects_a_measure_of_another_tree():
+    _, tree = dyadic_tree(3)
+    _, other = dyadic_tree(3)
+    with pytest.raises(ValueError, match="different cell tree"):
+        build_haar_basis(tree, equal_split_measure(other))
+
+
+def test_eigenvalues_need_a_jump_per_level():
+    _, tree = dyadic_tree(3)
+    basis = build_haar_basis(tree, equal_split_measure(tree))
+    short = HaarBasis(replace(tree, jumps=tree.jumps[:2]), basis.weights, basis.matrix,
+                      basis.levels)
+    with pytest.raises(ValueError, match="jump list is shorter than the basis levels"):
+        multiresolution_eigenvalues(short)

@@ -393,3 +393,34 @@ def test_recurrence_matches_full_solver():
         got = f.values[spec.spine_vertex(n)]
         want = res.values[n - 1]
         assert got == pytest.approx(want, rel=1e-8, abs=1e-10)
+
+
+def test_solve_rejects_missing_and_non_finite_boundary_values():
+    solver = HarmonicSolver(star_graph(3))
+    with pytest.raises(KeyError, match="missing boundary values for \\['v3'\\]"):
+        solver.solve({"v1": 1.0, "v2": 0.0})
+    with pytest.raises(ValueError, match="boundary values must be finite"):
+        solver.solve({"v1": 1.0, "v2": 0.0, "v3": float("nan")})
+
+
+def test_check_harmonic_matches_the_per_vertex_fluxes():
+    """The array residuals are `vertex_flux` at each interior vertex, the
+    energy the sum over edges, on graphs with parallel edges."""
+    rng = np.random.default_rng(19)
+    for _ in range(10):
+        g = with_parallel_edges(random_connected_graph(rng), rng)
+        f = solve_dirichlet(g, {v: float(rng.normal()) for v in g.boundary})
+        interior = [v for v in g.vertices if v not in g.boundary]
+        for v in interior:
+            f.values[v] += float(rng.normal()) * 1e-9
+        rep = check_harmonic(f, tol=1e-12)
+        flux = {v: vertex_flux(f, v) for v in interior}
+        assert rep["max_residual"] == pytest.approx(max(map(abs, flux.values()), default=0.0),
+                                                    rel=1e-12, abs=1e-15)
+        assert [v for v, _ in rep["flagged"]] == [
+            v for v in interior
+            if abs(flux[v]) > 1e-12 * sum(1.0 / e.length for e in g.edges if v in (e.u, e.v))]
+        for v, r in rep["flagged"]:
+            assert r == pytest.approx(flux[v], rel=1e-9, abs=1e-15)
+        energy = sum((f.values[e.u] - f.values[e.v]) ** 2 / e.length for e in g.edges)
+        assert rep["energy"] == pytest.approx(energy, rel=1e-12)

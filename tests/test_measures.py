@@ -313,3 +313,20 @@ def test_dominance_two_sources():
     C = dominance_constant(nu1, nu2)
     assert np.isfinite(C)
     assert np.min(C * nu1 - nu2) >= -1e-10
+
+
+def test_schedule_below_the_partition_level_is_rejected():
+    with pytest.raises(ValueError, match="depths must be at least the partition level"):
+        exit_measure_limit(TreeFamilySpec(), 3, [2, 4], 1e-8)
+
+
+def test_dominance_constant_rejects_different_shapes():
+    with pytest.raises(ValueError, match="same cells"):
+        dominance_constant([1.0, 1.0], [1.0, 1.0, 1.0])
+
+
+def test_additivity_violation_raises(tree3):
+    masses = [m.copy() for m in equal_split_measure(tree3).masses]
+    masses[2][0] += 1e-6
+    with pytest.raises(AssertionError, match="additivity violated by 1.000e-06"):
+        CellMeasure(tree3, masses).check_additivity()

@@ -442,3 +442,28 @@ def test_spine_40_hierarchy_and_measures_in_bounded_memory():
     assert out["points"] == 20541 and out["levels"] == 39 and not out["table"]
     assert max(out["gaps"]) <= 1e-10
     assert out["peak_rss_mb"] < 150
+
+
+def test_boundary_set_rejects_a_table_of_the_wrong_shape():
+    with pytest.raises(ValueError, match="shape does not match"):
+        BoundarySet(["a", "b", "c"], np.zeros((2, 2)))
+
+
+def test_d_reads_the_table_by_point_name():
+    b = BoundarySet(["x", "y", "z"], [[0, 1, 2], [1, 0, 3], [2, 3, 0]])
+    assert (b.d("x", "z"), b.d("z", "y"), b.d("y", "y")) == (2.0, 3.0, 0.0)
+    with pytest.raises(KeyError):
+        b.d("x", "w")
+    leaves = tree_boundary_set(SPEC3)
+    assert leaves.d("000", "100") == tree_boundary_distance(SPEC3, "000", "100")
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0])
+def test_epsilon_components_rejects_nonpositive_eps(eps):
+    with pytest.raises(ValueError, match="eps must be positive"):
+        epsilon_components(tree_boundary_set(SPEC3), eps)
+
+
+def test_canonical_partitions_of_an_empty_set_raise():
+    with pytest.raises(ValueError, match="boundary set is empty"):
+        canonical_nested_partitions(BoundarySet([], np.zeros((0, 0))))
