@@ -196,13 +196,18 @@ def load_graph(text: str) -> MetricGraph:
     vertices = doc["vertices"]
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise GraphFormatError("vertices must be a list of strings")
-    if not isinstance(doc["boundary"], list):
-        raise GraphFormatError("boundary must be a list")
+    if not isinstance(doc["boundary"], list) or not all(isinstance(v, str)
+                                                         for v in doc["boundary"]):
+        raise GraphFormatError("boundary must be a list of strings")
+    if not isinstance(doc["edges"], list):
+        raise GraphFormatError("edges must be a list")
     edges = []
     ids = set()
     for rec in doc["edges"]:
         if not isinstance(rec, dict) or set(rec) != {"id", "u", "v", "length"}:
             raise GraphFormatError("each edge needs exactly the keys id, u, v, length")
+        if not all(isinstance(rec[key], str) for key in ("id", "u", "v")):
+            raise GraphFormatError(f"edge {rec['id']!r}: id, u and v must be strings")
         if not isinstance(rec["length"], (int, float)) or isinstance(rec["length"], bool):
             raise GraphFormatError(f"edge {rec.get('id')!r}: length must be a number")
         length = float(rec["length"])

@@ -37,11 +37,13 @@ class WeightedLaplacian:
     boundary_idx: np.ndarray
 
 
-def _laplacian_triplets(g: MetricGraph):
+def _laplacian_triplets(g: MetricGraph, keep=None):
     """Per edge, the triplets (i, j), (j, i), (i, i), (j, j) with conductance
     -c, -c, c, c, in edge order: (rows, cols, values) of the Laplacian, with
-    duplicates to be summed."""
+    duplicates to be summed; only the edges of the mask `keep`, if given."""
     u, v, length = _edge_arrays(g)
+    if keep is not None:
+        u, v, length = u[keep], v[keep], length[keep]
     c = 1.0 / length
     return (np.column_stack([u, v, u, v]).ravel(), np.column_stack([v, u, u, v]).ravel(),
             np.column_stack([-c, -c, c, c]).ravel())
@@ -106,8 +108,8 @@ class HarmonicSolver:
     induces a forest (`_eliminate_forest`, which never reads L_II), else by
     `splu` with two refinement passes.  The factorization is immutable after
     construction and may be shared across threads for repeated right-hand
-    sides.  `boundary` overrides the graph's boundary set (used to pin extra
-    vertices).
+    sides; `_solver` keeps one per graph for its own boundary.  `boundary`
+    overrides the graph's boundary set (used to pin extra vertices).
     """
 
     _use_direct = True  # every solve is direct; perfbench's tracer reads this
@@ -128,8 +130,18 @@ class HarmonicSolver:
 
     def _blocks(self, *names):
         """The Laplacian blocks named "IB", "BI", "BB" or "II" (in CSC, for
-        `splu`; the others in CSR), from one pass over its triplets."""
-        rows, cols, vals = _laplacian_triplets(self.graph)
+        `splu`; the others in CSR), from one pass over the triplets of the
+        edges that add to them: an edge between the interior and the boundary
+        adds to all four, one with both ends on the boundary only to L_BB and
+        one with both ends interior only to L_II."""
+        u, v, _ = _edge_arrays(self.graph)
+        bu, bv = self._is_boundary[u], self._is_boundary[v]
+        keep = bu != bv
+        if "BB" in names:
+            keep |= bu & bv
+        if "II" in names:
+            keep |= ~(bu | bv)
+        rows, cols, vals = _laplacian_triplets(self.graph, keep)
         row_b, col_b = self._is_boundary[rows], self._is_boundary[cols]
         n_b = int(np.count_nonzero(self._is_boundary))
         size = {"B": n_b, "I": len(self._is_boundary) - n_b}
@@ -262,9 +274,46 @@ class HarmonicSolver:
                 out[:, cols] -= self.L_BI @ self._solve_interior(self.L_IB @ block)
         return out
 
+    def schur_complement(self) -> np.ndarray:
+        """The boundary Schur complement S = L_BB - L_BI L_II^{-1} L_IB as a
+        dense n_B x n_B array, from one solve per interior vertex that has a
+        boundary neighbour (Kron reduction: only their rows of L_IB are
+        nonzero).  With J those vertices, Q = L_IB[J] (sparse, and L_BI =
+        L_IB^T) and Z = (L_II^{-1})[J, J] from |J| unit right-hand sides in
+        blocks of FLUX_BLOCK, S = L_BB - Q^T Z Q.  The update runs over row
+        blocks of S with the sparse Q on both sides of each product, so S and
+        Z are the only dense arrays of their size."""
+        S = self.L_BB.toarray()
+        J = np.flatnonzero(np.diff(self.L_IB.indptr))
+        if not len(J):
+            return S
+        Z = np.empty((len(J), len(J)))
+        for lo in range(0, len(J), FLUX_BLOCK):
+            cols = J[lo:lo + FLUX_BLOCK]
+            unit = np.zeros((self.L_IB.shape[0], len(cols)))
+            unit[cols, np.arange(len(cols))] = 1.0
+            Z[:, lo:lo + len(cols)] = self._solve_interior(unit)[J]
+        Qt = self.L_IB[J].T.tocsr()
+        for lo in range(0, len(S), FLUX_BLOCK):
+            rows = slice(lo, lo + FLUX_BLOCK)
+            S[rows] -= (Qt @ (Qt[rows] @ Z).T).T  # (Q^T Z Q)[rows]
+        return S
+
+
+def _solver(g: MetricGraph) -> HarmonicSolver:
+    """g's `HarmonicSolver` for its own boundary, made on first use and cached
+    on the instance like `_edge_arrays`; `MetricGraph.__getstate__` leaves it
+    out, so pickles and copies carry no factorization."""
+    solver = getattr(g, "_harmonic_solver", None)
+    if solver is None:
+        solver = HarmonicSolver(g)
+        object.__setattr__(g, "_harmonic_solver", solver)
+    return solver
+
 
 def solve_dirichlet(g: MetricGraph, boundary_values: dict, boundary=None) -> HarmonicFunction:
-    return HarmonicSolver(g, boundary=boundary).solve(boundary_values)
+    solver = _solver(g) if boundary is None else HarmonicSolver(g, boundary=boundary)
+    return solver.solve(boundary_values)
 
 
 def check_harmonic(f: HarmonicFunction, tol: float = 1e-10) -> dict:

@@ -1,7 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 import mgbound.dtn
+import mgbound.harmonic
 import mgbound.families
 from mgbound import (metric_graph, dtn_matrix,
                      inner_product_mu, compressed_dtn, compressed_dtn_limit,
@@ -13,7 +19,8 @@ from mgbound.partition import Partition
 
 from test_acceptance import _criterion1_graphs, _random_two_cells
 from util import (compressed_flux_reduced, compression_oracle, dtn_min_eigenvalue,
-                  schur_complement_dtn, star_graph, random_connected_graph)
+                  schur_complement_dtn, star_graph, random_connected_graph,
+                  with_parallel_edges)
 
 SPEC = TreeFamilySpec(arity=2, ratio=0.25, depth=3)
 
@@ -437,3 +444,82 @@ def test_compressed_dtn_rejects_a_boundary_vertex_without_a_cell():
     g = star_graph(3)
     with pytest.raises(ValueError, match="boundary vertices without a cell: \\['v3'\\]"):
         compressed_dtn(g, Partition((("v1",), ("v2",))), [1.0, 1.0])
+
+
+def max_conductance(g):
+    return max(1.0 / e.length for e in g.edges)
+
+
+def pinned_graph(g, rng, share):
+    """g with a random share of its interior vertices moved to the boundary:
+    pinned vertices of degree 2 and more have several interior neighbours or
+    none, and boundary vertices become adjacent."""
+    inner = g.interior()
+    pinned = rng.choice(inner, size=int(share * len(inner)), replace=False)
+    return metric_graph(g.vertices, g.edges, set(g.boundary) | set(pinned.tolist()))
+
+
+def schur_cases():
+    """(graph, how its Schur complement is reached): random graphs with
+    parallel and boundary-boundary edges, on both solver paths, and graphs
+    with no interior."""
+    rng = np.random.default_rng(79)
+    for share in (0.0, 0.3, 0.6):
+        for extra_edges in (False, True):
+            for _ in range(10):
+                g = random_connected_graph(rng, max_vertices=40, extra_edges=extra_edges)
+                yield pinned_graph(with_parallel_edges(g, rng), rng, share)
+    yield metric_graph(["a", "b"], [("e", "a", "b", 2.0), ("f", "b", "a", 0.5)], ["a", "b"])
+    triangle = [("e1", "a", "b", 1.0), ("e2", "b", "c", 0.25), ("e3", "c", "a", 3.0)]
+    yield metric_graph(["a", "b", "c"], triangle, ["a", "b", "c"])
+
+
+def test_dtn_matches_the_dense_schur_complement_on_both_paths():
+    """`dtn_matrix` against the dense oracle at 1e-12 of the largest
+    conductance, and the cases the Schur path has to meet all met: boundary
+    vertices with several interior neighbours and with none, edges between
+    boundary vertices, interiors that take `splu`, and no interior at all."""
+    seen = set()
+    for g in schur_cases():
+        D = dtn_matrix(g)
+        S = schur_complement_dtn(g)
+        assert D.basis == S.basis
+        assert np.max(np.abs(D.matrix - S.matrix)) <= 1e-12 * max_conductance(g)
+        solver = mgbound.harmonic._solver(g)
+        Q = solver.L_IB.tocsc()
+        neighbours = np.diff(Q.indptr)  # interior neighbours of each boundary vertex
+        seen.update({"several": bool(np.any(neighbours > 1)),
+                     "none": bool(np.any(neighbours == 0)),
+                     "boundary edge": solver.L_BB.count_nonzero() > len(solver.boundary),
+                     "splu": len(solver.interior) > 0 and solver._forest is None,
+                     "forest": solver._forest is not None,
+                     "no interior": not solver.interior}.items())
+    assert {(k, True) for k in ("several", "none", "boundary edge", "splu", "forest",
+                                "no interior")} <= seen
+
+
+DEPTH_12 = """
+import json
+from mgbound import TreeFamilySpec, build_kary_tree, dtn_matrix
+g, _ = build_kary_tree(TreeFamilySpec(arity=2, ratio=0.5, depth=12))
+D = dtn_matrix(g)
+report = D.check_invariants()
+# VmHWM, not ru_maxrss: Linux carries the forking parent's peak across exec into ru_maxrss
+with open("/proc/self/status") as fh:
+    peak = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(json.dumps({"shape": D.matrix.shape, "ok": report["ok"], "peak_rss_mb": peak / 1024}))
+"""
+
+
+def test_depth_12_dtn_in_bounded_memory():
+    """The binary depth-12 map (4096 boundary vertices, 128 MiB) and its
+    certificate, in a fresh interpreter that reports its own peak RSS
+    (Linux): S, Z = (L_II^{-1})[J, J] (2048 x 2048) and the row blocks."""
+    src = os.path.dirname(os.path.dirname(mgbound.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-c", DEPTH_12], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    out = json.loads(run.stdout)
+    assert out["shape"] == [4096, 4096] and out["ok"]
+    assert out["peak_rss_mb"] < 260

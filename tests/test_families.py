@@ -173,6 +173,12 @@ def _graph_doc(**fields):
     (_graph_doc(edges=[{"id": "e", "u": "a", "v": "b", "length": True}]),
      "edge 'e': length must be a number"),
     (_graph_doc(boundary=["a"]), "invalid graph: degree-1 vertex 'b' not in boundary"),
+    (_graph_doc(edges=5), "edges must be a list"),
+    (_graph_doc(edges=[{"id": [1], "u": "a", "v": "b", "length": 1.0}]),
+     r"edge \[1\]: id, u and v must be strings"),
+    (_graph_doc(edges=[{"id": "e", "u": ["a"], "v": "b", "length": 1.0}]),
+     "edge 'e': id, u and v must be strings"),
+    (_graph_doc(boundary=[["a"]]), "boundary must be a list of strings"),
 ])
 def test_load_graph_rejections(text, message):
     with pytest.raises(GraphFormatError, match=message):
