@@ -5,13 +5,11 @@ closed form from the branch resistances, by the stopping rule of `measures`).
 The map sends boundary values F to the mu-normalized boundary flux of the
 harmonic extension: (Lam F)(v) = mu(v)^{-1} * sum over incident edges of the
 oriented derivative at v.  That flux is the Schur complement
-S = L_BB - L_BI L_II^{-1} L_IB of the weighted Laplacian applied to F, and
-every quantity here comes from one factorization per graph, the solver that
-`harmonic._solver` caches on it.  The full map is S itself, formed by
-`HarmonicSolver.schur_complement` from one solve per interior vertex with a
-boundary neighbour; the compressed map A^T S A, for the leaf-to-cell
-indicator matrix A, and the energy form F^T S F apply S to blocks of
-boundary data through `HarmonicSolver.boundary_flux`.
+S = L_BB - L_BI L_II^{-1} L_IB of the weighted Laplacian applied to F.  The
+full map is S itself, formed by `HarmonicSolver.schur_complement` from one
+solve per interior vertex with a boundary neighbour; the compressed map
+A^T S A, for the leaf-to-cell indicator matrix A, and the energy form F^T S F
+apply S to blocks of boundary data through `HarmonicSolver.boundary_flux`.
 
 A Schur complement of a Laplacian is itself a Laplacian (Kron reduction):
 symmetric, off-diagonals <= 0, rows summing to 0.  `check_invariants`
@@ -28,7 +26,7 @@ import scipy.sparse as sp
 
 from .families import TreeFamilySpec, ROOT, _addresses, _common_prefix
 from .graph import MetricGraph
-from .harmonic import HarmonicSolver, _solver, dirichlet_energy
+from .harmonic import HarmonicSolver, dirichlet_energy
 # bound here unused: perfbench's tracer test wraps vertex_flux through this module
 from .harmonic import vertex_flux  # noqa: F401
 from .measures import _check_schedule, _limit, _path_potentials, _truncation_exit_masses
@@ -95,9 +93,9 @@ def _check_weights(weights, n: int) -> np.ndarray:
 
 
 def dtn_matrix(g: MetricGraph, mu: dict | None = None) -> DtNMatrix:
-    """Full DtN matrix on the boundary vertices: the Schur complement S of
-    g's cached solver (`HarmonicSolver.schur_complement`, one solve per
-    interior vertex with a boundary neighbour), scaled by 1/mu."""
+    """Full DtN matrix on the boundary vertices: the Schur complement S
+    (`HarmonicSolver.schur_complement`, one solve per interior vertex with a
+    boundary neighbour), scaled by 1/mu."""
     bverts = sorted(g.boundary)
     if len(bverts) < 2:
         raise ValueError("need at least 2 boundary vertices")
@@ -105,7 +103,7 @@ def dtn_matrix(g: MetricGraph, mu: dict | None = None) -> DtNMatrix:
         mu = {v: 1.0 for v in bverts}
     if set(mu) != set(bverts):
         raise ValueError("mu must cover exactly the boundary vertices")
-    solver = _solver(g)
+    solver = HarmonicSolver(g)
     w = _check_weights([mu[v] for v in solver.boundary], len(solver.boundary))
     Lam = solver.schur_complement()
     Lam /= w[:, None]
@@ -136,7 +134,7 @@ def compressed_dtn(g: MetricGraph, cells: Partition, cell_weights,
     if np.any(counts[:nc] == 0):
         raise ValueError("every cell must contain at least one boundary vertex")
     w = _check_weights(cell_weights, nc)
-    solver = _solver(g)
+    solver = HarmonicSolver(g)
     cell = np.array([assignment[v] for v in solver.boundary])
     return DtNMatrix(cells.labels, _cell_flux(solver, cell, nc) / w[:, None], w)
 
@@ -208,7 +206,7 @@ def compressed_dtn_limit(spec: TreeFamilySpec, level: int, depths, tol: float,
 def quadratic_form_check(g: MetricGraph, mu: dict, F: dict):
     """Two independent evaluations of the energy form: mu(bdry) <Lam F, F>_mu
     via boundary fluxes, and the Dirichlet energy of the harmonic extension."""
-    solver = _solver(g)
+    solver = HarmonicSolver(g)
     values = np.array([float(F[v]) for v in solver.boundary])
     flux_form = float(values @ solver.boundary_flux(values[:, None])[:, 0])
     return flux_form, dirichlet_energy(solver.solve(F))

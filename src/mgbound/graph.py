@@ -60,14 +60,6 @@ class MetricGraph:
         object.__setattr__(g, "_boundary_mask", on_boundary)
         return g
 
-    def __getstate__(self):
-        """The instance's state less the solver `harmonic._solver` caches on
-        it: a `splu` factorization cannot be pickled, and a copy or an
-        unpickled graph factors its own on first use."""
-        state = dict(self.__dict__)
-        state.pop("_harmonic_solver", None)
-        return state
-
     def interior(self):
         return [v for v in self.vertices if v not in self.boundary]
 

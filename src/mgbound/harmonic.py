@@ -37,13 +37,11 @@ class WeightedLaplacian:
     boundary_idx: np.ndarray
 
 
-def _laplacian_triplets(g: MetricGraph, keep=None):
+def _laplacian_triplets(g: MetricGraph):
     """Per edge, the triplets (i, j), (j, i), (i, i), (j, j) with conductance
     -c, -c, c, c, in edge order: (rows, cols, values) of the Laplacian, with
-    duplicates to be summed; only the edges of the mask `keep`, if given."""
+    duplicates to be summed."""
     u, v, length = _edge_arrays(g)
-    if keep is not None:
-        u, v, length = u[keep], v[keep], length[keep]
     c = 1.0 / length
     return (np.column_stack([u, v, u, v]).ravel(), np.column_stack([v, u, u, v]).ravel(),
             np.column_stack([-c, -c, c, c]).ravel())
@@ -108,8 +106,8 @@ class HarmonicSolver:
     induces a forest (`_eliminate_forest`, which never reads L_II), else by
     `splu` with two refinement passes.  The factorization is immutable after
     construction and may be shared across threads for repeated right-hand
-    sides; `_solver` keeps one per graph for its own boundary.  `boundary`
-    overrides the graph's boundary set (used to pin extra vertices).
+    sides.  `boundary` overrides the graph's boundary set (used to pin extra
+    vertices).
     """
 
     _use_direct = True  # every solve is direct; perfbench's tracer reads this
@@ -133,15 +131,18 @@ class HarmonicSolver:
         `splu`; the others in CSR), from one pass over the triplets of the
         edges that add to them: an edge between the interior and the boundary
         adds to all four, one with both ends on the boundary only to L_BB and
-        one with both ends interior only to L_II."""
-        u, v, _ = _edge_arrays(self.graph)
+        one with both ends interior only to L_II.  The triplets are those of
+        `_laplacian_triplets` for the kept edges, in the same order."""
+        u, v, length = _edge_arrays(self.graph)
         bu, bv = self._is_boundary[u], self._is_boundary[v]
         keep = bu != bv
         if "BB" in names:
             keep |= bu & bv
         if "II" in names:
             keep |= ~(bu | bv)
-        rows, cols, vals = _laplacian_triplets(self.graph, keep)
+        u, v, c = u[keep], v[keep], 1.0 / length[keep]
+        rows, cols = np.column_stack([u, v, u, v]).ravel(), np.column_stack([v, u, u, v]).ravel()
+        vals = np.column_stack([-c, -c, c, c]).ravel()
         row_b, col_b = self._is_boundary[rows], self._is_boundary[cols]
         n_b = int(np.count_nonzero(self._is_boundary))
         size = {"B": n_b, "I": len(self._is_boundary) - n_b}
@@ -300,20 +301,8 @@ class HarmonicSolver:
         return S
 
 
-def _solver(g: MetricGraph) -> HarmonicSolver:
-    """g's `HarmonicSolver` for its own boundary, made on first use and cached
-    on the instance like `_edge_arrays`; `MetricGraph.__getstate__` leaves it
-    out, so pickles and copies carry no factorization."""
-    solver = getattr(g, "_harmonic_solver", None)
-    if solver is None:
-        solver = HarmonicSolver(g)
-        object.__setattr__(g, "_harmonic_solver", solver)
-    return solver
-
-
 def solve_dirichlet(g: MetricGraph, boundary_values: dict, boundary=None) -> HarmonicFunction:
-    solver = _solver(g) if boundary is None else HarmonicSolver(g, boundary=boundary)
-    return solver.solve(boundary_values)
+    return HarmonicSolver(g, boundary=boundary).solve(boundary_values)
 
 
 def check_harmonic(f: HarmonicFunction, tol: float = 1e-10) -> dict:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .families import TreeFamilySpec, _addresses, _common_prefix, _source_address, ROOT
 from .graph import MetricGraph
-from .harmonic import _solver
+from .harmonic import HarmonicSolver
 from .partition import CellTree, Partition, _sorted_order
 
 ADDITIVITY_TOL = 1e-10
@@ -114,7 +114,7 @@ def exit_measure(g: MetricGraph, w, cells: Partition, assignment: dict | None = 
     """
     if assignment is None:
         assignment = cells.cell_of()
-    solver = _solver(g)
+    solver = HarmonicSolver(g)
     cell = np.fromiter((assignment[v] for v in solver.boundary), dtype=np.intp,
                        count=len(solver.boundary))
     try:

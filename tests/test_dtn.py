@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import mgbound.dtn
-import mgbound.harmonic
 import mgbound.families
 from mgbound import (metric_graph, dtn_matrix,
                      inner_product_mu, compressed_dtn, compressed_dtn_limit,
@@ -485,7 +484,7 @@ def test_dtn_matches_the_dense_schur_complement_on_both_paths():
         S = schur_complement_dtn(g)
         assert D.basis == S.basis
         assert np.max(np.abs(D.matrix - S.matrix)) <= 1e-12 * max_conductance(g)
-        solver = mgbound.harmonic._solver(g)
+        solver = HarmonicSolver(g)
         Q = solver.L_IB.tocsc()
         neighbours = np.diff(Q.indptr)  # interior neighbours of each boundary vertex
         seen.update({"several": bool(np.any(neighbours > 1)),

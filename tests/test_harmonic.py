@@ -1,6 +1,3 @@
-import copy
-import pickle
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,10 +6,8 @@ import scipy.sparse.linalg as spla
 from mgbound import (metric_graph, solve_dirichlet, edge_derivative, vertex_flux,
                      dirichlet_energy, check_harmonic, counterexample_recurrence,
                      assemble_laplacian, CounterexampleSpec, build_counterexample,
-                     HarmonicSolver, TreeFamilySpec, build_kary_tree, compressed_dtn,
-                     dtn_matrix, exit_measure, quadratic_form_check)
+                     HarmonicSolver, TreeFamilySpec, build_kary_tree)
 from mgbound.harmonic import FLUX_BLOCK, _laplacian_triplets
-from mgbound.partition import Partition
 
 from util import (laplacian_reference, path_graph, star_graph, random_connected_graph,
                   with_parallel_edges)
@@ -466,98 +461,3 @@ def test_solver_blocks_from_the_boundary_edges_equal_those_from_all_triplets():
                 for name in ("data", "indices", "indptr"):
                     assert np.array_equal(getattr(a, name), getattr(want, name))
 
-
-def count_solvers(monkeypatch):
-    """The graphs a `HarmonicSolver` is constructed for, in order."""
-    made = []
-    init = HarmonicSolver.__init__
-
-    def counting_init(self, g, boundary=None):
-        made.append(g)
-        init(self, g, boundary=boundary)
-
-    monkeypatch.setattr(HarmonicSolver, "__init__", counting_init)
-    return made
-
-
-def shared_solver_graphs():
-    """A forest interior (the pendant spine), a k-ary tree and a graph whose
-    interior has cycles, which takes `splu`; each made afresh per call."""
-    rng = np.random.default_rng(73)
-    while True:
-        cyclic = random_connected_graph(rng, max_vertices=30)
-        if HarmonicSolver(cyclic)._forest is None:
-            break
-    return [build_counterexample(CounterexampleSpec(spine=7)),
-            build_kary_tree(TreeFamilySpec(arity=3, ratio=0.4, depth=3))[0],
-            metric_graph(cyclic.vertices, cyclic.edges, cyclic.boundary)]
-
-
-def five_callers(g):
-    """Each library function that takes g's solver from its cache, as
-    (name, call) pairs with seeded inputs."""
-    rng = np.random.default_rng(len(g.vertices))
-    bverts = sorted(g.boundary)
-    mu = {v: float(x) for v, x in zip(bverts, rng.uniform(0.5, 2.0, len(bverts)))}
-    F = {v: float(x) for v, x in zip(bverts, rng.normal(size=len(bverts)))}
-    half = len(bverts) // 2
-    cells = Partition((tuple(bverts[:half]), tuple(bverts[half:])))
-    w = g.interior()[-1]
-    return [("dtn_matrix", lambda: dtn_matrix(g, mu).matrix),
-            ("quadratic_form_check", lambda: quadratic_form_check(g, mu, F)),
-            ("compressed_dtn", lambda: compressed_dtn(g, cells, [1.0, 2.0]).matrix),
-            ("exit_measure", lambda: exit_measure(g, w, cells)),
-            ("solve_dirichlet", lambda: solve_dirichlet(g, F).values)]
-
-
-def equal(a, b):
-    return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
-
-
-def test_one_factorization_per_graph_across_the_callers(monkeypatch):
-    made = count_solvers(monkeypatch)
-    for g in shared_solver_graphs():
-        made.clear()
-        for _, call in five_callers(g) * 2:
-            call()
-        assert made == [g] and vars(g)["_harmonic_solver"].graph is g
-
-
-def test_callers_give_the_same_results_on_a_warm_and_a_cold_cache():
-    """Each caller first on a fresh graph, and each after all the others on
-    one whose cache they filled, in both orders: the results are equal."""
-    for cold_graph, warm_graph in zip(shared_solver_graphs(), shared_solver_graphs()):
-        callers = five_callers(warm_graph)
-        forward = [call() for _, call in callers]
-        backward = [call() for _, call in reversed(callers)][::-1]
-        for i, (name, _) in enumerate(callers):
-            g = metric_graph(cold_graph.vertices, cold_graph.edges, cold_graph.boundary)
-            cold = five_callers(g)[i][1]()
-            assert equal(cold, forward[i]) and equal(cold, backward[i]), name
-
-
-def test_a_boundary_override_builds_its_own_solver_and_leaves_the_cache(monkeypatch):
-    made = count_solvers(monkeypatch)
-    for g in shared_solver_graphs():
-        pinned = set(g.boundary) | {g.interior()[0]}
-        F = {v: float(i) for i, v in enumerate(sorted(pinned))}
-        want = HarmonicSolver(g, boundary=pinned).solve(F).values
-        made.clear()
-        assert solve_dirichlet(g, F, boundary=pinned).values == want
-        assert made == [g] and "_harmonic_solver" not in vars(g)
-        dtn_matrix(g)
-        cached = vars(g)["_harmonic_solver"]
-        assert solve_dirichlet(g, F, boundary=pinned).values == want
-        assert len(made) == 3 and vars(g)["_harmonic_solver"] is cached
-
-
-def test_graphs_with_a_cached_factorization_pickle_and_copy():
-    """A `splu` factorization cannot be pickled: the cached solver stays out
-    of a graph's state, and a copy factors its own on first use."""
-    g = shared_solver_graphs()[-1]
-    D = dtn_matrix(g).matrix
-    assert vars(g)["_harmonic_solver"]._forest is None
-    for h in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
-        assert h == g and "_harmonic_solver" not in vars(h)
-        assert np.array_equal(dtn_matrix(h).matrix, D)
-    assert np.array_equal(dtn_matrix(g).matrix, D)
