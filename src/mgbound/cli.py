@@ -11,6 +11,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -128,6 +129,37 @@ def _load_or_build(args):
     return _family_graph(args)
 
 
+def _read_number_map(path: str) -> dict:
+    """A JSON object whose values are finite numbers, as floats; a string, a
+    boolean, null, NaN or an infinity is rejected, as `load_graph` rejects
+    such an edge length."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict) or not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+            for x in doc.values()):
+        raise ValueError(f"{path} must hold a JSON object of finite numbers")
+    return {k: float(x) for k, x in doc.items()}
+
+
+def _read_function(path: str, keys) -> np.ndarray:
+    """The values at `keys`, in their order, of a `key,value` CSV with no
+    header; a key given twice or naming none of `keys`, a missing key and a
+    value that is not finite are errors."""
+    with open(path) as fh:
+        lines = [ln.strip().split(",") for ln in fh if ln.strip()]
+    table = {k: float(v) for k, v in lines}
+    if len(table) < len(lines):
+        raise ValueError(f"{path} gives a key twice")
+    unknown = sorted(set(table) - set(keys))
+    if unknown:
+        raise ValueError(f"{path}: keys that name no cell or coefficient: {unknown[:5]}")
+    x = np.array([table[k] for k in keys])
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{path}: values must be finite")
+    return x
+
+
 def _parse_depths(text: str):
     if ":" in text:
         a, b = text.split(":")
@@ -165,9 +197,7 @@ def cmd_partitions(args):
 def cmd_solve(args):
     rep = Reporter(args)
     g = _load_or_build(args)
-    with open(args.boundary_values) as fh:
-        F = json.load(fh)
-    f = harmonic.solve_dirichlet(g, F)
+    f = harmonic.solve_dirichlet(g, _read_number_map(args.boundary_values))
     rows = [("vertex", "value")] + [(v, _fmt(f.values[v])) for v in g.vertices]
     rep.artifact("values.csv", _csv(rows))
     chk = harmonic.check_harmonic(f)
@@ -223,10 +253,7 @@ def _check_dtn_invariants(rep, D: dtn_mod.DtNMatrix):
 def cmd_dtn(args):
     rep = Reporter(args)
     g = _load_or_build(args)
-    mu = None
-    if args.mu:
-        with open(args.mu) as fh:
-            mu = json.load(fh)
+    mu = _read_number_map(args.mu) if args.mu else None
     _write_dtn(rep, "matrix", dtn_mod.dtn_matrix(g, mu))
     return rep.finish()
 
@@ -301,13 +328,10 @@ def cmd_haar(args):
 def cmd_haar_apply(args):
     rep = Reporter(args)
     _, _, basis = _build_basis(args)
-    with open(args.function) as fh:
-        lines = [ln.strip().split(",") for ln in fh if ln.strip()]
-    table = {k: float(v) for k, v in lines}
     finest = basis.tree.levels[basis.tree.finest]
     # synthesize reads the coefficients indexed 0..K-1, the others finest-cell values
-    keys = map(str, range(len(basis))) if args.op == "synthesize" else finest.labels
-    x = np.array([table[k] for k in keys])
+    keys = [str(k) for k in range(len(basis))] if args.op == "synthesize" else finest.labels
+    x = _read_function(args.function, keys)
     if args.op == "analyze":
         out = haar_mod.analyze(basis, x)
         rows = [("coefficient", "value")] + [(k, _fmt(v)) for k, v in enumerate(out)]

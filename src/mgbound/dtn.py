@@ -110,14 +110,6 @@ def dtn_matrix(g: MetricGraph, mu: dict | None = None) -> DtNMatrix:
     return DtNMatrix(solver.boundary, Lam, w)
 
 
-def inner_product_mu(F, G, weights) -> float:
-    """Normalized weighted boundary inner product: (1/mu(bdry)) sum F G mu."""
-    F = np.asarray(F, dtype=float)
-    G = np.asarray(G, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    return float(np.sum(F * G * w) / np.sum(w))
-
-
 def compressed_dtn(g: MetricGraph, cells: Partition, cell_weights,
                    assignment: dict | None = None) -> DtNMatrix:
     """DtN compressed to functions constant on the cells of a boundary

@@ -1,5 +1,5 @@
-"""Metric graph data model: validation, distances, epsilon-subgraphs,
-boundary splitting, and vertex separators.
+"""Metric graph data model: construction, validation, the array form the
+numerical layers read, and multi-source distances.
 
 A metric graph is a finite weighted multigraph whose edges carry positive
 finite lengths, together with a designated boundary vertex set that must
@@ -14,8 +14,7 @@ from itertools import compress
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import (breadth_first_order, connected_components, dijkstra,
-                                  maximum_flow)
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 
 @dataclass(frozen=True)
@@ -216,112 +215,3 @@ def multi_source_distance(g: MetricGraph, sources) -> dict:
     dist = dijkstra(_shortest_edge_matrix(g), directed=False,
                     indices=[pos[s] for s in sorted(sources)], min_only=True)
     return dict(zip(g.vertices, dist.tolist()))
-
-
-def epsilon_subgraph(g: MetricGraph, eps: float):
-    """Edges of g containing a point at distance >= eps from the boundary.
-
-    An edge (u,v) of length l attains max interior boundary distance
-    (d(u) + d(v) + l)/2, so it is kept exactly when that quantity is >= eps.
-    Returns (subgraph, relative boundary): the relative boundary consists of
-    vertices that are leaves of g or that lost an incident edge.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    dist = multi_source_distance(g, g.boundary)
-    keep = [e for e in g.edges if (dist[e.u] + dist[e.v] + e.length) / 2.0 >= eps]
-    if not keep:
-        raise ValueError(f"eps={eps} exceeds the inradius; epsilon-subgraph is empty")
-    kept_ids = {e.id for e in keep}
-    verts = sorted({w for e in keep for w in (e.u, e.v)})
-    adj = adjacency(g)
-    rel = set()
-    for v in verts:
-        inc = adj[v]
-        if len(inc) == 1 or any(e.id not in kept_ids for e in inc):
-            rel.add(v)
-    return metric_graph(verts, keep, rel), frozenset(rel)
-
-
-def split_boundary_vertices(g: MetricGraph):
-    """Replace every boundary vertex of degree K > 1 with K degree-1 copies.
-
-    Returns (split graph, identification map copy -> original).  The map
-    includes identity entries for untouched boundary vertices.  Harmonic
-    solves on the split graph with equal values on copies reproduce solves
-    on g.
-    """
-    adj = adjacency(g)
-    split = {v for v in g.boundary if len(adj[v]) > 1}
-    ident = {v: v for v in g.boundary if v not in split}
-    repl = {}  # (edge id, original endpoint) -> copy
-    for v in sorted(split):
-        for k, e in enumerate(sorted(adj[v], key=lambda e: e.id)):
-            c = f"{v}@{k}"
-            ident[c] = v
-            repl[(e.id, v)] = c
-    verts = [v for v in g.vertices if v not in split]
-    verts.extend(c for c, o in ident.items() if c != o)
-    edges = []
-    for e in g.edges:
-        u = repl.get((e.id, e.u), e.u)
-        v = repl.get((e.id, e.v), e.v)
-        edges.append(Edge(e.id, u, v, e.length))
-    boundary = set(ident.keys())
-    return metric_graph(verts, edges, boundary), ident
-
-
-def min_vertex_separator(g: MetricGraph, S, T):
-    """Minimum-cardinality vertex set whose removal disconnects S from T.
-
-    Unit-capacity vertex-split max-flow (Menger) on scipy's maximum_flow; the
-    cut is the one closest to T.  Raises if some edge joins
-    S and T directly (no separator exists).
-    """
-    S, T = set(S), set(T)
-    if not S or not T:
-        raise ValueError("S and T must be nonempty")
-    if S & T:
-        raise ValueError("S and T must be disjoint")
-    unknown = (S | T) - set(g.vertices)
-    if unknown:
-        raise KeyError(f"unknown vertex ids: {sorted(unknown)}")
-    for e in g.edges:
-        if (e.u in S and e.v in T) or (e.v in S and e.u in T):
-            raise ValueError(
-                f"inseparable pair: edge {e.id!r} joins S and T with no intermediate vertex")
-
-    # vertex v splits into in-node 2i and out-node 2i+1; n + 1 stands for an
-    # infinite capacity, since no cut has more than n unit arcs
-    n = len(g.vertices)
-    index = {v: i for i, v in enumerate(g.vertices)}
-    s_idx = np.array([index[x] for x in S])
-    t_idx = np.array([index[x] for x in T])
-    u, v, _ = _edge_arrays(g)
-    src, snk, inf = 2 * n, 2 * n + 1, n + 1
-    # arcs: in -> out of every vertex, out -> in both ways along every edge,
-    # src -> S and T -> snk; only the in -> out arcs of other vertices are finite
-    node = np.arange(n)
-    tail = np.concatenate([2 * node, 2 * u + 1, 2 * v + 1, np.full(len(S), src), 2 * t_idx + 1])
-    head = np.concatenate([2 * node + 1, 2 * v, 2 * u, 2 * s_idx, np.full(len(T), snk)])
-    cap = np.full(len(tail), inf, dtype=np.int32)
-    cap[:n] = 1
-    cap[s_idx] = cap[t_idx] = inf
-    C = csr_matrix((cap, (tail, head)), shape=(2 * n + 2, 2 * n + 2))
-    flow = maximum_flow(C, src, snk).flow
-    # the sink side of the cut: every node that reaches snk in the residual
-    # graph C - flow, found by a search from snk along reversed arcs
-    residual = csr_matrix(C - flow)
-    residual.eliminate_zeros()
-    sink_side = np.zeros(2 * n + 2, dtype=bool)
-    sink_side[breadth_first_order(residual.T.tocsr(), snk, directed=True,
-                                  return_predecessors=False)] = True
-    cut = sink_side[1:2 * n:2] & ~sink_side[0:2 * n:2]
-    W = sorted(g.vertices[i] for i in np.flatnonzero(cut))
-
-    # connectivity recheck after removal
-    kept = ~cut[u] & ~cut[v]
-    labels = _component_labels(n, u[kept], v[kept])
-    if set(labels[s_idx]) & set(labels[t_idx]):
-        raise RuntimeError("separator verification failed")
-    return W

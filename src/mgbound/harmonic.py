@@ -37,12 +37,12 @@ class WeightedLaplacian:
     boundary_idx: np.ndarray
 
 
-def _laplacian_triplets(g: MetricGraph):
-    """Per edge, the triplets (i, j), (j, i), (i, i), (j, j) with conductance
-    -c, -c, c, c, in edge order: (rows, cols, values) of the Laplacian, with
-    duplicates to be summed."""
+def _laplacian_triplets(g: MetricGraph, keep=slice(None)):
+    """Per edge that `keep` selects (all by default), the triplets (i, j),
+    (j, i), (i, i), (j, j) with conductance -c, -c, c, c, in edge order:
+    (rows, cols, values) of the Laplacian, with duplicates to be summed."""
     u, v, length = _edge_arrays(g)
-    c = 1.0 / length
+    u, v, c = u[keep], v[keep], 1.0 / length[keep]
     return (np.column_stack([u, v, u, v]).ravel(), np.column_stack([v, u, u, v]).ravel(),
             np.column_stack([-c, -c, c, c]).ravel())
 
@@ -131,18 +131,15 @@ class HarmonicSolver:
         `splu`; the others in CSR), from one pass over the triplets of the
         edges that add to them: an edge between the interior and the boundary
         adds to all four, one with both ends on the boundary only to L_BB and
-        one with both ends interior only to L_II.  The triplets are those of
-        `_laplacian_triplets` for the kept edges, in the same order."""
-        u, v, length = _edge_arrays(self.graph)
+        one with both ends interior only to L_II."""
+        u, v, _ = _edge_arrays(self.graph)
         bu, bv = self._is_boundary[u], self._is_boundary[v]
         keep = bu != bv
         if "BB" in names:
             keep |= bu & bv
         if "II" in names:
             keep |= ~(bu | bv)
-        u, v, c = u[keep], v[keep], 1.0 / length[keep]
-        rows, cols = np.column_stack([u, v, u, v]).ravel(), np.column_stack([v, u, u, v]).ravel()
-        vals = np.column_stack([-c, -c, c, c]).ravel()
+        rows, cols, vals = _laplacian_triplets(self.graph, keep)
         row_b, col_b = self._is_boundary[rows], self._is_boundary[cols]
         n_b = int(np.count_nonzero(self._is_boundary))
         size = {"B": n_b, "I": len(self._is_boundary) - n_b}
@@ -239,17 +236,6 @@ class HarmonicSolver:
         if self.interior:
             vals.update(zip(self.interior, self._solve_interior(-(self.L_IB @ F))))
         return HarmonicFunction(self.graph, vals, self.boundary)
-
-    def source_flux(self, i: int) -> np.ndarray:
-        """Boundary fluxes, in `self.boundary` order, of the harmonic function
-        that is 1 at the interior vertex `self.interior[i]` and 0 on the
-        boundary, from this factorization with that vertex left unpinned:
-        x = L_II^{-1} e_i is harmonic everywhere but at it, so the function
-        is x / x_i on the interior and its fluxes are L_BI x / x_i."""
-        e = np.zeros(self.L_IB.shape[0])
-        e[i] = 1.0
-        x = self._solve_interior(e)
-        return (self.L_BI @ x) / x[i]
 
     def boundary_flux(self, F) -> np.ndarray:
         """Boundary fluxes of the harmonic extensions of the columns of F.

@@ -104,26 +104,28 @@ def exit_measure(g: MetricGraph, w, cells: Partition, assignment: dict | None = 
                  normalize: bool = False) -> np.ndarray:
     """Harmonic flux from a unit potential at w into each boundary cell.
 
-    Solves the Dirichlet problem with value 1 at w and 0 on the boundary on
-    the graph's own interior factorization, w left unpinned
-    (`HarmonicSolver.source_flux`: with L_II x = e_w the solution is x / x_w);
-    cell mass = sum over its boundary vertices v of the inward flux
-    -(L_BI x)_v / x_w, that is (f(neighbor) - f(v)) / l_e.  The total equals
-    the effective conductance 1 / x_w between w and the boundary; with
-    normalize=True masses sum to 1 (harmonic-measure convention).
+    With w pinned beside the boundary, the harmonic function that is 1 at w
+    and 0 on the boundary has the boundary fluxes `boundary_flux(e_w)`, one
+    column of the Schur complement on the boundary and w.  A cell's mass is
+    the sum over its boundary vertices v of the inward flux, minus v's entry
+    of that column, that is (f(neighbor) - f(v)) / l_e.  The total equals the
+    effective conductance between w and the boundary; with normalize=True
+    masses sum to 1 (harmonic-measure convention).
     """
     if assignment is None:
         assignment = cells.cell_of()
-    solver = HarmonicSolver(g)
-    cell = np.fromiter((assignment[v] for v in solver.boundary), dtype=np.intp,
-                       count=len(solver.boundary))
-    try:
-        i = solver.interior.index(w)
-    except ValueError:
-        if w in solver.boundary:
-            raise ValueError(f"source vertex {w!r} lies on the boundary") from None
-        raise KeyError(f"unknown vertex {w!r}") from None
-    nu = np.bincount(cell, weights=-solver.source_flux(i), minlength=len(cells))
+    if w not in g.vertices:
+        raise KeyError(f"unknown vertex {w!r}")
+    if w in g.boundary:
+        raise ValueError(f"source vertex {w!r} lies on the boundary")
+    solver = HarmonicSolver(g, boundary=g.boundary | {w})
+    source = solver.boundary.index(w)
+    unit = np.zeros((len(solver.boundary), 1))
+    unit[source] = 1.0
+    flux = np.delete(solver.boundary_flux(unit)[:, 0], source)
+    cell = np.fromiter((assignment[v] for v in solver.boundary if v != w), dtype=np.intp,
+                       count=len(flux))
+    nu = np.bincount(cell, weights=-flux, minlength=len(cells))
     if np.min(nu) <= 0:
         raise RuntimeError("exit measure produced a nonpositive cell mass; "
                            "solver output violates positivity")

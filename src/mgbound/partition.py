@@ -311,16 +311,6 @@ class CellTree:
         return out
 
 
-def _cell_diameter(b: BoundarySet, cell) -> float:
-    idx = [b.index[x] for x in cell]
-    return float(b.dist[np.ix_(idx, idx)].max()) if len(idx) > 1 else 0.0
-
-
-def mesh(p: Partition, b: BoundarySet) -> float:
-    """Maximum cell diameter; 0 for all-singleton partitions."""
-    return max((_cell_diameter(b, cell) for cell in p.cells), default=0.0)
-
-
 def _diameters(b: BoundarySet, cell: list) -> list:
     """The diameter of every cell of every level, indexed by cell.  With the
     points sorted by their cell at every level, coarsest first, each cell is

@@ -16,7 +16,8 @@ from mgbound import (CounterexampleSpec, DtNMatrix, TreeFamilySpec, build_counte
                      multiresolution_operator, tree_boundary_set)
 from mgbound.families import ROOT
 from mgbound.cli import main
-from mgbound.partition import _cell_diameter
+
+from util import cell_diameter
 
 
 def run(tmp_path, *argv):
@@ -74,7 +75,7 @@ def test_partitions_cell_diameters_match_the_per_cell_oracle(tmp_path, argv, b):
     _, rows = read_csv(artifact(out, report, "cells.csv"))
     assert len({r[0] for r in rows}) > 2
     for row in rows:
-        assert row[3] == cli._fmt(_cell_diameter(b, row[4].split(";"))), row
+        assert row[3] == cli._fmt(cell_diameter(b, row[4].split(";"))), row
 
 
 def test_solve_and_check(tmp_path):
@@ -469,3 +470,81 @@ def test_module_entry_point_exits_with_the_code_of_main(tmp_path, argv, code):
     run = subprocess.run([sys.executable, "-m", "mgbound.cli", "--outdir", "out", *argv],
                          cwd=tmp_path, env=env, capture_output=True, timeout=120)
     assert run.returncode == code, run.stderr
+
+
+def test_package_exports_its_48_public_names():
+    names = {n for n, x in vars(mgbound).items()
+             if not n.startswith("_") and not isinstance(x, type(mgbound))}
+    assert names == {
+        "Edge", "MetricGraph", "metric_graph", "validate", "multi_source_distance",
+        "TreeFamilySpec", "CounterexampleSpec", "build_kary_tree", "build_counterexample",
+        "load_graph", "save_graph",
+        "BoundarySet", "Partition", "CellTree", "tree_boundary_distance", "tree_boundary_set",
+        "graph_boundary_set", "epsilon_components", "jump_values",
+        "canonical_nested_partitions",
+        "HarmonicSolver", "HarmonicFunction", "assemble_laplacian", "solve_dirichlet",
+        "edge_derivative", "vertex_flux", "dirichlet_energy", "check_harmonic",
+        "counterexample_recurrence",
+        "CellMeasure", "equal_split_measure", "counting_measure",
+        "cell_measure_from_point_masses", "exit_measure", "exit_measure_point_masses",
+        "exit_measure_limit", "dominance_constant",
+        "DtNMatrix", "dtn_matrix", "compressed_dtn", "compressed_dtn_limit",
+        "quadratic_form_check",
+        "HaarBasis", "build_haar_basis", "analyze", "synthesize", "multiresolution_operator",
+        "multiresolution_eigenvalues"}
+
+
+@pytest.mark.parametrize("command", ["dtn", "solve"])
+@pytest.mark.parametrize("text", [
+    '{"00": "2.5", "01": 1.5, "10": 1.5, "11": 1.5}',
+    '{"00": true, "01": 1.5, "10": 1.5, "11": 1.5}',
+    '{"00": null, "01": 1.5, "10": 1.5, "11": 1.5}',
+    '{"00": NaN, "01": 1.5, "10": 1.5, "11": 1.5}',
+    '{"00": Infinity, "01": 1.5, "10": 1.5, "11": 1.5}',
+    '[1.5, 1.5, 1.5, 1.5]',
+])
+def test_number_maps_reject_what_is_not_an_object_of_finite_numbers(tmp_path, capsys,
+                                                                    command, text):
+    """`dtn --mu` and `solve --boundary-values` take a JSON object of finite
+    numbers; one string, boolean, null or non-finite value, or a document
+    that is no object, exits 2."""
+    path = tmp_path / "values.json"
+    path.write_text(text)
+    flag = "--mu" if command == "dtn" else "--boundary-values"
+    rc = main(["--outdir", str(tmp_path / "o"), command, "--depth", "2", flag, str(path)])
+    assert rc == 2
+    assert "JSON object of finite numbers" in json.loads(capsys.readouterr().err)["message"]
+
+
+def test_number_maps_take_integers_as_numbers(tmp_path):
+    leaves = TreeFamilySpec(depth=2).leaf_addresses()
+    path = tmp_path / "values.json"
+    path.write_text(json.dumps({leaf: i + 1 for i, leaf in enumerate(leaves)}))
+    for command, flag in (("dtn", "--mu"), ("solve", "--boundary-values")):
+        rc, _, report = run(tmp_path, command, "--depth", "2", flag, str(path))
+        assert rc == 0 and report["ok"], command
+
+
+@pytest.mark.parametrize("op, lines, message", [
+    ("analyze", ["000,1", "000,2"], "key twice"),
+    ("analyze", ["000,1", "000,nan"], "key twice"),
+    ("analyze", ["zzz,9"], "name no cell or coefficient"),
+    ("synthesize", ["8,9"], "name no cell or coefficient"),
+    ("analyze", ["000,nan"], "finite"),
+    ("analyze", ["000,inf"], "finite"),
+    ("synthesize", ["0,-inf"], "finite"),
+])
+def test_haar_apply_rejects_bad_function_files(tmp_path, capsys, op, lines, message):
+    """Each fault on its own, the other lines valid: a key given twice, a key
+    that names no finest cell (or coefficient index) and a non-finite value
+    each exit 2 and write no result."""
+    keys = (TreeFamilySpec(depth=3).leaf_addresses() if op == "analyze"
+            else [str(k) for k in range(8)])
+    given = {ln.split(",")[0] for ln in lines}
+    fn = tmp_path / "f.csv"
+    fn.write_text("\n".join(lines + [f"{k},1.5" for k in keys if k not in given]) + "\n")
+    out = tmp_path / "o"
+    rc = main(["--outdir", str(out), "haar-apply", "--function", str(fn), "--op", op])
+    assert rc == 2
+    assert message in json.loads(capsys.readouterr().err)["message"]
+    assert not out.exists()

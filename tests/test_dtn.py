@@ -9,7 +9,7 @@ import pytest
 import mgbound.dtn
 import mgbound.families
 from mgbound import (metric_graph, dtn_matrix,
-                     inner_product_mu, compressed_dtn, compressed_dtn_limit,
+                     compressed_dtn, compressed_dtn_limit,
                      quadratic_form_check, TreeFamilySpec, build_kary_tree,
                      build_counterexample, CounterexampleSpec, exit_measure_limit,
                      DtNMatrix, Edge, HarmonicSolver, MetricGraph)
@@ -142,13 +142,6 @@ def test_dtn_weight_validation():
         dtn_matrix(g, {"v1": 1.0, "v2": 1.0})  # does not cover boundary
     with pytest.raises(ValueError):
         dtn_matrix(g, {"v1": 1.0, "v2": 0.0, "v3": 1.0})
-
-
-def test_inner_product_mu():
-    w = np.ones(3)
-    assert inner_product_mu([1, 1, 1], [1, 1, 1], w) == 1.0
-    assert inner_product_mu([1, 0, 0], [0, 1, 0], w) == 0.0
-    assert inner_product_mu([1, 0, 0], [1, 0, 0], w) == pytest.approx(1 / 3)
 
 
 def test_compressed_star():

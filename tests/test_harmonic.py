@@ -283,9 +283,10 @@ def forced_splu(g, boundary=None):
 
 
 def check_solver_paths(g, boundary, rng):
-    """`solve`, multi-column `boundary_flux` and every `source_flux` of g's
-    solver against the same solver forced onto `splu` and against dense
-    solves of the blocks of `laplacian_reference`.  Returns whether the
+    """`solve`, multi-column `boundary_flux` and, with each interior vertex w
+    pinned, the boundary flux of the unit vector at w, of g's solver against
+    the same solver forced onto `splu` and against dense solves of the
+    blocks of `laplacian_reference`.  Returns whether the
     solver took the forest path."""
     solver, lu = HarmonicSolver(g, boundary=boundary), forced_splu(g, boundary)
     L, ii, bb = laplacian_reference(g, boundary)
@@ -302,11 +303,14 @@ def check_solver_paths(g, boundary, rng):
     x = np.linalg.solve(L_II, -L_IB @ F[:, 0])
     got = np.array([values.values[v] for v in solver.interior])
     assert np.max(np.abs(got - x), initial=0.0) <= 1e-12 * np.abs(F[:, 0]).max() * len(ii)
-    for i in range(len(ii)):
+    for i, w in enumerate(solver.interior):
         e = np.linalg.solve(L_II, np.eye(len(ii))[i])
         want = L_BI @ e / e[i]
-        assert np.max(np.abs(solver.source_flux(i) - want)) <= 1e-12 * np.abs(want).sum()
-        assert np.max(np.abs(lu.source_flux(i) - want)) <= 1e-12 * np.abs(want).sum()
+        pinned = set(solver.boundary) | {w}
+        for s in (HarmonicSolver(g, boundary=pinned), forced_splu(g, pinned)):
+            unit = np.array([[float(v == w)] for v in s.boundary])
+            got = s.boundary_flux(unit)[[v != w for v in s.boundary], 0]
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).sum()
     return solver._forest is not None
 
 

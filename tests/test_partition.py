@@ -10,13 +10,13 @@ import pytest
 import mgbound
 from mgbound import (TreeFamilySpec, CounterexampleSpec, BoundarySet, tree_boundary_distance,
                      tree_boundary_set, graph_boundary_set, epsilon_components,
-                     jump_values, canonical_nested_partitions, mesh,
+                     jump_values, canonical_nested_partitions,
                      build_kary_tree, build_counterexample, metric_graph,
                      equal_split_measure, counting_measure, build_haar_basis)
-from mgbound.partition import Partition, _cell_diameter
+from mgbound.partition import Partition
 
-from util import (components_bruteforce, components_union_find, dijkstra_reference,
-                  random_boundary_set, random_connected_graph, star_graph)
+from util import (cell_diameter, components_bruteforce, components_union_find,
+                  dijkstra_reference, random_boundary_set, random_connected_graph, star_graph)
 
 SPEC3 = TreeFamilySpec(arity=2, ratio=0.25, depth=3)
 
@@ -107,10 +107,11 @@ def test_two_point_mesh():
 
 def test_mesh_of_partitions():
     b = tree_boundary_set(SPEC3)
-    singles = Partition(tuple((p,) for p in b.points))
-    assert mesh(singles, b) == 0.0
-    level1 = epsilon_components(b, 0.5)
-    assert mesh(level1, b) == 0.15625
+    tree = canonical_nested_partitions(b)
+    assert tree.levels[-1] == Partition(tuple((p,) for p in b.points))
+    assert tree.mesh[-1] == 0.0
+    assert tree.levels[1] == epsilon_components(b, 0.5)
+    assert tree.mesh[1] == 0.15625
 
 
 def test_refinement_property_random_eps():
@@ -187,9 +188,9 @@ def test_canonical_levels_match_components_on_random_metrics(kind):
             assert len(level) == before
             assert len(epsilon_components(b, alpha * (1 - 1e-9))) == before
             assert len(epsilon_components(b, alpha * (1 + 1e-9))) == after
-        assert tree.mesh == [mesh(p, b) for p in tree.levels]
         assert ([d.tolist() for d in tree.diameter]
-                == [[_cell_diameter(b, c) for c in p.cells] for p in tree.levels])
+                == [[cell_diameter(b, c) for c in p.cells] for p in tree.levels])
+        assert tree.mesh == [max(cell_diameter(b, c) for c in p.cells) for p in tree.levels]
         for j, level in enumerate(tree.levels):
             cell_of = level.cell_of()
             assert tree.cell[j].tolist() == [cell_of[x] for x in b.points]

@@ -122,32 +122,11 @@ def random_boundary_set(rng, kind):
     return BoundarySet(names, d)
 
 
-def min_separator_size_bruteforce(g, S, T):
-    """Smallest number of vertices outside S and T whose removal leaves no
-    S-T path, by trying every subset in order of size."""
-    from itertools import combinations
-    S, T = set(S), set(T)
-    free = [v for v in g.vertices if v not in S and v not in T]
-    adj = {v: set() for v in g.vertices}
-    for e in g.edges:
-        adj[e.u].add(e.v)
-        adj[e.v].add(e.u)
-
-    def separates(W):
-        seen, stack = set(S), list(S)
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen and w not in W:
-                    if w in T:
-                        return False
-                    seen.add(w)
-                    stack.append(w)
-        return True
-
-    for size in range(len(free) + 1):
-        if any(separates(set(W)) for W in combinations(free, size)):
-            return size
-    raise ValueError("S and T cannot be separated")
+def cell_diameter(b, cell) -> float:
+    """Per-cell oracle for `CellTree.diameter`: the largest distance in the
+    table between members of `cell`, 0 for a singleton."""
+    idx = [b.index[x] for x in cell]
+    return float(b.dist[np.ix_(idx, idx)].max()) if len(idx) > 1 else 0.0
 
 
 def star_graph(k=3, length=1.0):
