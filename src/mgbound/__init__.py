@@ -5,9 +5,9 @@ Dirichlet-to-Neumann maps with the finite-truncation limit procedure."""
 from .graph import Edge, MetricGraph, metric_graph, validate, multi_source_distance
 from .families import (TreeFamilySpec, CounterexampleSpec, build_kary_tree,
                        build_counterexample, load_graph, save_graph)
-from .partition import (BoundarySet, Partition, CellTree, tree_boundary_distance,
-                        tree_boundary_set, graph_boundary_set, epsilon_components,
-                        jump_values, canonical_nested_partitions)
+from .partition import (BoundarySet, Partition, CellTree, tree_boundary_set,
+                        graph_boundary_set, epsilon_components, jump_values,
+                        canonical_nested_partitions)
 from .harmonic import (HarmonicSolver, HarmonicFunction, assemble_laplacian,
                        solve_dirichlet, edge_derivative, vertex_flux,
                        dirichlet_energy, check_harmonic, counterexample_recurrence)

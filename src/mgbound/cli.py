@@ -129,16 +129,22 @@ def _load_or_build(args):
     return _family_graph(args)
 
 
-def _read_number_map(path: str) -> dict:
+def _read_number_map(path: str, boundary) -> dict:
     """A JSON object whose values are finite numbers, as floats; a string, a
     boolean, null, NaN or an infinity is rejected, as `load_graph` rejects
-    such an edge length."""
+    such an edge length, and so are a key given twice and one not in `boundary`."""
     with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or not all(
+        pairs = json.load(fh, object_pairs_hook=tuple)  # (key, value) pairs: none dropped
+    if not isinstance(pairs, tuple) or not all(
             isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-            for x in doc.values()):
+            for _, x in pairs):
         raise ValueError(f"{path} must hold a JSON object of finite numbers")
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        raise ValueError(f"{path} gives a key twice")
+    unknown = sorted(set(doc) - set(boundary))
+    if unknown:
+        raise ValueError(f"{path}: keys that name no boundary vertex: {unknown[:5]}")
     return {k: float(x) for k, x in doc.items()}
 
 
@@ -197,7 +203,7 @@ def cmd_partitions(args):
 def cmd_solve(args):
     rep = Reporter(args)
     g = _load_or_build(args)
-    f = harmonic.solve_dirichlet(g, _read_number_map(args.boundary_values))
+    f = harmonic.solve_dirichlet(g, _read_number_map(args.boundary_values, g.boundary))
     rows = [("vertex", "value")] + [(v, _fmt(f.values[v])) for v in g.vertices]
     rep.artifact("values.csv", _csv(rows))
     chk = harmonic.check_harmonic(f)
@@ -253,7 +259,7 @@ def _check_dtn_invariants(rep, D: dtn_mod.DtNMatrix):
 def cmd_dtn(args):
     rep = Reporter(args)
     g = _load_or_build(args)
-    mu = _read_number_map(args.mu) if args.mu else None
+    mu = _read_number_map(args.mu, g.boundary) if args.mu else None
     _write_dtn(rep, "matrix", dtn_mod.dtn_matrix(g, mu))
     return rep.finish()
 

@@ -5,7 +5,7 @@ closed form from the branch resistances, by the stopping rule of `measures`).
 The map sends boundary values F to the mu-normalized boundary flux of the
 harmonic extension: (Lam F)(v) = mu(v)^{-1} * sum over incident edges of the
 oriented derivative at v.  That flux is the Schur complement
-S = L_BB - L_BI L_II^{-1} L_IB of the weighted Laplacian applied to F.  The
+S = L_BB - L_IB^T L_II^{-1} L_IB of the weighted Laplacian applied to F.  The
 full map is S itself, formed by `HarmonicSolver.schur_complement` from one
 solve per interior vertex with a boundary neighbour; the compressed map
 A^T S A, for the leaf-to-cell indicator matrix A, and the energy form F^T S F
@@ -24,12 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .families import TreeFamilySpec, ROOT, _addresses, _common_prefix
+from .families import TreeFamilySpec, _addresses, _common_prefix
 from .graph import MetricGraph
 from .harmonic import HarmonicSolver, dirichlet_energy
 # bound here unused: perfbench's tracer test wraps vertex_flux through this module
 from .harmonic import vertex_flux  # noqa: F401
-from .measures import _check_schedule, _limit, _path_potentials, _truncation_exit_masses
+from .measures import _limit, _path_potentials, exit_measure_limit
 from .partition import Partition
 
 INVARIANT_BLOCK = 64  # rows of S per step of check_invariants' pass
@@ -172,22 +172,15 @@ class DtNLimitResult:
     converged: bool
 
 
-def compressed_dtn_limit(spec: TreeFamilySpec, level: int, depths, tol: float,
-                         cell_weights=None, w_source=ROOT) -> DtNLimitResult:
+def compressed_dtn_limit(spec: TreeFamilySpec, level: int, depths, tol: float) -> DtNLimitResult:
     """Compressed DtN maps on successive truncations, leaves assigned to
     level-`level` prefix cells, stopping when the max-norm change of the
     matrix drops below tol.  Each truncation's map is computed once, in
     closed form (`_truncation_cell_flux`, no graph and no vertex cap), and
-    divided by the weights.  cell_weights defaults to the masses of
-    `exit_measure_limit(spec, level, depths, tol, w=w_source)`, whose exit
-    masses are computed only for the depths that limit draws."""
-    depths = _check_schedule(depths, tol, level)
+    divided by the root's exit masses, `exit_measure_limit(spec, level, depths, tol)`."""
+    depths = list(depths)  # read twice, so a generator is drawn only once
+    weights = exit_measure_limit(spec, level, depths, tol).masses
     cells = Partition(tuple((p,) for p in _addresses(spec.arity, level)))
-    if cell_weights is None:
-        weights = _limit(((d, _truncation_exit_masses(spec.at_depth(d), level, w_source))
-                          for d in depths), tol)[0]
-    else:
-        weights = _check_weights(cell_weights, len(cells))
     # dividing a flux by the weights gives what compressed_dtn gives with them
     matrices = ((d, _truncation_cell_flux(spec.at_depth(d), level) / weights[:, None])
                 for d in depths)
@@ -196,8 +189,9 @@ def compressed_dtn_limit(spec: TreeFamilySpec, level: int, depths, tol: float,
 
 
 def quadratic_form_check(g: MetricGraph, mu: dict, F: dict):
-    """Two independent evaluations of the energy form: mu(bdry) <Lam F, F>_mu
-    via boundary fluxes, and the Dirichlet energy of the harmonic extension."""
+    """Two independent evaluations of the energy form F^T S F, via boundary
+    fluxes and as the Dirichlet energy of the harmonic extension.  mu is not
+    read: mu(bdry) <Lam F, F>_mu = sum_v mu(v) (Lam F)(v) F(v) = F^T S F."""
     solver = HarmonicSolver(g)
     values = np.array([float(F[v]) for v in solver.boundary])
     flux_form = float(values @ solver.boundary_flux(values[:, None])[:, 0])

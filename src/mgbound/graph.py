@@ -62,9 +62,6 @@ class MetricGraph:
     def interior(self):
         return [v for v in self.vertices if v not in self.boundary]
 
-    def total_length(self):
-        return sum(e.length for e in self.edges)
-
 
 def metric_graph(vertices, edges, boundary) -> MetricGraph:
     """Build a MetricGraph with deterministic (sorted) iteration order.

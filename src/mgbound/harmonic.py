@@ -97,8 +97,8 @@ def dirichlet_energy(f: HarmonicFunction) -> float:
 class HarmonicSolver:
     """Dirichlet solver with a reusable interior factorization.
 
-    The blocks L_II, L_IB, L_BI and L_BB of the weighted Laplacian are
-    assembled straight from the edge arrays: each triplet goes to the block
+    The blocks L_II, L_IB and L_BB of the weighted Laplacian (L_BI is L_IB^T)
+    are assembled straight from the edge arrays: each triplet goes to the block
     of its row and column, its endpoints renumbered by their rank within
     their own block.  No full Laplacian is formed, and `boundary` and
     `interior` (the sorted vertex ids of each block) are made on first read.
@@ -121,17 +121,17 @@ class HarmonicSolver:
         n_b = int(np.count_nonzero(on_boundary))
         n_i = len(on_boundary) - n_b
         self._rank = np.where(on_boundary, np.cumsum(on_boundary), np.cumsum(~on_boundary)) - 1
-        self.L_IB, self.L_BI, self.L_BB = self._blocks("IB", "BI", "BB")
+        self.L_IB, self.L_BB = self._blocks("IB", "BB")
         self._forest = self._eliminate_forest(n_i) if n_i else None
         if n_i and self._forest is None:
             self._lu = spla.splu(self.L_II)
 
     def _blocks(self, *names):
-        """The Laplacian blocks named "IB", "BI", "BB" or "II" (in CSC, for
-        `splu`; the others in CSR), from one pass over the triplets of the
-        edges that add to them: an edge between the interior and the boundary
-        adds to all four, one with both ends on the boundary only to L_BB and
-        one with both ends interior only to L_II."""
+        """The Laplacian blocks named "IB", "BB" or "II" (in CSC, for `splu`;
+        the others in CSR), from one pass over the triplets of the edges that
+        add to them: an edge between the interior and the boundary adds to
+        all three, one with both ends on the boundary only to L_BB and one
+        with both ends interior only to L_II."""
         u, v, _ = _edge_arrays(self.graph)
         bu, bv = self._is_boundary[u], self._is_boundary[v]
         keep = bu != bv
@@ -243,8 +243,8 @@ class HarmonicSolver:
         F is an n_B x m array or sparse matrix of boundary values, rows in
         `self.boundary` order.  Column j of the result is `vertex_flux` at
         each boundary vertex of the extension of column j:
-        L_BB F + L_BI X with L_II X = -L_IB F, the Schur complement
-        L_BB - L_BI L_II^{-1} L_IB applied to F.  Columns are solved in
+        L_BB F + L_IB^T X with L_II X = -L_IB F, the Schur complement
+        L_BB - L_IB^T L_II^{-1} L_IB applied to F.  Columns are solved in
         blocks of FLUX_BLOCK, so the result is the only n_B x m array.
         """
         n_b = self.L_BB.shape[0]
@@ -257,17 +257,17 @@ class HarmonicSolver:
             block = block.toarray() if sp.issparse(block) else np.asarray(block, dtype=float)
             out[:, cols] = self.L_BB @ block
             if self.L_IB.shape[0]:
-                # L_BI X = -L_BI (L_II^{-1} L_IB F)
-                out[:, cols] -= self.L_BI @ self._solve_interior(self.L_IB @ block)
+                # L_BI X = -L_IB^T (L_II^{-1} L_IB F)
+                out[:, cols] -= self.L_IB.T @ self._solve_interior(self.L_IB @ block)
         return out
 
     def schur_complement(self) -> np.ndarray:
-        """The boundary Schur complement S = L_BB - L_BI L_II^{-1} L_IB as a
+        """The boundary Schur complement S = L_BB - L_IB^T L_II^{-1} L_IB as a
         dense n_B x n_B array, from one solve per interior vertex that has a
         boundary neighbour (Kron reduction: only their rows of L_IB are
-        nonzero).  With J those vertices, Q = L_IB[J] (sparse, and L_BI =
-        L_IB^T) and Z = (L_II^{-1})[J, J] from |J| unit right-hand sides in
-        blocks of FLUX_BLOCK, S = L_BB - Q^T Z Q.  The update runs over row
+        nonzero).  With J those vertices, Q = L_IB[J] (sparse) and
+        Z = (L_II^{-1})[J, J] from |J| unit right-hand sides in blocks of
+        FLUX_BLOCK, S = L_BB - Q^T Z Q.  The update runs over row
         blocks of S with the sparse Q on both sides of each product, so S and
         Z are the only dense arrays of their size."""
         S = self.L_BB.toarray()
@@ -287,8 +287,8 @@ class HarmonicSolver:
         return S
 
 
-def solve_dirichlet(g: MetricGraph, boundary_values: dict, boundary=None) -> HarmonicFunction:
-    return HarmonicSolver(g, boundary=boundary).solve(boundary_values)
+def solve_dirichlet(g: MetricGraph, boundary_values: dict) -> HarmonicFunction:
+    return HarmonicSolver(g).solve(boundary_values)
 
 
 def check_harmonic(f: HarmonicFunction, tol: float = 1e-10) -> dict:

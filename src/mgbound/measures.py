@@ -100,8 +100,8 @@ def cell_measure_from_point_masses(tree: CellTree, point_mass: dict) -> CellMeas
     return CellMeasure(tree, [np.bincount(c[order], weights=w) for c in tree.cell])
 
 
-def exit_measure(g: MetricGraph, w, cells: Partition, assignment: dict | None = None,
-                 normalize: bool = False) -> np.ndarray:
+def exit_measure(g: MetricGraph, w, cells: Partition,
+                 assignment: dict | None = None) -> np.ndarray:
     """Harmonic flux from a unit potential at w into each boundary cell.
 
     With w pinned beside the boundary, the harmonic function that is 1 at w
@@ -109,8 +109,8 @@ def exit_measure(g: MetricGraph, w, cells: Partition, assignment: dict | None = 
     column of the Schur complement on the boundary and w.  A cell's mass is
     the sum over its boundary vertices v of the inward flux, minus v's entry
     of that column, that is (f(neighbor) - f(v)) / l_e.  The total equals the
-    effective conductance between w and the boundary; with normalize=True
-    masses sum to 1 (harmonic-measure convention).
+    effective conductance between w and the boundary; dividing by it gives
+    the harmonic measure, whose masses sum to 1.
     """
     if assignment is None:
         assignment = cells.cell_of()
@@ -129,8 +129,6 @@ def exit_measure(g: MetricGraph, w, cells: Partition, assignment: dict | None = 
     if np.min(nu) <= 0:
         raise RuntimeError("exit measure produced a nonpositive cell mass; "
                            "solver output violates positivity")
-    if normalize:
-        nu = nu / nu.sum()
     return nu
 
 

@@ -45,14 +45,6 @@ class BoundarySet:
     def __len__(self):
         return len(self.points)
 
-    @cached_property
-    def index(self) -> dict:
-        """Point -> its position in `points`, made on first read."""
-        return {p: i for i, p in enumerate(self.points)}
-
-    def d(self, x, y) -> float:
-        return float(self.dist[self.index[x], self.index[y]])
-
     def diameter(self) -> float:
         return float(self.dist.max()) if len(self) > 1 else 0.0
 
@@ -80,22 +72,6 @@ class BoundarySet:
             parent[closer] = j
         i, j = parent[order[1:]], order[1:]
         return i, j, D[i, j]
-
-
-def tree_boundary_distance(spec: TreeFamilySpec, x: str, y: str) -> float:
-    """Path distance between two depth-n leaf addresses of a k-ary tree.
-
-    With the first disagreement at depth a, the connecting path descends
-    twice through levels a+1..n: 2 * L0 * r^(a+1) * (1 - r^(n-a)) / (1 - r).
-    """
-    if len(x) != len(y):
-        raise ValueError("addresses must have equal length")
-    if x == y:
-        raise ValueError("addresses must differ")
-    n = len(x)
-    a = next(i for i in range(n) if x[i] != y[i])
-    r, L0 = spec.ratio, spec.base_length
-    return 2.0 * L0 * r ** (a + 1) * (1.0 - r ** (n - a)) / (1.0 - r)
 
 
 class _KaryBoundarySet(BoundarySet):
@@ -132,19 +108,19 @@ class _KaryBoundarySet(BoundarySet):
 def tree_boundary_set(spec: TreeFamilySpec) -> BoundarySet:
     """Boundary set of the depth-n leaves, from their first-disagreement depths.
 
-    The distances come from an (n+1)-entry table built with the expression of
-    `tree_boundary_distance`, so they are bit-identical to it.  A table that
-    is finite and strictly decreasing to 0 is carried as it is, with the
-    hierarchy in closed form; any other is expanded and validated by
-    `BoundarySet`, which rejects it or cuts it by the generic path."""
+    Two leaves whose first disagreement is at depth a are joined by a path
+    that descends twice through levels a+1..n, of length
+    2 * L0 * r^(a+1) * (1 - r^(n-a)) / (1 - r): entry a of an (n+1)-entry
+    table that carries the hierarchy in closed form.  The table must be
+    finite and strictly decreasing to 0; a length that underflows to 0 or
+    overflows to inf is not the tree's metric and raises ValueError."""
     k, n = spec.arity, spec.depth
     r, L0 = spec.ratio, spec.base_length
     table = np.array([2.0 * L0 * r ** (a + 1) * (1.0 - r ** (n - a)) / (1.0 - r)
                       for a in range(n)] + [0.0])
-    b = _KaryBoundarySet(spec.leaf_addresses(), k, table)
-    if np.isfinite(table[0]) and np.all(table[:-1] > table[1:]):
-        return b
-    return BoundarySet(b.points, b.dist)
+    if not (np.isfinite(table[0]) and np.all(table[:-1] > table[1:])):
+        raise ValueError("distinct points must have positive distance")
+    return _KaryBoundarySet(spec.leaf_addresses(), k, table)
 
 
 class _GraphBoundarySet(BoundarySet):

@@ -347,23 +347,34 @@ def test_exit_measure_bad_source_vertex(tmp_path, capsys, source):
     assert "error" in err and source in err["message"]
 
 
-def test_truncation_limit_artifacts_do_not_depend_on_hash_seed(tmp_path):
-    """Each limit command, run in a fresh interpreter under two hash seeds,
-    writes the same artifact bytes."""
+def test_artifacts_do_not_depend_on_hash_seed(tmp_path):
+    """The limit commands and those that build a graph, each family's, run
+    in a fresh interpreter under two hash seeds, write the same artifact bytes."""
     src = os.path.dirname(os.path.dirname(mgbound.__file__))
+    bv = tmp_path / "bv.json"
+    bv.write_text(json.dumps({leaf: float(i) for i, leaf in
+                              enumerate(TreeFamilySpec(depth=3).leaf_addresses())}))
     commands = [["exit-measure", "--level", "2", "--depths", "4:12"],
-                ["dtn-limit", "--level", "2", "--depths", "4:10"]]
+                ["dtn-limit", "--level", "2", "--depths", "4:10"],
+                ["gen", "--family", "counterexample", "--spine", "7"],
+                ["solve", "--depth", "3", "--boundary-values", str(bv)],
+                ["partitions", "--family", "counterexample", "--spine", "7"],
+                ["dtn", "--family", "counterexample", "--spine", "7"]]
+    # one interpreter per seed runs every command
+    script = ("import json, sys\nfrom mgbound.cli import main\n"
+              "codes = [main(['--outdir', 'out', *argv]) for argv in json.loads(sys.argv[1])]\n"
+              "sys.exit(max(codes))")
     written = {}
     for seed in ("1", "2"):
         cwd = tmp_path / f"seed{seed}"
         cwd.mkdir()
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
-        for argv in commands:
-            subprocess.run([sys.executable, "-m", "mgbound.cli", "--outdir", "out", *argv],
-                           cwd=cwd, env=env, check=False, capture_output=True, timeout=120)
+        run = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                             cwd=cwd, env=env, capture_output=True, timeout=300)
+        assert run.returncode == 0, run.stderr
         written[seed] = {p.name: p.read_bytes() for p in sorted((cwd / "out").iterdir())
                          if p.name != "report.json"}
-    assert len(written["1"]) == 4  # a matrix and a trace, a measure and a trace
+    assert len(written["1"]) == 8  # two limits' maps and traces, and one file per command
     assert written["1"] == written["2"]
 
 
@@ -472,14 +483,14 @@ def test_module_entry_point_exits_with_the_code_of_main(tmp_path, argv, code):
     assert run.returncode == code, run.stderr
 
 
-def test_package_exports_its_48_public_names():
+def test_package_exports_its_47_public_names():
     names = {n for n, x in vars(mgbound).items()
              if not n.startswith("_") and not isinstance(x, type(mgbound))}
     assert names == {
         "Edge", "MetricGraph", "metric_graph", "validate", "multi_source_distance",
         "TreeFamilySpec", "CounterexampleSpec", "build_kary_tree", "build_counterexample",
         "load_graph", "save_graph",
-        "BoundarySet", "Partition", "CellTree", "tree_boundary_distance", "tree_boundary_set",
+        "BoundarySet", "Partition", "CellTree", "tree_boundary_set",
         "graph_boundary_set", "epsilon_components", "jump_values",
         "canonical_nested_partitions",
         "HarmonicSolver", "HarmonicFunction", "assemble_laplacian", "solve_dirichlet",
@@ -548,3 +559,32 @@ def test_haar_apply_rejects_bad_function_files(tmp_path, capsys, op, lines, mess
     assert rc == 2
     assert message in json.loads(capsys.readouterr().err)["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["dtn", "solve"])
+@pytest.mark.parametrize("extra, message", [
+    ('"zzz": 5', "name no boundary vertex"),
+    ('"root": 7', "name no boundary vertex"),  # an interior vertex is no boundary value
+    ('"00": 2', "key twice"),
+])
+def test_number_maps_reject_unknown_and_repeated_keys(tmp_path, capsys, command, extra,
+                                                      message):
+    """Besides the four depth-2 leaves, a key that names no boundary vertex
+    or one given twice exits 2 and writes no artifact."""
+    path = tmp_path / "values.json"
+    path.write_text('{"00": 1, "01": 2, "10": 3, "11": 4, ' + extra + "}")
+    flag = "--mu" if command == "dtn" else "--boundary-values"
+    out = tmp_path / "o"
+    rc = main(["--outdir", str(out), command, "--depth", "2", flag, str(path)])
+    assert rc == 2
+    assert message in json.loads(capsys.readouterr().err)["message"]
+    assert not out.exists()
+
+
+def test_partitions_reject_a_tree_whose_lengths_overflow(tmp_path, capsys):
+    """2 L0 overflows to inf, which is no distance of the tree; the run used
+    to cut an all-infinite table into singletons and exit 0."""
+    rc = main(["--outdir", str(tmp_path / "o"), "partitions", "--base-length", "1e308",
+               "--ratio", "0.9", "--depth", "3"])
+    assert rc == 2
+    assert "positive distance" in json.loads(capsys.readouterr().err)["message"]

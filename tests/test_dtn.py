@@ -8,6 +8,7 @@ import pytest
 
 import mgbound.dtn
 import mgbound.families
+import mgbound.measures
 from mgbound import (metric_graph, dtn_matrix,
                      compressed_dtn, compressed_dtn_limit,
                      quadratic_form_check, TreeFamilySpec, build_kary_tree,
@@ -206,12 +207,6 @@ def test_compressed_dtn_rejects_nonfinite_and_nonpositive_weights(bad):
         dtn_matrix(g, {"v1": 1.0, "v2": bad, "v3": 1.0})
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_compressed_dtn_limit_rejects_nonfinite_weights(bad):
-    with pytest.raises(ValueError, match="weights"):
-        compressed_dtn_limit(SPEC, 1, [2, 3], 1e-6, cell_weights=[bad, bad])
-
-
 def test_compressed_dtn_limit_level1():
     res = compressed_dtn_limit(SPEC, 1, range(4, 15), 1e-6)
     assert res.converged
@@ -235,7 +230,8 @@ def _count_truncations(monkeypatch):
     """The depth of each call of the two per-depth closed forms that
     `compressed_dtn_limit` draws on: (exit-mass depths, cell-flux depths)."""
     exits, fluxes = [], []
-    exit_masses, cell_flux = mgbound.dtn._truncation_exit_masses, mgbound.dtn._truncation_cell_flux
+    exit_masses = mgbound.measures._truncation_exit_masses
+    cell_flux = mgbound.dtn._truncation_cell_flux
 
     def counting_exit_masses(spec, *args):
         exits.append(spec.depth)
@@ -245,7 +241,7 @@ def _count_truncations(monkeypatch):
         fluxes.append(spec.depth)
         return cell_flux(spec, *args)
 
-    monkeypatch.setattr(mgbound.dtn, "_truncation_exit_masses", counting_exit_masses)
+    monkeypatch.setattr(mgbound.measures, "_truncation_exit_masses", counting_exit_masses)
     monkeypatch.setattr(mgbound.dtn, "_truncation_cell_flux", counting_cell_flux)
     return exits, fluxes
 
@@ -255,18 +251,27 @@ def _count_truncations(monkeypatch):
     (2, range(3, 9), 1e-5),    # the weights settle before the matrix
     (2, [3, 4, 5], 1e-12),     # neither settles within the schedule
 ])
-def test_compressed_dtn_limit_default_weights_are_the_exit_measure_limit(
+def test_compressed_dtn_limit_weights_are_the_exit_measure_limit(
         monkeypatch, level, depths, tol):
     weights = exit_measure_limit(SPEC, level, depths, tol).masses
-    given = compressed_dtn_limit(SPEC, level, depths, tol, cell_weights=weights)
     exits, fluxes = _count_truncations(monkeypatch)
-    default = compressed_dtn_limit(SPEC, level, depths, tol)
-    assert np.array_equal(default.dtn.matrix, given.dtn.matrix)
-    assert np.array_equal(default.dtn.weights, weights)
-    assert default.trace == given.trace
-    assert default.converged == given.converged
+    res = compressed_dtn_limit(SPEC, level, depths, tol)
+    assert np.array_equal(res.dtn.weights, weights)
     assert len(exits) == len(set(exits))  # each truncation's exit masses are computed once
     assert len(fluxes) == len(set(fluxes))  # and its map once
+
+
+def test_limits_take_a_generator_schedule_as_a_list():
+    """The schedule is read twice by `compressed_dtn_limit` (weights, then
+    maps), so a generator must give what its list gives."""
+    for level, depths, tol in ((1, range(3, 10), 1e-6), (2, range(3, 9), 1e-5)):
+        want = compressed_dtn_limit(SPEC, level, list(depths), tol)
+        got = compressed_dtn_limit(SPEC, level, (d for d in depths), tol)
+        assert np.array_equal(got.dtn.matrix, want.dtn.matrix)
+        assert np.array_equal(got.dtn.weights, want.dtn.weights)
+        assert (got.trace, got.converged) == (want.trace, want.converged)
+        nu = exit_measure_limit(SPEC, level, (d for d in depths), tol)
+        assert np.array_equal(nu.masses, exit_measure_limit(SPEC, level, depths, tol).masses)
 
 
 @pytest.mark.parametrize("level, depths, tol", [
@@ -278,13 +283,9 @@ def test_compressed_dtn_limit_solves_for_exit_masses_only_until_the_weights_sett
         monkeypatch, level, depths, tol):
     weights = exit_measure_limit(SPEC, level, depths, tol)
     settled = weights.trace[-1][0] if weights.converged else depths[-1]
-    solved, built = _count_truncations(monkeypatch)
+    solved, _ = _count_truncations(monkeypatch)
     compressed_dtn_limit(SPEC, level, depths, tol)
     assert solved == [d for d in depths if d <= settled]
-    built.clear()
-    solved.clear()
-    compressed_dtn_limit(SPEC, level, depths, tol, cell_weights=weights.masses)
-    assert built and solved == []
 
 
 def test_truncation_limits_build_no_graph_and_no_solver(monkeypatch):

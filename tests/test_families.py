@@ -36,7 +36,7 @@ def test_ternary_volume():
     g, _ = build_kary_tree(spec)
     assert len(g.vertices) == 13
     assert len(g.edges) == 12
-    assert g.total_length() == pytest.approx(3.75, abs=1e-15)
+    assert sum(e.length for e in g.edges) == pytest.approx(3.75, abs=1e-15)
 
 
 def test_vertex_count_formula():
@@ -105,7 +105,7 @@ def test_counterexample_pendant_schedule():
     g = build_counterexample(spec)
     # volume = sum 1/n^2 over spine + one per pendant
     expected = 1 + 1 / 4 + 1 / 9 + 1 / 16 + (4 + 9 + 16)
-    assert g.total_length() == pytest.approx(expected, rel=1e-15)
+    assert sum(e.length for e in g.edges) == pytest.approx(expected, rel=1e-15)
 
 
 def test_counterexample_zero_pendants_rejected():

@@ -220,7 +220,7 @@ def laplacian_blocks(g, boundary=None):
 
 
 def solver_blocks(solver):
-    return [b.toarray() for b in (solver.L_BB, solver.L_II, solver.L_IB, solver.L_BI)]
+    return [b.toarray() for b in (solver.L_BB, solver.L_II, solver.L_IB, solver.L_IB.T)]
 
 
 @pytest.mark.parametrize("arity, depth", [(2, 1), (2, 6), (3, 4), (10, 2)])
@@ -449,7 +449,8 @@ def test_solver_blocks_from_the_boundary_edges_equal_those_from_all_triplets():
     """Same entries summed in the same order: `data`, `indices` and `indptr`
     are equal, on k-ary trees at ratios whose sums round, the pendant spine
     and random graphs with parallel and boundary-boundary edges, each with
-    its own boundary and with an interior vertex pinned."""
+    its own boundary and with an interior vertex pinned.  L_BI is not stored:
+    L_IB^T equals the BI cut, and its products are those of the cut."""
     rng = np.random.default_rng(71)
     graphs = [build_kary_tree(TreeFamilySpec(arity=k, ratio=0.3, depth=d))[0]
               for k, d in [(2, 1), (2, 7), (3, 4), (10, 2)]]
@@ -459,9 +460,13 @@ def test_solver_blocks_from_the_boundary_edges_equal_those_from_all_triplets():
     for g in graphs:
         for boundary in (None, set(g.boundary) | {g.interior()[0]}):
             solver = HarmonicSolver(g, boundary=boundary)
-            got = [solver.L_IB, solver.L_BI, solver.L_BB, solver.L_II]
-            for a, want in zip(got, blocks_from_all_triplets(solver, "IB", "BI", "BB", "II")):
-                assert a.format == want.format and a.shape == want.shape
+            got = [solver.L_IB, solver.L_BB, solver.L_II]
+            *want, L_BI = blocks_from_all_triplets(solver, "IB", "BB", "II", "BI")
+            for a, b in zip(got, want):
+                assert a.format == b.format and a.shape == b.shape
                 for name in ("data", "indices", "indptr"):
-                    assert np.array_equal(getattr(a, name), getattr(want, name))
+                    assert np.array_equal(getattr(a, name), getattr(b, name))
+            assert (solver.L_IB.T != L_BI).nnz == 0
+            X = rng.normal(size=(L_BI.shape[1], 3))
+            assert np.array_equal(solver.L_IB.T @ X, L_BI @ X)
 

@@ -8,15 +8,16 @@ import numpy as np
 import pytest
 
 import mgbound
-from mgbound import (TreeFamilySpec, CounterexampleSpec, BoundarySet, tree_boundary_distance,
-                     tree_boundary_set, graph_boundary_set, epsilon_components,
-                     jump_values, canonical_nested_partitions,
+from mgbound import (TreeFamilySpec, CounterexampleSpec, BoundarySet, tree_boundary_set,
+                     graph_boundary_set, epsilon_components, jump_values,
+                     canonical_nested_partitions,
                      build_kary_tree, build_counterexample, metric_graph,
                      equal_split_measure, counting_measure, build_haar_basis)
 from mgbound.partition import Partition
 
 from util import (cell_diameter, components_bruteforce, components_union_find,
-                  dijkstra_reference, random_boundary_set, random_connected_graph, star_graph)
+                  dijkstra_reference, random_boundary_set, random_connected_graph, star_graph,
+                  tree_boundary_distance)
 
 SPEC3 = TreeFamilySpec(arity=2, ratio=0.25, depth=3)
 
@@ -257,10 +258,13 @@ def test_kary_closed_form_hierarchy_equals_the_mst_path(k, r, n):
         assert np.array_equal(tree.diameter[j], ref.diameter[j])
 
 
-def test_kary_table_that_is_not_strictly_decreasing_takes_the_generic_path():
-    # r^2 underflows to 0, so leaves below depth 1 would coincide
+@pytest.mark.parametrize("spec", [
+    TreeFamilySpec(ratio=1e-200, depth=3),  # r^2 underflows: leaves below depth 1 coincide
+    TreeFamilySpec(ratio=0.9, base_length=1e308, depth=3),  # 2 L0 overflows to inf
+])
+def test_kary_table_that_underflows_or_overflows_is_rejected(spec):
     with pytest.raises(ValueError, match="positive distance"):
-        tree_boundary_set(TreeFamilySpec(ratio=1e-200, depth=3))
+        tree_boundary_set(spec)
 
 
 @pytest.mark.parametrize("k, r, n", [(2, 0.25, 10), (3, 0.4, 6), (10, 0.5, 3)])
@@ -448,15 +452,6 @@ def test_spine_40_hierarchy_and_measures_in_bounded_memory():
 def test_boundary_set_rejects_a_table_of_the_wrong_shape():
     with pytest.raises(ValueError, match="shape does not match"):
         BoundarySet(["a", "b", "c"], np.zeros((2, 2)))
-
-
-def test_d_reads_the_table_by_point_name():
-    b = BoundarySet(["x", "y", "z"], [[0, 1, 2], [1, 0, 3], [2, 3, 0]])
-    assert (b.d("x", "z"), b.d("z", "y"), b.d("y", "y")) == (2.0, 3.0, 0.0)
-    with pytest.raises(KeyError):
-        b.d("x", "w")
-    leaves = tree_boundary_set(SPEC3)
-    assert leaves.d("000", "100") == tree_boundary_distance(SPEC3, "000", "100")
 
 
 @pytest.mark.parametrize("eps", [0.0, -1.0])

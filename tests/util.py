@@ -122,10 +122,27 @@ def random_boundary_set(rng, kind):
     return BoundarySet(names, d)
 
 
+def tree_boundary_distance(spec, x: str, y: str) -> float:
+    """Path distance between two depth-n leaf addresses of a k-ary tree.
+
+    With the first disagreement at depth a, the connecting path descends
+    twice through levels a+1..n: 2 * L0 * r^(a+1) * (1 - r^(n-a)) / (1 - r).
+    """
+    if len(x) != len(y):
+        raise ValueError("addresses must have equal length")
+    if x == y:
+        raise ValueError("addresses must differ")
+    n = len(x)
+    a = next(i for i in range(n) if x[i] != y[i])
+    r, L0 = spec.ratio, spec.base_length
+    return 2.0 * L0 * r ** (a + 1) * (1.0 - r ** (n - a)) / (1.0 - r)
+
+
 def cell_diameter(b, cell) -> float:
     """Per-cell oracle for `CellTree.diameter`: the largest distance in the
     table between members of `cell`, 0 for a singleton."""
-    idx = [b.index[x] for x in cell]
+    index = {p: i for i, p in enumerate(b.points)}
+    idx = [index[x] for x in cell]
     return float(b.dist[np.ix_(idx, idx)].max()) if len(idx) > 1 else 0.0
 
 
