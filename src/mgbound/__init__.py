@@ -17,7 +17,6 @@ from .measures import (CellMeasure, equal_split_measure, counting_measure,
                        dominance_constant)
 from .dtn import (DtNMatrix, dtn_matrix, compressed_dtn, compressed_dtn_limit,
                   quadratic_form_check)
-from .haar import (HaarBasis, build_haar_basis, analyze, synthesize,
-                   multiresolution_operator, multiresolution_eigenvalues)
+from .haar import HaarBasis, build_haar_basis, analyze, synthesize, multiresolution_operator
 
 __version__ = "0.1.0"

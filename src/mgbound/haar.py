@@ -16,17 +16,19 @@ formed, so none underflows.  Details are orthogonal to every function
 constant on their parent's level, and details of different parents have
 disjoint support, so orthonormality is global.
 
-Storage: the basis is one scipy CSR matrix, rows ordered by level, then
-parent, then j, built from COO triplets with array operations per level and
-no loop over parent cells.  A finest cell in child E_i of a parent with M
-children lies in min(i, M-1) of its details (i counted from 1), so a k-ary
-tree's basis has O(K depth) non-zeros for K finest cells; analysis and
-synthesis are sparse products costing O(nnz), and the dense K x K view
-`HaarBasis.functions` is made only on demand.
+Storage: one scipy CSR matrix, rows ordered by level, parent and j.  In the
+depth-first order of the finest cells every cell is a run of positions, and
+psi_j's row is T_j's run (on_e over E_j, after over the rest): O(#cells) work
+per level, then one cumsum, gather and np.repeat give indptr, indices and
+data, a row's indices in that order (sorted where it is the identity, as on
+k-ary trees).  A finest cell in child E_i of a parent with M children lies
+in min(i, M-1) of its details, so a k-ary tree's basis has O(K depth)
+non-zeros; transforms cost O(nnz), and the dense `functions` is on demand.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -56,6 +58,18 @@ class HaarBasis:
     def gram_matrix(self) -> csr_array:
         return self.matrix @ self.matrix.multiply(self.weights[None, :]).T
 
+    @cached_property
+    def _transpose(self):
+        return self.matrix.T  # made once for synthesis; shares matrix's arrays
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Multiresolution eigenvalue per function: 0 for the constant, 1/alpha(n) for
+        a detail born at canonical level n (one reading of the multiplicity convention)."""
+        if self.levels.max(initial=0) > len(self.tree.jumps):
+            raise ValueError("jump list is shorter than the basis levels")
+        return 1.0 / np.array([np.inf] + [a for a, _, _ in self.tree.jumps])[self.levels]
+
 
 def _detail_values(mass: np.ndarray, kids: np.ndarray, start: np.ndarray,
                    count: np.ndarray):
@@ -82,42 +96,40 @@ def build_haar_basis(tree: CellTree, mu: CellMeasure) -> HaarBasis:
         raise ValueError("mu must be finite and strictly positive on every cell")
     K = tree.ncells(tree.finest)
     w = mu.level_slice(tree.finest)
-    rep = np.empty(K, dtype=np.intp)  # one point of each finest cell
-    rep[tree.cell[tree.finest]] = np.arange(len(tree.boundary))
-    labels = [c[rep] for c in tree.cell]  # per level: finest cell -> its cell
-    # cell masses summed up the tree from w: pairwise sums on binary trees,
-    # where one sequential sum over w drifts by several ulp
-    mass = [w]
-    for level in range(tree.finest, 0, -1):
-        mass.insert(0, np.bincount(tree.parent(level), weights=mass[0]))
-    finest = np.arange(K)
-    rows, cols = [np.zeros(K, dtype=np.intp)], [finest]
-    vals = [np.full(K, 1.0 / np.sqrt(mu.total()))]
-    levels = [np.zeros(1, dtype=int)]
-    for level in range(tree.finest):
-        parent = tree.parent(level + 1)
+    parents = [tree.parent(level) for level in range(1, tree.finest + 1)]
+    # cell masses and finest-cell counts summed up the tree: pairwise sums on
+    # binary trees, where one sequential sum over w drifts by several ulp
+    mass, size = [w], [np.ones(K, dtype=np.intp)]
+    for parent in reversed(parents):
+        mass.insert(0, np.bincount(parent, weights=mass[0]))
+        size.insert(0, np.bincount(parent, weights=size[0]).astype(np.intp))
+    # per row: its run (first position, lengths on E_j and after) and 2 values
+    start = np.zeros(1, dtype=np.intp)  # first position of each cell
+    runs, vals = [[(0, K, 0)]], [[(1.0 / np.sqrt(mu.total()), 0.0)]]
+    for level, parent in enumerate(parents):
         kids = np.argsort(parent, kind="stable")  # grouped by parent, in cell order
-        count = np.bincount(parent, minlength=tree.ncells(level))
-        start = np.cumsum(count) - count
-        pos = np.empty_like(kids)  # each child's place among its siblings
-        pos[kids] = np.arange(len(kids)) - start[parent[kids]]
-        on_e, after = _detail_values(mass[level + 1], kids, start, count)
-        ndetail = count - 1  # details of each parent, rows in parent order
-        first = sum(map(len, levels)) + np.cumsum(ndetail) - ndetail
-        # finest cell f in child i of a parent with M children lies in that
-        # parent's details j = 0..min(i, M - 2): on_e for j = i, after for j < i
-        p, i = labels[level], pos[labels[level + 1]]
-        n = np.minimum(i + 1, ndetail[p])
-        f = np.repeat(finest, n)
-        j = np.arange(len(f)) - np.repeat(np.cumsum(n) - n, n)
-        born = kids[start[p[f]] + j]
-        rows.append(first[p[f]] + j)
-        cols.append(f)
-        vals.append(np.where(j < i[f], after[born], on_e[born]))
-        levels.append(np.full(int(ndetail.sum()), level + 1))
-    matrix = csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                       shape=(K, K))
-    return HaarBasis(tree, w, matrix, np.concatenate(levels))
+        count = np.bincount(parent, minlength=len(start))
+        first = np.cumsum(count) - count
+        on_e, after = _detail_values(mass[level + 1], kids, first, count)
+        p, sz = parent[kids], size[level + 1][kids]
+        within = np.cumsum(sz) - sz
+        within -= within[first[p]]  # each kid's offset in its parent's run
+        s = start[p] + within
+        d = np.arange(len(kids)) - first[p] < count[p] - 1  # kids with a detail
+        runs.append(np.column_stack([s[d], sz[d], (size[level][p] - within - sz)[d]]))
+        vals.append(np.column_stack([on_e[kids[d]], after[kids[d]]]))
+        start = np.empty_like(s)
+        start[kids] = s
+    levels = np.repeat(np.arange(len(runs)), [len(r) for r in runs])  # birth levels
+    runs, vals = np.concatenate(runs), np.concatenate(vals)
+    indptr = np.concatenate([[0], np.cumsum(runs[:, 1] + runs[:, 2])])
+    order = np.empty(K, dtype=np.int32 if indptr[-1] < 2 ** 31 else np.int64)
+    order[start] = np.arange(K)  # the finest cell at each position
+    pos = np.ones(indptr[-1], dtype=order.dtype)  # +1 in a run, a jump to the next run
+    pos[indptr[:-1]] = np.diff(runs[:, 0] - indptr[:-1], prepend=1) + 1
+    matrix = csr_array((np.repeat(vals.ravel(), runs[:, 1:].ravel()),
+                        order[np.cumsum(pos, out=pos)], indptr.astype(order.dtype)), shape=(K, K))
+    return HaarBasis(tree, w, matrix, levels)
 
 
 def analyze(basis: HaarBasis, F) -> np.ndarray:
@@ -132,21 +144,10 @@ def synthesize(basis: HaarBasis, coeffs) -> np.ndarray:
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (len(basis),):
         raise ValueError("coefficient count does not match the basis")
-    return basis.matrix.T @ coeffs
-
-
-def multiresolution_eigenvalues(basis: HaarBasis) -> np.ndarray:
-    """Eigenvalue per basis function: 0 for the constant, 1/alpha(n) for
-    every detail born at canonical level n.  The level-to-eigenvalue
-    bookkeeping is one consistent reading of the multiplicity convention."""
-    jumps = basis.tree.jumps
-    if basis.levels.max(initial=0) > len(jumps):
-        raise ValueError("jump list is shorter than the basis levels")
-    alpha = np.array([np.inf] + [a for a, _, _ in jumps])
-    return 1.0 / alpha[basis.levels]
+    return basis._transpose @ coeffs
 
 
 def multiresolution_operator(basis: HaarBasis, F) -> np.ndarray:
     """Apply the operator with eigenpairs (1/alpha(n), detail functions):
     symmetric and PSD in L2(mu) by construction."""
-    return synthesize(basis, multiresolution_eigenvalues(basis) * analyze(basis, F))
+    return synthesize(basis, basis.eigenvalues * analyze(basis, F))

@@ -483,7 +483,7 @@ def test_module_entry_point_exits_with_the_code_of_main(tmp_path, argv, code):
     assert run.returncode == code, run.stderr
 
 
-def test_package_exports_its_47_public_names():
+def test_package_exports_its_46_public_names():
     names = {n for n, x in vars(mgbound).items()
              if not n.startswith("_") and not isinstance(x, type(mgbound))}
     assert names == {
@@ -501,8 +501,7 @@ def test_package_exports_its_47_public_names():
         "exit_measure_limit", "dominance_constant",
         "DtNMatrix", "dtn_matrix", "compressed_dtn", "compressed_dtn_limit",
         "quadratic_form_check",
-        "HaarBasis", "build_haar_basis", "analyze", "synthesize", "multiresolution_operator",
-        "multiresolution_eigenvalues"}
+        "HaarBasis", "build_haar_basis", "analyze", "synthesize", "multiresolution_operator"}
 
 
 @pytest.mark.parametrize("command", ["dtn", "solve"])

@@ -15,12 +15,12 @@ from mgbound import (TreeFamilySpec, CounterexampleSpec, BoundarySet, CellMeasur
                      equal_split_measure, counting_measure,
                      cell_measure_from_point_masses, exit_measure_point_masses,
                      build_haar_basis, analyze, synthesize,
-                     multiresolution_operator, multiresolution_eigenvalues)
+                     multiresolution_operator)
 
 from mgbound.families import ROOT
 
 from util import (children_by_name, haar_dense_reference, haar_gram_schmidt_reference,
-                  star_graph)
+                  random_boundary_set, random_connected_graph, star_graph)
 
 
 def dyadic_tree(depth):
@@ -155,6 +155,38 @@ def test_sparse_basis_equals_dense_reference(family, measure):
     assert basis.matrix.nnz == _support_count(tree)  # no stored zeros
 
 
+def _shuffled_trees():
+    """Cell trees whose cells are numbered out of depth-first order: random
+    metrics on shuffled point names and boundaries of random graphs."""
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        yield canonical_nested_partitions(
+            random_boundary_set(rng, "rounded" if seed % 2 else "ultrametric"))
+        yield canonical_nested_partitions(graph_boundary_set(random_connected_graph(rng)))
+
+
+def test_sparse_basis_equals_dense_reference_on_shuffled_cell_trees():
+    rng = np.random.default_rng(23)
+    unsorted = chains = wide = 0
+    for tree in _shuffled_trees():
+        masses = {x: float(rng.uniform(0.1, 10.0)) for x in tree.boundary.points}
+        for mu in (equal_split_measure(tree), counting_measure(tree),
+                   cell_measure_from_point_masses(tree, masses)):
+            basis = build_haar_basis(tree, mu)
+            ref, ref_levels = haar_dense_reference(tree, mu)
+            assert np.array_equal(basis.functions, ref)
+            assert np.array_equal(basis.levels, ref_levels)
+            assert basis.matrix.nnz == _support_count(tree)
+            assert np.shares_memory(basis._transpose.data, basis.matrix.data)
+            assert np.shares_memory(basis._transpose.indices, basis.matrix.indices)
+        unsorted += not basis.matrix.has_sorted_indices
+        counts = [np.bincount(tree.parent(j)) for j in range(1, tree.finest + 1)]
+        chains += any(np.any(c == 1) for c in counts)
+        wide += max(map(np.max, counts), default=0) >= 4
+    # the trees cover interleaved cells, single-child chains and wide fan-outs
+    assert min(unsorted, chains, wide) >= 10
+
+
 def test_depth_12_transforms_form_no_dense_array():
     K = 4096
     _, tree = dyadic_tree(12)
@@ -176,16 +208,17 @@ def test_depth_12_transforms_form_no_dense_array():
         assert abs(np.sum(c ** 2) - basis.dot(f, f)) < 1e-10
 
 
-DEPTH_16 = """
-import json
+HAAR_CHAIN = """
+import json, sys
 import numpy as np
 from scipy.sparse import eye_array
 from mgbound import (TreeFamilySpec, tree_boundary_set, canonical_nested_partitions,
                      equal_split_measure, counting_measure, build_haar_basis,
                      analyze, synthesize)
-spec = TreeFamilySpec(arity=2, ratio=0.25, depth=16)
+depth, gram = int(sys.argv[1]), sys.argv[2] == "gram"
+spec = TreeFamilySpec(arity=2, ratio=0.25, depth=depth)
 tree = canonical_nested_partitions(tree_boundary_set(spec))
-F = np.random.default_rng(16).normal(size=(2, tree.ncells(tree.finest)))
+F = np.random.default_rng(depth).normal(size=(2, tree.ncells(tree.finest)))
 out = {}
 for name, measure in (("rho", equal_split_measure), ("counting", counting_measure)):
     basis = build_haar_basis(tree, measure(tree))
@@ -196,8 +229,10 @@ for name, measure in (("rho", equal_split_measure), ("counting", counting_measur
                           for f, c in zip(F, C)),
         "parseval": max(abs(float(np.sum(c ** 2)) - basis.dot(f, f)) / basis.dot(f, f)
                         for f, c in zip(F, C)),
-        "gram": float(abs(basis.gram_matrix() - eye_array(len(basis), format="csr")).max()),
     }
+    if gram:
+        out[name]["gram"] = float(abs(basis.gram_matrix()
+                                      - eye_array(len(basis), format="csr")).max())
 # VmHWM, not ru_maxrss: Linux carries the forking parent's peak across exec into ru_maxrss
 with open("/proc/self/status") as fh:
     out["peak_rss_mb"] = next(int(line.split()[1]) for line in fh
@@ -206,23 +241,38 @@ print(json.dumps(out))
 """
 
 
-def test_depth_16_cell_tree_and_bases_in_bounded_memory():
-    """Binary depth 16 (65 536 leaves), where one n x n float table is
-    32 GiB: the cell tree, both measures and both bases, in a fresh
-    interpreter that reports its own peak RSS (Linux)."""
+def _haar_chain(depth, gram):
+    """The binary cell tree of `depth`, both measures and both bases (and
+    their Gram matrices if `gram`), in a fresh interpreter that reports its
+    own peak RSS (Linux)."""
     src = os.path.dirname(os.path.dirname(mgbound.__file__))
     env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
-    run = subprocess.run([sys.executable, "-c", DEPTH_16], env=env, capture_output=True,
+    run = subprocess.run([sys.executable, "-c", HAAR_CHAIN, str(depth),
+                          "gram" if gram else "-"], env=env, capture_output=True,
                          text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     out = json.loads(run.stdout)
     for name in ("rho", "counting"):
         res = out[name]
-        assert res["size"] == 2 ** 16
+        assert res["size"] == 2 ** depth
         assert res["round_trip"] < 1e-10, name
         assert res["parseval"] < 1e-10, name
-        assert res["gram"] < 1e-10, name
-    assert out["peak_rss_mb"] < 400
+        if gram:
+            assert res["gram"] < 1e-10, name
+    return out
+
+
+def test_depth_16_cell_tree_and_bases_in_bounded_memory():
+    """Binary depth 16 (65 536 leaves), where one n x n float table is
+    32 GiB: the cell tree, both measures, both bases and their Gram
+    matrices."""
+    assert _haar_chain(16, gram=True)["peak_rss_mb"] < 400
+
+
+def test_depth_18_haar_chain_in_bounded_memory():
+    """Binary depth 18 (262 144 leaves): the rho and counting bases built one
+    after the other hold round trip and Parseval, with no Gram matrix."""
+    assert _haar_chain(18, gram=False)["peak_rss_mb"] < 400
 
 
 def test_haar_chain_makes_no_named_partition_and_no_mass_dict(monkeypatch):
@@ -255,7 +305,7 @@ def test_sparse_transforms_match_dense_products(depth):
     for mu in (equal_split_measure(tree), counting_measure(tree)):
         basis = build_haar_basis(tree, mu)
         ref, _ = haar_dense_reference(tree, mu)
-        lam = multiresolution_eigenvalues(basis)
+        lam = basis.eigenvalues
         for f in np.random.default_rng(depth).normal(size=(4, len(basis))):
             c = ref @ (f * basis.weights)
             for got, want in ((analyze(basis, f), c), (synthesize(basis, f), ref.T @ f),
@@ -345,7 +395,7 @@ def test_classical_haar_coincidence():
 def test_multiresolution_operator_eigenrelation():
     _, tree = dyadic_tree(3)
     basis = build_haar_basis(tree, equal_split_measure(tree))
-    lam = multiresolution_eigenvalues(basis)
+    lam = basis.eigenvalues
     assert lam[0] == 0.0
     for k in range(len(basis)):
         out = multiresolution_operator(basis, basis.functions[k])
@@ -395,4 +445,4 @@ def test_eigenvalues_need_a_jump_per_level():
     short = HaarBasis(replace(tree, jumps=tree.jumps[:2]), basis.weights, basis.matrix,
                       basis.levels)
     with pytest.raises(ValueError, match="jump list is shorter than the basis levels"):
-        multiresolution_eigenvalues(short)
+        short.eigenvalues
