@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra, minimum_spanning_tree
+from scipy.sparse.csgraph import breadth_first_order, dijkstra, minimum_spanning_tree
 
 from .families import TreeFamilySpec, _common_prefix
 from .graph import MetricGraph, _edge_arrays, _shortest_edge_matrix, _shortest_pair_matrix
@@ -48,6 +48,13 @@ class BoundarySet:
     def diameter(self) -> float:
         return float(self.dist.max()) if len(self) > 1 else 0.0
 
+    def jumps(self) -> list:
+        n, w = len(self), np.sort(self.mst[2])
+        alpha = np.unique(w)[::-1]
+        before = n - np.searchsorted(w, alpha, side="left")   # n - #(w < alpha)
+        after = n - np.searchsorted(w, alpha, side="right")   # n - #(w <= alpha)
+        return list(zip(alpha.tolist(), before.tolist(), after.tolist()))
+
     @cached_property
     def mst(self):
         """Endpoints and weights (i, j, w) of a minimum spanning tree of the
@@ -58,19 +65,17 @@ class BoundarySet:
         best = np.full(n, np.inf)
         parent = np.zeros(n, dtype=np.intp)
         done = np.zeros(n, dtype=bool)
-        order = np.empty(n, dtype=np.intp)
-        for t in range(n):
+        for _ in range(n):
             j = int(np.argmin(best))
             if done[j]:                      # only infinite distances remain
                 j = int(np.flatnonzero(~done)[0])
-            order[t] = j
             done[j] = True
             best[j] = np.inf
             row = D[j]
             closer = (row < best) & ~done
             best[closer] = row[closer]
             parent[closer] = j
-        i, j = parent[order[1:]], order[1:]
+        i, j = parent[1:], np.arange(1, n)
         return i, j, D[i, j]
 
 
@@ -98,11 +103,6 @@ class _KaryBoundarySet(BoundarySet):
     def jumps(self) -> list:
         k = self.arity
         return [(float(t), k ** (a + 1), k ** a) for a, t in enumerate(self.table[:-1])]
-
-    def cell_tree(self) -> CellTree:
-        k, n, N = self.arity, len(self.table) - 1, len(self)
-        return CellTree(self, self.jumps(),
-                        [np.arange(N, dtype=np.intp) // k ** (n - j) for j in range(n + 1)])
 
 
 def tree_boundary_set(spec: TreeFamilySpec) -> BoundarySet:
@@ -185,15 +185,6 @@ def _sorted_order(points) -> np.ndarray:
     return np.array(sorted(range(len(points)), key=points.__getitem__), dtype=np.intp)
 
 
-def _cell_index(labels, order) -> np.ndarray:
-    """Cell index of each point from its component label, the cells numbered
-    by smallest member; `order` lists the point indices in sorted order."""
-    _, first, inv = np.unique(labels[order], return_index=True, return_inverse=True)
-    cell = np.empty(len(order), dtype=np.intp)
-    cell[order] = np.argsort(np.argsort(first))[inv]
-    return cell
-
-
 def _partition(points, order, cell) -> Partition:
     """The cells given by `cell`, each listing its members in sorted order."""
     members = order[np.argsort(cell[order], kind="stable")]
@@ -202,13 +193,33 @@ def _partition(points, order, cell) -> Partition:
     return Partition(tuple(tuple(names[s:e]) for s, e in zip([0] + cuts, cuts)))
 
 
-def _components(b: BoundarySet, eps: float) -> np.ndarray:
-    """Component labels of the minimum spanning tree's edges of weight < eps,
-    which are the epsilon-components (Gower & Ross 1969)."""
+def _index_dtype(n: int):
+    return np.int32 if n < 2 ** 31 else np.int64  # cell indices of n points
+
+
+def _cuts(b: BoundarySet, order, alphas):
+    """The cell of each point at each eps in `alphas` (`order` lists the
+    points sorted), as `canonical_nested_partitions` says."""
+    n = len(b)
+    if n == 0:
+        raise ValueError("boundary set is empty")
     i, j, w = b.mst
-    keep = w < eps
-    forest = csr_matrix((w[keep], (i[keep], j[keep])), shape=(len(b), len(b)))
-    return connected_components(forest, directed=False)[1]
+    pred = breadth_first_order(csr_matrix((w, (i, j)), shape=(n, n)), 0, directed=False)[1]
+    point, pw = np.arange(n), np.full(n, np.inf)  # pw: the weight of the parent edge
+    pw[np.where(pred[j] == i, j, i)] = w
+    parent, rank = np.where(pred < 0, point, pred), np.empty(n, dtype=np.intp)
+    rank[order] = point
+    for alpha in alphas:
+        top = np.where(pw < alpha, parent, point)
+        up = top[top]
+        while not np.array_equal(up, top):
+            top, up = up, up[up]
+        first = np.full(n, n)
+        np.minimum.at(first, top, rank)
+        first = first[top]  # the rank of the smallest member of each point's cell
+        lead = np.zeros(n, dtype=bool)
+        lead[first] = True
+        yield (np.cumsum(lead, dtype=_index_dtype(n)) - 1)[first]
 
 
 def epsilon_components(b: BoundarySet, eps: float) -> Partition:
@@ -216,15 +227,7 @@ def epsilon_components(b: BoundarySet, eps: float) -> Partition:
     if eps <= 0:
         raise ValueError("eps must be positive")
     order = _sorted_order(b.points)
-    return _partition(b.points, order, _cell_index(_components(b, eps), order))
-
-
-def _jumps(n: int, w) -> list:
-    w = np.sort(w)
-    alpha = np.unique(w)[::-1]
-    before = n - np.searchsorted(w, alpha, side="left")   # n - #(w < alpha)
-    after = n - np.searchsorted(w, alpha, side="right")   # n - #(w <= alpha)
-    return list(zip(alpha.tolist(), before.tolist(), after.tolist()))
+    return _partition(b.points, order, next(_cuts(b, order, [eps])))
 
 
 def jump_values(b: BoundarySet):
@@ -235,20 +238,20 @@ def jump_values(b: BoundarySet):
     above alpha.  Computed from the minimum spanning tree of the metric, or
     read from the distance table of a k-ary tree's leaves.
     """
-    if isinstance(b, _KaryBoundarySet):
-        return b.jumps()
-    return _jumps(len(b), b.mst[2])
+    return b.jumps()
 
 
 @dataclass
 class CellTree:
     """Canonical nested partition: level j = epsilon-components at the j-th
     jump value.  Level 0 is the single cell Omega; the final level is all
-    singletons.  cell[j][i] is the index of the level-j cell that holds
-    boundary.points[i], the cells of a level numbered by smallest member, and
-    mesh[j] the largest cell diameter.  The levels as named `Partition`s are
-    made from `cell` on the first read of `levels`, and the cell diameters
-    on the first read of `diameter`."""
+    singletons.  cell[j][i] (int32 while it fits) is the index of the level-j
+    cell that holds boundary.points[i], the cells of a level numbered by
+    smallest member, and mesh[j] the largest cell diameter.  Every level's
+    parent array, which also gives its cell count, is made once, on the first
+    read of `parent` or `ncells`, and is read-only like a `CellMeasure`'s
+    masses; the levels as named `Partition`s and the cell diameters are made
+    on the first read of `levels` and of `diameter`."""
     boundary: BoundarySet
     jumps: list
     cell: list
@@ -271,20 +274,26 @@ class CellTree:
     def mesh(self) -> list:
         return [float(d.max()) for d in self.diameter]
 
-    def ncells(self, level: int) -> int:
-        return int(self.cell[level].max()) + 1
-
     @property
     def finest(self) -> int:
         return len(self.cell) - 1
+
+    @cached_property
+    def _parents(self) -> list:
+        out = [np.empty(int(c.max()) + 1, dtype=np.intp) for c in self.cell[1:]]
+        for parent, fine, coarse in zip(out, self.cell[1:], self.cell):
+            parent[fine] = coarse
+            parent.flags.writeable = False
+        return out
+
+    def ncells(self, level: int) -> int:
+        return len(self._parents[level - 1]) if level else 1
 
     def parent(self, level: int) -> np.ndarray:
         """Index in level - 1 of the cell holding each cell of level `level`."""
         if not 1 <= level <= self.finest:
             raise ValueError(f"level {level} has no parent level")
-        out = np.empty(self.ncells(level), dtype=np.intp)
-        out[self.cell[level]] = self.cell[level - 1]
-        return out
+        return self._parents[level - 1]
 
 
 def _diameters(b: BoundarySet, cell: list) -> list:
@@ -309,14 +318,19 @@ def canonical_nested_partitions(b: BoundarySet) -> CellTree:
     """Cut the single-linkage dendrogram at every jump value.
 
     The epsilon-components at eps are the components of the minimum spanning
-    tree's edges of weight < eps (Gower & Ross 1969), so one MST gives every
-    level.  The leaves of a k-ary tree carry their levels in closed form."""
+    tree's edges of weight < eps (Gower & Ross 1969).  `_cuts` roots the MST
+    at point 0 by one breadth-first order, then cuts one level at a time in
+    O(n) extra memory: each point points at its parent, or at itself where
+    its parent edge is cut (weight >= eps, as at the root and on infinite
+    edges), and pointers jump R = R[R] until they settle on the top of each
+    component, in about log2(tree depth) rounds (Wyllie 1979).  The smallest
+    member's sorted rank, gathered into each top by `np.minimum.at`, numbers
+    the cells through one cumsum, with no sort.  The leaves of a k-ary tree
+    carry their levels in closed form: level j is arange(k^n) // k^(n - j)."""
+    n, jumps = len(b), b.jumps()
     if isinstance(b, _KaryBoundarySet):
-        return b.cell_tree()
-    n = len(b)
-    if n == 0:
-        raise ValueError("boundary set is empty")
-    jumps = _jumps(n, b.mst[2])
-    order = _sorted_order(b.points)
-    cell = [_cell_index(_components(b, alpha), order) for alpha, _, _ in jumps]
-    return CellTree(b, jumps, [np.zeros(n, dtype=np.intp)] + cell)
+        depth = len(b.table) - 1
+        return CellTree(b, jumps, [np.arange(n, dtype=_index_dtype(n)) // b.arity ** (depth - j)
+                                   for j in range(depth + 1)])
+    cut = _cuts(b, _sorted_order(b.points), [alpha for alpha, _, _ in jumps])
+    return CellTree(b, jumps, [np.zeros(n, dtype=_index_dtype(n)), *cut])

@@ -13,11 +13,12 @@ from mgbound import (TreeFamilySpec, CounterexampleSpec, BoundarySet, tree_bound
                      canonical_nested_partitions,
                      build_kary_tree, build_counterexample, metric_graph,
                      equal_split_measure, counting_measure, build_haar_basis)
-from mgbound.partition import Partition
+from mgbound.partition import Partition, _index_dtype
 
-from util import (cell_diameter, components_bruteforce, components_union_find,
-                  dijkstra_reference, random_boundary_set, random_connected_graph, star_graph,
-                  tree_boundary_distance)
+from util import (cell_diameter, cells_by_components, components_bruteforce,
+                  components_union_find, dijkstra_reference, random_boundary_set,
+                  random_connected_graph, star_graph, tree_boundary_distance,
+                  with_parallel_edges)
 
 SPEC3 = TreeFamilySpec(arity=2, ratio=0.25, depth=3)
 
@@ -380,6 +381,100 @@ def test_disconnected_boundary_is_joined_at_infinity():
     _assert_components_match_jumps(b, tree)
 
 
+def _assert_cells_match_the_components_oracle(b):
+    """Every level equals the per-level `connected_components` reference at
+    the distinct MST weights, and so does `epsilon_components` there; the
+    jumps are those weights with the reference's cell counts."""
+    tree = canonical_nested_partitions(b)
+    alphas = np.unique(b.mst[2])[::-1].tolist()
+    ref = [np.zeros(len(b), dtype=np.intp)] + cells_by_components(b, alphas)
+    assert len(tree.cell) == len(ref)
+    for got, want in zip(tree.cell, ref):
+        assert got.dtype == np.int32 and np.array_equal(got, want)
+    counts = [int(c.max()) + 1 for c in ref]
+    assert tree.jumps == list(zip(alphas, counts[1:], counts[:-1]))
+    for alpha, want in zip(alphas, ref[1:]):
+        cell_of = epsilon_components(b, alpha).cell_of()
+        assert [cell_of[x] for x in b.points] == want.tolist()
+    return tree
+
+
+def _disjoint_union(graphs):
+    """The graphs side by side, graph k's names suffixed by _k, so that the
+    components interleave in sorted point order."""
+    verts, edges, boundary = [], [], []
+    for k, g in enumerate(graphs):
+        verts += [f"{v}_{k}" for v in g.vertices]
+        edges += [(f"{e.id}_{k}", f"{e.u}_{k}", f"{e.v}_{k}", e.length) for e in g.edges]
+        boundary += [f"{v}_{k}" for v in g.boundary]
+    return metric_graph(verts, edges, boundary)
+
+
+@pytest.mark.parametrize("spine", [7, 12, 25])
+def test_rooted_mst_cut_equals_the_components_oracle_on_spines(spine):
+    b = graph_boundary_set(build_counterexample(CounterexampleSpec(spine=spine)))
+    assert len(_assert_cells_match_the_components_oracle(b).cell) == spine - 1
+
+
+def test_rooted_mst_cut_equals_the_components_oracle_on_random_graphs():
+    rng = np.random.default_rng(24)
+    for _ in range(40):
+        g = with_parallel_edges(random_connected_graph(rng), rng)
+        _assert_cells_match_the_components_oracle(graph_boundary_set(g))
+    for _ in range(40):  # disconnected boundaries: the components meet only at infinity
+        parts = [random_connected_graph(rng, max_vertices=20)
+                 for _ in range(int(rng.integers(2, 4)))]
+        tree = _assert_cells_match_the_components_oracle(graph_boundary_set(_disjoint_union(parts)))
+        assert tree.jumps[0][:2] == (np.inf, len(parts))
+
+
+@pytest.mark.parametrize("kind", ["rounded", "ultrametric"])
+def test_rooted_mst_cut_equals_the_components_oracle_on_metrics_with_ties(kind):
+    rng = np.random.default_rng(25 if kind == "rounded" else 26)
+    for _ in range(40):
+        _assert_cells_match_the_components_oracle(random_boundary_set(rng, kind))
+
+
+def test_rooted_mst_cut_on_deep_line_metrics():
+    """400 points on a line, point 0 at one end and the names shuffled: the
+    MST is the path, 399 edges deep from point 0.  Distinct gaps give 399
+    levels; gaps of 1, 2 or 3 tie along the path."""
+    rng = np.random.default_rng(400)
+    names = [f"p{k:03d}" for k in rng.permutation(400)]
+    for gaps, levels in ((rng.uniform(0.5, 1.5, size=399), 400), (rng.integers(1, 4, 399), 4)):
+        x = np.r_[0.0, np.cumsum(gaps)]
+        tree = _assert_cells_match_the_components_oracle(
+            BoundarySet(names, np.abs(x[:, None] - x[None])))
+        assert len(tree.cell) == levels
+
+
+def test_rooted_mst_cut_on_one_and_two_points():
+    one = _assert_cells_match_the_components_oracle(BoundarySet(["x"], np.zeros((1, 1))))
+    assert one.jumps == [] and [c.tolist() for c in one.cell] == [[0]]
+    two = _assert_cells_match_the_components_oracle(
+        BoundarySet(["y", "x"], np.array([[0.0, 1.0], [1.0, 0.0]])))
+    assert [c.tolist() for c in two.cell] == [[0, 0], [1, 0]]
+
+
+def test_parents_and_cell_counts_are_made_once_and_read_only():
+    for b in (tree_boundary_set(TreeFamilySpec(arity=3, ratio=0.4, depth=4)),
+              graph_boundary_set(build_counterexample(CounterexampleSpec(spine=7)))):
+        tree = canonical_nested_partitions(b)
+        assert all(c.dtype == np.int32 for c in tree.cell)
+        for level in range(1, tree.finest + 1):
+            parent = tree.parent(level)
+            assert tree.parent(level) is parent and parent.dtype == np.intp
+            assert len(parent) == tree.ncells(level) == int(tree.cell[level].max()) + 1
+            assert np.array_equal(parent[tree.cell[level]], tree.cell[level - 1])
+            with pytest.raises(ValueError, match="read-only"):
+                parent[0] = 0
+
+
+def test_cell_indices_are_int32_while_they_fit():
+    assert _index_dtype(2 ** 31 - 1) is np.int32
+    assert _index_dtype(2 ** 31) is np.int64
+
+
 @pytest.mark.parametrize("edges", [
     [("e0", "a", "b", 0.0), ("e1", "b", "c", 1.0)],                          # a, b coincide
     [("e0", "a", "m", 0.0), ("e1", "m", "b", 0.0), ("e2", "m", "c", 1.0)],   # through m
@@ -463,3 +558,8 @@ def test_epsilon_components_rejects_nonpositive_eps(eps):
 def test_canonical_partitions_of_an_empty_set_raise():
     with pytest.raises(ValueError, match="boundary set is empty"):
         canonical_nested_partitions(BoundarySet([], np.zeros((0, 0))))
+
+
+def test_epsilon_components_of_an_empty_set_raise():
+    with pytest.raises(ValueError, match="boundary set is empty"):
+        epsilon_components(BoundarySet([], np.zeros((0, 0))), 1.0)

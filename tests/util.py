@@ -6,6 +6,7 @@ from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from mgbound import BoundarySet, HarmonicSolver, metric_graph, vertex_flux
 from mgbound.dtn import DtNMatrix, _check_weights
@@ -97,6 +98,26 @@ def components_union_find(b, eps):
     for i in range(n):
         groups.setdefault(find(i), []).append(b.points[i])
     return tuple(sorted((tuple(sorted(grp)) for grp in groups.values()), key=lambda c: c[0]))
+
+
+def cells_by_components(b, alphas):
+    """Reference cell arrays of the epsilon-components at each eps in
+    `alphas`: per level, a sparse forest of the MST edges of weight < eps, one
+    csgraph `connected_components`, and the cells numbered by smallest member
+    through `np.unique` and a double argsort."""
+    i, j, w = b.mst
+    n = len(b)
+    order = np.array(sorted(range(n), key=b.points.__getitem__), dtype=np.intp)
+    out = []
+    for eps in alphas:
+        keep = w < eps
+        forest = sp.csr_matrix((w[keep], (i[keep], j[keep])), shape=(n, n))
+        labels = connected_components(forest, directed=False)[1]
+        _, first, inv = np.unique(labels[order], return_index=True, return_inverse=True)
+        cell = np.empty(n, dtype=np.intp)
+        cell[order] = np.argsort(np.argsort(first))[inv]
+        out.append(cell)
+    return out
 
 
 def random_boundary_set(rng, kind):
