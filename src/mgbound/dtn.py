@@ -26,13 +26,13 @@ import scipy.sparse as sp
 
 from .families import TreeFamilySpec, _addresses, _common_prefix
 from .graph import MetricGraph
-from .harmonic import HarmonicSolver, dirichlet_energy
+from .harmonic import HarmonicSolver, _edge_energy
 # bound here unused: perfbench's tracer test wraps vertex_flux through this module
 from .harmonic import vertex_flux  # noqa: F401
 from .measures import _limit, _path_potentials, exit_measure_limit
 from .partition import Partition
 
-INVARIANT_BLOCK = 64  # rows of S per step of check_invariants' pass
+TILE = 128  # side of the square tiles of S that check_invariants reads in pairs
 
 
 @dataclass
@@ -42,38 +42,49 @@ class DtNMatrix:
     weights: np.ndarray   # positive mu weights, same order as basis
 
     def check_invariants(self, sym_tol=1e-10, kernel_tol=1e-10, eig_tol=1e-10) -> dict:
-        """The Laplacian certificate, in one pass over row blocks of
-        S = diag(w) Lam: the symmetry error max|S - S^T|, the kernel error
-        max|Lam 1|, the largest off-diagonal of S, the Gershgorin bound
-        g = min_i (2 S_ii - sum_j |S_ij|) on the symmetrized S, and
-        `min_eigenvalue` = min(0, g) / min(w).  The last is a lower bound on
-        the least eigenvalue of D^(1/2) Lam D^(-1/2), symmetrized, which is
-        D^(-1/2) S D^(-1/2): by Sylvester's law of inertia and Ostrowski's
-        theorem its eigenvalues are S's, each scaled by a factor in
+        """The Laplacian certificate of S = diag(w) Lam: the symmetry error
+        max|S - S^T|, the kernel error max|Lam 1|, the largest off-diagonal
+        of Sym = (S + S^T) / 2, the Gershgorin bound
+        g = min_i (2 S_ii - sum_j |Sym_ij|) on Sym, and `min_eigenvalue` =
+        min(0, g) / min(w).  The last is a lower bound on the least
+        eigenvalue of D^(1/2) Lam D^(-1/2), symmetrized, which is
+        D^(-1/2) Sym D^(-1/2): by Sylvester's law of inertia and Ostrowski's
+        theorem its eigenvalues are Sym's, each scaled by a factor in
         [1/max(w), 1/min(w)].  On a DtN map g is 0 up to the rounding of
         the entries; a positive off-diagonal, or a row that does not sum to
         0, pulls it down, and there is no eigensolve to fall back on: such a
-        matrix is no Laplacian and is reported as failing."""
+        matrix is no Laplacian and is reported as failing.
+
+        All but the kernel error come from one pass over the pairs I <= J of
+        TILE x TILE tiles: S[I, J] and S[J, I]^T are read once, and the pair
+        gives its symmetry error, the largest entry of Sym[I, J] (its
+        diagonal left out when I = J) and the sums of |Sym[I, J]| along its
+        rows, for I's rows, and along its columns, for J's rows when J != I.
+        The kernel error is one product Lam 1."""
         M, w = self.matrix, self.weights
         n = len(w)
-        one = np.ones(n)
-        asym, kernel, offdiag, gersh = (np.empty(n) for _ in range(4))
-        for lo in range(0, n, INVARIANT_BLOCK):
-            hi = min(lo + INVARIANT_BLOCK, n)
-            rows = w[lo:hi, None] * M[lo:hi]        # S[lo:hi]
-            cols = (w[:, None] * M[:, lo:hi]).T     # S^T[lo:hi]
-            asym[lo:hi] = np.max(np.abs(rows - cols), axis=1)
-            kernel[lo:hi] = np.abs(M[lo:hi] @ one)
-            rows += cols
-            rows *= 0.5
-            diag = rows.reshape(-1)[lo::n + 1]      # the view of S_ii, i in [lo, hi)
-            gersh[lo:hi] = 2.0 * diag - np.sum(np.abs(rows), axis=1)
-            diag[:] = -np.inf
-            offdiag[lo:hi] = np.max(rows, axis=1)
-        g = float(np.min(gersh))
+        absrow = np.zeros(n)  # sum_j |Sym_ij|
+        asym, offdiag = [], []
+        for lo in range(0, n, TILE):
+            I = slice(lo, lo + TILE)
+            for lo2 in range(lo, n, TILE):
+                J = slice(lo2, lo2 + TILE)
+                upper = w[I, None] * M[I, J]             # S[I, J]
+                lower = (w[J, None] * M[J, I]).T         # S^T[I, J]
+                asym.append(np.max(np.abs(upper - lower)))
+                upper += lower
+                upper *= 0.5                             # Sym[I, J]
+                size = np.abs(upper)
+                absrow[I] += size.sum(axis=1)
+                if lo2 == lo:
+                    np.fill_diagonal(upper, -np.inf)
+                else:
+                    absrow[J] += size.sum(axis=0)
+                offdiag.append(np.max(upper))
+        g = float(np.min(2.0 * w * np.diagonal(M) - absrow))
         report = {
             "symmetry_error": float(np.max(asym)),
-            "kernel_error": float(np.max(kernel)),
+            "kernel_error": float(np.max(np.abs(M @ np.ones(n)))),
             "max_offdiagonal": float(np.max(offdiag)),
             "gershgorin": g,
             "min_eigenvalue": min(g, 0.0) / float(w.min()),
@@ -96,15 +107,13 @@ def dtn_matrix(g: MetricGraph, mu: dict | None = None) -> DtNMatrix:
     """Full DtN matrix on the boundary vertices: the Schur complement S
     (`HarmonicSolver.schur_complement`, one solve per interior vertex with a
     boundary neighbour), scaled by 1/mu."""
-    bverts = sorted(g.boundary)
-    if len(bverts) < 2:
+    if len(g.boundary) < 2:
         raise ValueError("need at least 2 boundary vertices")
-    if mu is None:
-        mu = {v: 1.0 for v in bverts}
-    if set(mu) != set(bverts):
+    if mu is not None and set(mu) != g.boundary:
         raise ValueError("mu must cover exactly the boundary vertices")
     solver = HarmonicSolver(g)
-    w = _check_weights([mu[v] for v in solver.boundary], len(solver.boundary))
+    n = len(solver.boundary)
+    w = _check_weights(np.ones(n) if mu is None else [mu[v] for v in solver.boundary], n)
     Lam = solver.schur_complement()
     Lam /= w[:, None]
     return DtNMatrix(solver.boundary, Lam, w)
@@ -190,9 +199,10 @@ def compressed_dtn_limit(spec: TreeFamilySpec, level: int, depths, tol: float) -
 
 def quadratic_form_check(g: MetricGraph, mu: dict, F: dict):
     """Two independent evaluations of the energy form F^T S F, via boundary
-    fluxes and as the Dirichlet energy of the harmonic extension.  mu is not
-    read: mu(bdry) <Lam F, F>_mu = sum_v mu(v) (Lam F)(v) F(v) = F^T S F."""
+    fluxes and as the Dirichlet energy of the harmonic extension, taken from
+    the edge arrays.  mu is not read:
+    mu(bdry) <Lam F, F>_mu = sum_v mu(v) (Lam F)(v) F(v) = F^T S F."""
     solver = HarmonicSolver(g)
-    values = np.array([float(F[v]) for v in solver.boundary])
+    values = solver._boundary_vector(F)
     flux_form = float(values @ solver.boundary_flux(values[:, None])[:, 0])
-    return flux_form, dirichlet_energy(solver.solve(F))
+    return flux_form, _edge_energy(g, solver._extension(values))

@@ -87,11 +87,16 @@ def _vertex_values(f: HarmonicFunction) -> np.ndarray:
     return np.array([f.values[v] for v in f.graph.vertices], dtype=float)
 
 
+def _edge_energy(g: MetricGraph, x: np.ndarray) -> float:
+    """Sum over edges of c (x(u) - x(v))^2, c = 1 / l the edge's conductance,
+    for values x over g.vertices."""
+    u, v, length = _edge_arrays(g)
+    return float(np.sum((x[u] - x[v]) ** 2 / length))
+
+
 def dirichlet_energy(f: HarmonicFunction) -> float:
     """Sum over edges of c (f(u) - f(v))^2, c = 1 / l the edge's conductance."""
-    u, v, length = _edge_arrays(f.graph)
-    x = _vertex_values(f)
-    return float(np.sum((x[u] - x[v]) ** 2 / length))
+    return _edge_energy(f.graph, _vertex_values(f))
 
 
 class HarmonicSolver:
@@ -225,17 +230,30 @@ class HarmonicSolver:
             y[mid:hi] += w * y[p]
         return y[inverse].reshape(rhs.shape)
 
-    def solve(self, boundary_values: dict) -> HarmonicFunction:
+    def _boundary_vector(self, boundary_values: dict) -> np.ndarray:
+        """The values at `self.boundary`, in its order; KeyError if one is
+        missing, ValueError if one is not finite."""
         missing = [v for v in self.boundary if v not in boundary_values]
         if missing:
             raise KeyError(f"missing boundary values for {missing[:5]}")
         F = np.array([float(boundary_values[v]) for v in self.boundary])
         if not np.all(np.isfinite(F)):
             raise ValueError("boundary values must be finite")
-        vals = dict(zip(self.boundary, F))
-        if self.interior:
-            vals.update(zip(self.interior, self._solve_interior(-(self.L_IB @ F))))
-        return HarmonicFunction(self.graph, vals, self.boundary)
+        return F
+
+    def _extension(self, F: np.ndarray) -> np.ndarray:
+        """The harmonic extension of boundary values F (in `self.boundary`
+        order) as values over g.vertices: F on the boundary and
+        X = -L_II^{-1} L_IB F at the interior."""
+        x = np.empty(len(self._is_boundary))
+        x[self._is_boundary] = F
+        if self.L_IB.shape[0]:
+            x[~self._is_boundary] = self._solve_interior(-(self.L_IB @ F))
+        return x
+
+    def solve(self, boundary_values: dict) -> HarmonicFunction:
+        x = self._extension(self._boundary_vector(boundary_values))
+        return HarmonicFunction(self.graph, dict(zip(self.graph.vertices, x)), self.boundary)
 
     def boundary_flux(self, F) -> np.ndarray:
         """Boundary fluxes of the harmonic extensions of the columns of F.

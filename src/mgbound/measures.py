@@ -21,7 +21,7 @@ import numpy as np
 from .families import TreeFamilySpec, _addresses, _common_prefix, _source_address, ROOT
 from .graph import MetricGraph
 from .harmonic import HarmonicSolver
-from .partition import CellTree, Partition, _sorted_order
+from .partition import CellTree, Partition
 
 ADDITIVITY_TOL = 1e-10
 
@@ -94,8 +94,7 @@ def cell_measure_from_point_masses(tree: CellTree, point_mass: dict) -> CellMeas
     """Aggregate per-point masses up the cell tree (finest cells are
     singletons for canonical trees, but multi-point cells are summed too),
     each cell's members added in sorted order."""
-    points = tree.boundary.points
-    order = _sorted_order(points)
+    points, order = tree.boundary.points, tree.boundary.order
     w = np.array([point_mass[points[i]] for i in order.tolist()], dtype=float)
     return CellMeasure(tree, [np.bincount(c[order], weights=w) for c in tree.cell])
 

@@ -24,6 +24,8 @@ _SYMMETRY_ROWS = 1024  # rows per block of the symmetry check
 class BoundarySet:
     """Finite boundary point set with a symmetric positive metric table."""
 
+    _made_sorted = False  # True where the constructor sorts the points
+
     def __init__(self, points, dist: np.ndarray):
         self.points = tuple(points)
         self.dist = np.asarray(dist, dtype=float)
@@ -47,6 +49,15 @@ class BoundarySet:
 
     def diameter(self) -> float:
         return float(self.dist.max()) if len(self) > 1 else 0.0
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """The positions of the points in sorted order (read-only), made once
+        per set, with no sort where the points are made sorted."""
+        if self._made_sorted:
+            return _read_only(np.arange(len(self)))
+        return _read_only(np.array(sorted(range(len(self)), key=self.points.__getitem__),
+                                   dtype=np.intp))
 
     def jumps(self) -> list:
         n, w = len(self), np.sort(self.mst[2])
@@ -87,6 +98,8 @@ class _KaryBoundarySet(BoundarySet):
     are the k^j prefix classes, so the whole hierarchy is read from the
     (n + 1)-entry table; the n x n table is made only when `dist` is read."""
 
+    _made_sorted = True
+
     def __init__(self, points, arity: int, table: np.ndarray):
         self.points = tuple(points)
         self.arity, self.table = arity, table
@@ -99,6 +112,11 @@ class _KaryBoundarySet(BoundarySet):
 
     def diameter(self) -> float:
         return float(self.table[0])
+
+    def prefix_cells(self, j: int) -> np.ndarray:
+        """The cell of each leaf at level j: its class of length-j prefixes."""
+        n = len(self)
+        return np.arange(n, dtype=_index_dtype(n)) // self.arity ** (len(self.table) - 1 - j)
 
     def jumps(self) -> list:
         k = self.arity
@@ -130,6 +148,8 @@ class _GraphBoundarySet(BoundarySet):
     of t offers the pair d(s, u) + l + d(v, t), and the shortest offers span
     an MST of the metric (Mehlhorn 1988).  The n x n table, one Dijkstra per
     point, is made only when `dist` is read."""
+
+    _made_sorted = True
 
     def __init__(self, g: MetricGraph):
         self.points = tuple(sorted(g.boundary))
@@ -181,16 +201,17 @@ class Partition:
         return {p: i for i, cell in enumerate(self.cells) for p in cell}
 
 
-def _sorted_order(points) -> np.ndarray:
-    return np.array(sorted(range(len(points)), key=points.__getitem__), dtype=np.intp)
-
-
 def _partition(points, order, cell) -> Partition:
     """The cells given by `cell`, each listing its members in sorted order."""
     members = order[np.argsort(cell[order], kind="stable")]
     names = [points[i] for i in members.tolist()]
     cuts = np.cumsum(np.bincount(cell)).tolist()
     return Partition(tuple(tuple(names[s:e]) for s, e in zip([0] + cuts, cuts)))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _index_dtype(n: int):
@@ -223,11 +244,16 @@ def _cuts(b: BoundarySet, order, alphas):
 
 
 def epsilon_components(b: BoundarySet, eps: float) -> Partition:
-    """Connected components of the graph with an edge whenever d < eps."""
+    """Connected components of the graph with an edge whenever d < eps.  On
+    the leaves of a k-ary tree these are the classes of length-j prefixes,
+    j = #{a < n : table[a] >= eps}, read with no n x n table."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    order = _sorted_order(b.points)
-    return _partition(b.points, order, next(_cuts(b, order, [eps])))
+    if isinstance(b, _KaryBoundarySet):
+        cell = b.prefix_cells(int(np.count_nonzero(b.table[:-1] >= eps)))
+    else:
+        cell = next(_cuts(b, b.order, [eps]))
+    return _partition(b.points, b.order, cell)
 
 
 def jump_values(b: BoundarySet):
@@ -258,9 +284,8 @@ class CellTree:
 
     @cached_property
     def levels(self) -> list:
-        points = self.boundary.points
-        order = _sorted_order(points)
-        return [_partition(points, order, c) for c in self.cell]
+        b = self.boundary
+        return [_partition(b.points, b.order, c) for c in self.cell]
 
     @cached_property
     def diameter(self) -> list:
@@ -283,7 +308,7 @@ class CellTree:
         out = [np.empty(int(c.max()) + 1, dtype=np.intp) for c in self.cell[1:]]
         for parent, fine, coarse in zip(out, self.cell[1:], self.cell):
             parent[fine] = coarse
-            parent.flags.writeable = False
+            _read_only(parent)
         return out
 
     def ncells(self, level: int) -> int:
@@ -329,8 +354,6 @@ def canonical_nested_partitions(b: BoundarySet) -> CellTree:
     carry their levels in closed form: level j is arange(k^n) // k^(n - j)."""
     n, jumps = len(b), b.jumps()
     if isinstance(b, _KaryBoundarySet):
-        depth = len(b.table) - 1
-        return CellTree(b, jumps, [np.arange(n, dtype=_index_dtype(n)) // b.arity ** (depth - j)
-                                   for j in range(depth + 1)])
-    cut = _cuts(b, _sorted_order(b.points), [alpha for alpha, _, _ in jumps])
+        return CellTree(b, jumps, [b.prefix_cells(j) for j in range(len(b.table))])
+    cut = _cuts(b, b.order, [alpha for alpha, _, _ in jumps])
     return CellTree(b, jumps, [np.zeros(n, dtype=_index_dtype(n)), *cut])

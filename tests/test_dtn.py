@@ -18,9 +18,9 @@ from mgbound.families import _addresses
 from mgbound.partition import Partition
 
 from test_acceptance import _criterion1_graphs, _random_two_cells
-from util import (compressed_flux_reduced, compression_oracle, dtn_min_eigenvalue,
-                  schur_complement_dtn, star_graph, random_connected_graph,
-                  with_parallel_edges)
+from util import (certificate_reference, compressed_flux_reduced, compression_oracle,
+                  dtn_min_eigenvalue, schur_complement_dtn, star_graph,
+                  random_connected_graph, with_parallel_edges)
 
 SPEC = TreeFamilySpec(arity=2, ratio=0.25, depth=3)
 
@@ -123,6 +123,78 @@ def test_certificate_propagates_nan():
     lam = np.array([[1.0, -1.0], [-1.0, np.nan]])
     inv = DtNMatrix(("a", "b"), lam, np.ones(2)).check_invariants()
     assert np.isnan(inv["min_eigenvalue"]) and not inv["ok"]
+
+
+def _random_laplacian_map(rng, n):
+    """diag(w)^-1 S for a dense random Laplacian S on n points and weights w."""
+    C = rng.uniform(0.0, 1.0, (n, n))
+    C = (C + C.T) / 2.0
+    np.fill_diagonal(C, 0.0)
+    w = rng.uniform(0.5, 2.0, n)
+    return DtNMatrix(tuple(range(n)), (np.diag(C.sum(axis=1)) - C) / w[:, None], w)
+
+
+def _perturbed(D, kind, i, j):
+    """D with one defect at (i, j): an asymmetric entry, a positive symmetric
+    off-diagonal pair (rows still summing to 0), a row that does not sum to 0
+    (i = j), or a NaN."""
+    M, w = D.matrix.copy(), D.weights
+    if kind == "asymmetric":
+        M[i, j] += 1e-6
+    elif kind == "positive off-diagonal":
+        shift = 0.5 - w[i] * M[i, j]  # S_ij = S_ji = 0.5
+        for a, b in ((i, j), (j, i)):
+            M[a, b] += shift / w[a]
+            M[a, a] -= shift / w[a]
+    elif kind == "row sum":
+        M[i, i] += 1e-3
+    else:
+        M[i, j] = np.nan
+    return DtNMatrix(D.basis, M, w)
+
+
+def _assert_certificate_matches_the_reference(D):
+    got, ref = D.check_invariants(), certificate_reference(D)
+    n = len(D.weights)
+    # the tiles add each row's |Sym| in another order: n roundings of max|S|
+    S = np.abs(D.weights[:, None] * D.matrix)
+    atol = 4 * n * np.finfo(float).eps * np.max(S, where=np.isfinite(S), initial=0.0)
+    atol /= D.weights.min()
+    assert got.keys() == ref.keys()
+    assert got["ok"] is ref["ok"], (got, ref)
+    for key in ("symmetry_error", "kernel_error", "max_offdiagonal", "gershgorin",
+                "min_eigenvalue"):
+        a, b = got[key], ref[key]
+        assert (np.isnan(a) and np.isnan(b)) or a == b or abs(a - b) <= atol, (key, a, b)
+    return got
+
+
+@pytest.mark.parametrize("n", [1, 2, mgbound.dtn.TILE - 1, mgbound.dtn.TILE,
+                               mgbound.dtn.TILE + 1, 2 * mgbound.dtn.TILE + 3])
+def test_tile_pair_certificate_equals_the_whole_matrix_formulas(n):
+    """Every field within rounding of `certificate_reference`, and the same
+    verdict, on a random Laplacian map and on copies with one defect each,
+    placed in the first and last tiles, on and beside the diagonal."""
+    D = _random_laplacian_map(np.random.default_rng(n), n)
+    assert _assert_certificate_matches_the_reference(D)["ok"]
+    spots = {(0, n - 1), (n - 1, 0), (n // 2, n // 2 - 1), (n - 2, n - 1)} if n > 1 else set()
+    for i, j in spots:
+        for kind in ("asymmetric", "positive off-diagonal", "nan"):
+            assert not _assert_certificate_matches_the_reference(_perturbed(D, kind, i, j))["ok"]
+    for i in {0, n // 2, n - 1}:
+        for kind in ("row sum", "nan"):
+            assert not _assert_certificate_matches_the_reference(_perturbed(D, kind, i, i))["ok"]
+
+
+def test_tile_pair_certificate_equals_the_whole_matrix_formulas_on_dtn_maps():
+    """The binary depth-10 map (1024 points) and the spine-12 map (507) span
+    several tiles; each certificate matches the reference field by field."""
+    spine = build_counterexample(CounterexampleSpec(spine=12))
+    rng = np.random.default_rng(5)
+    for D in (dtn_matrix(build_kary_tree(TreeFamilySpec(arity=2, ratio=0.5, depth=10))[0]),
+              dtn_matrix(spine, {v: float(rng.uniform(0.5, 2.0)) for v in spine.boundary})):
+        assert len(D.basis) > 3 * mgbound.dtn.TILE
+        assert _assert_certificate_matches_the_reference(D)["ok"]
 
 
 def test_dtn_scale_law():
@@ -424,6 +496,48 @@ def test_quadratic_form_random_nonnegative():
         ff, en = quadratic_form_check(g, mu, F)
         assert abs(ff - en) < 1e-10 * (1 + abs(en))
         assert ff >= -1e-12 and en >= 0
+
+
+def test_quadratic_form_equals_the_dense_schur_form_on_both_paths():
+    """Both evaluations equal F^T S F of the dense Schur oracle, within 1e-10
+    of the largest conductance times |F|^2, on forest interiors, `splu`
+    interiors and graphs with no interior."""
+    rng = np.random.default_rng(83)
+    seen = set()
+    for g in schur_cases():
+        bverts = sorted(g.boundary)
+        F = rng.normal(size=len(bverts))
+        form = float(F @ schur_complement_dtn(g).matrix @ F)
+        ff, en = quadratic_form_check(g, {v: 1.0 for v in bverts}, dict(zip(bverts, F)))
+        tol = 1e-10 * max_conductance(g) * float(F @ F)
+        assert abs(ff - form) <= tol and abs(en - form) <= tol, (ff, en, form)
+        solver = HarmonicSolver(g)
+        seen.add("no interior" if not solver.interior
+                 else "forest" if solver._forest is not None else "splu")
+    assert seen == {"forest", "splu", "no interior"}
+
+
+def test_quadratic_form_makes_no_harmonic_function(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("quadratic_form_check built a HarmonicFunction")
+
+    monkeypatch.setattr(HarmonicSolver, "solve", no_solve)
+    g, _ = build_kary_tree(TreeFamilySpec(arity=2, ratio=0.5, depth=4))
+    ff, en = quadratic_form_check(g, {v: 1.0 for v in g.boundary},
+                                  {v: float(i) for i, v in enumerate(sorted(g.boundary))})
+    assert ff == pytest.approx(en, rel=1e-12) and en > 0
+
+
+@pytest.mark.parametrize("g", [star_graph(3), metric_graph(
+    ["v1", "v2", "v3"], [("e1", "v1", "v2", 1.0), ("e2", "v2", "v3", 2.0)], ["v1", "v2", "v3"])],
+    ids=["interior", "no interior"])
+def test_quadratic_form_rejects_missing_and_non_finite_values(g):
+    mu = {v: 1.0 for v in g.boundary}
+    with pytest.raises(KeyError, match="missing boundary values for \\['v3'\\]"):
+        quadratic_form_check(g, mu, {"v1": 1.0, "v2": 0.0})
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="boundary values must be finite"):
+            quadratic_form_check(g, mu, {"v1": 1.0, "v2": 0.0, "v3": bad})
 
 
 def test_dtn_matrix_needs_two_boundary_vertices():

@@ -244,8 +244,13 @@ def test_kary_closed_form_hierarchy_equals_the_mst_path(k, r, n):
     for mu in (equal_split_measure(tree), counting_measure(tree)):
         build_haar_basis(tree, mu)
     assert jump_values(b) == tree.jumps
+    t = b.table
+    # at each table value, halfway between two, above the diameter and below the least
+    probes = np.r_[t[:-1], (t[:-2] + t[1:-1]) / 2, 2 * t[0], t[-2] / 2].tolist()
+    kary = [epsilon_components(b, eps) for eps in probes]
     assert "dist" not in vars(b)  # the n x n table was never made
     generic = BoundarySet(b.points, b.dist)
+    assert kary == [epsilon_components(generic, eps) for eps in probes]
     ref = canonical_nested_partitions(generic)
     assert tree.jumps == ref.jumps == jump_values(generic)
     assert tree.mesh == ref.mesh
@@ -257,6 +262,39 @@ def test_kary_closed_form_hierarchy_equals_the_mst_path(k, r, n):
         assert np.array_equal(tree.cell[j], ref.cell[j])
         assert tree.diameter[j].dtype == ref.diameter[j].dtype
         assert np.array_equal(tree.diameter[j], ref.diameter[j])
+
+
+def test_kary_epsilon_components_are_prefix_classes_without_a_table():
+    """Binary depth 12 (4096 leaves): at eps = table[a] the pairs at that
+    distance stay apart (strict <), giving the 2^(a + 1) classes of
+    (a + 1)-prefixes, and anywhere in (table[a], table[a - 1]) the 2^a
+    classes of a-prefixes; neither the n x n table nor Prim's MST is made."""
+    n = 12
+    b = tree_boundary_set(TreeFamilySpec(arity=2, ratio=0.5, depth=n))
+    t = b.table
+    for a in range(n):
+        above = 2 * t[0] if a == 0 else (t[a] + t[a - 1]) / 2
+        for eps, j in ((t[a], a + 1), (np.nextafter(t[a], np.inf), a), (above, a)):
+            size = 2 ** (n - j)
+            expect = tuple(b.points[s:s + size] for s in range(0, 2 ** n, size))
+            assert epsilon_components(b, float(eps)).cells == expect, (a, eps)
+    assert "dist" not in vars(b) and "mst" not in vars(b)
+
+
+def test_sorted_order_is_made_once_per_set_and_read_only():
+    rng = np.random.default_rng(4)
+    b = random_boundary_set(rng, "rounded")
+    order = b.order
+    assert [b.points[i] for i in order] == sorted(b.points)
+    assert b.order is order and not order.flags.writeable
+    epsilon_components(b, 1.0)
+    assert canonical_nested_partitions(b).levels and b.order is order
+    # sets whose points are made sorted skip the sort
+    for made_sorted in (tree_boundary_set(SPEC3),
+                        graph_boundary_set(build_counterexample(CounterexampleSpec(spine=7)))):
+        assert list(made_sorted.points) == sorted(made_sorted.points)
+        assert np.array_equal(made_sorted.order, np.arange(len(made_sorted)))
+        assert not made_sorted.order.flags.writeable
 
 
 @pytest.mark.parametrize("spec", [

@@ -269,6 +269,28 @@ def dtn_min_eigenvalue(D):
     return float(np.min(np.linalg.eigvalsh((M + M.T) / 2.0)))
 
 
+def certificate_reference(D):
+    """Every field of `DtNMatrix.check_invariants` at its default tolerances,
+    from whole-matrix formulas on S = diag(w) Lam and Sym = (S + S^T) / 2:
+    max|S - S^T|, max|Lam 1|, the largest off-diagonal of Sym, the
+    Gershgorin bound min_i (2 S_ii - sum_j |Sym_ij|), min(0, g) / min(w) and
+    the verdict.  Oracle for the tile-pair pass."""
+    M, w = D.matrix, D.weights
+    S = w[:, None] * M
+    sym = (S + S.T) / 2.0
+    off = sym.copy()
+    np.fill_diagonal(off, -np.inf)
+    g = float(np.min(2.0 * np.diag(S) - np.abs(sym).sum(axis=1)))
+    report = {"symmetry_error": float(np.max(np.abs(S - S.T))),
+              "kernel_error": float(np.max(np.abs(M.sum(axis=1)))),
+              "max_offdiagonal": float(np.max(off)),
+              "gershgorin": g,
+              "min_eigenvalue": min(g, 0.0) / float(w.min())}
+    report["ok"] = bool(report["symmetry_error"] < 1e-10 and report["kernel_error"] < 1e-10
+                        and report["min_eigenvalue"] >= -1e-10)
+    return report
+
+
 def children_by_name(tree, level):
     """Cell index at `level` -> indices of its child cells at level + 1,
     found by looking up each child's first member by name."""
