@@ -57,6 +57,12 @@ def _csv(rows) -> str:
     return "\n".join(",".join(str(c) for c in row) for row in rows) + "\n"
 
 
+def _json_number(x):
+    """x as strict JSON holds it: inf, -inf and NaN, which JSON has no token
+    for, as the strings "inf", "-inf" and "nan"; anything else as it is."""
+    return str(float(x)) if isinstance(x, float) and not math.isfinite(x) else x
+
+
 class Reporter:
     def __init__(self, args):
         self.outdir = args.outdir
@@ -79,10 +85,11 @@ class Reporter:
 
     def finish(self) -> int:
         ok = all(c["passed"] for c in self.checks)
+        checks = [{k: _json_number(x) for k, x in c.items()} for c in self.checks]
         report = {"config": self.prefix, "artifacts": self.artifacts,
-                  "checks": self.checks, "ok": ok}
+                  "checks": checks, "ok": ok}
         _atomic_write(os.path.join(self.outdir, "report.json"),
-                      json.dumps(report, indent=2, sort_keys=True) + "\n")
+                      json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
         for c in self.checks:
             status = "pass" if c["passed"] else "FAIL"
             absolute = f", absolute {c['absolute']:.3e}" if "absolute" in c else ""
@@ -399,7 +406,10 @@ def cmd_check(args):
     return rep.finish()
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused: it holds
+    the flags and defaults only, and every `parse_args` makes a new Namespace."""
     ap = argparse.ArgumentParser(prog="mgbound",
                                  description="boundary structure of metric graphs")
     ap.add_argument("--outdir", default="out")
@@ -465,8 +475,11 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("check", help="run the built-in invariant suite")
     p.set_defaults(func=cmd_check)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except Exception as exc:  # machine-readable failure

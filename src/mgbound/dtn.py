@@ -198,11 +198,12 @@ def compressed_dtn_limit(spec: TreeFamilySpec, level: int, depths, tol: float) -
 
 
 def quadratic_form_check(g: MetricGraph, mu: dict, F: dict):
-    """Two independent evaluations of the energy form F^T S F, via boundary
-    fluxes and as the Dirichlet energy of the harmonic extension, taken from
-    the edge arrays.  mu is not read:
+    """Two independent evaluations of the energy form F^T S F from one
+    harmonic extension x: via its boundary fluxes L_BB F + L_IB^T x_I, and
+    as its Dirichlet energy, taken from the edge arrays.  mu is not read:
     mu(bdry) <Lam F, F>_mu = sum_v mu(v) (Lam F)(v) F(v) = F^T S F."""
     solver = HarmonicSolver(g)
     values = solver._boundary_vector(F)
-    flux_form = float(values @ solver.boundary_flux(values[:, None])[:, 0])
-    return flux_form, _edge_energy(g, solver._extension(values))
+    x = solver._extension(values)
+    flux = solver.L_BB @ values + solver.L_IB.T @ x[~solver._is_boundary]
+    return float(values @ flux), _edge_energy(g, x)

@@ -483,6 +483,112 @@ def test_module_entry_point_exits_with_the_code_of_main(tmp_path, argv, code):
     assert run.returncode == code, run.stderr
 
 
+# one process, one parser: a flag given in one call, a default and a failed
+# parse must leave nothing that the next call reads
+REUSED = [
+    (["exit-measure", "--level", "2", "--depths", "4:12", "--normalize"], 0),
+    (["exit-measure", "--level", "2", "--depths", "4:12"], 0),
+    (["exit-measure", "--level", "2", "--normalise"], 2),
+    (["exit-measure", "--level", "3", "--source-vertex", "0", "--depths", "4:12"], 0),
+    (["dtn-limit", "--depths", "4:10"], 0),
+    (["exit-measure", "--depths", "4:12"], 0),
+]
+
+
+def test_reused_parser_leaks_nothing_from_call_to_call(tmp_path, monkeypatch, capsys):
+    """`main` called in turn in one process, the last call with argv=None,
+    writes the bytes, output and exit codes that a fresh `python -m mgbound.cli`
+    gives for each argv, and builds its parsers on the first call only."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._parser.cache_clear()
+    (tmp_path / "reused").mkdir()
+    monkeypatch.chdir(tmp_path / "reused")
+    printed = []
+    for i, (argv, code) in enumerate(REUSED):
+        argv = ["--outdir", f"o{i}", *argv]
+        if i == len(REUSED) - 1:
+            monkeypatch.setattr(sys, "argv", ["mgbound", *argv])
+            argv = None
+        if code == 2:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        else:
+            assert main(argv) == code
+        printed.append(capsys.readouterr())
+        if i == 0:
+            first = len(built)
+            assert first > 0
+    assert len(built) == first
+
+    def masses(i):
+        report = json.loads((tmp_path / "reused" / f"o{i}" / "report.json").read_text())
+        _, rows = read_csv(artifact(tmp_path / "reused" / f"o{i}", report, "measure.csv"))
+        return np.array([float(r[1]) for r in rows])
+
+    raw = exit_measure_limit(TreeFamilySpec(), 2, range(4, 13), 1e-8).masses
+    assert np.array_equal(masses(0), raw / raw.sum())
+    assert np.array_equal(masses(1), raw) and raw.sum() != pytest.approx(1.0)
+
+    src = os.path.dirname(os.path.dirname(mgbound.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    (tmp_path / "fresh").mkdir()
+    for i, (argv, code) in enumerate(REUSED):
+        fresh = subprocess.run([sys.executable, "-m", "mgbound.cli", "--outdir", f"o{i}", *argv],
+                               cwd=tmp_path / "fresh", env=env, capture_output=True,
+                               text=True, timeout=120)
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == (code, *printed[i]), argv
+    tree = {}
+    for side in ("reused", "fresh"):
+        root = tmp_path / side
+        tree[side] = {str(p.relative_to(root)): p.read_bytes()
+                      for p in sorted(root.rglob("*")) if p.is_file()}
+    assert len(tree["fresh"]) == 3 * (len(REUSED) - 1)  # two artifacts and report.json
+    assert tree["reused"] == tree["fresh"]
+
+
+def strict_json(text: str):
+    """json.loads that rejects NaN, Infinity and -Infinity."""
+    def reject(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("command, name, tol", [("exit-measure", "exit measure", "1.0e-08"),
+                                                ("dtn-limit", "dtn limit", "1.0e-06")])
+def test_an_empty_trace_is_reported_in_strict_json(tmp_path, capsys, command, name, tol):
+    """--depths 5 leaves the trace empty, so the convergence figure is
+    infinite: printed as inf, and written as the string "inf"."""
+    rc = main(["--outdir", str(tmp_path / "o"), command, "--depths", "5"])
+    assert rc == 1
+    report = strict_json((tmp_path / "o" / "report.json").read_text())
+    (check,) = [c for c in report["checks"] if c["name"] == f"{name} converged"]
+    assert check["value"] == "inf" and not check["passed"] and not report["ok"]
+    assert f"[FAIL] {name} converged: inf (tol {tol})\n" in capsys.readouterr().out
+
+
+def test_report_writes_every_non_finite_figure_as_a_string(tmp_path, capsys):
+    rep = cli.Reporter(argparse.Namespace(command="check", outdir=str(tmp_path)))
+    rep.check("a", float("inf"), 1e-8, False, absolute=float("-inf"), scale=float("nan"))
+    rep.check("b", np.float64("nan"), float("inf"), True, absolute=np.float64(2.5), scale=0.0)
+    assert rep.finish() == 1
+    checks = strict_json((tmp_path / "report.json").read_text())["checks"]
+    assert [(c["value"], c["tolerance"], c["absolute"], c["scale"], c["passed"])
+            for c in checks] == [("inf", 1e-8, "-inf", "nan", False),
+                                 ("nan", "inf", 2.5, 0.0, True)]
+    out = capsys.readouterr().out
+    assert out == ("[FAIL] a: inf (tol 1.0e-08), absolute -inf\n"
+                   "[pass] b: nan (tol inf), absolute 2.500e+00\n")
+
+
 def test_package_exports_its_46_public_names():
     names = {n for n, x in vars(mgbound).items()
              if not n.startswith("_") and not isinstance(x, type(mgbound))}

@@ -15,6 +15,7 @@ from mgbound import (metric_graph, dtn_matrix,
                      build_counterexample, CounterexampleSpec, exit_measure_limit,
                      DtNMatrix, Edge, HarmonicSolver, MetricGraph)
 from mgbound.families import _addresses
+from mgbound.harmonic import _edge_energy
 from mgbound.partition import Partition
 
 from test_acceptance import _criterion1_graphs, _random_two_cells
@@ -498,20 +499,37 @@ def test_quadratic_form_random_nonnegative():
         assert ff >= -1e-12 and en >= 0
 
 
-def test_quadratic_form_equals_the_dense_schur_form_on_both_paths():
+def test_quadratic_form_equals_the_dense_schur_form_on_both_paths(monkeypatch):
     """Both evaluations equal F^T S F of the dense Schur oracle, within 1e-10
     of the largest conductance times |F|^2, on forest interiors, `splu`
-    interiors and graphs with no interior."""
+    interiors and graphs with no interior.  They come from one interior
+    solve (none with no interior) and equal, to the last bit, the flux form
+    that `boundary_flux` gives from a second solve and the energy of the
+    extension."""
+    calls = []
+    solve_interior = HarmonicSolver._solve_interior
+
+    def counting(self, rhs):
+        calls.append(rhs.shape)
+        return solve_interior(self, rhs)
+
     rng = np.random.default_rng(83)
     seen = set()
     for g in schur_cases():
         bverts = sorted(g.boundary)
         F = rng.normal(size=len(bverts))
         form = float(F @ schur_complement_dtn(g).matrix @ F)
-        ff, en = quadratic_form_check(g, {v: 1.0 for v in bverts}, dict(zip(bverts, F)))
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(HarmonicSolver, "_solve_interior", counting)
+            ff, en = quadratic_form_check(g, {v: 1.0 for v in bverts}, dict(zip(bverts, F)))
         tol = 1e-10 * max_conductance(g) * float(F @ F)
         assert abs(ff - form) <= tol and abs(en - form) <= tol, (ff, en, form)
         solver = HarmonicSolver(g)
+        assert len(calls) == (1 if solver.interior else 0), calls
+        values = solver._boundary_vector(dict(zip(bverts, F)))
+        assert (ff, en) == (float(values @ solver.boundary_flux(values[:, None])[:, 0]),
+                            _edge_energy(g, solver._extension(values)))
         seen.add("no interior" if not solver.interior
                  else "forest" if solver._forest is not None else "splu")
     assert seen == {"forest", "splu", "no interior"}
