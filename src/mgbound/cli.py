@@ -8,6 +8,7 @@ the same command yields byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import hashlib
 import json
@@ -28,18 +29,50 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
+_AT_FDCWD, _RENAME_EXCHANGE = -100, 2   # from <fcntl.h> and <linux/fs.h>
+
+
+@functools.cache
+def _renameat2():
+    """libc's renameat2(2), or None where there is none."""
+    if not sys.platform.startswith("linux"):
+        return None
+    return getattr(ctypes.CDLL(None), "renameat2", None)
+
+
+def _replace(tmp: str, path: str):
+    """os.replace(tmp, path); but where `path` is a file and the system can
+    swap two names (renameat2 with RENAME_EXCHANGE), swap them and unlink the
+    old file, now at `tmp`.  Either way a reader of `path` sees the old file
+    or the new one, never neither.  ext4 writes the new file out to disk in
+    a rename over an existing name, not in a swap: on ext4 on a shared
+    2-vCPU VM, 0.2 ms a file and up to 20 ms, most of the time and nearly all
+    the spread of rewriting a small command's outputs.  Nothing here is
+    synced, so after a power loss a file just swapped in may read empty, as
+    any unsynced file may."""
+    swap = _renameat2()
+    if swap is not None and os.path.isfile(path) and swap(
+            _AT_FDCWD, os.fsencode(tmp), _AT_FDCWD, os.fsencode(path), _RENAME_EXCHANGE) == 0:
+        os.unlink(tmp)
+    else:
+        os.replace(tmp, path)
+
+
 def _atomic_write(path: str, text):
     """Write `text`, a string or an iterable of strings written one at a time,
     to a new file beside `path`, made by open() and so with its mode (0o666
-    less the umask, where mkstemp gives 0600), then rename it to `path`."""
+    less the umask, where mkstemp gives 0600), then move it to `path`."""
     d = os.path.dirname(path) or "."
-    os.makedirs(d, exist_ok=True)
     tmp = os.path.join(d, f".tmp-{os.urandom(8).hex()}")
-    fh = open(tmp, "x")  # exclusive: never a file or link already there
+    try:
+        fh = open(tmp, "x")  # exclusive: never a file or link already there
+    except FileNotFoundError:  # the directory is made on the first write only
+        os.makedirs(d, exist_ok=True)
+        fh = open(tmp, "x")
     try:
         with fh:
             fh.writelines([text] if isinstance(text, str) else text)
-        os.replace(tmp, path)
+        _replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

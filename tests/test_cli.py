@@ -470,6 +470,36 @@ def test_atomic_write_leaves_nothing_when_the_writer_raises(tmp_path):
     assert list((tmp_path / "d").iterdir()) == []
 
 
+@pytest.mark.parametrize("swap", ["system", "absent", "failing"])
+@pytest.mark.parametrize("old", ["file", "symlink"])
+def test_atomic_write_over_an_old_name_acts_as_os_replace(tmp_path, monkeypatch, swap, old):
+    # the name-swap path, the plain os.replace where there is no renameat2,
+    # and the fallback when the swap fails all leave what os.replace leaves
+    if swap == "absent":
+        monkeypatch.setattr(cli, "_renameat2", lambda: None)
+    elif swap == "failing":
+        monkeypatch.setattr(cli, "_renameat2", lambda: lambda *args: -1)
+    target, path = tmp_path / "target.csv", tmp_path / "a.csv"
+    target.write_text("old\n")
+    if old == "file":
+        os.link(target, path)
+    else:
+        path.symlink_to(target)
+    umask = os.umask(0)
+    os.umask(umask)
+    cli._atomic_write(str(path), "new\n")
+    assert path.read_text() == "new\n" and target.read_text() == "old\n"
+    assert not path.is_symlink() and stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "target.csv"]
+
+
+def test_atomic_write_onto_a_directory_fails_and_leaves_no_temporary(tmp_path):
+    (tmp_path / "a.csv").mkdir()
+    with pytest.raises(IsADirectoryError):
+        cli._atomic_write(str(tmp_path / "a.csv"), "new\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
+
+
 @pytest.mark.parametrize("argv, code", [
     (["gen", "--depth", "2"], 0),
     (["exit-measure", "--depths", "4:5", "--tol", "1e-14"], 1),
