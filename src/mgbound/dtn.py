@@ -189,12 +189,12 @@ def compressed_dtn_limit(spec: TreeFamilySpec, level: int, depths, tol: float) -
     divided by the root's exit masses, `exit_measure_limit(spec, level, depths, tol)`."""
     depths = list(depths)  # read twice, so a generator is drawn only once
     weights = exit_measure_limit(spec, level, depths, tol).masses
-    cells = Partition(tuple((p,) for p in _addresses(spec.arity, level)))
     # dividing a flux by the weights gives what compressed_dtn gives with them
     matrices = ((d, _truncation_cell_flux(spec.at_depth(d), level) / weights[:, None])
                 for d in depths)
     matrix, trace, converged = _limit(matrices, tol)
-    return DtNLimitResult(DtNMatrix(cells.labels, matrix, weights), trace, converged)
+    return DtNLimitResult(DtNMatrix(tuple(_addresses(spec.arity, level)), matrix, weights),
+                          trace, converged)
 
 
 def quadratic_form_check(g: MetricGraph, mu: dict, F: dict):

@@ -77,48 +77,16 @@ ROOT = "root"
 def build_kary_tree(spec: TreeFamilySpec):
     """Return (graph, address table).  Vertex ids are root-to-vertex words
     over {0..k-1} ("root" for the root); boundary = the depth-n leaves.
-
-    The graph is made from arrays.  Sorted, the addresses are the preorder
-    of the tree and "root" comes last, so the vertex a_1..a_m sits at
-    sum_j (1 + a_j * S(n - j)) - 1, where S(h) = (k^(h+1) - 1)/(k - 1) is the
-    size of a height-h subtree.  Each edge is named "e" + its child's address
-    and sits at its child's position.
-    """
-    return _kary_graph(spec), {leaf: leaf for leaf in spec.leaf_addresses()}
-
-
-def _level_positions(arity: int, depth: int):
-    """The positions, in sorted vertex order, of the vertices of each level
-    1..depth of the tree, each level in sorted order."""
-    above = np.array([-1])  # the root's children start at position 0
-    for level in range(1, depth + 1):
-        subtree = (arity ** (depth - level + 1) - 1) // (arity - 1)
-        above = np.repeat(above, arity) + 1 + np.tile(np.arange(arity) * subtree,
-                                                       arity ** (level - 1))
-        yield above
-
-
-def _kary_graph(spec: TreeFamilySpec) -> MetricGraph:
-    """The graph of `build_kary_tree`, made from arrays in sorted order."""
+    Each edge is named "e" + its child's address."""
     if spec.vertex_count() > VERTEX_CAP:
         raise ValueError(f"tree would exceed the vertex cap ({VERTEX_CAP})")
-    k, depth = spec.arity, spec.depth
-    m = spec.vertex_count() - 1  # edges, one per non-root vertex
-    parent = np.empty(m, dtype=np.intp)
-    length = np.empty(m)
-    words = np.empty(m, dtype=object)
-    above, frontier = np.array([m]), [""]  # the root sits last
-    for level, child in enumerate(_level_positions(k, depth), start=1):
-        parent[child] = np.repeat(above, k)
-        length[child] = spec.edge_length(level)
-        frontier = [word + c for word in frontier for c in _DIGITS[:k]]
-        words[child] = frontier
-        above = child
-    on_boundary = np.zeros(m + 1, dtype=bool)
-    on_boundary[above] = True
-    words = words.tolist()
-    return MetricGraph.from_arrays(words + [ROOT], ["e" + word for word in words], parent,
-                                   np.arange(m), length, on_boundary)
+    vertices, edges, words = [ROOT], [], [""]
+    for level in range(1, spec.depth + 1):
+        length = spec.edge_length(level)
+        words = [w + c for w in words for c in _DIGITS[:spec.arity]]
+        vertices += words
+        edges += [("e" + w, w[:-1] or ROOT, w, length) for w in words]
+    return metric_graph(vertices, edges, words), {leaf: leaf for leaf in words}
 
 
 def _source_address(spec: TreeFamilySpec, w) -> str:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -38,26 +37,11 @@ class MetricGraph:
 
     `_edge_arrays` (endpoint positions in `vertices`, lengths) and
     `_on_boundary` (a boolean mask over `vertices`) give the same graph as
-    arrays, cached on the instance: a graph made by `from_arrays` holds them
-    from the start, one made from names fills them on first use.
+    arrays, made on first use and cached on the instance.
     """
     vertices: tuple
     edges: tuple
     boundary: frozenset
-
-    @classmethod
-    def from_arrays(cls, vertices, edge_ids, u, v, length, on_boundary) -> "MetricGraph":
-        """A graph from its sorted vertex ids, its sorted edge ids, the
-        positions in `vertices` of their endpoints, their lengths, and a
-        boolean boundary mask over `vertices`.  The names are made here and
-        the arrays kept as the graph's array form."""
-        vertices = tuple(vertices)
-        edges = tuple(map(Edge, edge_ids, [vertices[i] for i in u.tolist()],
-                          [vertices[i] for i in v.tolist()], length.tolist()))
-        g = cls(vertices, edges, frozenset(compress(vertices, on_boundary.tolist())))
-        object.__setattr__(g, "_edge_array_view", (u, v, length))
-        object.__setattr__(g, "_boundary_mask", on_boundary)
-        return g
 
     def interior(self):
         return [v for v in self.vertices if v not in self.boundary]
@@ -95,10 +79,9 @@ def _edge_arrays(g: MetricGraph):
     """Edge endpoints and lengths as arrays (u, v, length), endpoints given by
     their positions in g.vertices and edges in g.edges order.
 
-    A graph made by `from_arrays` holds them from the start.  Any other fills
-    them on first use and caches them on the instance, like `adjacency`; an
-    edge to an unknown vertex raises KeyError here, so such a graph can still
-    be made and reported by `validate`.
+    Made on first use and cached on the instance, like `adjacency`; an edge
+    to an unknown vertex raises KeyError here, so such a graph can still be
+    made and reported by `validate`.
     """
     arrays = getattr(g, "_edge_array_view", None)
     if arrays is None:
@@ -112,9 +95,8 @@ def _edge_arrays(g: MetricGraph):
 
 
 def _on_boundary(g: MetricGraph) -> np.ndarray:
-    """Boolean mask over g.vertices of the boundary vertices; given by a graph
-    made by `from_arrays`, otherwise made on first use and cached like
-    `_edge_arrays`."""
+    """Boolean mask over g.vertices of the boundary vertices, made on first
+    use and cached like `_edge_arrays`."""
     mask = getattr(g, "_boundary_mask", None)
     if mask is None:
         mask = np.fromiter((v in g.boundary for v in g.vertices), dtype=bool,

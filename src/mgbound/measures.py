@@ -149,8 +149,8 @@ class LimitResult:
 
 def _check_schedule(depths, tol: float, level: int) -> list:
     depths = list(depths)
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
     if level < 0:
         raise ValueError("level must be nonnegative")
     if any(b <= a for a, b in zip(depths, depths[1:])) or not depths:

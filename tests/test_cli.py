@@ -187,7 +187,8 @@ def test_truncation_limit_that_does_not_converge_exits_1(tmp_path, capsys, comma
 @pytest.mark.parametrize("flags, message", [(["--depths", "6:4"], "depth schedule"),
                                             (["--tol", "-1"], "tol must be positive"),
                                             (["--tol", "nan"], "tol must be positive"),
-                                            (["--level", "-1"], "level must be nonnegative")])
+                                            (["--level", "-1"], "level must be nonnegative"),
+                                            (["--tol", "inf"], "tol must be positive and finite")])
 def test_truncation_limit_bad_schedule_exits_2(tmp_path, capsys, command, flags, message):
     rc = main(["--outdir", str(tmp_path / "o"), command, *flags])
     assert rc == 2

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import mgbound.dtn
-import mgbound.families
 import mgbound.measures
 from mgbound import (metric_graph, dtn_matrix,
                      compressed_dtn, compressed_dtn_limit,
@@ -366,8 +365,7 @@ def test_truncation_limits_build_no_graph_and_no_solver(monkeypatch):
         raise AssertionError("a truncation limit built a graph or a solver")
 
     monkeypatch.setattr(HarmonicSolver, "__init__", refuse)
-    monkeypatch.setattr(MetricGraph, "from_arrays", classmethod(refuse))
-    monkeypatch.setattr(mgbound.families, "_kary_graph", refuse)
+    monkeypatch.setattr(MetricGraph, "__init__", refuse)
     exit_measure_limit(SPEC, 2, range(4, 11), 1e-12, w="01")
     compressed_dtn_limit(SPEC, 2, range(4, 11), 1e-12)
 

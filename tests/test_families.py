@@ -48,11 +48,11 @@ def test_vertex_count_formula():
 
 
 @pytest.mark.parametrize("arity, depth", [(2, 1), (2, 6), (3, 4), (10, 2)])
-def test_array_built_tree_equals_the_per_level_reference(arity, depth):
+def test_kary_tree_equals_the_per_level_reference(arity, depth):
     spec = TreeFamilySpec(arity=arity, ratio=0.3, depth=depth)
     g, addr = build_kary_tree(spec)
     ref, ref_addr = kary_tree_reference(spec)
-    # the array view first: g holds it from construction, ref fills it from its Edges
+    # the array view first: both fill it from their Edges on first use
     for a, b in zip(_edge_arrays(g), _edge_arrays(ref)):
         assert a.dtype == b.dtype and np.array_equal(a, b)
     assert g.vertices == ref.vertices

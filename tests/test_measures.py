@@ -278,7 +278,8 @@ def test_exit_measure_limit_bad_schedule():
 
 
 @pytest.mark.parametrize("level, tol, message", [(-1, 1e-8, "level must be nonnegative"),
-                                                 (1, np.nan, "tol must be positive")])
+                                                 (1, np.nan, "tol must be positive"),
+                                                 (1, np.inf, "tol must be positive and finite")])
 def test_truncation_limits_reject_a_negative_level_and_a_nan_tol(level, tol, message):
     for limit in (exit_measure_limit, compressed_dtn_limit):
         with pytest.raises(ValueError, match=message):

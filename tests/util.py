@@ -425,9 +425,9 @@ def haar_dense_reference(tree, mu):
 
 
 def kary_tree_reference(spec):
-    """(graph, address table) of a k-ary tree built level by level from
+    """(graph, address table) of a k-ary tree built one vertex at a time from
     (id, u, v, length) tuples through `metric_graph`, which sorts them.
-    Oracle for the array-built `build_kary_tree`."""
+    Oracle for `build_kary_tree`, which builds each level's words at once."""
     vertices = [ROOT]
     edges = []
     frontier = [""]
