@@ -55,8 +55,8 @@ class TreeFamilySpec:
             raise ValueError("ratio must lie in (0, 1)")
         if not (0.0 < self.base_length < math.inf):
             raise ValueError("base_length must be positive and finite")
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
+        if not (hasattr(type(self.depth), "__index__") and self.depth >= 1):  # as operator.index
+            raise ValueError("depth must be >= 1 and an integer")
 
     def edge_length(self, level: int) -> float:
         return self.base_length * self.ratio ** level
@@ -111,8 +111,8 @@ class CounterexampleSpec:
     pendant_exponent: float = 2.0
 
     def __post_init__(self):
-        if self.spine < 3:
-            raise ValueError("spine must be >= 3")
+        if not (hasattr(type(self.spine), "__index__") and self.spine >= 3):  # as operator.index
+            raise ValueError("spine must be >= 3 and an integer")
 
     def pendant_count(self, n: int) -> int:
         m = round(n ** self.pendant_exponent)
@@ -127,20 +127,16 @@ class CounterexampleSpec:
 def build_counterexample(spec: CounterexampleSpec) -> MetricGraph:
     N = spec.spine
     vertices = [spec.spine_vertex(n) for n in range(1, N + 1)]
-    edges = []
+    edges = [(f"s{n:04d}", spec.spine_vertex(n), spec.spine_vertex(n + 1), 1.0 / n ** 2)
+             for n in range(1, N)]
     boundary = [spec.spine_vertex(1), spec.spine_vertex(N)]
-    for n in range(1, N):
-        edges.append((f"s{n:04d}", spec.spine_vertex(n), spec.spine_vertex(n + 1),
-                      1.0 / n ** 2))
-    total = N
     for n in range(2, N):
         for m in range(1, spec.pendant_count(n) + 1):
             w = f"w{n:04d}_{m:04d}"
             vertices.append(w)
             edges.append((f"p{n:04d}_{m:04d}", spec.spine_vertex(n), w, 1.0))
             boundary.append(w)
-            total += 1
-            if total > VERTEX_CAP:
+            if len(vertices) > VERTEX_CAP:
                 raise ValueError(f"counterexample would exceed the vertex cap ({VERTEX_CAP})")
     return metric_graph(vertices, edges, boundary)
 

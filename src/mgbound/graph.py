@@ -1,5 +1,6 @@
 """Metric graph data model: construction, validation, the array form the
-numerical layers read, and multi-source distances.
+numerical layers read, multi-source distances, and `_judge`, the one rule
+of every numerical check.
 
 A metric graph is a finite weighted multigraph whose edges carry positive
 finite lengths, together with a designated boundary vertex set that must
@@ -14,6 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
+
+REL_TOL = 1e-12  # every numerical check's tolerance, on its figure over its scale
+
+
+def _judge(figure: float, scale: float, tol: float = REL_TOL) -> dict:
+    """A check's record: its figure, the scale its rounding grows with, value =
+    figure / scale (0 for a zero figure) and the verdict |value| <= tol.  NaN
+    fails, and so does a nonzero figure on a zero scale."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = 0.0 if figure == 0 else float(np.float64(figure) / scale)
+    return {"value": value, "tolerance": tol, "absolute": figure, "scale": scale,
+            "passed": bool(abs(value) <= tol)}
 
 
 @dataclass(frozen=True)

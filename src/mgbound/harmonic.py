@@ -23,8 +23,8 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import breadth_first_order
 
 from .families import CounterexampleSpec
-from .graph import (Edge, MetricGraph, _component_labels, _edge_arrays, _on_boundary,
-                    adjacency)
+from .graph import (REL_TOL, Edge, MetricGraph, _component_labels, _edge_arrays, _judge,
+                    _on_boundary, adjacency)
 
 FLUX_BLOCK = 64  # right-hand sides per interior solve in boundary_flux
 
@@ -123,8 +123,7 @@ class HarmonicSolver:
             raise ValueError("boundary is empty")
         self.graph = g
         self._is_boundary = on_boundary
-        n_b = int(np.count_nonzero(on_boundary))
-        n_i = len(on_boundary) - n_b
+        n_i = int(np.count_nonzero(~on_boundary))
         self._rank = np.where(on_boundary, np.cumsum(on_boundary), np.cumsum(~on_boundary)) - 1
         self.L_IB, self.L_BB = self._blocks("IB", "BB")
         self._forest = self._eliminate_forest(n_i) if n_i else None
@@ -309,24 +308,28 @@ def solve_dirichlet(g: MetricGraph, boundary_values: dict) -> HarmonicFunction:
     return HarmonicSolver(g).solve(boundary_values)
 
 
-def check_harmonic(f: HarmonicFunction, tol: float = 1e-10) -> dict:
+def check_harmonic(f: HarmonicFunction, tol: float = REL_TOL) -> dict:
     """Kirchhoff residuals at interior vertices, maximum principle verdict,
-    and Dirichlet energy.  The residual at v is `vertex_flux(f, v)`, flagged
-    above tol times v's total conductance, both bincounts over the edges."""
+    and Dirichlet energy.  The residual at v is `vertex_flux(f, v)`; over v's
+    total conductance (both bincounts over the edges) it is the gap between
+    f(v) and the conductance-weighted mean of its neighbours.  `kirchhoff`
+    judges the largest gap against max|f| (`_judge`); a vertex whose gap
+    exceeds tol max|f| is flagged, and the maximum principle has that slack."""
     g = f.graph
     u, v, length = _edge_arrays(g)
     x, ends = _vertex_values(f), np.r_[u, v]
     slope = (x[u] - x[v]) / length  # the derivative at u; at v it is -slope
     resid = np.bincount(ends, np.r_[slope, -slope], len(x))
-    scale = np.bincount(ends, np.r_[1.0 / length, 1.0 / length], len(x))
+    conductance = np.bincount(ends, np.r_[1.0 / length, 1.0 / length], len(x))
     on_boundary = _boundary_mask(g, f.boundary)
     inner = np.flatnonzero(~on_boundary)
-    bad = inner[np.abs(resid[inner]) > tol * scale[inner]]
-    bvals = x[on_boundary]
+    gap, top = np.abs(resid[inner]) / conductance[inner], float(np.max(np.abs(x), initial=0.0))
+    bad, slack, bvals = inner[gap > tol * top], tol * top, x[on_boundary]
     return {
         "max_residual": float(np.max(np.abs(resid[inner]), initial=0.0)),
+        "kirchhoff": _judge(float(np.max(gap, initial=0.0)), top, tol),
         "flagged": list(zip([g.vertices[i] for i in bad.tolist()], resid[bad].tolist())),
-        "max_principle": bool(x.min() >= bvals.min() - tol and x.max() <= bvals.max() + tol),
+        "max_principle": bool(bvals.min() - slack <= x.min() and x.max() <= bvals.max() + slack),
         "energy": dirichlet_energy(f),
     }
 

@@ -19,11 +19,9 @@ from functools import cached_property
 import numpy as np
 
 from .families import TreeFamilySpec, _addresses, _common_prefix, _source_address, ROOT
-from .graph import MetricGraph
+from .graph import REL_TOL, MetricGraph, _judge
 from .harmonic import HarmonicSolver
-from .partition import CellTree, Partition
-
-ADDITIVITY_TOL = 1e-10
+from .partition import CellTree, Partition, _cell_index
 
 
 @dataclass
@@ -55,22 +53,27 @@ class CellMeasure:
     def level_slice(self, level: int) -> np.ndarray:
         return self.masses[level]
 
-    def check_additivity(self, tol: float = ADDITIVITY_TOL):
-        """Largest gap between a cell's mass and the sum of its children's;
-        raises if it exceeds tol or if any mass is NaN or infinite (a gap
-        such as inf - inf would be NaN and compare as no gap at all)."""
+    def additivity(self, tol: float = REL_TOL) -> dict:
+        """The additivity check (`_judge`): the largest gap between a cell's
+        mass and the sum of its children's, over the total mass.  Below a
+        one-cell tree a NaN or infinite mass makes a gap NaN or infinite."""
+        m, parent = self.masses, self.tree.parent
+        gaps = [np.max(np.abs(m[j - 1] - np.bincount(parent(j), weights=m[j])))
+                for j in range(1, len(m))]
+        return _judge(float(np.max(gaps, initial=0.0)), self.total(), tol)
+
+    def check_additivity(self, tol: float = REL_TOL) -> float:
+        """The figure of `additivity`, the largest gap; raises if the check
+        fails or any mass is NaN or infinite."""
         for level, m in enumerate(self.masses):
             bad = np.flatnonzero(~np.isfinite(m))
             if len(bad):
-                raise AssertionError(f"non-finite mass at level {level}, cells "
-                                     f"{bad[:5].tolist()}")
-        worst = 0.0
-        for level in range(1, self.tree.finest + 1):
-            kids = np.bincount(self.tree.parent(level), weights=self.masses[level])
-            worst = max(worst, float(np.max(np.abs(self.masses[level - 1] - kids))))
-        if worst > tol:
-            raise AssertionError(f"additivity violated by {worst:.3e}")
-        return worst
+                raise AssertionError(f"non-finite mass at level {level}, cells {bad[:5].tolist()}")
+        check = self.additivity(tol)
+        if not check["passed"]:
+            raise AssertionError(f"additivity violated by {check['absolute']:.3e}, "
+                                 f"{check['value']:.3e} of the total mass")
+        return check["absolute"]
 
     def is_positive(self) -> bool:
         return all(np.all((m > 0) & (m < np.inf)) for m in self.masses)
@@ -109,21 +112,18 @@ def exit_measure(g: MetricGraph, w, cells: Partition,
     the sum over its boundary vertices v of the inward flux, minus v's entry
     of that column, that is (f(neighbor) - f(v)) / l_e.  The total equals the
     effective conductance between w and the boundary; dividing by it gives
-    the harmonic measure, whose masses sum to 1.
+    the harmonic measure, whose masses sum to 1.  Cells as in `compressed_dtn`.
     """
-    if assignment is None:
-        assignment = cells.cell_of()
     if w not in g.vertices:
         raise KeyError(f"unknown vertex {w!r}")
     if w in g.boundary:
         raise ValueError(f"source vertex {w!r} lies on the boundary")
     solver = HarmonicSolver(g, boundary=g.boundary | {w})
+    cell = _cell_index(cells, assignment, [v for v in solver.boundary if v != w])
     source = solver.boundary.index(w)
     unit = np.zeros((len(solver.boundary), 1))
     unit[source] = 1.0
     flux = np.delete(solver.boundary_flux(unit)[:, 0], source)
-    cell = np.fromiter((assignment[v] for v in solver.boundary if v != w), dtype=np.intp,
-                       count=len(flux))
     nu = np.bincount(cell, weights=-flux, minlength=len(cells))
     if np.min(nu) <= 0:
         raise RuntimeError("exit measure produced a nonpositive cell mass; "
@@ -134,9 +134,7 @@ def exit_measure(g: MetricGraph, w, cells: Partition,
 def exit_measure_point_masses(g: MetricGraph, w) -> dict:
     """Per-boundary-vertex exit masses (finest resolution)."""
     pts = sorted(g.boundary)
-    cells = Partition(tuple((p,) for p in pts))
-    nu = exit_measure(g, w, cells)
-    return dict(zip(pts, nu))
+    return dict(zip(pts, exit_measure(g, w, Partition(tuple((p,) for p in pts)))))
 
 
 @dataclass

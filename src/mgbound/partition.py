@@ -201,6 +201,22 @@ class Partition:
         return {p: i for i, cell in enumerate(self.cells) for p in cell}
 
 
+def _cell_index(cells: Partition, assignment: dict | None, points) -> np.ndarray:
+    """The cell index of each of `points` by `assignment` (by default
+    `cells.cell_of()`); ValueError for a point with no cell, an index outside
+    [0, len(cells)) or an empty cell, TypeError for an index not an integer."""
+    assignment = cells.cell_of() if assignment is None else assignment
+    missing = [v for v in points if v not in assignment]
+    if missing:
+        raise ValueError(f"boundary vertices without a cell: {missing[:5]}")
+    cell = np.array([assignment[v] for v in points]).astype(np.intp, casting="safe")
+    if np.any((cell < 0) | (cell >= len(cells))):
+        raise ValueError(f"cell indices must lie in [0, {len(cells)})")
+    if np.any(np.bincount(cell, minlength=len(cells)) == 0):
+        raise ValueError("every cell must contain at least one boundary vertex")
+    return cell
+
+
 def _partition(points, order, cell) -> Partition:
     """The cells given by `cell`, each listing its members in sorted order."""
     members = order[np.argsort(cell[order], kind="stable")]
@@ -247,7 +263,7 @@ def epsilon_components(b: BoundarySet, eps: float) -> Partition:
     """Connected components of the graph with an edge whenever d < eps.  On
     the leaves of a k-ary tree these are the classes of length-j prefixes,
     j = #{a < n : table[a] >= eps}, read with no n x n table."""
-    if eps <= 0:
+    if not eps > 0:  # NaN too
         raise ValueError("eps must be positive")
     if isinstance(b, _KaryBoundarySet):
         cell = b.prefix_cells(int(np.count_nonzero(b.table[:-1] >= eps)))

@@ -119,6 +119,32 @@ def test_dtn_invariants_are_relative_to_the_diagonal(tmp_path):
     assert checks["dtn psd"]["absolute"] <= 0.0
 
 
+@pytest.mark.parametrize("depth", [9, 12])
+def test_solve_judges_kirchhoff_relative_to_the_data(tmp_path, depth):
+    """With N(0, 1) boundary values at binary r = 1/4 the residuals reach
+    1.7e-10 at depth 9 and 1.1e-8 at depth 12 from rounding alone; the report
+    copies the library's verdict, relative to conductance times max|f|."""
+    rng = np.random.default_rng(0)
+    leaves = build_kary_tree(TreeFamilySpec(depth=depth))[0].boundary
+    bv = tmp_path / "bv.json"
+    bv.write_text(json.dumps({v: float(rng.normal()) for v in sorted(leaves)}))
+    rc, out, report = run(tmp_path, "solve", "--depth", str(depth), "--boundary-values", str(bv))
+    assert rc == 0 and report["ok"], report
+    (kirchhoff,) = [c for c in report["checks"] if c["name"] == "kirchhoff residual"]
+    _, rows = read_csv(artifact(out, report, "values.csv"))
+    assert kirchhoff["scale"] == max(abs(float(r[1])) for r in rows)
+    assert kirchhoff["tolerance"] == 1e-12 and kirchhoff["passed"]
+    assert kirchhoff["value"] == kirchhoff["absolute"] / kirchhoff["scale"] <= 1e-12
+
+
+def test_check_reports_additivity_relative_to_the_total_mass(tmp_path):
+    rc, _, report = run(tmp_path, "check")
+    assert rc == 0
+    (additivity,) = [c for c in report["checks"] if c["name"] == "rho additivity"]
+    assert additivity == {"name": "rho additivity", "value": 0.0, "tolerance": 1e-12,
+                          "passed": True, "absolute": 0.0, "scale": 1.0}
+
+
 def test_dtn_csv_is_written_row_by_row_with_the_bytes_of_fmt(tmp_path):
     values = np.array([[-0.0, 1e-300, 3.0], [np.inf, -np.inf, -2.0], [0.1, 1 / 3, 5e-324]])
     D = DtNMatrix(("a", "b", "c"), values, np.ones(3))

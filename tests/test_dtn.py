@@ -8,7 +8,7 @@ import pytest
 
 import mgbound.dtn
 import mgbound.measures
-from mgbound import (metric_graph, dtn_matrix,
+from mgbound import (cli, metric_graph, dtn_matrix,
                      compressed_dtn, compressed_dtn_limit,
                      quadratic_form_check, TreeFamilySpec, build_kary_tree,
                      build_counterexample, CounterexampleSpec, exit_measure_limit,
@@ -62,8 +62,8 @@ def _certified_cases():
     """(DtN matrix, floor for its certified bound): the criterion-02 graphs and
     their two-cell compressions, binary depth-10 trees, the spine-12 graph
     and a compressed limit.  At r = 1/4 the depth-10 map's rows sum to 0 only
-    within 1e-9 (its diagonal is 5.6e5), which fails the library's absolute
-    kernel check too, so its floor is relative to the diagonal."""
+    within 1e-9 (its diagonal is 5.6e5), so its floor is relative to the
+    diagonal, as every check of `check_invariants` is."""
     for g, mu, rng in _criterion1_graphs():
         cells, assignment = _random_two_cells(g, rng)
         cw = np.array([sum(mu[v] for v in cell) for cell in cells.cells])
@@ -162,6 +162,9 @@ def _assert_certificate_matches_the_reference(D):
     atol /= D.weights.min()
     assert got.keys() == ref.keys()
     assert got["ok"] is ref["ok"], (got, ref)
+    for name, check in ref["checks"].items():
+        assert got["checks"][name]["passed"] is check["passed"], (name, got, ref)
+        assert np.array_equal(got["checks"][name]["scale"], check["scale"], equal_nan=True)
     for key in ("symmetry_error", "kernel_error", "max_offdiagonal", "gershgorin",
                 "min_eigenvalue"):
         a, b = got[key], ref[key]
@@ -646,3 +649,38 @@ def test_depth_12_dtn_in_bounded_memory():
     out = json.loads(run.stdout)
     assert out["shape"] == [4096, 4096] and out["ok"]
     assert out["peak_rss_mb"] < 260
+
+
+def test_certificate_is_relative_to_the_scale_of_the_map():
+    """The correct binary r = 1/4, depth-9 map passes: its kernel error of
+    2.6e-10 is 1.9e-15 of max|Lam_vv|.  A 10 % asymmetric fault in one entry
+    fails at base length 1e13, where it is 3e-13, below any fixed 1e-10."""
+    D = dtn_matrix(build_kary_tree(TreeFamilySpec(arity=2, ratio=0.25, depth=9))[0])
+    inv = D.check_invariants()
+    assert inv["ok"] and inv["kernel_error"] > 1e-10, inv
+    kernel = inv["checks"]["kernel"]
+    assert kernel["scale"] == np.max(np.abs(np.diag(D.matrix)))
+    assert kernel["value"] == kernel["absolute"] / kernel["scale"] < 1e-12
+    g = build_kary_tree(TreeFamilySpec(arity=2, ratio=0.25, base_length=1e13, depth=3))[0]
+    D = dtn_matrix(g)
+    assert D.check_invariants()["ok"]
+    D.matrix[0, 1] *= 1.1
+    inv = D.check_invariants()
+    assert inv["symmetry_error"] < 1e-10
+    assert not inv["ok"] and not inv["checks"]["symmetry"]["passed"], inv
+
+
+def test_the_library_and_the_cli_give_one_verdict(tmp_path):
+    """The CLI records the library's checks as they are: on every certified
+    map the report passes exactly when `check_invariants` does, and does."""
+    args = cli._parser().parse_args(["--outdir", str(tmp_path), "dtn"])
+    count = 0
+    for D, _ in _certified_cases():
+        rep = cli.Reporter(args)
+        cli._check_dtn_invariants(rep, D)
+        inv = D.check_invariants()
+        assert all(c["passed"] for c in rep.checks) is inv["ok"] is True, (rep.checks, inv)
+        assert [c["passed"] for c in rep.checks] == [
+            c["passed"] for c in inv["checks"].values()]
+        count += 1
+    assert count == 104

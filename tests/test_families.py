@@ -183,3 +183,16 @@ def _graph_doc(**fields):
 def test_load_graph_rejections(text, message):
     with pytest.raises(GraphFormatError, match=message):
         load_graph(text)
+
+
+def test_depth_and_spine_must_be_integers():
+    """A float depth or spine, even a whole one, is rejected when the spec is
+    made, not later by `range`; numpy integers pass, as operator.index takes
+    them."""
+    for bad in (2.5, 3.0, 5.5, np.float64(4.0), "3"):
+        with pytest.raises(ValueError, match="depth must be >= 1 and an integer"):
+            TreeFamilySpec(depth=bad)
+        with pytest.raises(ValueError, match="spine must be >= 3 and an integer"):
+            CounterexampleSpec(spine=bad)
+    assert len(build_kary_tree(TreeFamilySpec(depth=np.int64(3)))[0].vertices) == 15
+    assert len(build_counterexample(CounterexampleSpec(spine=np.int32(4))).vertices) == 17

@@ -421,9 +421,10 @@ def test_check_harmonic_matches_the_per_vertex_fluxes():
         flux = {v: vertex_flux(f, v) for v in interior}
         assert rep["max_residual"] == pytest.approx(max(map(abs, flux.values()), default=0.0),
                                                     rel=1e-12, abs=1e-15)
+        top = max(abs(x) for x in f.values.values())
         assert [v for v, _ in rep["flagged"]] == [
-            v for v in interior
-            if abs(flux[v]) > 1e-12 * sum(1.0 / e.length for e in g.edges if v in (e.u, e.v))]
+            v for v in interior if abs(flux[v]) / sum(
+                1.0 / e.length for e in g.edges if v in (e.u, e.v)) > 1e-12 * top]
         for v, r in rep["flagged"]:
             assert r == pytest.approx(flux[v], rel=1e-9, abs=1e-15)
         energy = sum((f.values[e.u] - f.values[e.v]) ** 2 / e.length for e in g.edges)
@@ -470,3 +471,25 @@ def test_solver_blocks_from_the_boundary_edges_equal_those_from_all_triplets():
             X = rng.normal(size=(L_BI.shape[1], 3))
             assert np.array_equal(solver.L_IB.T @ X, L_BI @ X)
 
+
+def test_kirchhoff_check_is_relative_to_the_conductances_and_the_data():
+    """Each residual is judged over its vertex's conductance times max|f|.
+    Correct solves pass at any scale: binary r = 1/4 at depth 9 with N(0, 1)
+    boundary values (a residual of 1.3e-10) and at depth 12 with the values
+    times 1e6 (0.012).  A 10 % fault at one vertex fails with the values
+    times 1e-12, where its residual is below 1e-10 of the conductance."""
+    for depth, size in ((12, 1e6), (9, 1.0)):
+        rng = np.random.default_rng(depth)
+        g = build_kary_tree(TreeFamilySpec(arity=2, ratio=0.25, depth=depth))[0]
+        f = solve_dirichlet(g, {v: size * float(rng.normal()) for v in g.boundary})
+        rep = check_harmonic(f)
+        assert rep["max_residual"] > 1e-10
+        assert not rep["flagged"] and rep["max_principle"] and rep["kirchhoff"]["passed"], rep
+        assert rep["kirchhoff"]["scale"] == max(abs(x) for x in f.values.values())
+    g = build_kary_tree(TreeFamilySpec(arity=2, ratio=0.25, depth=3))[0]
+    rng = np.random.default_rng(3)
+    f = solve_dirichlet(g, {v: 1e-12 * float(rng.normal()) for v in g.boundary})
+    f.values["0"] *= 1.1
+    rep = check_harmonic(f)
+    assert rep["max_residual"] < 1e-10
+    assert "0" in dict(rep["flagged"]) and not rep["kirchhoff"]["passed"], rep

@@ -9,7 +9,7 @@ from mgbound import (CellMeasure, TreeFamilySpec, CounterexampleSpec, build_coun
                      counting_measure, cell_measure_from_point_masses,
                      exit_measure, exit_measure_point_masses, exit_measure_limit,
                      dominance_constant, metric_graph, HarmonicSolver,
-                     vertex_flux, compressed_dtn_limit)
+                     vertex_flux, compressed_dtn, compressed_dtn_limit)
 from mgbound.partition import Partition
 
 from util import (additivity_reference, counting_reference, equal_split_reference,
@@ -321,3 +321,62 @@ def test_additivity_violation_raises(tree3):
     masses[2][0] += 1e-6
     with pytest.raises(AssertionError, match="additivity violated by 1.000e-06"):
         CellMeasure(tree3, masses).check_additivity()
+
+
+def test_additivity_is_relative_to_the_total_mass():
+    """The depth-10 binary exit measure, at total mass 7 / base_length: at
+    base length 1e-6 its correct masses leave a gap of 4.7e-9 (7e-16 of the
+    total) and pass; at 1e8 a 10 % fault on one leaf leaves a gap of 6.8e-12,
+    below any fixed 1e-10, and fails."""
+    for base, fault in ((1e-6, 1.0), (1e8, 1.1)):
+        spec = TreeFamilySpec(arity=2, ratio=0.25, base_length=base, depth=10)
+        tree = canonical_nested_partitions(tree_boundary_set(spec))
+        nu = cell_measure_from_point_masses(
+            tree, exit_measure_point_masses(build_kary_tree(spec)[0], "root"))
+        masses = [m.copy() for m in nu.masses]
+        masses[-1][0] *= fault
+        mu = CellMeasure(tree, masses)
+        if fault == 1.0:
+            assert mu.check_additivity() > 1e-10
+        else:
+            with pytest.raises(AssertionError, match="additivity violated by 6.836e-12"):
+                mu.check_additivity()
+        check = mu.additivity()
+        assert check["passed"] is (fault == 1.0)
+        assert check["scale"] == nu.total() and check["value"] == check["absolute"] / nu.total()
+
+
+@pytest.mark.parametrize("kind", ["index out of range", "negative index", "empty cell",
+                                  "missing vertex", "float index"])
+def test_a_bad_assignment_is_rejected_by_exit_measure_and_compressed_dtn(kind):
+    """Both read one validated vertex-to-cell map: an index outside
+    [0, len(cells)), a cell with no boundary vertex and a vertex with no cell
+    each raise ValueError, and an index that is no integer TypeError, before
+    any flux is formed."""
+    g = build_kary_tree(SPEC3)[0]
+    cells = Partition(tuple(tuple(sorted(v for v in g.boundary if v[0] == c)) for c in "01"))
+    assignment = {v: int(v[0]) for v in g.boundary}
+    error = ValueError
+    if kind == "float index":
+        assignment["000"], match, error = 0.5, "Cannot cast", TypeError
+    elif kind == "index out of range":
+        assignment["000"], match = 2, r"cell indices must lie in \[0, 2\)"
+    elif kind == "negative index":
+        assignment["000"], match = -1, r"cell indices must lie in \[0, 2\)"
+    elif kind == "empty cell":
+        assignment, match = dict.fromkeys(g.boundary, 0), "every cell must contain"
+    else:
+        del assignment["111"]
+        match = r"boundary vertices without a cell: \['111'\]"
+    with pytest.raises(error, match=match):
+        exit_measure(g, "root", cells, assignment)
+    with pytest.raises(error, match=match):
+        compressed_dtn(g, cells, [1.0, 1.0], assignment)
+
+
+def test_exit_measure_still_checks_the_solver_output(monkeypatch):
+    """A nonpositive cell mass from the solver is reported, not returned."""
+    g = build_kary_tree(SPEC3)[0]
+    monkeypatch.setattr(HarmonicSolver, "boundary_flux", lambda self, F: np.zeros(F.shape))
+    with pytest.raises(RuntimeError, match="solver output violates positivity"):
+        exit_measure_point_masses(g, "root")

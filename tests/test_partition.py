@@ -601,3 +601,20 @@ def test_canonical_partitions_of_an_empty_set_raise():
 def test_epsilon_components_of_an_empty_set_raise():
     with pytest.raises(ValueError, match="boundary set is empty"):
         epsilon_components(BoundarySet([], np.zeros((0, 0))), 1.0)
+
+
+@pytest.mark.parametrize("kind", ["k-ary", "table", "graph"])
+def test_epsilon_components_rejects_a_nan_eps_on_every_kind_of_set(kind):
+    """NaN compares false with everything, so it once gave a different
+    partition on each kind of set: the depth-3 tree's leaves, a plain
+    `BoundarySet` over their table and the spine-6 graph's boundary.  It is
+    rejected like eps <= 0."""
+    if kind == "graph":
+        b = graph_boundary_set(build_counterexample(CounterexampleSpec(spine=6)))
+    else:
+        b = tree_boundary_set(TreeFamilySpec(depth=3))
+        b = b if kind == "k-ary" else BoundarySet(b.points, b.dist)
+    for eps in (float("nan"), 0.0, -1.0):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            epsilon_components(b, eps)
+    assert len(epsilon_components(b, np.inf)) == 1

@@ -270,11 +270,13 @@ def dtn_min_eigenvalue(D):
 
 
 def certificate_reference(D):
-    """Every field of `DtNMatrix.check_invariants` at its default tolerances,
+    """Every field of `DtNMatrix.check_invariants` at its default tolerance,
     from whole-matrix formulas on S = diag(w) Lam and Sym = (S + S^T) / 2:
     max|S - S^T|, max|Lam 1|, the largest off-diagonal of Sym, the
-    Gershgorin bound min_i (2 S_ii - sum_j |Sym_ij|), min(0, g) / min(w) and
-    the verdict.  Oracle for the tile-pair pass."""
+    Gershgorin bound min_i (2 S_ii - sum_j |Sym_ij|), min(0, g) / min(w),
+    the three checks, each figure over its scale (max w_v |Lam_vv| for the
+    symmetry error, max |Lam_vv| for the kernel error and the eigenvalue
+    bound) within 1e-12, and the verdict.  Oracle for the tile-pair pass."""
     M, w = D.matrix, D.weights
     S = w[:, None] * M
     sym = (S + S.T) / 2.0
@@ -286,8 +288,19 @@ def certificate_reference(D):
               "max_offdiagonal": float(np.max(off)),
               "gershgorin": g,
               "min_eigenvalue": min(g, 0.0) / float(w.min())}
-    report["ok"] = bool(report["symmetry_error"] < 1e-10 and report["kernel_error"] < 1e-10
-                        and report["min_eigenvalue"] >= -1e-10)
+    diag = np.abs(np.diag(M))
+    checks = {}
+    for name, key, scale in (("symmetry", "symmetry_error", float(np.max(w * diag))),
+                             ("kernel", "kernel_error", float(np.max(diag))),
+                             ("psd", "min_eigenvalue", float(np.max(diag)))):
+        figure = report[key]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            value = 0.0 if figure == 0 else float(np.float64(figure) / scale)
+        passed = value >= -1e-12 if name == "psd" else abs(value) <= 1e-12
+        checks[name] = {"value": value, "tolerance": 1e-12, "absolute": figure,
+                        "scale": scale, "passed": bool(passed)}
+    report["checks"] = checks
+    report["ok"] = all(c["passed"] for c in checks.values())
     return report
 
 
