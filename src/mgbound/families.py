@@ -113,6 +113,8 @@ class CounterexampleSpec:
     def __post_init__(self):
         if not (hasattr(type(self.spine), "__index__") and self.spine >= 3):  # as operator.index
             raise ValueError("spine must be >= 3 and an integer")
+        if not math.isfinite(self.pendant_exponent):
+            raise ValueError("pendant_exponent must be finite")
 
     def pendant_count(self, n: int) -> int:
         m = round(n ** self.pendant_exponent)

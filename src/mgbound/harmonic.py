@@ -308,13 +308,13 @@ def solve_dirichlet(g: MetricGraph, boundary_values: dict) -> HarmonicFunction:
     return HarmonicSolver(g).solve(boundary_values)
 
 
-def check_harmonic(f: HarmonicFunction, tol: float = REL_TOL) -> dict:
+def check_harmonic(f: HarmonicFunction) -> dict:
     """Kirchhoff residuals at interior vertices, maximum principle verdict,
     and Dirichlet energy.  The residual at v is `vertex_flux(f, v)`; over v's
     total conductance (both bincounts over the edges) it is the gap between
     f(v) and the conductance-weighted mean of its neighbours.  `kirchhoff`
     judges the largest gap against max|f| (`_judge`); a vertex whose gap
-    exceeds tol max|f| is flagged, and the maximum principle has that slack."""
+    exceeds REL_TOL max|f| is flagged, and the maximum principle has that slack."""
     g = f.graph
     u, v, length = _edge_arrays(g)
     x, ends = _vertex_values(f), np.r_[u, v]
@@ -324,10 +324,10 @@ def check_harmonic(f: HarmonicFunction, tol: float = REL_TOL) -> dict:
     on_boundary = _boundary_mask(g, f.boundary)
     inner = np.flatnonzero(~on_boundary)
     gap, top = np.abs(resid[inner]) / conductance[inner], float(np.max(np.abs(x), initial=0.0))
-    bad, slack, bvals = inner[gap > tol * top], tol * top, x[on_boundary]
+    bad, slack, bvals = inner[gap > REL_TOL * top], REL_TOL * top, x[on_boundary]
     return {
         "max_residual": float(np.max(np.abs(resid[inner]), initial=0.0)),
-        "kirchhoff": _judge(float(np.max(gap, initial=0.0)), top, tol),
+        "kirchhoff": _judge(float(np.max(gap, initial=0.0)), top),
         "flagged": list(zip([g.vertices[i] for i in bad.tolist()], resid[bad].tolist())),
         "max_principle": bool(bvals.min() - slack <= x.min() and x.max() <= bvals.max() + slack),
         "energy": dirichlet_energy(f),

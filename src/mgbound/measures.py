@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .families import TreeFamilySpec, _addresses, _common_prefix, _source_address, ROOT
-from .graph import REL_TOL, MetricGraph, _judge
+from .graph import MetricGraph, _judge
 from .harmonic import HarmonicSolver
 from .partition import CellTree, Partition, _cell_index
 
@@ -53,23 +53,23 @@ class CellMeasure:
     def level_slice(self, level: int) -> np.ndarray:
         return self.masses[level]
 
-    def additivity(self, tol: float = REL_TOL) -> dict:
+    def additivity(self) -> dict:
         """The additivity check (`_judge`): the largest gap between a cell's
         mass and the sum of its children's, over the total mass.  Below a
         one-cell tree a NaN or infinite mass makes a gap NaN or infinite."""
         m, parent = self.masses, self.tree.parent
         gaps = [np.max(np.abs(m[j - 1] - np.bincount(parent(j), weights=m[j])))
                 for j in range(1, len(m))]
-        return _judge(float(np.max(gaps, initial=0.0)), self.total(), tol)
+        return _judge(float(np.max(gaps, initial=0.0)), self.total())
 
-    def check_additivity(self, tol: float = REL_TOL) -> float:
+    def check_additivity(self) -> float:
         """The figure of `additivity`, the largest gap; raises if the check
         fails or any mass is NaN or infinite."""
         for level, m in enumerate(self.masses):
             bad = np.flatnonzero(~np.isfinite(m))
             if len(bad):
                 raise AssertionError(f"non-finite mass at level {level}, cells {bad[:5].tolist()}")
-        check = self.additivity(tol)
+        check = self.additivity()
         if not check["passed"]:
             raise AssertionError(f"additivity violated by {check['absolute']:.3e}, "
                                  f"{check['value']:.3e} of the total mass")
@@ -231,6 +231,6 @@ def dominance_constant(nu1, nu2) -> float:
     nu2 = np.asarray(nu2, dtype=float)
     if nu1.shape != nu2.shape:
         raise ValueError("measures must live on the same cells")
-    if np.min(nu1) <= 0:
-        raise ValueError("nu1 must be strictly positive")
+    if not (np.all((nu1 > 0) & (nu1 < np.inf)) and np.all((nu2 >= 0) & (nu2 < np.inf))):
+        raise ValueError("nu1 must be positive and finite, nu2 nonnegative and finite")
     return float(np.max(nu2 / nu1))

@@ -15,6 +15,7 @@ from mgbound import (CounterexampleSpec, DtNMatrix, TreeFamilySpec, build_counte
                      exit_measure_limit, exit_measure_point_masses, graph_boundary_set,
                      multiresolution_operator, tree_boundary_set)
 from mgbound.families import ROOT
+from mgbound.partition import CellTree
 from mgbound.cli import main
 
 from util import cell_diameter
@@ -76,6 +77,14 @@ def test_partitions_cell_diameters_match_the_per_cell_oracle(tmp_path, argv, b):
     assert len({r[0] for r in rows}) > 2
     for row in rows:
         assert row[3] == cli._fmt(cell_diameter(b, row[4].split(";"))), row
+
+
+def test_partitions_judge_the_mesh_with_no_slack(tmp_path, monkeypatch):
+    """A mesh that grows by 1e-20 fails; it passed under the old 1e-15 slack."""
+    monkeypatch.setattr(CellTree, "mesh", [1e-20, 2e-20])
+    rc, _, report = run(tmp_path, "partitions", "--depth", "1")
+    (check,) = report["checks"]
+    assert rc == 1 and not check["passed"] and check["value"] == check["tolerance"] == 0.0
 
 
 def test_solve_and_check(tmp_path):
@@ -242,18 +251,30 @@ def test_haar_gram_check(tmp_path):
         assert rc == 0 and report["ok"], measure
 
 
-def test_haar_csv_holds_the_dense_basis_with_the_bytes_of_fmt(tmp_path):
-    rc, out, report = run(tmp_path, "haar", "--depth", "3", "--measure", "exit")
+@pytest.mark.parametrize("arity", [2, 3])
+@pytest.mark.parametrize("measure", ["rho", "counting", "exit"])
+def test_haar_csv_lists_the_stored_entries_of_the_basis(tmp_path, measure, arity):
+    """basis.csv has one line `function,level,cell,value` per stored entry of
+    the CSR basis, in storage order, with the bytes of `_fmt`; the entries it
+    does not list are 0, and the lines rebuild the dense basis exactly."""
+    rc, out, report = run(tmp_path, "haar", "--arity", str(arity), "--depth", "3",
+                          "--measure", measure)
     assert rc == 0
-    spec = TreeFamilySpec(arity=2, ratio=0.25, depth=3)
-    tree = canonical_nested_partitions(tree_boundary_set(spec))
-    g, _ = build_kary_tree(spec)
-    basis = build_haar_basis(tree, cell_measure_from_point_masses(
-        tree, exit_measure_point_masses(g, ROOT)))
-    rows = [("function", "level") + tuple(spec.leaf_addresses())] + [
-        (k, level) + tuple(cli._fmt(x) for x in f)
-        for k, (level, f) in enumerate(zip(basis.levels.tolist(), basis.functions))]
-    assert artifact(out, report, "basis.csv").read_bytes() == cli._csv(rows).encode()
+    _, _, basis = cli._build_basis(argparse.Namespace(
+        arity=arity, ratio=0.25, base_length=1.0, depth=3, measure=measure))
+    M, text = basis.matrix, artifact(out, report, "basis.csv").read_text()
+    assert text.count("\n") == M.nnz + 1
+    header, rows = read_csv(artifact(out, report, "basis.csv"))
+    assert header == ["function", "level", "cell", "value"]
+    cells = {c: j for j, c in enumerate(basis.tree.levels[basis.tree.finest].labels)}
+    stored = np.repeat(np.arange(len(basis)), np.diff(M.indptr))
+    assert [(int(k), cells[c]) for k, _, c, _ in rows] == list(
+        zip(stored.tolist(), M.indices.tolist()))
+    dense = np.zeros(M.shape)
+    for k, level, cell, value in rows:
+        assert int(level) == basis.levels[int(k)] and value == cli._fmt(float(value))
+        dense[int(k), cells[cell]] = float(value)
+    assert np.array_equal(dense, M.toarray())
 
 
 @pytest.mark.parametrize("arity", [2, 3])
@@ -740,6 +761,18 @@ def test_number_maps_reject_unknown_and_repeated_keys(tmp_path, capsys, command,
     rc = main(["--outdir", str(out), command, "--depth", "2", flag, str(path)])
     assert rc == 2
     assert message in json.loads(capsys.readouterr().err)["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["counterexample"], ["gen", "--family", "counterexample"]])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_pendant_exponent_exits_2(tmp_path, capsys, command, value):
+    """nan used to fail in round(), inf with an OverflowError."""
+    out = tmp_path / "o"
+    rc = main(["--outdir", str(out), *command, "--spine", "5", f"--pendant-exponent={value}"])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message": "pendant_exponent must be finite"}
     assert not out.exists()
 
 

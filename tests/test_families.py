@@ -114,6 +114,12 @@ def test_counterexample_zero_pendants_rejected():
         build_counterexample(spec)
 
 
+@pytest.mark.parametrize("exponent", [np.nan, np.inf, -np.inf])
+def test_counterexample_pendant_exponent_must_be_finite(exponent):
+    with pytest.raises(ValueError, match="pendant_exponent must be finite"):
+        CounterexampleSpec(spine=5, pendant_exponent=exponent)
+
+
 def test_json_round_trip():
     g, _ = build_kary_tree(TreeFamilySpec(arity=2, ratio=0.25, depth=2))
     text = save_graph(g)

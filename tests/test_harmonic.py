@@ -417,7 +417,7 @@ def test_check_harmonic_matches_the_per_vertex_fluxes():
         interior = [v for v in g.vertices if v not in g.boundary]
         for v in interior:
             f.values[v] += float(rng.normal()) * 1e-9
-        rep = check_harmonic(f, tol=1e-12)
+        rep = check_harmonic(f)
         flux = {v: vertex_flux(f, v) for v in interior}
         assert rep["max_residual"] == pytest.approx(max(map(abs, flux.values()), default=0.0),
                                                     rel=1e-12, abs=1e-15)

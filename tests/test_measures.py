@@ -79,7 +79,7 @@ def test_measures_equal_the_per_cell_loops():
                         (cell_measure_from_point_masses(tree, pm),
                          point_mass_reference(tree, pm))]:
             assert mu.mass == ref
-            assert mu.check_additivity(tol=np.inf) == additivity_reference(tree, ref)
+            assert mu.additivity()["absolute"] == additivity_reference(tree, ref)
 
 
 @pytest.mark.parametrize("mass", [
@@ -292,6 +292,19 @@ def test_dominance_constant_basics():
     assert dominance_constant(nu, 2 * nu) == 2.0
     with pytest.raises(ValueError):
         dominance_constant(np.array([0.0, 1.0]), nu[:2])
+
+
+@pytest.mark.parametrize("nu1, nu2", [
+    ([np.nan, 1.0], [1.0, 1.0]),
+    ([1.0, np.inf], [1.0, 1.0]),
+    ([1.0, 1.0], [np.nan, 1.0]),
+    ([1.0, 1.0], [1.0, np.inf]),
+    ([1.0, 1.0], [-5.0, -1.0]),
+])
+def test_dominance_constant_rejects_non_finite_and_negative_masses(nu1, nu2):
+    """These used to give nan, 1.0, nan, inf and -1.0."""
+    with pytest.raises(ValueError, match="finite"):
+        dominance_constant(nu1, nu2)
 
 
 def test_dominance_two_sources():
