@@ -14,7 +14,9 @@ import hashlib
 import json
 import math
 import os
+import signal
 import sys
+import threading
 
 import numpy as np
 from scipy.sparse import eye_array
@@ -64,17 +66,17 @@ def _atomic_write(path: str, text):
     less the umask, where mkstemp gives 0600), then move it to `path`."""
     d = os.path.dirname(path) or "."
     tmp = os.path.join(d, f".tmp-{os.urandom(8).hex()}")
-    try:
-        fh = open(tmp, "x")  # exclusive: never a file or link already there
-    except FileNotFoundError:  # the directory is made on the first write only
-        os.makedirs(d, exist_ok=True)
-        fh = open(tmp, "x")
-    try:
+    try:  # from the open on: a SIGTERM's SystemExit can come as soon as it returns
+        try:
+            fh = open(tmp, "x")  # exclusive: never a file or link already there
+        except FileNotFoundError:  # the directory is made on the first write only
+            os.makedirs(d, exist_ok=True)
+            fh = open(tmp, "x")
         with fh:
             fh.writelines([text] if isinstance(text, str) else text)
         _replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if not isinstance(exc, FileExistsError) and os.path.exists(tmp):  # a clash: not ours
             os.unlink(tmp)
         raise
 
@@ -483,12 +485,18 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    # in the main thread a SIGTERM exits 143 by SystemExit, so _atomic_write cleans up
+    hook = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, lambda *_: sys.exit(143)) if hook else None
     try:
         return args.func(args)
     except Exception as exc:  # machine-readable failure
         err = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(err), file=sys.stderr)
         return 2
+    finally:
+        if hook:  # previous is None for a handler set outside Python
+            signal.signal(signal.SIGTERM, previous or signal.SIG_DFL)
 
 
 if __name__ == "__main__":

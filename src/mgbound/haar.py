@@ -18,10 +18,11 @@ disjoint support, so orthonormality is global.
 
 Storage: one scipy CSR matrix, rows ordered by level, parent and j.  In the
 depth-first order of the finest cells every cell is a run of positions, and
-psi_j's row is T_j's run (on_e over E_j, after over the rest): O(#cells) work
-per level, then one cumsum, gather and np.repeat give indptr, indices and
-data, a row's indices in that order (sorted where it is the identity, as on
-k-ary trees).  A finest cell in child E_i of a parent with M children lies
+psi_j's row is T_j's run (on_e over E_j, after over the rest): the runs of all
+levels at once in O(#cells) work (only the sums up and the positions down go
+level by level), then one cumsum, gather and np.repeat give indptr, indices
+and data, a row's indices in that order (sorted where it is the identity, as
+on k-ary trees).  A finest cell in child E_i of a parent with M children lies
 in min(i, M-1) of its details, so a k-ary tree's basis has O(K depth)
 non-zeros; transforms cost O(nnz), and the dense `functions` is on demand.
 """
@@ -71,22 +72,22 @@ class HaarBasis:
         return 1.0 / np.array([np.inf] + [a for a, _, _ in self.tree.jumps])[self.levels]
 
 
-def _detail_values(mass: np.ndarray, kids: np.ndarray, start: np.ndarray,
-                   count: np.ndarray):
-    """(on_e, after) per child cell: the values of the detail born of that
-    child on it and on its later siblings.  `kids` lists the children grouped
-    by parent, a parent's group of count[p] at start[p].  The parents with M
-    children form one M-column block, whose tails are np.cumsum(m[::-1])[::-1]
-    of each row, the same sums in the same order; the last child of each
-    parent carries no detail, and its entries stay 0."""
-    on_e, after = np.zeros(len(mass)), np.zeros(len(mass))
-    for M in np.unique(count[count > 1]).tolist():
-        block = kids[start[count == M][:, None] + np.arange(M)]
-        mk = mass[block]
-        tail = np.cumsum(mk[:, ::-1], axis=1)[:, ::-1]
-        on_e[block[:, :-1]] = np.sqrt(tail[:, 1:] / tail[:, :-1] / mk[:, :-1])
-        after[block[:, :-1]] = -np.sqrt(mk[:, :-1] / tail[:, :-1] / tail[:, 1:])
-    return on_e, after
+def _detail_values(mass: np.ndarray, kids: np.ndarray, start: np.ndarray, count: np.ndarray):
+    """Per child cell, the values of the detail born of that child on it
+    (column 0, on_e) and on its later siblings (column 1, after).  `kids`
+    lists the children grouped by parent, a parent's group of count[p] at
+    start[p].  The parents with M children at any level form one M-row
+    block, row j holding their j-th children, whose tails np.cumsum(m[::-1],
+    axis=0)[::-1] add each parent's masses from its last child on; the last
+    child carries no detail, and its entries stay 0."""
+    values = np.zeros((len(mass), 2))
+    for M in (np.flatnonzero(np.bincount(count)[2:]) + 2).tolist():
+        block = kids[start[count == M] + np.arange(M)[:, None]]
+        mk, e = mass[block], block[:-1]
+        tail = np.cumsum(mk[::-1], axis=0)[::-1]
+        values[e, 0] = np.sqrt(tail[1:] / tail[:-1] / mk[:-1])
+        values[e, 1] = -np.sqrt(mk[:-1] / tail[:-1] / tail[1:])
+    return values
 
 
 def build_haar_basis(tree: CellTree, mu: CellMeasure) -> HaarBasis:
@@ -94,42 +95,41 @@ def build_haar_basis(tree: CellTree, mu: CellMeasure) -> HaarBasis:
         raise ValueError("measure was built on a different cell tree")
     if not mu.is_positive():
         raise ValueError("mu must be finite and strictly positive on every cell")
-    K = tree.ncells(tree.finest)
-    w = mu.level_slice(tree.finest)
-    parents = [tree.parent(level) for level in range(1, tree.finest + 1)]
-    # cell masses and finest-cell counts summed up the tree: pairwise sums on
-    # binary trees, where one sequential sum over w drifts by several ulp
-    mass, size = [w], [np.ones(K, dtype=np.intp)]
-    for parent in reversed(parents):
-        mass.insert(0, np.bincount(parent, weights=mass[0]))
-        size.insert(0, np.bincount(parent, weights=size[0]).astype(np.intp))
-    # per row: its run (first position, lengths on E_j and after) and 2 values
-    start = np.zeros(1, dtype=np.intp)  # first position of each cell
-    runs, vals = [[(0, K, 0)]], [[(1.0 / np.sqrt(mu.total()), 0.0)]]
-    for level, parent in enumerate(parents):
-        kids = np.argsort(parent, kind="stable")  # grouped by parent, in cell order
-        count = np.bincount(parent, minlength=len(start))
-        first = np.cumsum(count) - count
-        on_e, after = _detail_values(mass[level + 1], kids, first, count)
-        p, sz = parent[kids], size[level + 1][kids]
-        within = np.cumsum(sz) - sz
-        within -= within[first[p]]  # each kid's offset in its parent's run
-        s = start[p] + within
-        d = np.arange(len(kids)) - first[p] < count[p] - 1  # kids with a detail
-        runs.append(np.column_stack([s[d], sz[d], (size[level][p] - within - sz)[d]]))
-        vals.append(np.column_stack([on_e[kids[d]], after[kids[d]]]))
-        start = np.empty_like(s)
-        start[kids] = s
-    levels = np.repeat(np.arange(len(runs)), [len(r) for r in runs])  # birth levels
-    runs, vals = np.concatenate(runs), np.concatenate(vals)
+    off, parent = tree._all_levels()  # every cell of every level, in one sequence
+    mass, size = np.empty(off[-1]), np.ones(off[-1], dtype=parent.dtype)
+    mass[off[-2]:] = mu.level_slice(tree.finest)
+    # masses and finest-cell counts summed up the tree: pairwise sums on binary
+    # trees, where one sequential sum over the finest masses drifts by several ulp
+    for j in range(tree.finest, 0, -1):
+        up, fine = slice(off[j - 1], off[j]), slice(off[j], off[j + 1])
+        mass[up], size[up] = (np.bincount(tree.parent(j), weights=x[fine]) for x in (mass, size))
+    kids = np.argsort(parent, kind="stable").astype(parent.dtype)  # by parent, in cell order
+    p, kids = parent[kids], kids + 1  # every cell but the root
+    count = np.bincount(parent, minlength=off[-1])
+    first = np.cumsum(count) - count
+    values = _detail_values(mass, kids, first, count)
+    sz = size[kids]
+    within = np.cumsum(sz) - sz
+    within -= within[first[p]]  # each kid's offset in its parent's run
+    start = np.zeros(off[-1], dtype=parent.dtype)  # first position of each cell
+    for a, b in zip(off[1:-1] - 1, off[2:] - 1):  # each level's kids, from the top down
+        start[kids[a:b]] = start[p[a:b]] + within[a:b]
+    d = np.flatnonzero(p[:-1] == p[1:])  # kids with a later sibling: one detail each
+    kids, p, sz, within, K = kids[d], p[d], sz[d], within[d], off[-1] - off[-2]
+    # per row: its run (first position, lengths on E_j and after), 2 values and birth level
+    runs = np.concatenate([[(0, K, 0)], np.column_stack([start[kids], sz, size[p] - within - sz])])
+    vals = np.concatenate([[(1.0 / np.sqrt(mu.total()), 0.0)], values[kids]])
+    levels = np.concatenate([[0], np.searchsorted(off, kids, side="right") - 1])
+    del mass, size, parent, kids, p, count, first, values, sz, within, d  # before nnz-sized
     indptr = np.concatenate([[0], np.cumsum(runs[:, 1] + runs[:, 2])])
     order = np.empty(K, dtype=np.int32 if indptr[-1] < 2 ** 31 else np.int64)
-    order[start] = np.arange(K)  # the finest cell at each position
+    order[start[off[-2]:]] = np.arange(K)  # the finest cell at each position
     pos = np.ones(indptr[-1], dtype=order.dtype)  # +1 in a run, a jump to the next run
     pos[indptr[:-1]] = np.diff(runs[:, 0] - indptr[:-1], prepend=1) + 1
-    matrix = csr_array((np.repeat(vals.ravel(), runs[:, 1:].ravel()),
-                        order[np.cumsum(pos, out=pos)], indptr.astype(order.dtype)), shape=(K, K))
-    return HaarBasis(tree, w, matrix, levels)
+    pos = order[np.cumsum(pos, out=pos)]  # the indices; the steps are freed before the data
+    matrix = csr_array((np.repeat(vals.ravel(), runs[:, 1:].ravel()), pos,
+                        indptr.astype(order.dtype)), shape=(K, K))
+    return HaarBasis(tree, mu.level_slice(tree.finest), matrix, levels)
 
 
 def analyze(basis: HaarBasis, F) -> np.ndarray:

@@ -15,31 +15,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
 from .families import TreeFamilySpec, _addresses, _common_prefix, _source_address, ROOT
 from .graph import MetricGraph, _judge
 from .harmonic import HarmonicSolver
-from .partition import CellTree, Partition, _cell_index
+from .partition import CellTree, Partition, _cell_index, _read_only
 
 
 @dataclass
 class CellMeasure:
     """Nonnegative additive set function on the cells of a CellTree:
-    masses[j][c] is the mass of cell c of level j, one read-only float array
-    per level of the tree."""
+    masses[j][c] is the mass of cell c of level j, masses[j] a read-only view
+    of level j in one array of every level's masses, level after level."""
     tree: CellTree
     masses: list
 
     def __post_init__(self):
-        self.masses = [np.array(m, dtype=float) for m in self.masses]
-        if [m.shape for m in self.masses] != [(self.tree.ncells(j),)
-                                              for j in range(self.tree.finest + 1)]:
-            raise ValueError("masses must hold one array per level of the tree, "
-                             "one mass per cell")
-        for m in self.masses:
-            m.flags.writeable = False
+        masses = [np.asarray(m, dtype=float) for m in self.masses]
+        sizes = [self.tree.ncells(j) for j in range(self.tree.finest + 1)]
+        if [m.shape for m in masses] != [(n,) for n in sizes]:
+            raise ValueError("masses must hold one array per level of the tree, one mass per cell")
+        self._all, off = _read_only(np.concatenate(masses)), list(accumulate(sizes, initial=0))
+        self.masses = [self._all[a:b] for a, b in zip(off, off[1:])]
 
     @cached_property
     def mass(self) -> dict:
@@ -48,7 +48,7 @@ class CellMeasure:
                 for ci, m in enumerate(arr.tolist())}
 
     def total(self) -> float:
-        return float(self.masses[0][0])
+        return float(self._all[0])
 
     def level_slice(self, level: int) -> np.ndarray:
         return self.masses[level]
@@ -57,18 +57,17 @@ class CellMeasure:
         """The additivity check (`_judge`): the largest gap between a cell's
         mass and the sum of its children's, over the total mass.  Below a
         one-cell tree a NaN or infinite mass makes a gap NaN or infinite."""
-        m, parent = self.masses, self.tree.parent
-        gaps = [np.max(np.abs(m[j - 1] - np.bincount(parent(j), weights=m[j])))
-                for j in range(1, len(m))]
+        (off, parent), m = self.tree._all_levels(), self._all
+        gaps = np.abs(m[:off[-2]] - np.bincount(parent, weights=m[1:], minlength=off[-2]))
         return _judge(float(np.max(gaps, initial=0.0)), self.total())
 
     def check_additivity(self) -> float:
         """The figure of `additivity`, the largest gap; raises if the check
         fails or any mass is NaN or infinite."""
-        for level, m in enumerate(self.masses):
-            bad = np.flatnonzero(~np.isfinite(m))
-            if len(bad):
-                raise AssertionError(f"non-finite mass at level {level}, cells {bad[:5].tolist()}")
+        if not np.all(np.isfinite(self._all)):
+            level = next(j for j, m in enumerate(self.masses) if not np.all(np.isfinite(m)))
+            bad = np.flatnonzero(~np.isfinite(self.masses[level]))
+            raise AssertionError(f"non-finite mass at level {level}, cells {bad[:5].tolist()}")
         check = self.additivity()
         if not check["passed"]:
             raise AssertionError(f"additivity violated by {check['absolute']:.3e}, "
@@ -76,7 +75,7 @@ class CellMeasure:
         return check["absolute"]
 
     def is_positive(self) -> bool:
-        return all(np.all((m > 0) & (m < np.inf)) for m in self.masses)
+        return bool(np.all((self._all > 0) & (self._all < np.inf)))
 
 
 def equal_split_measure(tree: CellTree) -> CellMeasure:

@@ -336,6 +336,13 @@ class CellTree:
             raise ValueError(f"level {level} has no parent level")
         return self._parents[level - 1]
 
+    def _all_levels(self):
+        """(off, parent), made on each call: every level's cells in one sequence,
+        level j's from off[j], and parent[i - 1] the number of cell i's parent."""
+        off = np.cumsum([0, 1] + [len(p) for p in self._parents])
+        return off, np.concatenate([np.zeros(0, int)] + [p + o for p, o in zip(self._parents, off)],
+                                   dtype=_index_dtype(int(off[-1])))
+
 
 def _diameters(b: BoundarySet, cell: list) -> list:
     """The diameter of every cell of every level, indexed by cell.  With the

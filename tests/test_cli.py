@@ -1,9 +1,12 @@
 import argparse
 import json
 import os
+import signal
 import stat
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -546,6 +549,68 @@ def test_atomic_write_onto_a_directory_fails_and_leaves_no_temporary(tmp_path):
     with pytest.raises(IsADirectoryError):
         cli._atomic_write(str(tmp_path / "a.csv"), "new\n")
     assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
+
+
+def test_atomic_write_removes_a_temporary_interrupted_just_after_its_open(tmp_path,
+                                                                         monkeypatch):
+    """A SIGTERM's SystemExit raised as the exclusive open returns, before any
+    write, still finds the cleanup."""
+    def open_then_exit(name, mode):
+        open(name, mode).close()
+        raise SystemExit(143)
+
+    monkeypatch.setattr(cli, "open", open_then_exit, raising=False)
+    with pytest.raises(SystemExit):
+        cli._atomic_write(str(tmp_path / "a.csv"), "new\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_atomic_write_leaves_a_file_it_did_not_make(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.os, "urandom", lambda n: bytes(n))
+    (tmp_path / ".tmp-0000000000000000").write_text("another writer's\n")
+    with pytest.raises(FileExistsError):
+        cli._atomic_write(str(tmp_path / "a.csv"), "new\n")
+    assert [p.name for p in tmp_path.iterdir()] == [".tmp-0000000000000000"]
+
+
+def test_sigterm_during_a_write_exits_143_and_leaves_no_temporary(tmp_path):
+    """SIGTERM sent once `haar` has opened its basis.csv temporary: main turns
+    it into SystemExit(143), which _atomic_write's cleanup sees."""
+    src = os.path.dirname(os.path.dirname(mgbound.__file__))
+    out = tmp_path / "out"
+    proc = subprocess.Popen([sys.executable, "-m", "mgbound.cli", "--outdir", str(out),
+                             "haar", "--depth", "14"], env=dict(os.environ, PYTHONPATH=src),
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    try:
+        deadline = time.monotonic() + 120
+        while not list(out.glob(".tmp-*")) and proc.poll() is None:
+            assert time.monotonic() < deadline, "no temporary file appeared"
+            time.sleep(0.002)
+        proc.send_signal(signal.SIGTERM)
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 143, err
+    assert list(out.glob(".tmp-*")) == [] and not (out / "report.json").exists()
+
+
+def test_main_restores_the_sigterm_handler_and_runs_outside_the_main_thread(tmp_path):
+    def handler(signum, frame):
+        pass
+
+    previous = signal.signal(signal.SIGTERM, handler)
+    try:
+        assert main(["--outdir", str(tmp_path / "a"), "gen", "--depth", "2"]) == 0
+        assert signal.getsignal(signal.SIGTERM) is handler
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    codes = []  # only the main thread may set a handler; another leaves SIGTERM alone
+    worker = threading.Thread(target=lambda: codes.append(
+        main(["--outdir", str(tmp_path / "b"), "gen", "--depth", "2"])))
+    worker.start()
+    worker.join()
+    assert codes == [0] and signal.getsignal(signal.SIGTERM) is previous
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -20,7 +20,8 @@ from mgbound import (TreeFamilySpec, CounterexampleSpec, BoundarySet, CellMeasur
 from mgbound.families import ROOT
 
 from util import (children_by_name, haar_dense_reference, haar_gram_schmidt_reference,
-                  random_boundary_set, random_connected_graph, star_graph)
+                  haar_per_level_reference, random_boundary_set, random_connected_graph,
+                  star_graph)
 
 
 def dyadic_tree(depth):
@@ -187,6 +188,48 @@ def test_sparse_basis_equals_dense_reference_on_shuffled_cell_trees():
     assert min(unsorted, chains, wide) >= 10
 
 
+def _many_child_counts_tree():
+    """A three-level cell tree whose parents have 25 distinct child counts:
+    superclusters 0..4 of 2..6 clusters, cluster b of supercluster a holding
+    8 + 6a + b points, the point names shuffled so that the cells are not
+    numbered in depth-first order."""
+    group = [(a, b) for a in range(5) for b in range(a + 2) for _ in range(8 + 6 * a + b)]
+    names = [f"p{i:03d}" for i in np.random.default_rng(5).permutation(len(group))]
+    sup, sub = np.array(group).T
+    dist = np.where(sup[:, None] != sup, 100.0, np.where(sub[:, None] != sub, 10.0, 1.0))
+    np.fill_diagonal(dist, 0.0)
+    return canonical_nested_partitions(BoundarySet(names, dist))
+
+
+def _assert_csr_equals_the_per_level_build(tree, mu):
+    basis = build_haar_basis(tree, mu)
+    ref, ref_levels = haar_per_level_reference(tree, mu)
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(basis.matrix, name), getattr(ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert basis.levels.dtype == ref_levels.dtype and np.array_equal(basis.levels, ref_levels)
+
+
+def test_csr_arrays_equal_the_per_level_build():
+    """All levels built at once give the arrays, dtypes included, of the
+    build one level at a time, bit for bit."""
+    for family in ("binary-6", "ternary-4", "spine-12", "star-40"):
+        g, tree, source = _family(family)
+        for measure in ("rho", "counting", "exit"):
+            _assert_csr_equals_the_per_level_build(tree, _measure(measure, g, tree, source))
+    rng = np.random.default_rng(29)
+    wide = _many_child_counts_tree()
+    counts = [np.bincount(wide.parent(j)) for j in range(1, wide.finest + 1)]
+    assert wide.finest == 3 and len(np.unique(np.concatenate(counts))) >= 20
+    for tree in [*_shuffled_trees(), wide]:
+        masses = {x: float(rng.uniform(0.1, 10.0)) for x in tree.boundary.points}
+        for mu in (equal_split_measure(tree), counting_measure(tree),
+                   cell_measure_from_point_masses(tree, masses)):
+            _assert_csr_equals_the_per_level_build(tree, mu)
+    one = canonical_nested_partitions(BoundarySet(["x"], np.zeros((1, 1))))
+    _assert_csr_equals_the_per_level_build(one, CellMeasure(one, [[4.0]]))
+
+
 def test_depth_12_transforms_form_no_dense_array():
     K = 4096
     _, tree = dyadic_tree(12)
@@ -273,6 +316,14 @@ def test_depth_18_haar_chain_in_bounded_memory():
     """Binary depth 18 (262 144 leaves): the rho and counting bases built one
     after the other hold round trip and Parseval, with no Gram matrix."""
     assert _haar_chain(18, gram=False)["peak_rss_mb"] < 400
+
+
+def test_depth_20_haar_chain_in_bounded_memory():
+    """Binary depth 20 (1 048 576 leaves), as at depth 18.  The bound is the
+    highest peak of the build made one level at a time (1 119-1 126 MB in six
+    runs on a shared 2-vCPU x86-64 Linux VM); the build of all levels at once
+    peaks at about 1 029 MB there."""
+    assert _haar_chain(20, gram=False)["peak_rss_mb"] < 1126
 
 
 def test_haar_chain_makes_no_named_partition_and_no_mass_dict(monkeypatch):

@@ -1,19 +1,21 @@
+import re
+
 import numpy as np
 import pytest
 
 import mgbound.measures
 
-from mgbound import (CellMeasure, TreeFamilySpec, CounterexampleSpec, build_counterexample,
-                     build_kary_tree, tree_boundary_set, graph_boundary_set,
-                     canonical_nested_partitions, equal_split_measure,
+from mgbound import (BoundarySet, CellMeasure, TreeFamilySpec, CounterexampleSpec,
+                     build_counterexample, build_kary_tree, tree_boundary_set,
+                     graph_boundary_set, canonical_nested_partitions, equal_split_measure,
                      counting_measure, cell_measure_from_point_masses,
                      exit_measure, exit_measure_point_masses, exit_measure_limit,
                      dominance_constant, metric_graph, HarmonicSolver,
-                     vertex_flux, compressed_dtn, compressed_dtn_limit)
+                     vertex_flux, compressed_dtn, compressed_dtn_limit, build_haar_basis)
 from mgbound.partition import Partition
 
-from util import (additivity_reference, counting_reference, equal_split_reference,
-                  exit_mass_closed_form, exit_measure_pinned, path_graph,
+from util import (additivity_per_level_reference, additivity_reference, counting_reference,
+                  equal_split_reference, exit_mass_closed_form, exit_measure_pinned, path_graph,
                   point_mass_reference, random_boundary_set, random_connected_graph,
                   star_graph, with_parallel_edges)
 
@@ -114,6 +116,79 @@ def test_cell_measure_masses_are_read_only_copies(tree3):
     assert nu.total() == 8.0
     with pytest.raises(ValueError):
         nu.level_slice(1)[0] = 0.0
+
+
+def test_cell_measure_levels_are_read_only_views_of_one_array(tree3):
+    for mu in (equal_split_measure(tree3), counting_measure(tree3)):
+        base = mu.masses[0].base
+        assert all(m.base is base for m in mu.masses)
+        assert np.array_equal(base, np.concatenate(mu.masses))  # level after level
+        assert not base.flags.writeable and not any(m.flags.writeable for m in mu.masses)
+        with pytest.raises(ValueError):
+            mu.masses[2][0] = 0.0
+
+
+def _additivity_trees():
+    """k-ary trees, the spine and cell trees numbered out of depth-first
+    order (random metrics on shuffled names, boundaries of random graphs)."""
+    yield canonical_nested_partitions(tree_boundary_set(SPEC3.at_depth(10)))
+    yield canonical_nested_partitions(tree_boundary_set(TreeFamilySpec(arity=3, depth=5)))
+    yield canonical_nested_partitions(
+        graph_boundary_set(build_counterexample(CounterexampleSpec(spine=12))))
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        yield canonical_nested_partitions(
+            random_boundary_set(rng, "rounded" if seed % 2 else "ultrametric"))
+        yield canonical_nested_partitions(graph_boundary_set(random_connected_graph(rng)))
+
+
+def test_additivity_equals_the_per_level_loop():
+    """One `bincount` over every level gives the per-level figure exactly,
+    whether the check passes or (the total added to a finest mass) fails."""
+    rng = np.random.default_rng(31)
+    for tree in _additivity_trees():
+        pm = {x: float(rng.uniform(0.1, 10.0)) for x in tree.boundary.points}
+        for mu in (equal_split_measure(tree), counting_measure(tree),
+                   cell_measure_from_point_masses(tree, pm)):
+            want = additivity_per_level_reference(mu)
+            assert mu.additivity()["absolute"] == want
+            assert mu.check_additivity() == want
+            masses = [m.copy() for m in mu.masses]
+            masses[-1][-1] += mu.total()
+            bad = CellMeasure(tree, masses)
+            want = additivity_per_level_reference(bad)
+            assert bad.additivity()["absolute"] == want and not bad.additivity()["passed"]
+            with pytest.raises(AssertionError, match=re.escape(f"violated by {want:.3e}, ")):
+                bad.check_additivity()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+def test_a_bad_finest_mass_is_reported_as_before(tree3, bad):
+    masses = [m.copy() for m in counting_measure(tree3).masses]
+    masses[-1][[5, 6]] = bad
+    mu = CellMeasure(tree3, masses)
+    assert mu.is_positive() is False
+    with pytest.raises(AssertionError) as failure:
+        mu.check_additivity()
+    assert str(failure.value) == ("additivity violated by 1.000e+00, 1.250e-01 of the total mass"
+                                  if bad == 0.0 else "non-finite mass at level 3, cells [5, 6]")
+    with pytest.raises(ValueError) as failure:
+        build_haar_basis(tree3, mu)
+    assert str(failure.value) == "mu must be finite and strictly positive on every cell"
+
+
+def test_a_one_cell_measure():
+    tree = canonical_nested_partitions(BoundarySet(["x"], np.zeros((1, 1))))
+    mu = CellMeasure(tree, [[4.0]])
+    assert mu.total() == 4.0 and mu.mass == {(0, 0): 4.0} and mu.is_positive() is True
+    assert mu.check_additivity() == 0.0 and mu.additivity()["passed"]
+    assert not mu.level_slice(0).flags.writeable
+    for nu in (equal_split_measure(tree), counting_measure(tree)):
+        assert nu.masses == [np.ones(1)] and nu.check_additivity() == 0.0
+    nan = CellMeasure(tree, [[np.nan]])
+    with pytest.raises(AssertionError, match=r"^non-finite mass at level 0, cells \[0\]$"):
+        nan.check_additivity()
+    assert nan.is_positive() is False
 
 
 def _pinned_cases():

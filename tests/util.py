@@ -355,6 +355,17 @@ def additivity_reference(tree, mass):
     return worst
 
 
+def additivity_per_level_reference(mu):
+    """The largest gap between a cell's mass and the sum of its children's,
+    one `bincount` per level, as `CellMeasure.additivity` found it before it
+    made one `bincount` over every level.  Oracle for it: the sums are the
+    same, so the figures must be equal to the last bit."""
+    m, parent = mu.masses, mu.tree.parent
+    gaps = [np.max(np.abs(m[j - 1] - np.bincount(parent(j), weights=m[j])))
+            for j in range(1, len(m))]
+    return float(np.max(gaps, initial=0.0))
+
+
 def haar_gram_schmidt_reference(tree, mu):
     """Haar functions and birth levels by modified Gram-Schmidt with one
     re-orthogonalization pass: per parent cell with children E(1..M), on
@@ -435,6 +446,58 @@ def haar_dense_reference(tree, mu):
             levels[row:row + M - 1] = level + 1
             row += M - 1
     return functions, levels
+
+
+def haar_per_level_reference(tree, mu):
+    """(matrix, levels) of the CSR Haar basis built one level at a time, as
+    `build_haar_basis` did before it built every level at once, with each
+    level's detail values taken over that level's parents.
+    Oracle for build_haar_basis, whose CSR arrays must equal its arrays, dtypes
+    included."""
+    def detail_values(mass, kids, start, count):  # one M-column block per child count
+        on_e, after = np.zeros(len(mass)), np.zeros(len(mass))
+        for M in np.unique(count[count > 1]).tolist():
+            block = kids[start[count == M][:, None] + np.arange(M)]
+            mk = mass[block]
+            tail = np.cumsum(mk[:, ::-1], axis=1)[:, ::-1]
+            on_e[block[:, :-1]] = np.sqrt(tail[:, 1:] / tail[:, :-1] / mk[:, :-1])
+            after[block[:, :-1]] = -np.sqrt(mk[:, :-1] / tail[:, :-1] / tail[:, 1:])
+        return on_e, after
+
+    K = tree.ncells(tree.finest)
+    w = mu.level_slice(tree.finest)
+    parents = [tree.parent(level) for level in range(1, tree.finest + 1)]
+    mass, size = [w], [np.ones(K, dtype=np.intp)]
+    for parent in reversed(parents):
+        mass.insert(0, np.bincount(parent, weights=mass[0]))
+        size.insert(0, np.bincount(parent, weights=size[0]).astype(np.intp))
+    start = np.zeros(1, dtype=np.intp)  # first position of each cell
+    runs, vals = [[(0, K, 0)]], [[(1.0 / np.sqrt(mu.total()), 0.0)]]
+    for level, parent in enumerate(parents):
+        kids = np.argsort(parent, kind="stable")
+        count = np.bincount(parent, minlength=len(start))
+        first = np.cumsum(count) - count
+        on_e, after = detail_values(mass[level + 1], kids, first, count)
+        p, sz = parent[kids], size[level + 1][kids]
+        within = np.cumsum(sz) - sz
+        within -= within[first[p]]
+        s = start[p] + within
+        d = np.arange(len(kids)) - first[p] < count[p] - 1
+        runs.append(np.column_stack([s[d], sz[d], (size[level][p] - within - sz)[d]]))
+        vals.append(np.column_stack([on_e[kids[d]], after[kids[d]]]))
+        start = np.empty_like(s)
+        start[kids] = s
+    levels = np.repeat(np.arange(len(runs)), [len(r) for r in runs])
+    runs, vals = np.concatenate(runs), np.concatenate(vals)
+    indptr = np.concatenate([[0], np.cumsum(runs[:, 1] + runs[:, 2])])
+    order = np.empty(K, dtype=np.int32 if indptr[-1] < 2 ** 31 else np.int64)
+    order[start] = np.arange(K)
+    pos = np.ones(indptr[-1], dtype=order.dtype)
+    pos[indptr[:-1]] = np.diff(runs[:, 0] - indptr[:-1], prepend=1) + 1
+    matrix = sp.csr_array((np.repeat(vals.ravel(), runs[:, 1:].ravel()),
+                           order[np.cumsum(pos, out=pos)], indptr.astype(order.dtype)),
+                          shape=(K, K))
+    return matrix, levels
 
 
 def kary_tree_reference(spec):
