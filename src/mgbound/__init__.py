@@ -9,8 +9,8 @@ from .partition import (BoundarySet, Partition, CellTree, tree_boundary_set,
                         graph_boundary_set, epsilon_components, jump_values,
                         canonical_nested_partitions)
 from .harmonic import (HarmonicSolver, HarmonicFunction, assemble_laplacian,
-                       solve_dirichlet, edge_derivative, vertex_flux,
-                       dirichlet_energy, check_harmonic, counterexample_recurrence)
+                       solve_dirichlet, vertex_flux, check_harmonic,
+                       counterexample_recurrence)
 from .measures import (CellMeasure, equal_split_measure, counting_measure,
                        cell_measure_from_point_masses, exit_measure,
                        exit_measure_point_masses, exit_measure_limit,

@@ -56,9 +56,11 @@ class DtNMatrix:
         matrix is no Laplacian and is reported as failing.
 
         `checks` holds three `_judge` records, `ok` their joint verdict: the
-        symmetry error over max w_v |Lam_vv| (at sym_tol), the kernel error
-        and the eigenvalue bound over max |Lam_vv|, the scales the
-        rounding grows with (binary r = 1/4, depth 9: a kernel error 2.6e-10).
+        symmetry error (at sym_tol) and min(0, g), both sums of entries of S,
+        over max |S_vv|, and the kernel error over max |Lam_vv|, the scales
+        the rounding grows with (binary r = 1/4, depth 9: a kernel error
+        2.6e-10; spine 40 under exit weights from 0.05 to 1: g = -1.3e-12,
+        1.7e-13 of max |S_vv|, where min_eigenvalue reads 20 times g).
 
         All but the kernel error come from one pass over the pairs I <= J of
         TILE x TILE tiles: S[I, J] and S[J, I]^T are read once, and the pair
@@ -95,11 +97,11 @@ class DtNMatrix:
             "min_eigenvalue": min(g, 0.0) / float(w.min()),
         }
         diag = np.abs(np.diagonal(M))
-        scale = float(np.max(diag))
+        s_scale = float(np.max(w * diag))
         report["checks"] = {
-            "symmetry": _judge(report["symmetry_error"], float(np.max(w * diag)), sym_tol),
-            "kernel": _judge(report["kernel_error"], scale),
-            "psd": _judge(report["min_eigenvalue"], scale)}  # min_eigenvalue <= 0
+            "symmetry": _judge(report["symmetry_error"], s_scale, sym_tol),
+            "kernel": _judge(report["kernel_error"], float(np.max(diag))),
+            "psd": _judge(min(g, 0.0), s_scale)}
         report["ok"] = all(c["passed"] for c in report["checks"].values())
         return report
 

@@ -36,28 +36,19 @@ class Edge:
     v: str
     length: float
 
-    def other(self, w: str) -> str:
-        if w == self.u:
-            return self.v
-        if w == self.v:
-            return self.u
-        raise ValueError(f"vertex {w!r} is not an endpoint of edge {self.id!r}")
-
 
 @dataclass(frozen=True)
 class MetricGraph:
     """Sorted vertex ids, edges sorted by id, and the boundary vertex set.
 
-    `_edge_arrays` (endpoint positions in `vertices`, lengths) and
-    `_on_boundary` (a boolean mask over `vertices`) give the same graph as
-    arrays, made on first use and cached on the instance.
+    The numerical layers read the graph as arrays, made on first use and
+    cached on the instance: `_edge_arrays` (endpoint positions in
+    `vertices`, lengths) and `_on_boundary` (a boolean mask over `vertices`
+    of the boundary).
     """
     vertices: tuple
     edges: tuple
     boundary: frozenset
-
-    def interior(self):
-        return [v for v in self.vertices if v not in self.boundary]
 
 
 def metric_graph(vertices, edges, boundary) -> MetricGraph:
@@ -72,29 +63,14 @@ def metric_graph(vertices, edges, boundary) -> MetricGraph:
     return MetricGraph(tuple(sorted(vertices)), es, frozenset(boundary))
 
 
-def adjacency(g: MetricGraph):
-    """Vertex -> list of incident edges (sorted by edge id).
-
-    Cached on the instance: rehashing a large frozen graph per call (as an
-    lru_cache key would) is quadratic in practice.
-    """
-    adj = getattr(g, "_adjacency", None)
-    if adj is None:
-        adj = {v: [] for v in g.vertices}
-        for e in g.edges:
-            adj[e.u].append(e)
-            adj[e.v].append(e)
-        object.__setattr__(g, "_adjacency", adj)
-    return adj
-
-
 def _edge_arrays(g: MetricGraph):
     """Edge endpoints and lengths as arrays (u, v, length), endpoints given by
     their positions in g.vertices and edges in g.edges order.
 
-    Made on first use and cached on the instance, like `adjacency`; an edge
-    to an unknown vertex raises KeyError here, so such a graph can still be
-    made and reported by `validate`.
+    Made on first use and cached on the instance (rehashing a large frozen
+    graph per call, as an lru_cache key would, is quadratic in practice); an
+    edge to an unknown vertex raises KeyError here, so such a graph can still
+    be made and reported by `validate`.
     """
     arrays = getattr(g, "_edge_array_view", None)
     if arrays is None:
@@ -107,15 +83,18 @@ def _edge_arrays(g: MetricGraph):
     return arrays
 
 
-def _on_boundary(g: MetricGraph) -> np.ndarray:
-    """Boolean mask over g.vertices of the boundary vertices, made on first
-    use and cached like `_edge_arrays`."""
-    mask = getattr(g, "_boundary_mask", None)
-    if mask is None:
-        mask = np.fromiter((v in g.boundary for v in g.vertices), dtype=bool,
-                           count=len(g.vertices))
-        object.__setattr__(g, "_boundary_mask", mask)
-    return mask
+def _on_boundary(g: MetricGraph, boundary=None) -> np.ndarray:
+    """Boolean mask over g.vertices of `boundary`, by default g's own; the
+    mask of g's own boundary is made on first use and cached like
+    `_edge_arrays`."""
+    if boundary is None:
+        mask = getattr(g, "_boundary_mask", None)
+        if mask is None:
+            mask = _on_boundary(g, g.boundary)
+            object.__setattr__(g, "_boundary_mask", mask)
+        return mask
+    bset = frozenset(boundary)
+    return np.fromiter((v in bset for v in g.vertices), dtype=bool, count=len(g.vertices))
 
 
 def _shortest_edge_matrix(g: MetricGraph) -> csr_matrix:

@@ -23,8 +23,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import breadth_first_order
 
 from .families import CounterexampleSpec
-from .graph import (REL_TOL, Edge, MetricGraph, _component_labels, _edge_arrays, _judge,
-                    _on_boundary, adjacency)
+from .graph import REL_TOL, MetricGraph, _component_labels, _edge_arrays, _judge, _on_boundary
 
 FLUX_BLOCK = 64  # right-hand sides per interior solve in boundary_flux
 
@@ -47,19 +46,11 @@ def _laplacian_triplets(g: MetricGraph, keep=slice(None)):
             np.column_stack([-c, -c, c, c]).ravel())
 
 
-def _boundary_mask(g: MetricGraph, boundary) -> np.ndarray:
-    """Boolean mask over g.vertices of `boundary`, by default g's own."""
-    if boundary is None:
-        return _on_boundary(g)
-    bset = frozenset(boundary)
-    return np.fromiter((x in bset for x in g.vertices), dtype=bool, count=len(g.vertices))
-
-
 def assemble_laplacian(g: MetricGraph, boundary=None) -> WeightedLaplacian:
     """One COO call over all the triplets of `_laplacian_triplets`."""
     n = len(g.vertices)
     rows, cols, vals = _laplacian_triplets(g)
-    on_boundary = _boundary_mask(g, boundary)
+    on_boundary = _on_boundary(g, boundary)
     return WeightedLaplacian(g.vertices, sp.csr_matrix((vals, (rows, cols)), shape=(n, n)),
                              np.flatnonzero(~on_boundary), np.flatnonzero(on_boundary))
 
@@ -71,15 +62,14 @@ class HarmonicFunction:
     boundary: tuple  # pinned vertices (may extend g.boundary, e.g. a source)
 
 
-def edge_derivative(f: HarmonicFunction, e: Edge, v) -> float:
-    """Oriented slope of f along e with v at the terminal end."""
-    other = e.other(v)
-    return (f.values[v] - f.values[other]) / e.length
-
-
 def vertex_flux(f: HarmonicFunction, v) -> float:
-    """Sum of oriented edge derivatives at v over incident edges."""
-    return sum(edge_derivative(f, e, v) for e in adjacency(f.graph)[v])
+    """Sum of the oriented edge derivatives (f(v) - f(other)) / l at v over the
+    edges that touch v, in g.edges order: the one reading of a graph by vertex
+    name, kept as the per-vertex oracle of the array paths.  KeyError for a
+    vertex not in the graph."""
+    x, fv = f.values, f.values[v]
+    return sum((fv - x[e.v if e.u == v else e.u]) / e.length
+               for e in f.graph.edges if v in (e.u, e.v))
 
 
 def _vertex_values(f: HarmonicFunction) -> np.ndarray:
@@ -92,11 +82,6 @@ def _edge_energy(g: MetricGraph, x: np.ndarray) -> float:
     for values x over g.vertices."""
     u, v, length = _edge_arrays(g)
     return float(np.sum((x[u] - x[v]) ** 2 / length))
-
-
-def dirichlet_energy(f: HarmonicFunction) -> float:
-    """Sum over edges of c (f(u) - f(v))^2, c = 1 / l the edge's conductance."""
-    return _edge_energy(f.graph, _vertex_values(f))
 
 
 class HarmonicSolver:
@@ -118,7 +103,7 @@ class HarmonicSolver:
     _use_direct = True  # every solve is direct; perfbench's tracer reads this
 
     def __init__(self, g: MetricGraph, boundary=None):
-        on_boundary = _boundary_mask(g, boundary)
+        on_boundary = _on_boundary(g, boundary)
         if not on_boundary.any():
             raise ValueError("boundary is empty")
         self.graph = g
@@ -321,7 +306,7 @@ def check_harmonic(f: HarmonicFunction) -> dict:
     slope = (x[u] - x[v]) / length  # the derivative at u; at v it is -slope
     resid = np.bincount(ends, np.r_[slope, -slope], len(x))
     conductance = np.bincount(ends, np.r_[1.0 / length, 1.0 / length], len(x))
-    on_boundary = _boundary_mask(g, f.boundary)
+    on_boundary = _on_boundary(g, f.boundary)
     inner = np.flatnonzero(~on_boundary)
     gap, top = np.abs(resid[inner]) / conductance[inner], float(np.max(np.abs(x), initial=0.0))
     bad, slack, bvals = inner[gap > REL_TOL * top], REL_TOL * top, x[on_boundary]
@@ -330,7 +315,7 @@ def check_harmonic(f: HarmonicFunction) -> dict:
         "kirchhoff": _judge(float(np.max(gap, initial=0.0)), top),
         "flagged": list(zip([g.vertices[i] for i in bad.tolist()], resid[bad].tolist())),
         "max_principle": bool(bvals.min() - slack <= x.min() and x.max() <= bvals.max() + slack),
-        "energy": dirichlet_energy(f),
+        "energy": _edge_energy(g, x),
     }
 
 

@@ -89,6 +89,47 @@ class BoundarySet:
         i, j = parent[1:], np.arange(1, n)
         return i, j, D[i, j]
 
+    def _cuts(self, alphas):
+        """The cell of each point at each eps in `alphas`, as
+        `canonical_nested_partitions` says."""
+        n = len(self)
+        if n == 0:
+            raise ValueError("boundary set is empty")
+        i, j, w = self.mst
+        pred = breadth_first_order(csr_matrix((w, (i, j)), shape=(n, n)), 0, directed=False)[1]
+        point, pw = np.arange(n), np.full(n, np.inf)  # pw: the weight of the parent edge
+        pw[np.where(pred[j] == i, j, i)] = w
+        parent, rank = np.where(pred < 0, point, pred), np.empty(n, dtype=np.intp)
+        rank[self.order] = point
+        for alpha in alphas:
+            top = np.where(pw < alpha, parent, point)
+            up = top[top]
+            while not np.array_equal(up, top):
+                top, up = up, up[up]
+            first = np.full(n, n)
+            np.minimum.at(first, top, rank)
+            first = first[top]  # the rank of the smallest member of each point's cell
+            lead = np.zeros(n, dtype=bool)
+            lead[first] = True
+            yield (np.cumsum(lead, dtype=_index_dtype(n)) - 1)[first]
+
+    def _diameters(self, cell: list) -> list:
+        """The diameter of every cell of every level, indexed by cell.  With the
+        points sorted by their cell at every level, coarsest first, each cell is
+        one contiguous diagonal block of the permuted table."""
+        order = np.lexsort(cell[::-1])
+        D = self.dist[np.ix_(order, order)]
+        out = []
+        for c in cell:
+            c = c[order]
+            cuts = (np.flatnonzero(c[1:] != c[:-1]) + 1).tolist()
+            diam = np.zeros(len(cuts) + 1)
+            for s, e in zip([0] + cuts, cuts + [len(c)]):
+                if e - s > 1:
+                    diam[c[s]] = D[s:e, s:e].max()
+            out.append(diam)
+        return out
+
 
 class _KaryBoundarySet(BoundarySet):
     """The depth-n leaves of a k-ary tree, leaf i in sorted order having the
@@ -113,14 +154,20 @@ class _KaryBoundarySet(BoundarySet):
     def diameter(self) -> float:
         return float(self.table[0])
 
-    def prefix_cells(self, j: int) -> np.ndarray:
-        """The cell of each leaf at level j: its class of length-j prefixes."""
-        n = len(self)
-        return np.arange(n, dtype=_index_dtype(n)) // self.arity ** (len(self.table) - 1 - j)
-
     def jumps(self) -> list:
         k = self.arity
         return [(float(t), k ** (a + 1), k ** a) for a, t in enumerate(self.table[:-1])]
+
+    def _cuts(self, alphas):
+        """At each eps, the classes of length-j prefixes, j = #{a < n : table[a] >= eps}."""
+        n, depth = len(self), len(self.table) - 1
+        for alpha in alphas:
+            j = int(np.count_nonzero(self.table[:-1] >= alpha))
+            yield np.arange(n, dtype=_index_dtype(n)) // self.arity ** (depth - j)
+
+    def _diameters(self, cell: list) -> list:
+        """Level-j cells have diameter table[j]."""
+        return [np.full(self.arity ** j, t) for j, t in enumerate(self.table)]
 
 
 def tree_boundary_set(spec: TreeFamilySpec) -> BoundarySet:
@@ -234,42 +281,12 @@ def _index_dtype(n: int):
     return np.int32 if n < 2 ** 31 else np.int64  # cell indices of n points
 
 
-def _cuts(b: BoundarySet, order, alphas):
-    """The cell of each point at each eps in `alphas` (`order` lists the
-    points sorted), as `canonical_nested_partitions` says."""
-    n = len(b)
-    if n == 0:
-        raise ValueError("boundary set is empty")
-    i, j, w = b.mst
-    pred = breadth_first_order(csr_matrix((w, (i, j)), shape=(n, n)), 0, directed=False)[1]
-    point, pw = np.arange(n), np.full(n, np.inf)  # pw: the weight of the parent edge
-    pw[np.where(pred[j] == i, j, i)] = w
-    parent, rank = np.where(pred < 0, point, pred), np.empty(n, dtype=np.intp)
-    rank[order] = point
-    for alpha in alphas:
-        top = np.where(pw < alpha, parent, point)
-        up = top[top]
-        while not np.array_equal(up, top):
-            top, up = up, up[up]
-        first = np.full(n, n)
-        np.minimum.at(first, top, rank)
-        first = first[top]  # the rank of the smallest member of each point's cell
-        lead = np.zeros(n, dtype=bool)
-        lead[first] = True
-        yield (np.cumsum(lead, dtype=_index_dtype(n)) - 1)[first]
-
-
 def epsilon_components(b: BoundarySet, eps: float) -> Partition:
-    """Connected components of the graph with an edge whenever d < eps.  On
-    the leaves of a k-ary tree these are the classes of length-j prefixes,
-    j = #{a < n : table[a] >= eps}, read with no n x n table."""
+    """Connected components of the graph with an edge whenever d < eps; on
+    the leaves of a k-ary tree, prefix classes read with no n x n table."""
     if not eps > 0:  # NaN too
         raise ValueError("eps must be positive")
-    if isinstance(b, _KaryBoundarySet):
-        cell = b.prefix_cells(int(np.count_nonzero(b.table[:-1] >= eps)))
-    else:
-        cell = next(_cuts(b, b.order, [eps]))
-    return _partition(b.points, b.order, cell)
+    return _partition(b.points, b.order, next(b._cuts([eps])))
 
 
 def jump_values(b: BoundarySet):
@@ -306,10 +323,7 @@ class CellTree:
     @cached_property
     def diameter(self) -> list:
         """diameter[j][c]: of cell c of level j, 0 for a singleton."""
-        b = self.boundary
-        if isinstance(b, _KaryBoundarySet):  # level-j cells have diameter table[j]
-            return [np.full(b.arity ** j, t) for j, t in enumerate(b.table)]
-        return _diameters(b, self.cell)
+        return self.boundary._diameters(self.cell)
 
     @property
     def mesh(self) -> list:
@@ -344,24 +358,6 @@ class CellTree:
                                    dtype=_index_dtype(int(off[-1])))
 
 
-def _diameters(b: BoundarySet, cell: list) -> list:
-    """The diameter of every cell of every level, indexed by cell.  With the
-    points sorted by their cell at every level, coarsest first, each cell is
-    one contiguous diagonal block of the permuted table."""
-    order = np.lexsort(cell[::-1])
-    D = b.dist[np.ix_(order, order)]
-    out = []
-    for c in cell:
-        c = c[order]
-        cuts = (np.flatnonzero(c[1:] != c[:-1]) + 1).tolist()
-        diam = np.zeros(len(cuts) + 1)
-        for s, e in zip([0] + cuts, cuts + [len(c)]):
-            if e - s > 1:
-                diam[c[s]] = D[s:e, s:e].max()
-        out.append(diam)
-    return out
-
-
 def canonical_nested_partitions(b: BoundarySet) -> CellTree:
     """Cut the single-linkage dendrogram at every jump value.
 
@@ -376,7 +372,5 @@ def canonical_nested_partitions(b: BoundarySet) -> CellTree:
     the cells through one cumsum, with no sort.  The leaves of a k-ary tree
     carry their levels in closed form: level j is arange(k^n) // k^(n - j)."""
     n, jumps = len(b), b.jumps()
-    if isinstance(b, _KaryBoundarySet):
-        return CellTree(b, jumps, [b.prefix_cells(j) for j in range(len(b.table))])
-    cut = _cuts(b, b.order, [alpha for alpha, _, _ in jumps])
+    cut = b._cuts([alpha for alpha, _, _ in jumps])
     return CellTree(b, jumps, [np.zeros(n, dtype=_index_dtype(n)), *cut])

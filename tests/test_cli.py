@@ -347,6 +347,25 @@ def test_check_suite(tmp_path, capsys):
     assert "[pass]" in text and "[FAIL]" not in text
 
 
+def test_check_fails_a_wrong_tree_jump_closed_form(tmp_path, monkeypatch):
+    """The closed-form jumps are compared with the Voronoi-MST path on the
+    built graph, not with a copy of their own formula: a table off by one
+    part in 1e9 fails that check, and only that one."""
+    real = cli.tree_boundary_set
+
+    def scaled(spec):
+        b = real(spec)
+        b.table = b.table * (1 + 1e-9)
+        return b
+
+    monkeypatch.setattr(cli, "tree_boundary_set", scaled)
+    rc, _, report = run(tmp_path, "check")
+    assert rc == 1
+    (failed,) = [c for c in report["checks"] if not c["passed"]]
+    assert failed["name"] == "tree jump closed form"
+    assert failed["value"] == pytest.approx(1e-9, rel=1e-3)
+
+
 def test_reproducible_artifacts(tmp_path):
     rc1, out, report = run(tmp_path, "partitions", "--depth", "3")
     first = artifact(out, report, "cells.csv").read_bytes()
@@ -732,7 +751,7 @@ def test_report_writes_every_non_finite_figure_as_a_string(tmp_path, capsys):
                    "[pass] b: nan (tol inf), absolute 2.500e+00\n")
 
 
-def test_package_exports_its_46_public_names():
+def test_package_exports_its_44_public_names():
     names = {n for n, x in vars(mgbound).items()
              if not n.startswith("_") and not isinstance(x, type(mgbound))}
     assert names == {
@@ -743,7 +762,7 @@ def test_package_exports_its_46_public_names():
         "graph_boundary_set", "epsilon_components", "jump_values",
         "canonical_nested_partitions",
         "HarmonicSolver", "HarmonicFunction", "assemble_laplacian", "solve_dirichlet",
-        "edge_derivative", "vertex_flux", "dirichlet_energy", "check_harmonic",
+        "vertex_flux", "check_harmonic",
         "counterexample_recurrence",
         "CellMeasure", "equal_split_measure", "counting_measure",
         "cell_measure_from_point_masses", "exit_measure", "exit_measure_point_masses",

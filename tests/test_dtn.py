@@ -8,8 +8,8 @@ import pytest
 
 import mgbound.dtn
 import mgbound.measures
-from mgbound import (cli, metric_graph, dtn_matrix,
-                     compressed_dtn, compressed_dtn_limit,
+from mgbound import (cli, metric_graph, dtn_matrix, canonical_nested_partitions,
+                     compressed_dtn, compressed_dtn_limit, exit_measure, graph_boundary_set,
                      quadratic_form_check, TreeFamilySpec, build_kary_tree,
                      build_counterexample, CounterexampleSpec, exit_measure_limit,
                      DtNMatrix, Edge, HarmonicSolver, MetricGraph)
@@ -19,7 +19,7 @@ from mgbound.partition import Partition
 
 from test_acceptance import _criterion1_graphs, _random_two_cells
 from util import (certificate_reference, compressed_flux_reduced, compression_oracle,
-                  dtn_min_eigenvalue, schur_complement_dtn, star_graph,
+                  dtn_min_eigenvalue, interior, schur_complement_dtn, star_graph,
                   random_connected_graph, with_parallel_edges)
 
 SPEC = TreeFamilySpec(arity=2, ratio=0.25, depth=3)
@@ -117,6 +117,22 @@ def test_certificate_rejects_a_psd_matrix_that_is_not_a_laplacian():
     assert inv["max_offdiagonal"] == 1.0
     assert inv["gershgorin"] == inv["min_eigenvalue"] == -2.0
     assert not inv["ok"]
+
+
+def test_psd_check_passes_the_spine_40_map_under_exit_weights():
+    """The level-3 cells (31) of the spine-40 hierarchy, weighted by the exit
+    measure from v0002 (0.05 to 1): a correct map, its symmetrized least
+    eigenvalue 4e-15 above 0.  Its Gershgorin bound, -1.3e-12, is a sum of
+    entries of S = diag(w) Lam and is judged over max |S_vv|, 1.7e-13; the
+    bound divided by min(w) and judged over max |Lam_vv| read -1.33e-12 and
+    failed it."""
+    g = build_counterexample(CounterexampleSpec(spine=40))
+    cells = canonical_nested_partitions(graph_boundary_set(g)).levels[3]
+    D = compressed_dtn(g, cells, exit_measure(g, "v0002", cells))
+    inv = _assert_certificate_matches_the_reference(D)
+    assert len(cells) == 31 and inv["ok"], inv
+    assert inv["gershgorin"] < 0 < dtn_min_eigenvalue(D)
+    assert inv["min_eigenvalue"] / np.max(np.abs(np.diag(D.matrix))) < -1e-12
 
 
 def test_certificate_propagates_nan():
@@ -580,7 +596,7 @@ def pinned_graph(g, rng, share):
     """g with a random share of its interior vertices moved to the boundary:
     pinned vertices of degree 2 and more have several interior neighbours or
     none, and boundary vertices become adjacent."""
-    inner = g.interior()
+    inner = interior(g)
     pinned = rng.choice(inner, size=int(share * len(inner)), replace=False)
     return metric_graph(g.vertices, g.edges, set(g.boundary) | set(pinned.tolist()))
 

@@ -143,7 +143,7 @@ def test_json_rejections():
     with pytest.raises(GraphFormatError, match="duplicate"):
         load_graph(json.dumps(dup))
     bad = dict(base, edges=[{"id": "e", "u": "a", "v": "b", "length": -1.0}])
-    with pytest.raises(GraphFormatError, match="range"):
+    with pytest.raises(GraphFormatError, match="invalid length"):
         load_graph(json.dumps(bad))
     with pytest.raises(GraphFormatError):
         load_graph('{"vertices": ["a"], "edges": [], "boundary": [], "x": 1}')

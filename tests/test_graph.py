@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from mgbound import metric_graph, validate, multi_source_distance
-from mgbound.graph import adjacency
 
-from util import (dijkstra_reference, path_graph, star_graph, random_connected_graph,
-                  with_parallel_edges)
+from util import dijkstra_reference, path_graph, random_connected_graph, with_parallel_edges
 
 
 def test_validate_minimal_graph():
@@ -84,11 +82,6 @@ def test_distance_edge_lipschitz_random():
         d = multi_source_distance(g, src)
         for e in g.edges:
             assert abs(d[e.u] - d[e.v]) <= e.length + 1e-12
-
-
-def test_adjacency_deterministic_order():
-    g = star_graph(3)
-    assert [e.id for e in adjacency(g)["c"]] == ["e1", "e2", "e3"]
 
 
 @pytest.mark.parametrize("vertices, edges, boundary, problem", [

@@ -3,18 +3,14 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from mgbound import (metric_graph, solve_dirichlet, edge_derivative, vertex_flux,
-                     dirichlet_energy, check_harmonic, counterexample_recurrence,
+from mgbound import (metric_graph, solve_dirichlet, vertex_flux,
+                     check_harmonic, counterexample_recurrence,
                      assemble_laplacian, CounterexampleSpec, build_counterexample,
                      HarmonicSolver, TreeFamilySpec, build_kary_tree)
-from mgbound.harmonic import FLUX_BLOCK, _laplacian_triplets
+from mgbound.harmonic import FLUX_BLOCK, _edge_energy, _laplacian_triplets
 
-from util import (laplacian_reference, path_graph, star_graph, random_connected_graph,
-                  with_parallel_edges)
-
-
-def edge_by_id(g, eid):
-    return next(e for e in g.edges if e.id == eid)
+from util import (interior, laplacian_reference, path_graph, star_graph,
+                  random_connected_graph, with_parallel_edges)
 
 
 def test_laplacian_single_edge():
@@ -35,14 +31,14 @@ def test_laplacian_equals_the_per_edge_loop():
     rng = np.random.default_rng(5)
     for _ in range(10):
         g = with_parallel_edges(random_connected_graph(rng), rng)
-        pinned = set(g.boundary) | {g.interior()[0]} if g.interior() else None
+        pinned = set(g.boundary) | {interior(g)[0]} if interior(g) else None
         for boundary in (None, pinned):
             lap = assemble_laplacian(g, boundary)
-            L, interior, bnd = laplacian_reference(g, boundary)
+            L, inner, bnd = laplacian_reference(g, boundary)
             assert lap.order == g.vertices
             for name in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(lap.matrix, name), getattr(L, name)), name
-            assert np.array_equal(lap.interior_idx, interior)
+            assert np.array_equal(lap.interior_idx, inner)
             assert np.array_equal(lap.boundary_idx, bnd)
 
 
@@ -86,14 +82,36 @@ def test_empty_boundary_rejected():
         HarmonicSolver(g)
 
 
-def test_edge_derivative_signs():
-    g = metric_graph(["a", "b"], [("e", "a", "b", 1.0)], ["a", "b"])
-    f = solve_dirichlet(g, {"a": 0.0, "b": 1.0})
-    e = edge_by_id(g, "e")
-    assert edge_derivative(f, e, "b") == 1.0
-    assert edge_derivative(f, e, "a") == -1.0
-    with pytest.raises(ValueError):
-        edge_derivative(f, e, "c")
+def _flux_in_edge_order(f, v):
+    """(f(v) - f(other)) / l added up from 0 over the edges that touch v,
+    in g.edges order."""
+    total = 0
+    for e in f.graph.edges:
+        if v in (e.u, e.v):
+            total += (f.values[v] - f.values[e.v if e.u == v else e.u]) / e.length
+    return total
+
+
+def test_vertex_flux_is_the_sum_over_the_incident_edges_in_edge_order():
+    """Bit for bit, at every vertex of random graphs with parallel edges,
+    for a solve on g's boundary and one with an interior source pinned;
+    the derivative is positive where f(v) is above its neighbour."""
+    rng = np.random.default_rng(37)
+    for _ in range(20):
+        g = with_parallel_edges(random_connected_graph(rng), rng)
+        F = {v: float(rng.normal()) for v in g.boundary}
+        fs = [solve_dirichlet(g, F)]
+        if interior(g):
+            w = interior(g)[0]
+            fs.append(HarmonicSolver(g, boundary=set(g.boundary) | {w}).solve({**F, w: 1.0}))
+        for f in fs:
+            for v in g.vertices:
+                assert vertex_flux(f, v) == _flux_in_edge_order(f, v), v
+    with pytest.raises(KeyError):
+        vertex_flux(fs[0], "not a vertex")
+    f = solve_dirichlet(metric_graph(["a", "b"], [("e", "a", "b", 1.0)], ["a", "b"]),
+                        {"a": 0.0, "b": 1.0})
+    assert (vertex_flux(f, "b"), vertex_flux(f, "a")) == (1.0, -1.0)
 
 
 def test_star_boundary_fluxes():
@@ -189,9 +207,9 @@ def test_boundary_flux_matches_per_column_solves():
     graphs += [random_connected_graph(rng, max_vertices=30) for _ in range(10)]
     for g in graphs:
         pinned = [None]
-        if g.interior():
+        if interior(g):
             # an extra pinned source, as in exit measures
-            pinned.append(set(g.boundary) | {g.interior()[0]})
+            pinned.append(set(g.boundary) | {interior(g)[0]})
         for boundary in pinned:
             solver = HarmonicSolver(g, boundary=boundary)
             F = rng.normal(size=(len(solver.boundary), 3))
@@ -242,7 +260,7 @@ def test_solver_blocks_match_the_laplacian_blocks_with_parallel_edges():
     graphs += [with_parallel_edges(random_connected_graph(rng, max_vertices=30), rng)
                for _ in range(30)]
     for g in graphs:
-        for boundary in (None, set(g.boundary) | {g.interior()[0]}):
+        for boundary in (None, set(g.boundary) | {interior(g)[0]}):
             solver = HarmonicSolver(g, boundary=boundary)
             blocks, scale = laplacian_blocks(g, boundary)
             for got, want in zip(solver_blocks(solver), blocks):
@@ -318,7 +336,7 @@ def test_forest_path_on_random_trees():
     rng = np.random.default_rng(53)
     for _ in range(40):
         g = random_connected_graph(rng, max_vertices=40, extra_edges=False)
-        pinned = [set(g.boundary) | {g.interior()[0]}] if len(g.interior()) > 1 else []
+        pinned = [set(g.boundary) | {interior(g)[0]}] if len(interior(g)) > 1 else []
         for boundary in [None] + pinned:
             assert check_solver_paths(g, boundary, rng)
 
@@ -328,7 +346,7 @@ def test_forest_path_when_the_boundary_cuts_the_interior():
     pieces = []
     for _ in range(40):
         g = random_connected_graph(rng, max_vertices=40, extra_edges=False)
-        inner = g.interior()
+        inner = interior(g)
         boundary = set(g.boundary) | set(rng.choice(inner, size=len(inner) // 3, replace=False))
         pieces.append(interior_forest(g, boundary)[1])
         assert check_solver_paths(g, boundary, rng)
@@ -340,7 +358,7 @@ def test_forest_path_on_the_pendant_spine_and_kary_trees():
     graphs = [build_counterexample(CounterexampleSpec(spine=12)),
               build_kary_tree(TreeFamilySpec(arity=3, ratio=0.4, depth=4))[0]]
     for g in graphs:
-        for boundary in (None, set(g.boundary) | {g.interior()[-1]}):
+        for boundary in (None, set(g.boundary) | {interior(g)[-1]}):
             assert check_solver_paths(g, boundary, rng)
 
 
@@ -429,6 +447,7 @@ def test_check_harmonic_matches_the_per_vertex_fluxes():
             assert r == pytest.approx(flux[v], rel=1e-9, abs=1e-15)
         energy = sum((f.values[e.u] - f.values[e.v]) ** 2 / e.length for e in g.edges)
         assert rep["energy"] == pytest.approx(energy, rel=1e-12)
+        assert rep["energy"] == _edge_energy(g, np.array([f.values[v] for v in g.vertices]))
 
 
 def blocks_from_all_triplets(solver, *names):
@@ -459,7 +478,7 @@ def test_solver_blocks_from_the_boundary_edges_equal_those_from_all_triplets():
     graphs += [with_parallel_edges(random_connected_graph(rng, max_vertices=30), rng)
                for _ in range(30)]
     for g in graphs:
-        for boundary in (None, set(g.boundary) | {g.interior()[0]}):
+        for boundary in (None, set(g.boundary) | {interior(g)[0]}):
             solver = HarmonicSolver(g, boundary=boundary)
             got = [solver.L_IB, solver.L_BB, solver.L_II]
             *want, L_BI = blocks_from_all_triplets(solver, "IB", "BB", "II", "BI")

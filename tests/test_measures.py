@@ -15,8 +15,8 @@ from mgbound import (BoundarySet, CellMeasure, TreeFamilySpec, CounterexampleSpe
 from mgbound.partition import Partition
 
 from util import (additivity_per_level_reference, additivity_reference, counting_reference,
-                  equal_split_reference, exit_mass_closed_form, exit_measure_pinned, path_graph,
-                  point_mass_reference, random_boundary_set, random_connected_graph,
+                  equal_split_reference, exit_mass_closed_form, exit_measure_pinned, interior,
+                  path_graph, point_mass_reference, random_boundary_set, random_connected_graph,
                   star_graph, with_parallel_edges)
 
 SPEC3 = TreeFamilySpec(arity=2, ratio=0.25, depth=3)
@@ -202,10 +202,10 @@ def _pinned_cases():
              with_parallel_edges(path_graph([1.0, 2.0, 0.5]), rng, share=1.0)]
     cases = []
     for g in fixed + [random_connected_graph(rng) for _ in range(40)]:
-        interior = g.interior()
-        if not interior:
+        inner = interior(g)
+        if not inner:
             continue
-        w = interior[int(rng.integers(len(interior)))]
+        w = inner[int(rng.integers(len(inner)))]
         cells = Partition(tuple((b,) for b in sorted(g.boundary)))
         ref = exit_measure_pinned(g, w, cells)
         if np.all(ref > 0):
@@ -258,7 +258,7 @@ def test_truncation_exit_masses_match_the_graph_solve(arity, ratio):
         g, _ = build_kary_tree(spec)
         leaves = Partition(tuple((leaf,) for leaf in spec.leaf_addresses()))
         assignment = leaves.cell_of()
-        for w in g.interior():
+        for w in interior(g):
             on_leaves = exit_measure(g, w, leaves, assignment)
             for level in range(d + 1):
                 ref = on_leaves.reshape(arity ** level, -1).sum(axis=1)

@@ -159,6 +159,10 @@ def tree_boundary_distance(spec, x: str, y: str) -> float:
     return 2.0 * L0 * r ** (a + 1) * (1.0 - r ** (n - a)) / (1.0 - r)
 
 
+def interior(g) -> list:
+    return [v for v in g.vertices if v not in g.boundary]
+
+
 def cell_diameter(b, cell) -> float:
     """Per-cell oracle for `CellTree.diameter`: the largest distance in the
     table between members of `cell`, 0 for a singleton."""
@@ -275,8 +279,8 @@ def certificate_reference(D):
     max|S - S^T|, max|Lam 1|, the largest off-diagonal of Sym, the
     Gershgorin bound min_i (2 S_ii - sum_j |Sym_ij|), min(0, g) / min(w),
     the three checks, each figure over its scale (max w_v |Lam_vv| for the
-    symmetry error, max |Lam_vv| for the kernel error and the eigenvalue
-    bound) within 1e-12, and the verdict.  Oracle for the tile-pair pass."""
+    symmetry error and min(0, g), max |Lam_vv| for the kernel error) within
+    1e-12, and the verdict.  Oracle for the tile-pair pass."""
     M, w = D.matrix, D.weights
     S = w[:, None] * M
     sym = (S + S.T) / 2.0
@@ -290,10 +294,9 @@ def certificate_reference(D):
               "min_eigenvalue": min(g, 0.0) / float(w.min())}
     diag = np.abs(np.diag(M))
     checks = {}
-    for name, key, scale in (("symmetry", "symmetry_error", float(np.max(w * diag))),
-                             ("kernel", "kernel_error", float(np.max(diag))),
-                             ("psd", "min_eigenvalue", float(np.max(diag)))):
-        figure = report[key]
+    for name, figure, scale in (("symmetry", report["symmetry_error"], float(np.max(w * diag))),
+                                ("kernel", report["kernel_error"], float(np.max(diag))),
+                                ("psd", min(g, 0.0), float(np.max(w * diag)))):
         with np.errstate(divide="ignore", invalid="ignore"):
             value = 0.0 if figure == 0 else float(np.float64(figure) / scale)
         passed = value >= -1e-12 if name == "psd" else abs(value) <= 1e-12
