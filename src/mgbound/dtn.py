@@ -67,17 +67,21 @@ class DtNMatrix:
         gives its symmetry error, the largest entry of Sym[I, J] (its
         diagonal left out when I = J) and the sums of |Sym[I, J]| along its
         rows, for I's rows, and along its columns, for J's rows when J != I.
-        The kernel error is one product Lam 1."""
+        Each tile of S^T is copied, transposed, into one reused contiguous
+        array, so the symmetry difference and the sum that gives Sym read
+        contiguous memory.  The kernel error is one product Lam 1."""
         M, w = self.matrix, self.weights
         n = len(w)
         absrow = np.zeros(n)  # sum_j |Sym_ij|
         asym, offdiag = [], []
+        transposed = np.empty(min(n, TILE) ** 2)
         for lo in range(0, n, TILE):
             I = slice(lo, lo + TILE)
             for lo2 in range(lo, n, TILE):
                 J = slice(lo2, lo2 + TILE)
                 upper = w[I, None] * M[I, J]             # S[I, J]
-                lower = (w[J, None] * M[J, I]).T         # S^T[I, J]
+                lower = transposed[:upper.size].reshape(upper.shape)
+                np.copyto(lower, (w[J, None] * M[J, I]).T)  # S^T[I, J]
                 asym.append(np.max(np.abs(upper - lower)))
                 upper += lower
                 upper *= 0.5                             # Sym[I, J]

@@ -155,7 +155,9 @@ def load_graph(text: str) -> MetricGraph:
     """Parse the JSON wire format and validate the resulting graph."""
     try:
         doc = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except GraphFormatError:
+        raise
+    except ValueError as exc:  # a JSONDecodeError, or an integer past int's digit limit
         raise GraphFormatError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict) or set(doc) != {"vertices", "edges", "boundary"}:
         raise GraphFormatError("document must have exactly the keys vertices, edges, boundary")
@@ -175,7 +177,11 @@ def load_graph(text: str) -> MetricGraph:
             raise GraphFormatError(f"edge {rec['id']!r}: id, u and v must be strings")
         if not isinstance(rec["length"], (int, float)) or isinstance(rec["length"], bool):
             raise GraphFormatError(f"edge {rec.get('id')!r}: length must be a number")
-        edges.append((rec["id"], rec["u"], rec["v"], float(rec["length"])))
+        try:
+            length = float(rec["length"])
+        except OverflowError:
+            raise GraphFormatError(f"edge {rec['id']!r}: length is too large for a float") from None
+        edges.append((rec["id"], rec["u"], rec["v"], length))
     g = metric_graph(vertices, edges, doc["boundary"])
     problems = validate(g)
     if problems:

@@ -20,10 +20,10 @@ from itertools import compress
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import breadth_first_order
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .families import CounterexampleSpec
-from .graph import REL_TOL, MetricGraph, _component_labels, _edge_arrays, _judge, _on_boundary
+from .graph import REL_TOL, MetricGraph, _edge_arrays, _judge, _on_boundary
 
 FLUX_BLOCK = 64  # right-hand sides per interior solve in boundary_flux
 
@@ -94,9 +94,10 @@ class HarmonicSolver:
     `interior` (the sorted vertex ids of each block) are made on first read.
     L_II is factored by tree elimination when the interior
     induces a forest (`_eliminate_forest`, which never reads L_II), else by
-    `splu` with two refinement passes.  The factorization is immutable after
-    construction and may be shared across threads for repeated right-hand
-    sides.  `boundary` overrides the graph's boundary set (used to pin extra
+    `splu` with two refinement passes.  The factorization is fixed at
+    construction (the forest's per-level matrices are made on the first
+    solve of two or more columns) and may be shared across threads for
+    repeated right-hand sides.  `boundary` overrides the graph's boundary set (used to pin extra
     vertices).
     """
 
@@ -110,39 +111,46 @@ class HarmonicSolver:
         self._is_boundary = on_boundary
         n_i = int(np.count_nonzero(~on_boundary))
         self._rank = np.where(on_boundary, np.cumsum(on_boundary), np.cumsum(~on_boundary)) - 1
-        self.L_IB, self.L_BB = self._blocks("IB", "BB")
+        self.L_IB, self.L_BB = self._boundary_blocks(n_i)
         self._forest = self._eliminate_forest(n_i) if n_i else None
         if n_i and self._forest is None:
             self._lu = spla.splu(self.L_II)
 
-    def _blocks(self, *names):
-        """The Laplacian blocks named "IB", "BB" or "II" (in CSC, for `splu`;
-        the others in CSR), from one pass over the triplets of the edges that
-        add to them: an edge between the interior and the boundary adds to
-        all three, one with both ends on the boundary only to L_BB and one
-        with both ends interior only to L_II."""
+    def _block_triplets(self, side: str):
+        """The triplets of the edges with an end on `side` ("B", the
+        boundary, or "I", the interior), endpoints renumbered by their rank
+        within their own block, and whether each row and column is on the
+        boundary."""
         u, v, _ = _edge_arrays(self.graph)
-        bu, bv = self._is_boundary[u], self._is_boundary[v]
-        keep = bu != bv
-        if "BB" in names:
-            keep |= bu & bv
-        if "II" in names:
-            keep |= ~(bu | bv)
+        b, rank = self._is_boundary, self._rank
+        keep = b[u] | b[v] if side == "B" else ~(b[u] & b[v])
         rows, cols, vals = _laplacian_triplets(self.graph, keep)
-        row_b, col_b = self._is_boundary[rows], self._is_boundary[cols]
-        n_b = int(np.count_nonzero(self._is_boundary))
-        size = {"B": n_b, "I": len(self._is_boundary) - n_b}
-        out = []
-        for r, c in names:
-            at = np.flatnonzero((row_b == (r == "B")) & (col_b == (c == "B")))
-            fmt = sp.csc_matrix if r + c == "II" else sp.csr_matrix
-            out.append(fmt((vals[at], (self._rank[rows[at]], self._rank[cols[at]])),
-                           shape=(size[r], size[c])))
-        return out
+        return rank[rows], rank[cols], vals, b[rows], b[cols]
+
+    def _boundary_blocks(self, n_i: int):
+        """L_IB and L_BB in CSR from one COO to CSR conversion of the stacked
+        [L_IB; L_BB], over the triplets of the edges with an end on the
+        boundary, split at its first boundary row.  The conversion sorts
+        and sums each row on its own, in the order of its triplets, so each
+        block is the one its own conversion gives."""
+        rows, cols, vals, row_b, col_b = self._block_triplets("B")
+        at = np.flatnonzero(col_b)
+        n_b = len(self._is_boundary) - n_i
+        stacked = sp.csr_matrix((vals[at], (rows[at] + n_i * row_b[at], cols[at])),
+                                shape=(n_i + n_b, n_b))
+        data, indices, indptr = stacked.data, stacked.indices, stacked.indptr
+        k = indptr[n_i]
+        return (sp.csr_matrix((data[:k], indices[:k], indptr[:n_i + 1]), shape=(n_i, n_b)),
+                sp.csr_matrix((data[k:], indices[k:], indptr[n_i:] - k), shape=(n_b, n_b)))
 
     @cached_property
     def L_II(self) -> sp.csc_matrix:
-        return self._blocks("II")[0]
+        """L_II in CSC, for `splu`, over the triplets of the edges with an end
+        in the interior."""
+        rows, cols, vals, row_b, col_b = self._block_triplets("I")
+        at = np.flatnonzero(~(row_b | col_b))
+        n_i = self.L_IB.shape[0]
+        return sp.csc_matrix((vals[at], (rows[at], cols[at])), shape=(n_i, n_i))
 
     def _eliminate_forest(self, n_i: int):
         """Elimination of L_II children before parents, with no fill (Parter
@@ -153,19 +161,34 @@ class HarmonicSolver:
         a_v + g_v: g_v, the subtree's conductance to the boundary, is v's own
         plus a_c g_c / (a_c + g_c) over its children c, so no pivot loses
         digits to cancellation.  Returns the rank at each position and its
-        inverse, D, and per level, deepest first, (lo, mid, hi,
-        W[lo:mid, mid:hi], its entries as a column, their parents)."""
+        inverse, D, and per level, deepest first, (lo, mid, hi, the entries
+        of W[lo:mid, mid:hi], them as a column, their parents);
+        `_level_matrices` makes each W[lo:mid, mid:hi] for block solves.
+
+        The interior adjacency is one CSR matrix made from the edges sorted
+        by (source, target), each row sorted as a COO to CSR conversion
+        sorts it, so the breadth-first order is that of such a conversion.
+        csgraph numbers the components in the order of their first vertex,
+        so the roots ascend and the row of the extra vertex the
+        breadth-first order starts from is appended as they come."""
         u, v, length = _edge_arrays(self.graph)
         c, b, rank = 1.0 / length, self._is_boundary, self._rank
         inner = ~(b[u] | b[v])
         iu, iv = rank[u[inner]], rank[v[inner]]
-        labels = _component_labels(n_i, iu, iv)
+        src, dst = np.concatenate([iu, iv]), np.concatenate([iv, iu])
+        dst = dst[np.lexsort((dst, src))]
+        indptr = np.zeros(n_i + 2, dtype=np.intp)
+        np.cumsum(np.bincount(src, minlength=n_i), out=indptr[1:-1])
+        ones = np.ones(len(dst) + n_i)
+        adj = sp.csr_array((ones[:len(dst)], dst, indptr[:-1]), shape=(n_i, n_i))
+        labels = connected_components(adj, directed=False)[1]
         roots = np.unique(labels, return_index=True)[1]  # each component's first vertex
         if len(iu) != n_i - len(roots):
             return None
         # one breadth-first order, from an extra vertex n_i joined to the roots
-        src, dst = np.r_[iu, iv, np.full(len(roots), n_i)], np.r_[iv, iu, roots]
-        adj = sp.csr_matrix((np.ones(len(src)), (src, dst)), shape=(n_i + 1, n_i + 1))
+        indptr[-1] = len(dst) + len(roots)
+        adj = sp.csr_array((ones[:indptr[-1]], np.concatenate([dst, roots]), indptr),
+                           shape=(n_i + 1, n_i + 1))
         order, pred = breadth_first_order(adj, n_i, return_predecessors=True)
         pos = np.empty(n_i + 1, dtype=np.intp)
         pos[order] = np.arange(-1, n_i)
@@ -179,14 +202,21 @@ class HarmonicSolver:
             bounds.append(int(np.searchsorted(up, bounds[-1])))
         levels = []
         for lo, mid, hi in reversed(list(zip(bounds, bounds[1:], bounds[2:]))):
-            w = a[mid:hi] / (a[mid:hi] + g[mid:hi])
-            g[lo:mid] += np.bincount(up[mid:hi] - lo, w * g[mid:hi], minlength=mid - lo)
-            indptr = np.searchsorted(up, np.arange(lo, mid + 1)) - mid
-            W = sp.csr_array((w, np.arange(hi - mid), indptr), shape=(mid - lo, hi - mid))
-            levels.append((lo, mid, hi, W, w[:, None], up[mid:hi]))
+            w, p = a[mid:hi] / (a[mid:hi] + g[mid:hi]), up[mid:hi]
+            g[lo:mid] += np.bincount(p - lo, w * g[mid:hi], minlength=mid - lo)
+            levels.append((lo, mid, hi, w, w[:, None], p))
         if not np.all(g[:len(roots)] > 0):
             raise RuntimeError("L_II is singular: an interior component has no boundary")
         return order[1:], pos[:-1], (a + g)[:, None], levels
+
+    @cached_property
+    def _level_matrices(self) -> list:
+        """Per level of `_forest`, W[lo:mid, mid:hi] as a CSR array whose row
+        i holds the entries of the children of position lo + i: made on the
+        first solve of two or more columns and kept on the solver."""
+        return [sp.csr_array((w, np.arange(hi - mid), np.searchsorted(p, np.arange(lo, mid + 1))),
+                             shape=(mid - lo, hi - mid))
+                for lo, mid, hi, w, _, p in self._forest[3]]
 
     @cached_property
     def boundary(self) -> tuple:
@@ -199,20 +229,34 @@ class HarmonicSolver:
     def _solve_interior(self, rhs: np.ndarray) -> np.ndarray:
         """X with L_II X = rhs, for a vector or an n_I x m block."""
         if self._forest is None:
-            x = self._lu.solve(rhs)
+            return self._solve_ordered(rhs)
+        perm, inverse = self._forest[:2]
+        return self._solve_ordered(rhs.reshape(len(rhs), -1)[perm])[inverse].reshape(rhs.shape)
+
+    def _solve_ordered(self, y: np.ndarray) -> np.ndarray:
+        """The solve of `_solve_interior` with its rows in the factorization's
+        own order: the breadth-first positions of the forest, in place on an
+        n_I x m block (one column by `np.bincount`, which adds the same
+        products in the same order as a level's W, from 0), or the interior
+        order of `splu`."""
+        if self._forest is None:
+            x = self._lu.solve(y)
             # iterative refinement: recovers digits lost to the
             # ill-conditioning of deep truncations (cond ~ 1/min l_e)
             for _ in range(2):
-                x += self._lu.solve(rhs - self.L_II @ x)
+                x += self._lu.solve(y - self.L_II @ x)
             return x
-        perm, inverse, pivots, levels = self._forest
-        y = rhs.reshape(len(rhs), -1)[perm]
-        for lo, mid, hi, W, w, p in levels:  # deepest first: (I - W) z = rhs
-            y[lo:mid] += W @ y[mid:hi]
+        pivots, levels = self._forest[2:]
+        if y.shape[1] == 1:  # deepest first: (I - W) z = rhs
+            for lo, mid, hi, w, _, p in levels:
+                y[lo:mid, 0] += np.bincount(p - lo, w * y[mid:hi, 0], minlength=mid - lo)
+        else:
+            for (lo, mid, hi, *_), W in zip(levels, self._level_matrices):
+                y[lo:mid] += W @ y[mid:hi]
         y /= pivots
-        for lo, mid, hi, W, w, p in reversed(levels):  # roots first: (I - W)^T x = z / D
+        for lo, mid, hi, _, w, p in reversed(levels):  # roots first: (I - W)^T x = z / D
             y[mid:hi] += w * y[p]
-        return y[inverse].reshape(rhs.shape)
+        return y
 
     def _boundary_vector(self, boundary_values: dict) -> np.ndarray:
         """The values at `self.boundary`, in its order; KeyError if one is
@@ -269,20 +313,25 @@ class HarmonicSolver:
         boundary neighbour (Kron reduction: only their rows of L_IB are
         nonzero).  With J those vertices, Q = L_IB[J] (sparse) and
         Z = (L_II^{-1})[J, J] from |J| unit right-hand sides in blocks of
-        FLUX_BLOCK, S = L_BB - Q^T Z Q.  The update runs over row
-        blocks of S with the sparse Q on both sides of each product, so S and
-        Z are the only dense arrays of their size."""
+        FLUX_BLOCK, S = L_BB - Q^T Z Q.  The unit columns are set, and Z is
+        read, at J's rows in the solve's own order (`_solve_ordered`), and
+        Q^T is L_IB^T in CSR with its columns renumbered into J.  The update
+        runs over row blocks of S with the sparse Q on both sides of each
+        product, so S and Z are the only dense arrays of their size."""
         S = self.L_BB.toarray()
         J = np.flatnonzero(np.diff(self.L_IB.indptr))
         if not len(J):
             return S
+        at = J if self._forest is None else self._forest[1][J]
         Z = np.empty((len(J), len(J)))
         for lo in range(0, len(J), FLUX_BLOCK):
-            cols = J[lo:lo + FLUX_BLOCK]
-            unit = np.zeros((self.L_IB.shape[0], len(cols)))
-            unit[cols, np.arange(len(cols))] = 1.0
-            Z[:, lo:lo + len(cols)] = self._solve_interior(unit)[J]
-        Qt = self.L_IB[J].T.tocsr()
+            block = at[lo:lo + FLUX_BLOCK]
+            unit = np.zeros((self.L_IB.shape[0], len(block)))
+            unit[block, np.arange(len(block))] = 1.0
+            Z[:, lo:lo + len(block)] = self._solve_ordered(unit)[at]
+        Qt = self.L_IB.T.tocsr()
+        Qt = sp.csr_matrix((Qt.data, np.searchsorted(J, Qt.indices), Qt.indptr),
+                           shape=(len(S), len(J)))
         for lo in range(0, len(S), FLUX_BLOCK):
             rows = slice(lo, lo + FLUX_BLOCK)
             S[rows] -= (Qt @ (Qt[rows] @ Z).T).T  # (Q^T Z Q)[rows]

@@ -18,7 +18,8 @@ from mgbound.harmonic import _edge_energy
 from mgbound.partition import Partition
 
 from test_acceptance import _criterion1_graphs, _random_two_cells
-from util import (certificate_reference, compressed_flux_reduced, compression_oracle,
+from util import (certificate_reference, certificate_tile_reference, compressed_flux_reduced,
+                  compression_oracle,
                   dtn_min_eigenvalue, interior, schur_complement_dtn, star_graph,
                   random_connected_graph, with_parallel_edges)
 
@@ -214,6 +215,45 @@ def test_tile_pair_certificate_equals_the_whole_matrix_formulas_on_dtn_maps():
               dtn_matrix(spine, {v: float(rng.uniform(0.5, 2.0)) for v in spine.boundary})):
         assert len(D.basis) > 3 * mgbound.dtn.TILE
         assert _assert_certificate_matches_the_reference(D)["ok"]
+
+
+def _equal_to_the_last_bit(got, want):
+    """Certificate records equal field by field and type by type, a NaN equal
+    to a NaN."""
+    if isinstance(want, dict):
+        return got.keys() == want.keys() and all(_equal_to_the_last_bit(got[k], want[k])
+                                                 for k in want)
+    return type(got) is type(want) and (got == want or (got != got and want != want))
+
+
+@pytest.mark.parametrize("n", [1, 2, mgbound.dtn.TILE - 1, mgbound.dtn.TILE,
+                               mgbound.dtn.TILE + 1, 2 * mgbound.dtn.TILE + 3])
+def test_certificate_equals_the_strided_tile_pass(n):
+    """Every field equals, to the last bit, that of
+    `certificate_tile_reference`, which read each transposed tile as a
+    strided view: on a random Laplacian map and on copies with one defect
+    each in the first and last tiles, at the default and a looser symmetry
+    tolerance."""
+    D = _random_laplacian_map(np.random.default_rng(n + 1000), n)
+    maps = [D]
+    for i, j in {(0, n - 1), (n - 1, 0), (n // 2, n // 2 - 1)} if n > 1 else set():
+        maps += [_perturbed(D, kind, i, j) for kind in ("asymmetric", "positive off-diagonal",
+                                                        "nan")]
+    maps += [_perturbed(D, kind, n - 1, n - 1) for kind in ("row sum", "nan")]
+    for M in maps:
+        for tol in (mgbound.dtn.REL_TOL, 1e-6):
+            assert _equal_to_the_last_bit(M.check_invariants(tol),
+                                          certificate_tile_reference(M, tol))
+
+
+def test_certificate_equals_the_strided_tile_pass_on_dtn_maps():
+    """The binary depth-10 map (1024 points) and the spine-12 map (507, under
+    random weights): every field equals that of `certificate_tile_reference`."""
+    spine = build_counterexample(CounterexampleSpec(spine=12))
+    rng = np.random.default_rng(7)
+    for D in (dtn_matrix(build_kary_tree(TreeFamilySpec(arity=2, ratio=0.5, depth=10))[0]),
+              dtn_matrix(spine, {v: float(rng.uniform(0.5, 2.0)) for v in spine.boundary})):
+        assert _equal_to_the_last_bit(D.check_invariants(), certificate_tile_reference(D))
 
 
 def test_dtn_scale_law():

@@ -185,6 +185,11 @@ def _graph_doc(**fields):
     (_graph_doc(edges=[{"id": "e", "u": ["a"], "v": "b", "length": 1.0}]),
      "edge 'e': id, u and v must be strings"),
     (_graph_doc(boundary=[["a"]]), "boundary must be a list of strings"),
+    (_graph_doc().replace('"length": 1.0', '"length": 1' + "0" * 400),
+     "edge 'e': length is too large for a float"),
+    (_graph_doc().replace('"length": 1.0', '"length": 1' + "0" * 5000),
+     # past int's digit limit (Python 3.10.7 and later), else past a float's range
+     "malformed JSON: Exceeds the limit|edge 'e': length is too large for a float"),
 ])
 def test_load_graph_rejections(text, message):
     with pytest.raises(GraphFormatError, match=message):

@@ -1,3 +1,5 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,11 +8,13 @@ import scipy.sparse.linalg as spla
 from mgbound import (metric_graph, solve_dirichlet, vertex_flux,
                      check_harmonic, counterexample_recurrence,
                      assemble_laplacian, CounterexampleSpec, build_counterexample,
-                     HarmonicSolver, TreeFamilySpec, build_kary_tree)
+                     HarmonicSolver, TreeFamilySpec, build_kary_tree, dtn_matrix,
+                     exit_measure, quadratic_form_check)
 from mgbound.harmonic import FLUX_BLOCK, _edge_energy, _laplacian_triplets
+from mgbound.partition import Partition
 
-from util import (interior, laplacian_reference, path_graph, star_graph,
-                  random_connected_graph, with_parallel_edges)
+from util import (forest_reference, forest_solve_reference, interior, laplacian_reference,
+                  path_graph, star_graph, random_connected_graph, with_parallel_edges)
 
 
 def test_laplacian_single_edge():
@@ -360,6 +364,103 @@ def test_forest_path_on_the_pendant_spine_and_kary_trees():
     for g in graphs:
         for boundary in (None, set(g.boundary) | {interior(g)[-1]}):
             assert check_solver_paths(g, boundary, rng)
+
+
+def assert_forest_equals_the_reference(solver, rng):
+    """The solver's positions, pivots and level weights, the solves of a
+    vector, an n x 1 and an n x 64 block, and the level matrices that block
+    makes are equal, to the last bit, to those of `forest_reference`."""
+    ref = forest_reference(solver)
+    perm, pos, pivots, levels = solver._forest
+    for got, want in zip((perm, pos, pivots), ref[:3]):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert len(levels) == len(ref[3])
+    for (lo, mid, hi, w, column, p), (*bounds, W, want_column, want_p) in zip(levels, ref[3]):
+        assert [lo, mid, hi] == bounds
+        assert np.array_equal(w, W.data) and np.array_equal(column, want_column)
+        assert np.array_equal(p, want_p)
+    n = len(perm)
+    for shape in ((n,), (n, 1), (n, 64)):
+        rhs = rng.normal(size=shape)
+        assert np.array_equal(solver._solve_interior(rhs), forest_solve_reference(ref, rhs))
+    for got, (*_, W, _, _) in zip(solver._level_matrices, ref[3]):
+        assert got.shape == W.shape
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, name), getattr(W, name))
+
+
+def test_forest_factors_and_solves_equal_the_two_adjacency_build():
+    """On random trees, each with its own boundary, with one interior vertex
+    pinned and with a third of the interior pinned (forests of several
+    components, whose roots start the breadth-first order), on the pendant
+    spine and on k-ary trees, the one-adjacency build gives the factors and
+    solves of `forest_reference`.  Half the random trees have their vertices
+    renamed, so the edge order is not the order of either end's rank."""
+    rng = np.random.default_rng(89)
+    cases = []
+    for k in range(30):
+        g = random_connected_graph(rng, max_vertices=40, extra_edges=False)
+        if k % 2:  # vertex names in another order than the edges: rows not in edge order
+            name = dict(zip(g.vertices, rng.permutation(g.vertices).tolist()))
+            g = metric_graph(g.vertices, [(e.id, name[e.u], name[e.v], e.length)
+                                          for e in g.edges], [name[v] for v in g.boundary])
+        inner = interior(g)
+        cut = rng.choice(inner, size=len(inner) // 3, replace=False)
+        cases += [(g, None), (g, set(g.boundary) | set(cut))]
+        if len(inner) > 1:
+            cases.append((g, set(g.boundary) | {inner[0]}))
+    for g in [build_counterexample(CounterexampleSpec(spine=12))] + [
+            build_kary_tree(TreeFamilySpec(arity=k, ratio=0.3, depth=d))[0]
+            for k, d in [(2, 2), (2, 7), (3, 4), (10, 2)]]:
+        cases += [(g, None), (g, set(g.boundary) | {interior(g)[-1]})]
+    pieces = []
+    for g, boundary in cases:
+        solver = HarmonicSolver(g, boundary=boundary)
+        assert solver._forest is not None
+        assert_forest_equals_the_reference(solver, rng)
+        pieces.append(interior_forest(g, boundary or g.boundary)[1])
+    assert max(pieces) >= 4 and sum(p > 1 for p in pieces) >= 30
+
+
+def test_level_matrices_are_made_once_and_only_for_block_solves(monkeypatch):
+    """One-column solves (`solve`, `boundary_flux` of one column,
+    `quadratic_form_check`, `exit_measure`) sweep up by `np.bincount` and make
+    no per-level matrix; a block solve (`boundary_flux` of two or more
+    columns, `schur_complement`, `dtn_matrix`) makes them once per solver,
+    which keeps them.  Nothing new is kept on the graph, whose only caches
+    are its edge arrays and boundary mask."""
+    made = []
+    make = HarmonicSolver.__dict__["_level_matrices"].func
+
+    def counting(self):
+        made.append(self)
+        return make(self)
+
+    prop = cached_property(counting)
+    prop.__set_name__(HarmonicSolver, "_level_matrices")
+    monkeypatch.setattr(HarmonicSolver, "_level_matrices", prop)
+    rng = np.random.default_rng(97)
+    for g in (build_kary_tree(TreeFamilySpec(arity=2, ratio=0.3, depth=6))[0],
+              build_counterexample(CounterexampleSpec(spine=12))):
+        made.clear()
+        bverts = sorted(g.boundary)
+        F = dict(zip(bverts, rng.normal(size=len(bverts)).tolist()))
+        solver = HarmonicSolver(g)
+        solver.solve(F)
+        solver.boundary_flux(rng.normal(size=(len(bverts), 1)))
+        quadratic_form_check(g, dict.fromkeys(bverts, 1.0), F)
+        exit_measure(g, interior(g)[0], Partition(tuple((b,) for b in bverts)))
+        assert made == [] and "_level_matrices" not in vars(solver)
+        solver.boundary_flux(rng.normal(size=(len(bverts), 2)))
+        assert made == [solver]
+        levels = solver._level_matrices
+        solver.schur_complement()
+        solver.boundary_flux(rng.normal(size=(len(bverts), FLUX_BLOCK + 3)))
+        assert made == [solver] and solver._level_matrices is levels
+        dtn_matrix(g)
+        assert len(made) == 2 and made[1] is not solver
+        assert set(vars(g)) == {"vertices", "edges", "boundary",
+                                "_edge_array_view", "_boundary_mask"}
 
 
 def test_cycles_and_parallel_interior_edges_take_splu():

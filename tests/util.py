@@ -6,11 +6,12 @@ from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from mgbound import BoundarySet, HarmonicSolver, metric_graph, vertex_flux
-from mgbound.dtn import DtNMatrix, _check_weights
+from mgbound.dtn import TILE, DtNMatrix, _check_weights
 from mgbound.families import ROOT, _DIGITS
+from mgbound.graph import REL_TOL, _edge_arrays, _judge
 
 
 def random_connected_graph(rng, max_vertices=50, min_boundary=2, extra_edges=True):
@@ -305,6 +306,106 @@ def certificate_reference(D):
     report["checks"] = checks
     report["ok"] = all(c["passed"] for c in checks.values())
     return report
+
+
+def certificate_tile_reference(D, sym_tol=REL_TOL):
+    """`DtNMatrix.check_invariants` as it read each pair of tiles before it
+    copied the transposed tile into one reused array: S^T[I, J] read as the
+    transposed view of w[J] M[J, I].  Oracle for the tile-pair pass, which
+    does the same operations in the same order, so every field must be
+    equal."""
+    M, w = D.matrix, D.weights
+    n = len(w)
+    absrow = np.zeros(n)
+    asym, offdiag = [], []
+    for lo in range(0, n, TILE):
+        I = slice(lo, lo + TILE)
+        for lo2 in range(lo, n, TILE):
+            J = slice(lo2, lo2 + TILE)
+            upper = w[I, None] * M[I, J]
+            lower = (w[J, None] * M[J, I]).T
+            asym.append(np.max(np.abs(upper - lower)))
+            upper += lower
+            upper *= 0.5
+            size = np.abs(upper)
+            absrow[I] += size.sum(axis=1)
+            if lo2 == lo:
+                np.fill_diagonal(upper, -np.inf)
+            else:
+                absrow[J] += size.sum(axis=0)
+            offdiag.append(np.max(upper))
+    g = float(np.min(2.0 * w * np.diagonal(M) - absrow))
+    report = {
+        "symmetry_error": float(np.max(asym)),
+        "kernel_error": float(np.max(np.abs(M @ np.ones(n)))),
+        "max_offdiagonal": float(np.max(offdiag)),
+        "gershgorin": g,
+        "min_eigenvalue": min(g, 0.0) / float(w.min()),
+    }
+    diag = np.abs(np.diagonal(M))
+    s_scale = float(np.max(w * diag))
+    report["checks"] = {
+        "symmetry": _judge(report["symmetry_error"], s_scale, sym_tol),
+        "kernel": _judge(report["kernel_error"], float(np.max(diag))),
+        "psd": _judge(min(g, 0.0), s_scale)}
+    report["ok"] = all(c["passed"] for c in report["checks"].values())
+    return report
+
+
+def forest_reference(solver):
+    """The forest elimination of `solver`'s L_II built as `HarmonicSolver`
+    built it before it made one interior adjacency: component labels from a
+    COO adjacency of the interior edges, a second COO adjacency with an extra
+    vertex joined to each component's first vertex for the breadth-first
+    order, and one CSR array W[lo:mid, mid:hi] per level.  Returns (perm,
+    pos, pivots, levels), each level (lo, mid, hi, W, its entries as a
+    column, their parents), or None unless the interior induces a forest.
+    Oracle for `_eliminate_forest` and `_level_matrices`: every array must be
+    equal."""
+    u, v, length = _edge_arrays(solver.graph)
+    c, b, rank = 1.0 / length, solver._is_boundary, solver._rank
+    n_i = int(np.count_nonzero(~b))
+    inner = ~(b[u] | b[v])
+    iu, iv = rank[u[inner]], rank[v[inner]]
+    labels = connected_components(
+        sp.csr_matrix((np.ones(len(iu)), (iu, iv)), shape=(n_i, n_i)), directed=False)[1]
+    roots = np.unique(labels, return_index=True)[1]
+    if len(iu) != n_i - len(roots):
+        return None
+    src, dst = np.r_[iu, iv, np.full(len(roots), n_i)], np.r_[iv, iu, roots]
+    adj = sp.csr_matrix((np.ones(len(src)), (src, dst)), shape=(n_i + 1, n_i + 1))
+    order, pred = breadth_first_order(adj, n_i, return_predecessors=True)
+    pos = np.empty(n_i + 1, dtype=np.intp)
+    pos[order] = np.arange(-1, n_i)
+    up = pos[pred[order[1:]]]
+    a = np.zeros(n_i)
+    a[pos[np.where(pred[iu] == iv, iu, iv)]] = c[inner]
+    cross = b[u] != b[v]
+    g = np.bincount(pos[rank[np.where(b[u], v, u)[cross]]], c[cross], minlength=n_i)
+    bounds = [0]
+    while bounds[-1] < n_i:
+        bounds.append(int(np.searchsorted(up, bounds[-1])))
+    levels = []
+    for lo, mid, hi in reversed(list(zip(bounds, bounds[1:], bounds[2:]))):
+        w = a[mid:hi] / (a[mid:hi] + g[mid:hi])
+        g[lo:mid] += np.bincount(up[mid:hi] - lo, w * g[mid:hi], minlength=mid - lo)
+        indptr = np.searchsorted(up, np.arange(lo, mid + 1)) - mid
+        W = sp.csr_array((w, np.arange(hi - mid), indptr), shape=(mid - lo, hi - mid))
+        levels.append((lo, mid, hi, W, w[:, None], up[mid:hi]))
+    return order[1:], pos[:-1], (a + g)[:, None], levels
+
+
+def forest_solve_reference(forest, rhs):
+    """X with L_II X = rhs from `forest_reference`'s factors, every level's
+    upward sweep a product with its CSR array W, for a vector or a block."""
+    perm, inverse, pivots, levels = forest
+    y = rhs.reshape(len(rhs), -1)[perm]
+    for lo, mid, hi, W, w, p in levels:
+        y[lo:mid] += W @ y[mid:hi]
+    y /= pivots
+    for lo, mid, hi, W, w, p in reversed(levels):
+        y[mid:hi] += w * y[p]
+    return y[inverse].reshape(rhs.shape)
 
 
 def children_by_name(tree, level):
