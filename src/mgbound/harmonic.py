@@ -168,21 +168,28 @@ class HarmonicSolver:
         The interior adjacency is one CSR matrix made from the edges sorted
         by (source, target), each row sorted as a COO to CSR conversion
         sorts it, so the breadth-first order is that of such a conversion.
-        csgraph numbers the components in the order of their first vertex,
-        so the roots ascend and the row of the extra vertex the
-        breadth-first order starts from is appended as they come."""
+        A pair that repeats there is a parallel edge (or a self-loop), a
+        cycle, so no row with a repeated column reaches csgraph.  The
+        adjacency is symmetric, so its strong components are its components,
+        and csgraph finds them without the transpose an undirected search
+        makes.  The roots, each component's first vertex, are sorted, and
+        the row of the extra vertex the breadth-first order starts from is
+        appended in that order."""
         u, v, length = _edge_arrays(self.graph)
         c, b, rank = 1.0 / length, self._is_boundary, self._rank
         inner = ~(b[u] | b[v])
         iu, iv = rank[u[inner]], rank[v[inner]]
-        src, dst = np.concatenate([iu, iv]), np.concatenate([iv, iu])
-        dst = dst[np.lexsort((dst, src))]
+        src = np.concatenate([iu, iv])
+        pairs = np.sort(src * n_i + np.concatenate([iv, iu]))  # by (source, target)
+        if np.any(pairs[1:] == pairs[:-1]):
+            return None
+        dst = pairs % n_i
         indptr = np.zeros(n_i + 2, dtype=np.intp)
         np.cumsum(np.bincount(src, minlength=n_i), out=indptr[1:-1])
         ones = np.ones(len(dst) + n_i)
         adj = sp.csr_array((ones[:len(dst)], dst, indptr[:-1]), shape=(n_i, n_i))
-        labels = connected_components(adj, directed=False)[1]
-        roots = np.unique(labels, return_index=True)[1]  # each component's first vertex
+        labels = connected_components(adj, directed=True, connection="strong")[1]
+        roots = np.sort(np.unique(labels, return_index=True)[1])
         if len(iu) != n_i - len(roots):
             return None
         # one breadth-first order, from an extra vertex n_i joined to the roots
@@ -315,9 +322,22 @@ class HarmonicSolver:
         Z = (L_II^{-1})[J, J] from |J| unit right-hand sides in blocks of
         FLUX_BLOCK, S = L_BB - Q^T Z Q.  The unit columns are set, and Z is
         read, at J's rows in the solve's own order (`_solve_ordered`), and
-        Q^T is L_IB^T in CSR with its columns renumbered into J.  The update
-        runs over row blocks of S with the sparse Q on both sides of each
-        product, so S and Z are the only dense arrays of their size."""
+        Q^T is L_IB^T in CSR with its columns renumbered into J.  S and Z
+        are the only dense arrays of their size: the update runs over blocks
+        of FLUX_BLOCK rows of S, in one of two layouts.
+
+        When every boundary vertex a has at most one interior neighbour n(a)
+        (each row of Q^T holds at most one entry q_a, as on every k-ary tree
+        and the pendant spine), (Q^T Z Q)[a, b] = q_a q_b Z[n(a), n(b)].  A
+        block is then two contiguous gathers of Z, its rows n(a) scaled by
+        q_a and then its columns n(b) by q_b: the products of the sparse
+        path in its order, so S is equal to the last bit, and no sparse
+        product is formed.  A vertex with no interior neighbour gathers row
+        and column 0 with q = 0, which adds exactly 0.  Otherwise a block
+        is (Q^T (Q[:, rows]^T Z)^T)^T with Q^T on both sides sparse, its
+        rows cut from Q^T's arrays: a gather of every neighbour's row of Z
+        would multiply the work by the neighbour counts (a grid, or a
+        boundary hub joined to the whole interior)."""
         S = self.L_BB.toarray()
         J = np.flatnonzero(np.diff(self.L_IB.indptr))
         if not len(J):
@@ -330,11 +350,27 @@ class HarmonicSolver:
             unit[block, np.arange(len(block))] = 1.0
             Z[:, lo:lo + len(block)] = self._solve_ordered(unit)[at]
         Qt = self.L_IB.T.tocsr()
-        Qt = sp.csr_matrix((Qt.data, np.searchsorted(J, Qt.indices), Qt.indptr),
-                           shape=(len(S), len(J)))
+        indptr, cols, data = Qt.indptr, np.searchsorted(J, Qt.indices), Qt.data
+        counts = np.diff(indptr)
+        if counts.max() <= 1:  # S[a, b] -= q_a q_b Z[n(a), n(b)]
+            one = counts == 1
+            n, q = np.zeros(len(S), dtype=np.intp), np.zeros(len(S))
+            n[one], q[one] = cols, data
+            for lo in range(0, len(S), FLUX_BLOCK):
+                rows = slice(lo, lo + FLUX_BLOCK)
+                T = Z.take(n[rows], axis=0)
+                T *= q[rows, None]
+                T = T.take(n, axis=1)
+                T *= q
+                S[rows] -= T
+            return S
+        Qt = sp.csr_matrix((data, cols, indptr), shape=(len(S), len(J)))
         for lo in range(0, len(S), FLUX_BLOCK):
-            rows = slice(lo, lo + FLUX_BLOCK)
-            S[rows] -= (Qt @ (Qt[rows] @ Z).T).T  # (Q^T Z Q)[rows]
+            hi = min(lo + FLUX_BLOCK, len(S))
+            a, b = indptr[lo], indptr[hi]
+            Qr = sp.csr_matrix((data[a:b], cols[a:b], indptr[lo:hi + 1] - a),
+                               shape=(hi - lo, len(J)))
+            S[lo:hi] -= (Qt @ (Qr @ Z).T).T  # (Q^T Z Q)[rows]
         return S
 
 

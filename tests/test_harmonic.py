@@ -10,11 +10,13 @@ from mgbound import (metric_graph, solve_dirichlet, vertex_flux,
                      assemble_laplacian, CounterexampleSpec, build_counterexample,
                      HarmonicSolver, TreeFamilySpec, build_kary_tree, dtn_matrix,
                      exit_measure, quadratic_form_check)
+from mgbound import harmonic
 from mgbound.harmonic import FLUX_BLOCK, _edge_energy, _laplacian_triplets
 from mgbound.partition import Partition
 
 from util import (forest_reference, forest_solve_reference, interior, laplacian_reference,
-                  path_graph, star_graph, random_connected_graph, with_parallel_edges)
+                  path_graph, schur_complement_dtn, schur_update_reference, star_graph,
+                  random_connected_graph, with_parallel_edges)
 
 
 def test_laplacian_single_edge():
@@ -490,6 +492,173 @@ def test_forest_with_an_interior_component_cut_off_from_the_boundary_is_singular
                      ["a"])
     with pytest.raises(RuntimeError, match="singular"):
         HarmonicSolver(g)
+
+
+def interior_neighbours(solver):
+    """The number of interior neighbours of each boundary vertex: the stored
+    entries of its column of L_IB."""
+    return np.diff(solver.L_IB.tocsc().indptr)
+
+
+def leaves_as_boundary(g):
+    """g (a tree) with its degree-1 vertices as the boundary."""
+    degree = dict.fromkeys(g.vertices, 0)
+    for e in g.edges:
+        degree[e.u] += 1
+        degree[e.v] += 1
+    return metric_graph(g.vertices, g.edges, [v for v in g.vertices if degree[v] == 1])
+
+
+def with_pendants(g, rng, count):
+    """g, all of it interior, with `count` boundary pendants, each joined to
+    one random vertex of g, a third of them by two parallel edges; about a
+    quarter of the pendants are also joined to the pendant before them, a
+    boundary-boundary edge that leaves each with one interior neighbour."""
+    pendants = [f"p{k:03d}" for k in range(count)]
+    edges = list(g.edges)
+    for k, p in enumerate(pendants):
+        at = g.vertices[int(rng.integers(len(g.vertices)))]
+        edges.append((f"q{k:03d}", at, p, float(rng.uniform(0.1, 10.0))))
+        if rng.random() < 1 / 3:
+            edges.append((f"r{k:03d}", p, at, float(rng.uniform(0.1, 10.0))))
+        if k and rng.random() < 0.25:
+            edges.append((f"s{k:03d}", pendants[k - 1], p, float(rng.uniform(0.1, 10.0))))
+    return metric_graph(list(g.vertices) + pendants, edges, pendants)
+
+
+def one_neighbour_graphs():
+    """Graphs whose boundary vertices have at most one interior neighbour:
+    k-ary trees, the pendant spine, a star, random trees of mixed degrees
+    with their leaves as boundary, random interiors (with cycles and
+    without) with pendants, and a star with a boundary vertex joined only
+    to another boundary vertex."""
+    rng = np.random.default_rng(101)
+    yield build_kary_tree(TreeFamilySpec(arity=2, ratio=0.5, depth=9))[0]
+    yield build_kary_tree(TreeFamilySpec(arity=2, ratio=0.25, depth=6))[0]
+    yield build_kary_tree(TreeFamilySpec(arity=3, ratio=0.3, depth=5))[0]
+    yield build_counterexample(CounterexampleSpec(spine=12))
+    yield star_graph(5, length=0.7)
+    for _ in range(10):
+        yield leaves_as_boundary(random_connected_graph(rng, max_vertices=120, extra_edges=False))
+    for extra_edges in (False, True):
+        for _ in range(10):
+            inner = random_connected_graph(rng, max_vertices=30, extra_edges=extra_edges)
+            yield with_pendants(inner, rng, int(rng.integers(2, 150)))
+    star = star_graph(3)
+    yield metric_graph(star.vertices + ("x",), list(star.edges) + [("ex", "v1", "x", 0.5)],
+                       set(star.boundary) | {"x"})
+
+
+def test_schur_complement_equals_the_blocked_sparse_update_on_one_neighbour_graphs():
+    """Where every boundary vertex has at most one interior neighbour the
+    update is a gather of Z's rows and columns; S is equal, to the last
+    bit, to the blocked sparse update of `schur_update_reference`, on both
+    solver paths, over one and several row blocks, with boundary vertices
+    that have no interior neighbour among them."""
+    seen = set()
+    for g in one_neighbour_graphs():
+        solver = HarmonicSolver(g)
+        neighbours = interior_neighbours(solver)
+        assert neighbours.max() <= 1
+        assert np.array_equal(solver.schur_complement(), schur_update_reference(solver))
+        seen.update({"forest": solver._forest is not None,
+                     "splu": solver._forest is None,
+                     "none": bool(np.any(neighbours == 0)),
+                     "several blocks": len(solver.boundary) > FLUX_BLOCK}.items())
+    assert {(k, True) for k in ("forest", "splu", "none", "several blocks")} <= seen
+
+
+def grid_graph(rng, n):
+    """The n x n grid, lengths uniform in [0.5, 2], with the vertices of even
+    row and column as the boundary: each has 2 to 4 interior neighbours,
+    and the interior has cycles."""
+    name = [[f"g{i:02d}{j:02d}" for j in range(n)] for i in range(n)]
+    edges = [(f"h{i:02d}{j:02d}", name[i][j], name[i][j + 1], float(rng.uniform(0.5, 2.0)))
+             for i in range(n) for j in range(n - 1)]
+    edges += [(f"v{i:02d}{j:02d}", name[i][j], name[i + 1][j], float(rng.uniform(0.5, 2.0)))
+              for i in range(n - 1) for j in range(n)]
+    boundary = [name[i][j] for i in range(0, n, 2) for j in range(0, n, 2)]
+    return metric_graph([v for row in name for v in row], edges, boundary)
+
+
+def hub_graph(rng):
+    """A random tree with its leaves as boundary, plus one boundary hub
+    joined to every interior vertex."""
+    tree = leaves_as_boundary(random_connected_graph(rng, max_vertices=200, extra_edges=False))
+    inner = interior(tree)
+    spokes = [(f"z{k:03d}", "hub", v, float(rng.uniform(0.1, 10.0))) for k, v in enumerate(inner)]
+    return metric_graph(tree.vertices + ("hub",), list(tree.edges) + spokes,
+                        set(tree.boundary) | {"hub"})
+
+
+def test_schur_complement_with_several_interior_neighbours_matches_the_dense_oracle():
+    """Grids and hub graphs, whose boundary vertices have several interior
+    neighbours, keep the sparse update: S matches the dense Schur
+    complement at 1e-12 of the largest conductance, and is equal to
+    `schur_update_reference` (the same products, its row blocks cut from
+    Q^T's arrays rather than sliced)."""
+    rng = np.random.default_rng(103)
+    graphs = [grid_graph(rng, n) for n in (3, 8, 17)] + [hub_graph(rng) for _ in range(3)]
+    for g in graphs:
+        solver = HarmonicSolver(g)
+        assert interior_neighbours(solver).max() > 1
+        S = solver.schur_complement()
+        dense = schur_complement_dtn(g).matrix
+        assert np.max(np.abs(S - dense)) <= 1e-12 * max(1.0 / e.length for e in g.edges)
+        assert np.array_equal(S, schur_update_reference(solver))
+    assert len(HarmonicSolver(graphs[2]).boundary) == 81 > FLUX_BLOCK  # two row blocks
+
+
+def test_schur_complement_with_no_interior_is_l_bb():
+    triangle = [("e1", "a", "b", 1.0), ("e2", "b", "c", 0.25), ("e3", "c", "a", 3.0)]
+    solver = HarmonicSolver(metric_graph(["a", "b", "c"], triangle, ["a", "b", "c"]))
+    assert np.array_equal(solver.schur_complement(), solver.L_BB.toarray())
+
+
+def interior_has_parallel_edges(g):
+    """Whether two interior edges join the same pair, or one joins a vertex
+    to itself."""
+    pairs = [frozenset((e.u, e.v)) for e in g.edges
+             if e.u not in g.boundary and e.v not in g.boundary]
+    return len(set(pairs)) < len(pairs) or any(len(p) == 1 for p in pairs)
+
+
+def test_components_never_see_a_repeated_column(monkeypatch):
+    """csgraph's strong-components search does not return on a CSR row with
+    a repeated column (scipy 1.17.1), so `_eliminate_forest` turns parallel
+    interior edges and self-loops away first.  Every adjacency it passes is
+    checked before the search runs; the graphs with parallel interior edges
+    take `splu`, and their Schur complements match the dense oracle."""
+    calls = []
+    search = harmonic.connected_components
+
+    def checked(adj, directed, connection):
+        rows = np.repeat(np.arange(adj.shape[0]), np.diff(adj.indptr))
+        pairs = rows * adj.shape[1] + adj.indices
+        assert len(np.unique(pairs)) == len(pairs), "a row with a repeated column"
+        assert (directed, connection) == (True, "strong")
+        calls.append(adj.shape)
+        return search(adj, directed=directed, connection=connection)
+
+    monkeypatch.setattr(harmonic, "connected_components", checked)
+    rng = np.random.default_rng(107)
+    graphs = [parallel_edge_graph(), build_kary_tree(TreeFamilySpec(arity=3, ratio=0.3, depth=3))[0],
+              metric_graph(["a", "b", "c"], [("e1", "a", "b", 1.0), ("e2", "b", "c", 1.0),
+                                             ("s", "b", "b", 2.0)], ["a", "c"])]
+    for _ in range(20):
+        tree = random_connected_graph(rng, max_vertices=30, extra_edges=False)
+        graphs += [tree, with_parallel_edges(tree, rng)]
+    parallel = 0
+    for g in graphs:
+        solver = HarmonicSolver(g)
+        assert (solver._forest is not None) == interior_forest(g, g.boundary)[0]
+        if interior_has_parallel_edges(g):
+            parallel += 1
+            assert solver._forest is None
+        dense = schur_complement_dtn(g).matrix
+        assert np.max(np.abs(solver.schur_complement() - dense)) <= (
+            1e-12 * max(1.0 / e.length for e in g.edges))
+    assert parallel >= 10 and len(calls) >= 20
 
 
 def test_recurrence_values():

@@ -12,6 +12,7 @@ from mgbound import BoundarySet, HarmonicSolver, metric_graph, vertex_flux
 from mgbound.dtn import TILE, DtNMatrix, _check_weights
 from mgbound.families import ROOT, _DIGITS
 from mgbound.graph import REL_TOL, _edge_arrays, _judge
+from mgbound.harmonic import FLUX_BLOCK
 
 
 def random_connected_graph(rng, max_vertices=50, min_boundary=2, extra_edges=True):
@@ -247,6 +248,32 @@ def schur_complement_dtn(g, mu=None):
         L_BI = L[np.ix_(bb, ii)]
         S = S - L_BI @ np.linalg.solve(L[np.ix_(ii, ii)], L_BI.T)
     return DtNMatrix(tuple(bverts), S / w[:, None], w)
+
+
+def schur_update_reference(solver):
+    """`solver.schur_complement()` as it was built before the one-neighbour
+    gather: Z from the same blocked unit solves, then, per block of
+    FLUX_BLOCK rows of S, the sparse products S[rows] -= (Q^T (Q^T[rows]
+    Z)^T)^T with Q^T[rows] a scipy row slice.  Oracle for both update
+    paths of `schur_complement`: S must be equal to the last bit."""
+    S = solver.L_BB.toarray()
+    J = np.flatnonzero(np.diff(solver.L_IB.indptr))
+    if not len(J):
+        return S
+    at = J if solver._forest is None else solver._forest[1][J]
+    Z = np.empty((len(J), len(J)))
+    for lo in range(0, len(J), FLUX_BLOCK):
+        block = at[lo:lo + FLUX_BLOCK]
+        unit = np.zeros((solver.L_IB.shape[0], len(block)))
+        unit[block, np.arange(len(block))] = 1.0
+        Z[:, lo:lo + len(block)] = solver._solve_ordered(unit)[at]
+    Qt = solver.L_IB.T.tocsr()
+    Qt = sp.csr_matrix((Qt.data, np.searchsorted(J, Qt.indices), Qt.indptr),
+                       shape=(len(S), len(J)))
+    for lo in range(0, len(S), FLUX_BLOCK):
+        rows = slice(lo, lo + FLUX_BLOCK)
+        S[rows] -= (Qt @ (Qt[rows] @ Z).T).T
+    return S
 
 
 def compression_oracle(full, cells, assignment, cell_weights):
