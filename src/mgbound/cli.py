@@ -171,6 +171,18 @@ def _load_or_build(args):
     return _family_graph(args)
 
 
+def _key_map(path: str, pairs, known, what: str) -> dict:
+    """The (key, value) pairs read from `path` as a dict; a key given twice
+    and one that names none of `known` (each a `what`) are errors."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        raise ValueError(f"{path} gives a key twice")
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise ValueError(f"{path}: keys that name no {what}: {unknown[:5]}")
+    return doc
+
+
 def _read_number_map(path: str, boundary) -> dict:
     """A JSON object whose values are finite numbers, as floats; a string, a
     boolean, null, NaN or an infinity is rejected, as `load_graph` rejects
@@ -181,13 +193,7 @@ def _read_number_map(path: str, boundary) -> dict:
             isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
             for _, x in pairs):
         raise ValueError(f"{path} must hold a JSON object of finite numbers")
-    doc = dict(pairs)
-    if len(doc) < len(pairs):
-        raise ValueError(f"{path} gives a key twice")
-    unknown = sorted(set(doc) - set(boundary))
-    if unknown:
-        raise ValueError(f"{path}: keys that name no boundary vertex: {unknown[:5]}")
-    return {k: float(x) for k, x in doc.items()}
+    return {k: float(x) for k, x in _key_map(path, pairs, boundary, "boundary vertex").items()}
 
 
 def _read_function(path: str, keys) -> np.ndarray:
@@ -196,12 +202,7 @@ def _read_function(path: str, keys) -> np.ndarray:
     value that is not finite are errors."""
     with open(path) as fh:
         lines = [ln.strip().split(",") for ln in fh if ln.strip()]
-    table = {k: float(v) for k, v in lines}
-    if len(table) < len(lines):
-        raise ValueError(f"{path} gives a key twice")
-    unknown = sorted(set(table) - set(keys))
-    if unknown:
-        raise ValueError(f"{path}: keys that name no cell or coefficient: {unknown[:5]}")
+    table = _key_map(path, [(k, float(v)) for k, v in lines], keys, "cell or coefficient")
     x = np.array([table[k] for k in keys])
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{path}: values must be finite")
@@ -215,16 +216,13 @@ def _parse_depths(text: str):
     return [int(x) for x in text.split(",")]
 
 
-def cmd_gen(args):
-    rep = Reporter(args)
+def cmd_gen(args, rep):
     g = _family_graph(args)
     rep.artifact("graph.json", families.save_graph(g))
     rep.check_le("validate", len(validate(g)), 0.0)
-    return rep.finish()
 
 
-def cmd_partitions(args):
-    rep = Reporter(args)
+def cmd_partitions(args, rep):
     if args.graph or args.family == "counterexample":
         b = graph_boundary_set(_load_or_build(args))
     else:
@@ -240,11 +238,9 @@ def cmd_partitions(args):
     # distances, or on a k-ary tree the next entry of a decreasing table
     fine = tree.mesh
     rep.check("mesh nonincreasing", 0.0, 0.0, all(b <= a for a, b in zip(fine, fine[1:])))
-    return rep.finish()
 
 
-def cmd_solve(args):
-    rep = Reporter(args)
+def cmd_solve(args, rep):
     g = _load_or_build(args)
     f = harmonic.solve_dirichlet(g, _read_number_map(args.boundary_values, g.boundary))
     rows = [("vertex", "value")] + [(v, _fmt(f.values[v])) for v in g.vertices]
@@ -252,7 +248,6 @@ def cmd_solve(args):
     chk = harmonic.check_harmonic(f)
     rep.check("kirchhoff residual", **chk["kirchhoff"])
     rep.check("maximum principle", 0.0, 0.0, chk["max_principle"])
-    return rep.finish()
 
 
 def _matrix_lines(header, labels, rows):
@@ -275,12 +270,10 @@ def _check_dtn_invariants(rep, D: dtn_mod.DtNMatrix):
         rep.check(f"dtn {name}", **check)
 
 
-def cmd_dtn(args):
-    rep = Reporter(args)
+def cmd_dtn(args, rep):
     g = _load_or_build(args)
     mu = _read_number_map(args.mu, g.boundary) if args.mu else None
     _write_dtn(rep, "matrix", dtn_mod.dtn_matrix(g, mu))
-    return rep.finish()
 
 
 def _write_trace(rep, name: str, res, tol: float):
@@ -291,17 +284,14 @@ def _write_trace(rep, name: str, res, tol: float):
     rep.check(f"{name} converged", final, tol, res.converged)
 
 
-def cmd_dtn_limit(args):
-    rep = Reporter(args)
+def cmd_dtn_limit(args, rep):
     res = dtn_mod.compressed_dtn_limit(_tree_spec(args), args.level,
                                        _parse_depths(args.depths), args.tol)
     _write_dtn(rep, "matrix", res.dtn)
     _write_trace(rep, "dtn limit", res, args.tol)
-    return rep.finish()
 
 
-def cmd_exit_measure(args):
-    rep = Reporter(args)
+def cmd_exit_measure(args, rep):
     res = measures.exit_measure_limit(_tree_spec(args), args.level,
                                       _parse_depths(args.depths), args.tol,
                                       w=args.source_vertex)
@@ -309,7 +299,6 @@ def cmd_exit_measure(args):
     rows = [("cell", "mass")] + [(p or "(root)", _fmt(m)) for p, m in zip(res.cells, masses)]
     rep.artifact("measure.csv", _csv(rows))
     _write_trace(rep, "exit measure", res, args.tol)
-    return rep.finish()
 
 
 def _build_basis(args):
@@ -331,8 +320,7 @@ def _gram_error(basis: haar_mod.HaarBasis) -> float:
     return float(abs(basis.gram_matrix() - eye_array(len(basis), format="csr")).max())
 
 
-def cmd_haar(args):
-    rep = Reporter(args)
+def cmd_haar(args, rep):
     tree, _, basis = _build_basis(args)
     # the stored entries of the CSR basis, in storage order; any other is 0
     M, cells = basis.matrix, tree.levels[tree.finest].labels
@@ -343,11 +331,9 @@ def cmd_haar(args):
                                             M.data[:, None]))
     if args.check:
         rep.check_le("gram identity", _gram_error(basis), 1e-10)
-    return rep.finish()
 
 
-def cmd_haar_apply(args):
-    rep = Reporter(args)
+def cmd_haar_apply(args, rep):
     _, _, basis = _build_basis(args)
     finest = basis.tree.levels[basis.tree.finest]
     # synthesize reads the coefficients indexed 0..K-1, the others finest-cell values
@@ -360,11 +346,9 @@ def cmd_haar_apply(args):
         op = haar_mod.synthesize if args.op == "synthesize" else haar_mod.multiresolution_operator
         rows = [("cell", "value")] + [(c, _fmt(v)) for c, v in zip(finest.labels, op(basis, x))]
     rep.artifact("result.csv", _csv(rows))
-    return rep.finish()
 
 
-def cmd_counterexample(args):
-    rep = Reporter(args)
+def cmd_counterexample(args, rep):
     spec = CounterexampleSpec(spine=args.spine, pendant_exponent=args.pendant_exponent)
     res = harmonic.counterexample_recurrence(spec)
     fluxes = [_fmt(g) for g in res.fluxes] + [""]  # none out of the last vertex
@@ -376,12 +360,10 @@ def cmd_counterexample(args):
     if res.overflow_index is not None:
         rep.check("overflow index (divergence evidence)",
                   float(res.overflow_index), 0.0, True)
-    return rep.finish()
 
 
-def cmd_check(args):
+def cmd_check(args, rep):
     """Deterministic invariant suite over built-in fixtures."""
-    rep = Reporter(args)
     spec = TreeFamilySpec(arity=2, ratio=0.25, depth=5)
     tree = canonical_nested_partitions(tree_boundary_set(spec))
     g = families.build_kary_tree(spec)[0]
@@ -412,7 +394,6 @@ def cmd_check(args):
 
     res = harmonic.counterexample_recurrence(CounterexampleSpec(spine=40))
     rep.check("counterexample divergence", res.values[-1], 0.0, res.values[-1] > 1e3)
-    return rep.finish()
 
 
 @functools.cache
@@ -493,7 +474,9 @@ def main(argv=None) -> int:
     hook = threading.current_thread() is threading.main_thread()
     previous = signal.signal(signal.SIGTERM, lambda *_: sys.exit(143)) if hook else None
     try:
-        return args.func(args)
+        rep = Reporter(args)
+        args.func(args, rep)
+        return rep.finish()
     except Exception as exc:  # machine-readable failure
         err = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(err), file=sys.stderr)

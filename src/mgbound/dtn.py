@@ -6,8 +6,9 @@ The map sends boundary values F to the mu-normalized boundary flux of the
 harmonic extension: (Lam F)(v) = mu(v)^{-1} * sum over incident edges of the
 oriented derivative at v.  That flux is the Schur complement
 S = L_BB - L_IB^T L_II^{-1} L_IB of the weighted Laplacian applied to F.  The
-full map is S itself, formed by `HarmonicSolver.schur_complement` from one
-solve per interior vertex with a boundary neighbour; the compressed map
+full map is S itself, formed by `HarmonicSolver.schur_complement` (one solve
+per interior vertex with a boundary neighbour where no boundary vertex has two
+interior neighbours, else `boundary_flux` of the identity); the compressed map
 A^T S A, for the leaf-to-cell indicator matrix A, and the energy form F^T S F
 apply S to blocks of boundary data through `HarmonicSolver.boundary_flux`.
 
@@ -120,8 +121,7 @@ def _check_weights(weights, n: int) -> np.ndarray:
 
 def dtn_matrix(g: MetricGraph, mu: dict | None = None) -> DtNMatrix:
     """Full DtN matrix on the boundary vertices: the Schur complement S
-    (`HarmonicSolver.schur_complement`, one solve per interior vertex with a
-    boundary neighbour), scaled by 1/mu."""
+    (`HarmonicSolver.schur_complement`), scaled by 1/mu."""
     if len(g.boundary) < 2:
         raise ValueError("need at least 2 boundary vertices")
     if mu is not None and set(mu) != g.boundary:

@@ -316,28 +316,28 @@ class HarmonicSolver:
 
     def schur_complement(self) -> np.ndarray:
         """The boundary Schur complement S = L_BB - L_IB^T L_II^{-1} L_IB as a
-        dense n_B x n_B array, from one solve per interior vertex that has a
-        boundary neighbour (Kron reduction: only their rows of L_IB are
-        nonzero).  With J those vertices, Q = L_IB[J] (sparse) and
-        Z = (L_II^{-1})[J, J] from |J| unit right-hand sides in blocks of
-        FLUX_BLOCK, S = L_BB - Q^T Z Q.  The unit columns are set, and Z is
-        read, at J's rows in the solve's own order (`_solve_ordered`), and
-        Q^T is L_IB^T in CSR with its columns renumbered into J.  S and Z
-        are the only dense arrays of their size: the update runs over blocks
-        of FLUX_BLOCK rows of S, in one of two layouts.
+        dense n_B x n_B array.  Q^T = L_IB^T in CSR holds in row a the
+        conductances from boundary vertex a to its interior neighbours.
 
         When every boundary vertex a has at most one interior neighbour n(a)
         (each row of Q^T holds at most one entry q_a, as on every k-ary tree
-        and the pendant spine), (Q^T Z Q)[a, b] = q_a q_b Z[n(a), n(b)].  A
-        block is then two contiguous gathers of Z, its rows n(a) scaled by
-        q_a and then its columns n(b) by q_b: the products of the sparse
-        path in its order, so S is equal to the last bit, and no sparse
-        product is formed.  A vertex with no interior neighbour gathers row
-        and column 0 with q = 0, which adds exactly 0.  Otherwise a block
-        is (Q^T (Q[:, rows]^T Z)^T)^T with Q^T on both sides sparse, its
-        rows cut from Q^T's arrays: a gather of every neighbour's row of Z
-        would multiply the work by the neighbour counts (a grid, or a
-        boundary hub joined to the whole interior)."""
+        and the pendant spine), S is a Kron reduction from one solve per
+        interior vertex that has a boundary neighbour.  With J those
+        vertices and Z = (L_II^{-1})[J, J] from |J| unit right-hand sides in
+        blocks of FLUX_BLOCK, set and read at J's rows in the solve's own
+        order (`_solve_ordered`), S[a, b] = L_BB[a, b] - q_a q_b Z[n(a), n(b)].
+        Per block of FLUX_BLOCK rows of S that is two contiguous gathers of
+        Z, its rows n(a) scaled by q_a and then its columns n(b) by q_b, and
+        no sparse product is formed.  A vertex with no interior neighbour
+        gathers row and column 0 with q = 0, which adds exactly 0.
+
+        Otherwise (a grid, or a boundary hub joined to the whole interior) S
+        is `boundary_flux` of the n_B x n_B identity: n_B solves, and no
+        |J| x |J| array."""
+        Qt = self.L_IB.T.tocsr()
+        counts = np.diff(Qt.indptr)
+        if counts.max() > 1:
+            return self.boundary_flux(sp.identity(len(counts), format="csc"))
         S = self.L_BB.toarray()
         J = np.flatnonzero(np.diff(self.L_IB.indptr))
         if not len(J):
@@ -349,28 +349,16 @@ class HarmonicSolver:
             unit = np.zeros((self.L_IB.shape[0], len(block)))
             unit[block, np.arange(len(block))] = 1.0
             Z[:, lo:lo + len(block)] = self._solve_ordered(unit)[at]
-        Qt = self.L_IB.T.tocsr()
-        indptr, cols, data = Qt.indptr, np.searchsorted(J, Qt.indices), Qt.data
-        counts = np.diff(indptr)
-        if counts.max() <= 1:  # S[a, b] -= q_a q_b Z[n(a), n(b)]
-            one = counts == 1
-            n, q = np.zeros(len(S), dtype=np.intp), np.zeros(len(S))
-            n[one], q[one] = cols, data
-            for lo in range(0, len(S), FLUX_BLOCK):
-                rows = slice(lo, lo + FLUX_BLOCK)
-                T = Z.take(n[rows], axis=0)
-                T *= q[rows, None]
-                T = T.take(n, axis=1)
-                T *= q
-                S[rows] -= T
-            return S
-        Qt = sp.csr_matrix((data, cols, indptr), shape=(len(S), len(J)))
+        one = counts == 1
+        n, q = np.zeros(len(S), dtype=np.intp), np.zeros(len(S))
+        n[one], q[one] = np.searchsorted(J, Qt.indices), Qt.data
         for lo in range(0, len(S), FLUX_BLOCK):
-            hi = min(lo + FLUX_BLOCK, len(S))
-            a, b = indptr[lo], indptr[hi]
-            Qr = sp.csr_matrix((data[a:b], cols[a:b], indptr[lo:hi + 1] - a),
-                               shape=(hi - lo, len(J)))
-            S[lo:hi] -= (Qt @ (Qr @ Z).T).T  # (Q^T Z Q)[rows]
+            rows = slice(lo, lo + FLUX_BLOCK)
+            T = Z.take(n[rows], axis=0)
+            T *= q[rows, None]
+            T = T.take(n, axis=1)
+            T *= q
+            S[rows] -= T
         return S
 
 

@@ -9,13 +9,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, dijkstra, minimum_spanning_tree
 
 from .families import TreeFamilySpec, _common_prefix
-from .graph import MetricGraph, _edge_arrays, _shortest_edge_matrix, _shortest_pair_matrix
+from .graph import (MetricGraph, _edge_arrays, _on_boundary, _shortest_edge_matrix,
+                    _shortest_pair_matrix)
 
 
 _SYMMETRY_ROWS = 1024  # rows per block of the symmetry check
@@ -199,10 +201,13 @@ class _GraphBoundarySet(BoundarySet):
     _made_sorted = True
 
     def __init__(self, g: MetricGraph):
-        self.points = tuple(sorted(g.boundary))
-        n = len(self.points)
-        pos = {v: i for i, v in enumerate(g.vertices)}
-        self.src = np.array([pos[p] for p in self.points], dtype=np.intp)
+        on_boundary = _on_boundary(g)
+        self.src = np.flatnonzero(on_boundary)
+        n = len(self.src)
+        if n < len(g.boundary):  # a boundary name that is no vertex
+            raise KeyError(min(g.boundary.difference(g.vertices)))
+        # g.vertices is sorted, so the points are too
+        self.points = tuple(compress(g.vertices, on_boundary.tolist()))
         self.lengths = _shortest_edge_matrix(g)
         near, _, region = dijkstra(self.lengths, directed=False, indices=self.src,
                                    min_only=True, return_predecessors=True)

@@ -591,22 +591,49 @@ def hub_graph(rng):
                         set(tree.boundary) | {"hub"})
 
 
+def several_neighbour_graphs():
+    """Graphs with a boundary vertex of several interior neighbours: 3 x 3,
+    8 x 8 and 17 x 17 grids (81 boundary vertices, two column blocks) and
+    three hub graphs."""
+    rng = np.random.default_rng(103)
+    return [grid_graph(rng, n) for n in (3, 8, 17)] + [hub_graph(rng) for _ in range(3)]
+
+
 def test_schur_complement_with_several_interior_neighbours_matches_the_dense_oracle():
     """Grids and hub graphs, whose boundary vertices have several interior
-    neighbours, keep the sparse update: S matches the dense Schur
-    complement at 1e-12 of the largest conductance, and is equal to
-    `schur_update_reference` (the same products, its row blocks cut from
-    Q^T's arrays rather than sliced)."""
-    rng = np.random.default_rng(103)
-    graphs = [grid_graph(rng, n) for n in (3, 8, 17)] + [hub_graph(rng) for _ in range(3)]
+    neighbours, take `boundary_flux` of the identity: S matches the dense
+    Schur complement at 1e-12 of the largest conductance."""
+    graphs = several_neighbour_graphs()
     for g in graphs:
         solver = HarmonicSolver(g)
         assert interior_neighbours(solver).max() > 1
         S = solver.schur_complement()
         dense = schur_complement_dtn(g).matrix
         assert np.max(np.abs(S - dense)) <= 1e-12 * max(1.0 / e.length for e in g.edges)
-        assert np.array_equal(S, schur_update_reference(solver))
-    assert len(HarmonicSolver(graphs[2]).boundary) == 81 > FLUX_BLOCK  # two row blocks
+    assert len(HarmonicSolver(graphs[2]).boundary) == 81 > FLUX_BLOCK
+
+
+def test_schur_complement_calls_boundary_flux_only_with_several_interior_neighbours(monkeypatch):
+    """`schur_complement` calls `boundary_flux` exactly once, with the n_B x n_B
+    identity, where a boundary vertex has several interior neighbours, and
+    never where each has at most one (the gather of Z)."""
+    calls = []
+    flux = HarmonicSolver.boundary_flux
+
+    def counted(self, F):
+        calls.append(F)
+        return flux(self, F)
+
+    monkeypatch.setattr(HarmonicSolver, "boundary_flux", counted)
+    for g in one_neighbour_graphs():
+        HarmonicSolver(g).schur_complement()
+    assert calls == []
+    for g in several_neighbour_graphs():
+        solver = HarmonicSolver(g)
+        solver.schur_complement()
+        n_b = len(solver.boundary)
+        assert len(calls) == 1 and sp.issparse(calls[0]) and calls[0].shape == (n_b, n_b)
+        assert (calls.pop() != sp.identity(n_b)).nnz == 0
 
 
 def test_schur_complement_with_no_interior_is_l_bb():

@@ -161,6 +161,15 @@ def test_graph_boundary_set():
     assert np.allclose(b.dist, 2.0 * (1 - np.eye(3)))
 
 
+def test_graph_boundary_set_rejects_a_boundary_name_that_is_no_vertex():
+    """The points are read from the boundary mask over the vertices, which
+    skips a name that is no vertex; the first such name is a KeyError."""
+    g = star_graph(3)
+    g = metric_graph(g.vertices, g.edges, set(g.boundary) | {"zz", "w"})
+    with pytest.raises(KeyError, match="^'w'$"):
+        graph_boundary_set(g)
+
+
 def test_jump_closed_form_invariant():
     # jump a has value 2 L0 r^(a+1) (1 - r^(n-a)) / (1 - r), counts k^a -> k^(a+1)
     for k, r, n in [(2, 0.25, 4), (3, 0.5, 3)]:

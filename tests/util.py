@@ -254,8 +254,9 @@ def schur_update_reference(solver):
     """`solver.schur_complement()` as it was built before the one-neighbour
     gather: Z from the same blocked unit solves, then, per block of
     FLUX_BLOCK rows of S, the sparse products S[rows] -= (Q^T (Q^T[rows]
-    Z)^T)^T with Q^T[rows] a scipy row slice.  Oracle for both update
-    paths of `schur_complement`: S must be equal to the last bit."""
+    Z)^T)^T with Q^T[rows] a scipy row slice.  Oracle for the gather of
+    `schur_complement`, where every boundary vertex has at most one
+    interior neighbour: S must be equal to the last bit."""
     S = solver.L_BB.toarray()
     J = np.flatnonzero(np.diff(solver.L_IB.indptr))
     if not len(J):
