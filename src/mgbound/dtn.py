@@ -30,7 +30,7 @@ from .graph import REL_TOL, MetricGraph, _judge
 from .harmonic import HarmonicSolver, _edge_energy
 # bound here unused: perfbench's tracer test wraps vertex_flux through this module
 from .harmonic import vertex_flux  # noqa: F401
-from .measures import _limit, _path_potentials, exit_measure_limit
+from .measures import _edge_lengths, _limit, _path_potentials, exit_measure_limit
 from .partition import Partition, _cell_index
 
 TILE = 128  # side of the square tiles of S that check_invariants reads in pairs
@@ -165,18 +165,29 @@ def _cell_flux(solver: HarmonicSolver, cell: np.ndarray, ncells: int) -> np.ndar
     return C
 
 
-def _truncation_cell_flux(spec: TreeFamilySpec, level: int) -> np.ndarray:
+def _cell_flux_plan(spec: TreeFamilySpec, level: int, depth: int):
+    """What the compressed maps of every truncation of `spec` up to `depth`
+    on the level-`level` prefix cells share: the edge lengths l_0..l_depth
+    and the k^level x k^level matrix of the cells' common prefix lengths."""
+    cell = np.arange(spec.arity ** level)
+    return (_edge_lengths(spec, depth),
+            _common_prefix(spec.arity, level, cell[:, None], cell[None, :]))
+
+
+def _truncation_cell_flux(spec: TreeFamilySpec, level: int, plan=None) -> np.ndarray:
     """A^T S A, the unscaled compressed DtN, of the depth-d tree `spec` on its
     level-`level` prefix cells: with one cell's leaves at 1 (`_path_potentials`,
     tied), the k - 1 branches off its path at p_j each carry u_j / rho[j + 1]
     into their k^(level - j - 1) cells, so two cells whose longest common
     prefix has length j < level share the entry -u_j / (rho[j + 1]
-    k^(level - j - 1)); each diagonal is minus its row's off-diagonal sum."""
+    k^(level - j - 1)); each diagonal is minus its row's off-diagonal sum.
+    `plan` is a sweep's `_cell_flux_plan`, made here for spec alone if not
+    given; the rest is O(d) and one gather of k^(2 level) entries."""
     k = spec.arity
-    rho, u = _path_potentials(spec, level, tied=True)
+    l, prefix = plan or _cell_flux_plan(spec, level, spec.depth)
+    rho, u = _path_potentials(spec, level, l, tied=True)
     entry = [-u[j] / (rho[j + 1] * k ** (level - j - 1)) for j in range(level)] + [0.0]
-    cell = np.arange(k ** level)
-    C = np.array(entry)[_common_prefix(k, level, cell[:, None], cell[None, :])]
+    C = np.array(entry)[prefix]
     np.fill_diagonal(C, -C.sum(axis=1))
     return C
 
@@ -193,11 +204,15 @@ def compressed_dtn_limit(spec: TreeFamilySpec, level: int, depths, tol: float) -
     level-`level` prefix cells, stopping when the max-norm change of the
     matrix drops below tol.  Each truncation's map is computed once, in
     closed form (`_truncation_cell_flux`, no graph and no vertex cap), and
-    divided by the root's exit masses, `exit_measure_limit(spec, level, depths, tol)`."""
+    divided by the root's exit masses, `exit_measure_limit(spec, level, depths, tol)`.
+    The prefix matrix and the edge lengths up to the deepest depth are made
+    once, before the first map (`_cell_flux_plan`); each depth then costs
+    O(depth) and one gather."""
     depths = list(depths)  # read twice, so a generator is drawn only once
     weights = exit_measure_limit(spec, level, depths, tol).masses
+    plan = _cell_flux_plan(spec, level, depths[-1])
     # dividing a flux by the weights gives what compressed_dtn gives with them
-    matrices = ((d, _truncation_cell_flux(spec.at_depth(d), level) / weights[:, None])
+    matrices = ((d, _truncation_cell_flux(spec.at_depth(d), level, plan) / weights[:, None])
                 for d in depths)
     matrix, trace, converged = _limit(matrices, tol)
     return DtNLimitResult(DtNMatrix(tuple(_addresses(spec.arity, level)), matrix, weights),

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,7 +65,7 @@ class TreeFamilySpec:
         return (self.arity ** (self.depth + 1) - 1) // (self.arity - 1)
 
     def at_depth(self, depth: int) -> "TreeFamilySpec":
-        return replace(self, depth=depth)
+        return TreeFamilySpec(self.arity, self.ratio, self.base_length, depth)
 
     def leaf_addresses(self):
         return _addresses(self.arity, self.depth)

@@ -9,7 +9,9 @@ truncation leaves, the proxy for vanishing on the completion boundary; the
 limit operation quantifies the induced error rather than bounding it a
 priori.  A k-ary truncation needs no graph: series-parallel (Kron) reduction
 leaves branch resistances rho_j = l_j + rho_{j+1} / k and one pass along the
-source's path (`_path_potentials`), O(depth + k^level), with no vertex cap.
+source's path (`_path_potentials`), with no vertex cap: a sweep of truncations
+indexes the k^level cells and takes the edge lengths once, O(k^level), and
+then costs O(depth) a depth and one gather.
 """
 from __future__ import annotations
 
@@ -157,16 +159,17 @@ def _check_schedule(depths, tol: float, level: int) -> list:
     return depths
 
 
-def _path_potentials(spec: TreeFamilySpec, m: int, tied: bool = False):
+def _path_potentials(spec: TreeFamilySpec, m: int, l: list, tied: bool = False):
     """(rho, u) on the depth-d tree with every leaf grounded but the end p_m
-    of the path p_0 = root .. p_m held at 1 (tied: p_m's leaves held at 1).
+    of the path p_0 = root .. p_m held at 1 (tied: p_m's leaves held at 1),
+    from the edge lengths l (`_edge_lengths`, at least l_0..l_d).
     rho[j] = l_j + rho[j + 1] / k is a level-j branch's resistance, its edge
     of length l_j included (rho[d + 1] = 0).  p_j's conductance to ground off
     the path below it is H_j = (k - 1) / rho[j + 1] + G_j, G_j = 1 / (l_j +
     1 / H_{j - 1}) through its parent edge (G_0 = 0); u_m = 1 (tied: 1 / (1 +
     rho[m + 1] G_m / k)), u_{j - 1} = u_j / (1 + l_j H_{j - 1}): no subtraction."""
     k, d = spec.arity, spec.depth
-    l, rho = [spec.edge_length(j) for j in range(d + 1)], [0.0] * (d + 2)
+    rho = [0.0] * (d + 2)
     for j in range(d, 0, -1):
         rho[j] = l[j] + rho[j + 1] / k
     H, g = [], 0.0
@@ -179,21 +182,41 @@ def _path_potentials(spec: TreeFamilySpec, m: int, tied: bool = False):
     return rho, u[::-1]
 
 
-def _truncation_exit_masses(spec: TreeFamilySpec, level: int, w) -> np.ndarray:
+def _edge_lengths(spec: TreeFamilySpec, depth: int) -> list:
+    """The edge lengths l_0..l_depth of the family `spec`, as `edge_length`
+    gives them: the same at every truncation, so a sweep makes them once."""
+    return [spec.edge_length(j) for j in range(depth + 1)]
+
+
+def _exit_plan(spec: TreeFamilySpec, level: int, w, depth: int):
+    """What the exit masses from w of every truncation of `spec` from
+    spec.depth to `depth` share: w's address a, checked on `spec` (a source
+    of the shallowest truncation is one of every deeper one), the edge
+    lengths l_0..l_depth, and the index of each level-`level` cell into the
+    shares of `_truncation_exit_masses`.  The index is the cell's common
+    prefix length with w's cell (or the first below w), capped at |a|: O(k^level)."""
+    k, a = spec.arity, _source_address(spec, w)
+    home = int(a[:level].ljust(level, "0") or "0", k)  # w's cell, or the first below w
+    index = np.minimum(_common_prefix(k, level, np.arange(k ** level), home), min(len(a), level))
+    return a, _edge_lengths(spec, depth), index
+
+
+def _truncation_exit_masses(spec: TreeFamilySpec, level: int, w, plan=None) -> np.ndarray:
     """Exit masses from w = p_m (`_path_potentials`) of the level-`level`
     prefix cells of the depth-d tree `spec`: the k - 1 branches off the path
     at p_j each carry u_j / rho[j + 1] and the k child branches of w
     1 / rho[m + 1].  A branch rooted at depth t <= level spreads equally over
-    its k^(level - t) cells; one rooted deeper lies inside w's cell."""
-    k, a = spec.arity, _source_address(spec, w)
+    its k^(level - t) cells; one rooted deeper lies inside w's cell.  `plan`
+    is a sweep's `_exit_plan`, made here for spec alone if not given; the
+    rest is O(d)."""
+    k = spec.arity
+    a, l, index = plan or _exit_plan(spec, level, w, spec.depth)
     m = len(a)
-    rho, u = _path_potentials(spec, m)
+    rho, u = _path_potentials(spec, m, l)
     share = [u[s] / (rho[s + 1] * k ** (level - s - 1)) for s in range(min(m + 1, level))]
     if m >= level:  # w's own cell
         share.append(sum((k - 1) * u[j] / rho[j + 1] for j in range(level, m)) + k / rho[m + 1])
-    home = int(a[:level].ljust(level, "0") or "0", k)  # w's cell, or the first below w
-    return np.array(share)[np.minimum(_common_prefix(k, level, np.arange(k ** level), home),
-                                      min(m, level))]
+    return np.array(share)[index]
 
 
 def _limit(iterates, tol: float):
@@ -217,9 +240,12 @@ def exit_measure_limit(spec: TreeFamilySpec, level: int, depths, tol: float,
     each computed once in closed form (`_truncation_exit_masses`, with no
     graph and no vertex cap): the first iterate whose max cellwise change
     drops below tol, with the change sequence, or else the last with
-    converged=False."""
+    converged=False.  The cell index and the edge lengths up to the deepest
+    depth are made once, before the first depth (`_exit_plan`, O(k^level));
+    each depth then costs O(depth) and one gather."""
     depths = _check_schedule(depths, tol, level)
-    iterates = ((d, _truncation_exit_masses(spec.at_depth(d), level, w)) for d in depths)
+    plan = _exit_plan(spec.at_depth(depths[0]), level, w, depths[-1])
+    iterates = ((d, _truncation_exit_masses(spec.at_depth(d), level, w, plan)) for d in depths)
     return LimitResult(tuple(_addresses(spec.arity, level)), *_limit(iterates, tol))
 
 

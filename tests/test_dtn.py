@@ -13,7 +13,7 @@ from mgbound import (cli, metric_graph, dtn_matrix, canonical_nested_partitions,
                      quadratic_form_check, TreeFamilySpec, build_kary_tree,
                      build_counterexample, CounterexampleSpec, exit_measure_limit,
                      DtNMatrix, Edge, HarmonicSolver, MetricGraph)
-from mgbound.families import _addresses
+from mgbound.families import ROOT, _addresses
 from mgbound.harmonic import _edge_energy
 from mgbound.partition import Partition
 
@@ -441,6 +441,84 @@ def test_truncation_sweeps_construct_no_edge(monkeypatch):
     exit_measure_limit(SPEC, 2, range(4, 11), 1e-12)
     compressed_dtn_limit(SPEC, 2, range(4, 11), 1e-12)
     assert made == []
+
+
+def _standalone_limits(spec, level, depths, tol, w):
+    """(exit-measure limit from w, compressed-DtN limit) as (value, trace,
+    converged) triples, from one standalone closed-form call per drawn depth
+    through the stopping rule, with no plan shared between depths."""
+    def exit_limit(source):
+        return mgbound.measures._limit(
+            ((d, mgbound.measures._truncation_exit_masses(spec.at_depth(d), level, source))
+             for d in depths), tol)
+
+    weights = exit_limit(ROOT)[0]
+    maps = mgbound.measures._limit(
+        ((d, mgbound.dtn._truncation_cell_flux(spec.at_depth(d), level) / weights[:, None])
+         for d in depths), tol)
+    return exit_limit(w), (maps, weights)
+
+
+# (schedule, tol, converges): the second is drawn to its end on every level
+# but 0, whose compressed map is 0 at every depth
+SWEEP_SCHEDULES = [(range(4, 60), 1e-12, True), ([4, 5, 6], 1e-15, False)]
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+@pytest.mark.parametrize("ratio", [0.25, 0.5, 0.9])
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+@pytest.mark.parametrize("depths, tol, converges", SWEEP_SCHEDULES)
+@pytest.mark.parametrize("as_generator", [False, True])
+def test_truncation_sweeps_equal_their_standalone_depths(arity, ratio, level, depths, tol,
+                                                          converges, as_generator):
+    """Each depth of a sweep, on its plan made once, gives bit for bit what
+    the standalone call at that depth gives: masses, matrix, weights, trace
+    and flag, for sources at the root, on the path and below the cells."""
+    spec = TreeFamilySpec(arity=arity, ratio=ratio)
+    schedule = (lambda: (d for d in depths)) if as_generator else (lambda: list(depths))
+    for w in (ROOT, "0", "01"):
+        (masses, trace, converged), ((matrix, map_trace, map_converged), weights) = \
+            _standalone_limits(spec, level, list(depths), tol, w)
+        assert converged == converges
+        assert map_converged == (converges or level == 0)
+        res = exit_measure_limit(spec, level, schedule(), tol, w=w)
+        assert res.masses.tobytes() == masses.tobytes()
+        assert (res.trace, res.converged) == (trace, converged)
+    res = compressed_dtn_limit(spec, level, schedule(), tol)
+    assert res.dtn.matrix.tobytes() == matrix.tobytes()
+    assert res.dtn.weights.tobytes() == weights.tobytes()
+    assert (res.trace, res.converged) == (map_trace, map_converged)
+    # "0000" is a leaf of the first truncation though a vertex of every later one
+    with pytest.raises(ValueError) as standalone:
+        _standalone_limits(spec, level, list(depths), tol, "0000")
+    with pytest.raises(ValueError) as swept:
+        exit_measure_limit(spec, level, schedule(), tol, w="0000")
+    assert str(swept.value) == str(standalone.value)
+
+
+@pytest.mark.parametrize("depths", [range(4, 7), range(4, 44)])
+def test_truncation_sweeps_index_their_cells_once(monkeypatch, depths):
+    """A sweep finds the cells' common prefixes once, not once a depth: one
+    call for the exit masses, and for the compressed maps one for the
+    weights and then one for the maps."""
+    calls = []
+
+    def counting(module):
+        common_prefix = module._common_prefix
+
+        def counted(*args):
+            calls.append(module.__name__)
+            return common_prefix(*args)
+        return counted
+
+    for module in (mgbound.measures, mgbound.dtn):
+        monkeypatch.setattr(module, "_common_prefix", counting(module))
+    spec = TreeFamilySpec(arity=3, ratio=0.9)
+    exit_measure_limit(spec, 2, depths, 1e-15, w="01")
+    assert calls == ["mgbound.measures"]
+    calls.clear()
+    compressed_dtn_limit(spec, 2, depths, 1e-15)
+    assert calls == ["mgbound.measures", "mgbound.dtn"]
 
 
 CLOSED_FORM_CASES = [(2, 0.25, 2, range(6, 15)), (3, 0.4, 1, range(4, 9)),
