@@ -23,7 +23,7 @@ from scipy.sparse import eye_array
 
 from . import families, harmonic, measures, dtn as dtn_mod, haar as haar_mod
 from .families import TreeFamilySpec, CounterexampleSpec
-from .graph import validate
+from .graph import _judge, validate
 from .partition import canonical_nested_partitions, tree_boundary_set, graph_boundary_set
 
 
@@ -391,6 +391,10 @@ def cmd_check(args, rep):
     lim = measures.exit_measure_limit(spec, 0, range(4, 13), 1e-8)
     rep.check_le("exit measure total vs (2-r)/r",
                  float(lim.masses.sum() - (2 - r) / r), 1e-8)
+    leaves = np.fromiter(measures.exit_measure_point_masses(g, families.ROOT).values(), float)
+    exact = measures._truncation_exit_masses(spec, spec.depth, families.ROOT)
+    rep.check("graph exit measure vs closed form",
+              **_judge(float(np.max(np.abs(leaves - exact))), float(np.max(exact))))
 
     res = harmonic.counterexample_recurrence(CounterexampleSpec(spine=40))
     rep.check("counterexample divergence", res.values[-1], 0.0, res.values[-1] > 1e3)

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .families import TreeFamilySpec, _addresses, _common_prefix
-from .graph import REL_TOL, MetricGraph, _judge
+from .graph import MetricGraph, _judge
 from .harmonic import HarmonicSolver, _edge_energy
 # bound here unused: perfbench's tracer test wraps vertex_flux through this module
 from .harmonic import vertex_flux  # noqa: F401
@@ -42,7 +42,7 @@ class DtNMatrix:
     matrix: np.ndarray
     weights: np.ndarray   # positive mu weights, same order as basis
 
-    def check_invariants(self, sym_tol=REL_TOL) -> dict:
+    def check_invariants(self) -> dict:
         """The Laplacian certificate of S = diag(w) Lam: the symmetry error
         max|S - S^T|, the kernel error max|Lam 1|, the largest off-diagonal
         of Sym = (S + S^T) / 2, the Gershgorin bound
@@ -57,7 +57,7 @@ class DtNMatrix:
         matrix is no Laplacian and is reported as failing.
 
         `checks` holds three `_judge` records, `ok` their joint verdict: the
-        symmetry error (at sym_tol) and min(0, g), both sums of entries of S,
+        symmetry error and min(0, g), both sums of entries of S,
         over max |S_vv|, and the kernel error over max |Lam_vv|, the scales
         the rounding grows with (binary r = 1/4, depth 9: a kernel error
         2.6e-10; spine 40 under exit weights from 0.05 to 1: g = -1.3e-12,
@@ -104,7 +104,7 @@ class DtNMatrix:
         diag = np.abs(np.diagonal(M))
         s_scale = float(np.max(w * diag))
         report["checks"] = {
-            "symmetry": _judge(report["symmetry_error"], s_scale, sym_tol),
+            "symmetry": _judge(report["symmetry_error"], s_scale),
             "kernel": _judge(report["kernel_error"], float(np.max(diag))),
             "psd": _judge(min(g, 0.0), s_scale)}
         report["ok"] = all(c["passed"] for c in report["checks"].values())

@@ -19,14 +19,14 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 REL_TOL = 1e-12  # every numerical check's tolerance, on its figure over its scale
 
 
-def _judge(figure: float, scale: float, tol: float = REL_TOL) -> dict:
+def _judge(figure: float, scale: float) -> dict:
     """A check's record: its figure, the scale its rounding grows with, value =
-    figure / scale (0 for a zero figure) and the verdict |value| <= tol.  NaN
+    figure / scale (0 for a zero figure) and the verdict |value| <= REL_TOL.  NaN
     fails, and so does a nonzero figure on a zero scale."""
     with np.errstate(divide="ignore", invalid="ignore"):
         value = 0.0 if figure == 0 else float(np.float64(figure) / scale)
-    return {"value": value, "tolerance": tol, "absolute": figure, "scale": scale,
-            "passed": bool(abs(value) <= tol)}
+    return {"value": value, "tolerance": REL_TOL, "absolute": figure, "scale": scale,
+            "passed": bool(abs(value) <= REL_TOL)}
 
 
 @dataclass(frozen=True)
@@ -83,18 +83,13 @@ def _edge_arrays(g: MetricGraph):
     return arrays
 
 
-def _on_boundary(g: MetricGraph, boundary=None) -> np.ndarray:
-    """Boolean mask over g.vertices of `boundary`, by default g's own; the
-    mask of g's own boundary is made on first use and cached like
-    `_edge_arrays`."""
-    if boundary is None:
-        mask = getattr(g, "_boundary_mask", None)
-        if mask is None:
-            mask = _on_boundary(g, g.boundary)
-            object.__setattr__(g, "_boundary_mask", mask)
-        return mask
-    bset = frozenset(boundary)
-    return np.fromiter((v in bset for v in g.vertices), dtype=bool, count=len(g.vertices))
+def _on_boundary(g: MetricGraph) -> np.ndarray:
+    """Boolean mask over g.vertices of g.boundary, cached like `_edge_arrays`."""
+    mask = getattr(g, "_boundary_mask", None)
+    if mask is None:
+        mask = np.fromiter((v in g.boundary for v in g.vertices), bool, len(g.vertices))
+        object.__setattr__(g, "_boundary_mask", mask)
+    return mask
 
 
 def _shortest_edge_matrix(g: MetricGraph) -> csr_matrix:

@@ -46,11 +46,11 @@ def _laplacian_triplets(g: MetricGraph, keep=slice(None)):
             np.column_stack([-c, -c, c, c]).ravel())
 
 
-def assemble_laplacian(g: MetricGraph, boundary=None) -> WeightedLaplacian:
+def assemble_laplacian(g: MetricGraph) -> WeightedLaplacian:
     """One COO call over all the triplets of `_laplacian_triplets`."""
     n = len(g.vertices)
     rows, cols, vals = _laplacian_triplets(g)
-    on_boundary = _on_boundary(g, boundary)
+    on_boundary = _on_boundary(g)
     return WeightedLaplacian(g.vertices, sp.csr_matrix((vals, (rows, cols)), shape=(n, n)),
                              np.flatnonzero(~on_boundary), np.flatnonzero(on_boundary))
 
@@ -59,7 +59,6 @@ def assemble_laplacian(g: MetricGraph, boundary=None) -> WeightedLaplacian:
 class HarmonicFunction:
     graph: MetricGraph
     values: dict
-    boundary: tuple  # pinned vertices (may extend g.boundary, e.g. a source)
 
 
 def vertex_flux(f: HarmonicFunction, v) -> float:
@@ -97,14 +96,14 @@ class HarmonicSolver:
     `splu` with two refinement passes.  The factorization is fixed at
     construction (the forest's per-level matrices are made on the first
     solve of two or more columns) and may be shared across threads for
-    repeated right-hand sides.  `boundary` overrides the graph's boundary set (used to pin extra
-    vertices).
+    repeated right-hand sides.  The boundary is g.boundary; an exit measure
+    is one interior solve from its source (`exit_measure`), nothing pinned.
     """
 
     _use_direct = True  # every solve is direct; perfbench's tracer reads this
 
-    def __init__(self, g: MetricGraph, boundary=None):
-        on_boundary = _on_boundary(g, boundary)
+    def __init__(self, g: MetricGraph):
+        on_boundary = _on_boundary(g)
         if not on_boundary.any():
             raise ValueError("boundary is empty")
         self.graph = g
@@ -288,7 +287,7 @@ class HarmonicSolver:
 
     def solve(self, boundary_values: dict) -> HarmonicFunction:
         x = self._extension(self._boundary_vector(boundary_values))
-        return HarmonicFunction(self.graph, dict(zip(self.graph.vertices, x)), self.boundary)
+        return HarmonicFunction(self.graph, dict(zip(self.graph.vertices, x)))
 
     def boundary_flux(self, F) -> np.ndarray:
         """Boundary fluxes of the harmonic extensions of the columns of F.
@@ -379,7 +378,7 @@ def check_harmonic(f: HarmonicFunction) -> dict:
     slope = (x[u] - x[v]) / length  # the derivative at u; at v it is -slope
     resid = np.bincount(ends, np.r_[slope, -slope], len(x))
     conductance = np.bincount(ends, np.r_[1.0 / length, 1.0 / length], len(x))
-    on_boundary = _on_boundary(g, f.boundary)
+    on_boundary = _on_boundary(g)
     inner = np.flatnonzero(~on_boundary)
     gap, top = np.abs(resid[inner]) / conductance[inner], float(np.max(np.abs(x), initial=0.0))
     bad, slack, bvals = inner[gap > REL_TOL * top], REL_TOL * top, x[on_boundary]

@@ -107,27 +107,28 @@ def exit_measure(g: MetricGraph, w, cells: Partition,
                  assignment: dict | None = None) -> np.ndarray:
     """Harmonic flux from a unit potential at w into each boundary cell.
 
-    With w pinned beside the boundary, the harmonic function that is 1 at w
-    and 0 on the boundary has the boundary fluxes `boundary_flux(e_w)`, one
-    column of the Schur complement on the boundary and w.  A cell's mass is
-    the sum over its boundary vertices v of the inward flux, minus v's entry
-    of that column, that is (f(neighbor) - f(v)) / l_e.  The total equals the
-    effective conductance between w and the boundary; dividing by it gives
-    the harmonic measure, whose masses sum to 1.  Cells as in `compressed_dtn`.
+    One interior solve on g's own factorization, x = L_II^{-1} e_w: h = x / x_w
+    is 1 at w, 0 on the boundary and harmonic elsewhere, as a solve with w
+    pinned gives.  Boundary vertex b receives the inward flux
+    -(L_IB^T x)_b / x_w >= 0, a sum with no cancellation, and a cell the sum
+    over its vertices.  The total, 1 / x_w, is the effective conductance
+    between w and the boundary; dividing by it gives the harmonic measure,
+    whose masses sum to 1.  Cells as in `compressed_dtn`.
     """
     if w not in g.vertices:
         raise KeyError(f"unknown vertex {w!r}")
     if w in g.boundary:
         raise ValueError(f"source vertex {w!r} lies on the boundary")
-    solver = HarmonicSolver(g, boundary=g.boundary | {w})
-    cell = _cell_index(cells, assignment, [v for v in solver.boundary if v != w])
-    source = solver.boundary.index(w)
-    unit = np.zeros((len(solver.boundary), 1))
+    solver = HarmonicSolver(g)
+    cell = _cell_index(cells, assignment, solver.boundary)
+    source = solver._rank[g.vertices.index(w)]
+    unit = np.zeros(solver.L_IB.shape[0])
     unit[source] = 1.0
-    flux = np.delete(solver.boundary_flux(unit)[:, 0], source)
-    nu = np.bincount(cell, weights=-flux, minlength=len(cells))
-    if np.min(nu) <= 0:
-        raise RuntimeError("exit measure produced a nonpositive cell mass; "
+    x = solver._solve_interior(unit)
+    with np.errstate(divide="ignore", invalid="ignore"):  # x_w = 0 only from a faulty solve
+        nu = np.bincount(cell, weights=(solver.L_IB.T @ x) / -x[source], minlength=len(cells))
+    if not np.all((nu > 0) & (nu < np.inf)):
+        raise RuntimeError("exit measure produced a nonpositive or non-finite cell mass; "
                            "solver output violates positivity")
     return nu
 

@@ -22,7 +22,7 @@ from mgbound.families import ROOT
 from mgbound.partition import Partition
 
 from util import (components_bruteforce, random_connected_graph, schur_complement_dtn,
-                  star_graph)
+                  star_graph, with_boundary)
 
 TREE = TreeFamilySpec(arity=2, ratio=0.25, depth=5)
 
@@ -61,14 +61,14 @@ def test_criterion_01_dtn_vs_schur():
 def test_criterion_02_dtn_structure():
     for g, mu, rng in _criterion1_graphs():
         for D in (dtn_matrix(g, mu),):
-            inv = D.check_invariants(sym_tol=1e-10)
+            inv = D.check_invariants()
             assert inv["symmetry_error"] < 1e-10
             assert inv["kernel_error"] < 1e-10
             assert inv["min_eigenvalue"] >= -1e-10
         cells, assignment = _random_two_cells(g, rng)
         cw = np.array([sum(mu[v] for v in cell) for cell in cells.cells])
         C = compressed_dtn(g, cells, cw, assignment)
-        inv = C.check_invariants(sym_tol=1e-10)
+        inv = C.check_invariants()
         assert inv["symmetry_error"] < 1e-10
         assert inv["kernel_error"] < 1e-10
         assert inv["min_eigenvalue"] >= -1e-10
@@ -172,7 +172,7 @@ def test_criterion_08_compressed_dtn_convergence():
     changes = [c for _, c in res.trace]
     assert all(b < a for a, b in zip(changes, changes[1:]))
     assert changes[-1] < 1e-6
-    inv = res.dtn.check_invariants(sym_tol=1e-10)
+    inv = res.dtn.check_invariants()
     assert inv["symmetry_error"] < 1e-10
     assert inv["kernel_error"] < 1e-10
     assert inv["min_eigenvalue"] >= -1e-10
@@ -206,7 +206,7 @@ def test_criterion_10_mutual_absolute_continuity():
     tree = canonical_nested_partitions(tree_boundary_set(TREE.at_depth(4)))
     w1, w2 = ROOT, "0"
     # harmonic profile of a unit potential at w1, zero on the boundary
-    solver = HarmonicSolver(g, boundary=set(g.boundary) | {w1})
+    solver = HarmonicSolver(with_boundary(g, set(g.boundary) | {w1}))
     f1 = solver.solve({**{v: 0.0 for v in g.boundary}, w1: 1.0})
     bound = 1.0 / f1.values[w2]
     worst_C = 0.0

@@ -366,6 +366,20 @@ def test_check_fails_a_wrong_tree_jump_closed_form(tmp_path, monkeypatch):
     assert failed["value"] == pytest.approx(1e-9, rel=1e-3)
 
 
+def test_check_runs_the_graph_exit_measure(tmp_path, monkeypatch):
+    """`check` holds the graph's exit masses from the root of its depth-5
+    tree against the closed form at 1e-12 of the largest: masses off by one
+    part in 1e9 fail that check, and only that one."""
+    real = mgbound.measures.exit_measure
+    monkeypatch.setattr(mgbound.measures, "exit_measure",
+                        lambda *a, **k: real(*a, **k) * (1 + 1e-9))
+    rc, _, report = run(tmp_path, "check")
+    assert rc == 1
+    (failed,) = [c for c in report["checks"] if not c["passed"]]
+    assert failed["name"] == "graph exit measure vs closed form"
+    assert failed["value"] == pytest.approx(1e-9, rel=1e-3) and failed["tolerance"] == 1e-12
+
+
 def test_reproducible_artifacts(tmp_path):
     rc1, out, report = run(tmp_path, "partitions", "--depth", "3")
     first = artifact(out, report, "cells.csv").read_bytes()

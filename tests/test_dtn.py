@@ -21,7 +21,7 @@ from test_acceptance import _criterion1_graphs, _random_two_cells
 from util import (certificate_reference, certificate_tile_reference, compressed_flux_reduced,
                   compression_oracle,
                   dtn_min_eigenvalue, interior, schur_complement_dtn, star_graph,
-                  random_connected_graph, with_parallel_edges)
+                  random_connected_graph, with_boundary, with_parallel_edges)
 
 SPEC = TreeFamilySpec(arity=2, ratio=0.25, depth=3)
 
@@ -232,8 +232,7 @@ def test_certificate_equals_the_strided_tile_pass(n):
     """Every field equals, to the last bit, that of
     `certificate_tile_reference`, which read each transposed tile as a
     strided view: on a random Laplacian map and on copies with one defect
-    each in the first and last tiles, at the default and a looser symmetry
-    tolerance."""
+    each in the first and last tiles."""
     D = _random_laplacian_map(np.random.default_rng(n + 1000), n)
     maps = [D]
     for i, j in {(0, n - 1), (n - 1, 0), (n // 2, n // 2 - 1)} if n > 1 else set():
@@ -241,9 +240,7 @@ def test_certificate_equals_the_strided_tile_pass(n):
                                                         "nan")]
     maps += [_perturbed(D, kind, n - 1, n - 1) for kind in ("row sum", "nan")]
     for M in maps:
-        for tol in (mgbound.dtn.REL_TOL, 1e-6):
-            assert _equal_to_the_last_bit(M.check_invariants(tol),
-                                          certificate_tile_reference(M, tol))
+        assert _equal_to_the_last_bit(M.check_invariants(), certificate_tile_reference(M))
 
 
 def test_certificate_equals_the_strided_tile_pass_on_dtn_maps():
@@ -716,7 +713,7 @@ def pinned_graph(g, rng, share):
     none, and boundary vertices become adjacent."""
     inner = interior(g)
     pinned = rng.choice(inner, size=int(share * len(inner)), replace=False)
-    return metric_graph(g.vertices, g.edges, set(g.boundary) | set(pinned.tolist()))
+    return with_boundary(g, set(g.boundary) | set(pinned.tolist()))
 
 
 def schur_cases():

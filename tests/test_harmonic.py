@@ -16,7 +16,7 @@ from mgbound.partition import Partition
 
 from util import (forest_reference, forest_solve_reference, interior, laplacian_reference,
                   path_graph, schur_complement_dtn, schur_update_reference, star_graph,
-                  random_connected_graph, with_parallel_edges)
+                  random_connected_graph, with_boundary, with_parallel_edges)
 
 
 def test_laplacian_single_edge():
@@ -38,9 +38,9 @@ def test_laplacian_equals_the_per_edge_loop():
     for _ in range(10):
         g = with_parallel_edges(random_connected_graph(rng), rng)
         pinned = set(g.boundary) | {interior(g)[0]} if interior(g) else None
-        for boundary in (None, pinned):
-            lap = assemble_laplacian(g, boundary)
-            L, inner, bnd = laplacian_reference(g, boundary)
+        for h in (g, with_boundary(g, pinned)):
+            lap = assemble_laplacian(h)
+            L, inner, bnd = laplacian_reference(h)
             assert lap.order == g.vertices
             for name in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(lap.matrix, name), getattr(L, name)), name
@@ -109,7 +109,7 @@ def test_vertex_flux_is_the_sum_over_the_incident_edges_in_edge_order():
         fs = [solve_dirichlet(g, F)]
         if interior(g):
             w = interior(g)[0]
-            fs.append(HarmonicSolver(g, boundary=set(g.boundary) | {w}).solve({**F, w: 1.0}))
+            fs.append(HarmonicSolver(with_boundary(g, set(g.boundary) | {w})).solve({**F, w: 1.0}))
         for f in fs:
             for v in g.vertices:
                 assert vertex_flux(f, v) == _flux_in_edge_order(f, v), v
@@ -217,7 +217,7 @@ def test_boundary_flux_matches_per_column_solves():
             # an extra pinned source, as in exit measures
             pinned.append(set(g.boundary) | {interior(g)[0]})
         for boundary in pinned:
-            solver = HarmonicSolver(g, boundary=boundary)
+            solver = HarmonicSolver(with_boundary(g, boundary))
             F = rng.normal(size=(len(solver.boundary), 3))
             got = solver.boundary_flux(F)
             assert np.max(np.abs(got - flux_by_columns(solver, F))) < 1e-10
@@ -234,10 +234,10 @@ def test_boundary_flux_spans_several_blocks():
         solver.boundary_flux(F[1:])
 
 
-def laplacian_blocks(g, boundary=None):
+def laplacian_blocks(g):
     """L_BB, L_II, L_IB and L_BI cut out of `assemble_laplacian`, dense, and
     the largest |entry| of the whole matrix."""
-    lap = assemble_laplacian(g, boundary)
+    lap = assemble_laplacian(g)
     L, ii, bb = lap.matrix, lap.interior_idx, lap.boundary_idx
     return ([L[np.ix_(r, c)].toarray() for r, c in ((bb, bb), (ii, ii), (ii, bb), (bb, ii))],
             abs(L).max())
@@ -267,8 +267,8 @@ def test_solver_blocks_match_the_laplacian_blocks_with_parallel_edges():
                for _ in range(30)]
     for g in graphs:
         for boundary in (None, set(g.boundary) | {interior(g)[0]}):
-            solver = HarmonicSolver(g, boundary=boundary)
-            blocks, scale = laplacian_blocks(g, boundary)
+            solver = HarmonicSolver(with_boundary(g, boundary))
+            blocks, scale = laplacian_blocks(with_boundary(g, boundary))
             for got, want in zip(solver_blocks(solver), blocks):
                 assert got.shape == want.shape
                 assert np.max(np.abs(got - want), initial=0.0) <= 4 * np.spacing(scale)
@@ -298,9 +298,9 @@ def interior_forest(g, boundary):
     return forest, len({find(v) for v in parent})
 
 
-def forced_splu(g, boundary=None):
+def forced_splu(g):
     """g's solver with its interior factored by `splu` whatever its structure."""
-    solver = HarmonicSolver(g, boundary=boundary)
+    solver = HarmonicSolver(g)
     solver._forest = None
     solver._lu = spla.splu(solver.L_II)
     return solver
@@ -312,8 +312,9 @@ def check_solver_paths(g, boundary, rng):
     the same solver forced onto `splu` and against dense solves of the
     blocks of `laplacian_reference`.  Returns whether the
     solver took the forest path."""
-    solver, lu = HarmonicSolver(g, boundary=boundary), forced_splu(g, boundary)
-    L, ii, bb = laplacian_reference(g, boundary)
+    g = with_boundary(g, boundary)
+    solver, lu = HarmonicSolver(g), forced_splu(g)
+    L, ii, bb = laplacian_reference(g)
     L = L.toarray()
     L_II, L_IB, L_BI = L[np.ix_(ii, ii)], L[np.ix_(ii, bb)], L[np.ix_(bb, ii)]
     S = L[np.ix_(bb, bb)] - L_BI @ np.linalg.solve(L_II, L_IB)
@@ -330,8 +331,8 @@ def check_solver_paths(g, boundary, rng):
     for i, w in enumerate(solver.interior):
         e = np.linalg.solve(L_II, np.eye(len(ii))[i])
         want = L_BI @ e / e[i]
-        pinned = set(solver.boundary) | {w}
-        for s in (HarmonicSolver(g, boundary=pinned), forced_splu(g, pinned)):
+        pinned = with_boundary(g, set(solver.boundary) | {w})
+        for s in (HarmonicSolver(pinned), forced_splu(pinned)):
             unit = np.array([[float(v == w)] for v in s.boundary])
             got = s.boundary_flux(unit)[[v != w for v in s.boundary], 0]
             assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).sum()
@@ -417,7 +418,7 @@ def test_forest_factors_and_solves_equal_the_two_adjacency_build():
         cases += [(g, None), (g, set(g.boundary) | {interior(g)[-1]})]
     pieces = []
     for g, boundary in cases:
-        solver = HarmonicSolver(g, boundary=boundary)
+        solver = HarmonicSolver(with_boundary(g, boundary))
         assert solver._forest is not None
         assert_forest_equals_the_reference(solver, rng)
         pieces.append(interior_forest(g, boundary or g.boundary)[1])
@@ -776,7 +777,7 @@ def test_solver_blocks_from_the_boundary_edges_equal_those_from_all_triplets():
                for _ in range(30)]
     for g in graphs:
         for boundary in (None, set(g.boundary) | {interior(g)[0]}):
-            solver = HarmonicSolver(g, boundary=boundary)
+            solver = HarmonicSolver(with_boundary(g, boundary))
             got = [solver.L_IB, solver.L_BB, solver.L_II]
             *want, L_BI = blocks_from_all_triplets(solver, "IB", "BB", "II", "BI")
             for a, b in zip(got, want):

@@ -17,7 +17,7 @@ from mgbound.partition import Partition
 from util import (additivity_per_level_reference, additivity_reference, counting_reference,
                   equal_split_reference, exit_mass_closed_form, exit_measure_pinned, interior,
                   path_graph, point_mass_reference, random_boundary_set, random_connected_graph,
-                  star_graph, with_parallel_edges)
+                  star_graph, with_boundary, with_parallel_edges)
 
 SPEC3 = TreeFamilySpec(arity=2, ratio=0.25, depth=3)
 
@@ -191,12 +191,13 @@ def test_a_one_cell_measure():
     assert nan.is_positive() is False
 
 
-def _pinned_cases():
+def exit_cases():
     """(graph, interior source, boundary singleton cells, pinned exit masses):
     a star, a path, a path with parallel edges and ten random graphs, with
     sources drawn from a seeded generator.  Exit masses must be positive, so
     a random graph where the source does not reach every boundary vertex
-    through the interior is passed over."""
+    through the interior is passed over.  The interiors of some induce
+    forests and of others not, so both solver paths are met."""
     rng = np.random.default_rng(2024)
     fixed = [star_graph(4, length=0.7), path_graph([1.0, 0.5, 2.0, 0.25]),
              with_parallel_edges(path_graph([1.0, 2.0, 0.5]), rng, share=1.0)]
@@ -215,9 +216,12 @@ def _pinned_cases():
 
 
 def test_exit_measure_matches_the_pinned_solve():
-    for g, w, cells, ref in _pinned_cases():
+    paths = set()
+    for g, w, cells, ref in exit_cases():
         nu = exit_measure(g, w, cells)
         assert np.max(np.abs(nu - ref)) <= 1e-12 * np.max(ref), (g.vertices, w)
+        paths.add("splu" if HarmonicSolver(g)._forest is None else "forest")
+    assert paths == {"forest", "splu"}
 
 
 @pytest.mark.parametrize("arity, ratio, level, depths", [
@@ -298,14 +302,21 @@ def test_limit_sweeps_reject_a_bad_source_as_the_named_solve_does(source):
 
 
 def test_exit_measure_conservation_and_positivity():
-    spec = SPEC3.at_depth(5)
-    g, _ = build_kary_tree(spec)
-    pm = exit_measure_point_masses(g, "root")
-    assert all(m > 0 for m in pm.values())
-    # total = flux out of the source (Kirchhoff balance)
-    solver = HarmonicSolver(g, boundary=set(g.boundary) | {"root"})
-    f = solver.solve({**{v: 0.0 for v in g.boundary}, "root": 1.0})
-    assert sum(pm.values()) == pytest.approx(vertex_flux(f, "root"), abs=1e-10)
+    """On the depth-5 tree (forest path) and on a graph with cycles (`splu`
+    path), from an interior source: every mass is positive and the total is
+    the flux out of the source of the solve with it pinned (Kirchhoff
+    balance)."""
+    cycles = metric_graph(["a", "b", "c", "d", "p", "q"],
+                          [("e1", "a", "b", 1.0), ("e2", "b", "c", 0.5), ("e3", "c", "a", 2.0),
+                           ("e4", "a", "d", 1.5), ("e5", "d", "b", 0.25), ("e6", "c", "p", 1.0),
+                           ("e7", "d", "q", 3.0)], ["p", "q"])
+    assert HarmonicSolver(cycles)._forest is None
+    for g, w in ((build_kary_tree(SPEC3.at_depth(5))[0], "root"), (cycles, "a")):
+        pm = exit_measure_point_masses(g, w)
+        assert all(m > 0 for m in pm.values())
+        solver = HarmonicSolver(with_boundary(g, set(g.boundary) | {w}))
+        f = solver.solve({**{v: 0.0 for v in g.boundary}, w: 1.0})
+        assert sum(pm.values()) == pytest.approx(vertex_flux(f, w), abs=1e-10)
 
 
 def test_exit_measure_additivity_on_cell_tree(tree3):
@@ -462,9 +473,12 @@ def test_a_bad_assignment_is_rejected_by_exit_measure_and_compressed_dtn(kind):
         compressed_dtn(g, cells, [1.0, 1.0], assignment)
 
 
-def test_exit_measure_still_checks_the_solver_output(monkeypatch):
-    """A nonpositive cell mass from the solver is reported, not returned."""
+@pytest.mark.parametrize("solve", [np.zeros_like, lambda rhs: np.full(rhs.shape, np.nan),
+                                   lambda rhs: 1.0 - rhs], ids=["zero", "nan", "zero at w"])
+def test_exit_measure_still_checks_the_solver_output(monkeypatch, solve):
+    """An interior solve of zeros (x_w = 0, so NaN masses), of NaN, or zero
+    only at the source (infinite masses) is reported, not returned."""
     g = build_kary_tree(SPEC3)[0]
-    monkeypatch.setattr(HarmonicSolver, "boundary_flux", lambda self, F: np.zeros(F.shape))
+    monkeypatch.setattr(HarmonicSolver, "_solve_interior", lambda self, rhs: solve(rhs))
     with pytest.raises(RuntimeError, match="solver output violates positivity"):
         exit_measure_point_masses(g, "root")
