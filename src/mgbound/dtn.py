@@ -68,31 +68,36 @@ class DtNMatrix:
         gives its symmetry error, the largest entry of Sym[I, J] (its
         diagonal left out when I = J) and the sums of |Sym[I, J]| along its
         rows, for I's rows, and along its columns, for J's rows when J != I.
-        Each tile of S^T is copied, transposed, into one reused contiguous
-        array, so the symmetry difference and the sum that gives Sym read
-        contiguous memory.  The kernel error is one product Lam 1."""
+        Three tile buffers are made once per call: S[I, J] is written into
+        the first, Lam[J, I]^T is copied into the second and scaled there by
+        w[J] (the products w_j Lam_ji, so the symmetry difference and the
+        sum that gives Sym read contiguous memory), and the third takes
+        |S - S^T| and then |Sym|, all by `out=` ufuncs, so a pair makes no
+        temporary tile.  The kernel error is one product Lam 1."""
         M, w = self.matrix, self.weights
         n = len(w)
         absrow = np.zeros(n)  # sum_j |Sym_ij|
         asym, offdiag = [], []
-        transposed = np.empty(min(n, TILE) ** 2)
+        tiles = np.empty((3, min(n, TILE) ** 2))  # S[I, J], S^T[I, J] and |.| of a tile
         for lo in range(0, n, TILE):
             I = slice(lo, lo + TILE)
             for lo2 in range(lo, n, TILE):
                 J = slice(lo2, lo2 + TILE)
-                upper = w[I, None] * M[I, J]             # S[I, J]
-                lower = transposed[:upper.size].reshape(upper.shape)
-                np.copyto(lower, (w[J, None] * M[J, I]).T)  # S^T[I, J]
-                asym.append(np.max(np.abs(upper - lower)))
+                shape = (min(TILE, n - lo), min(TILE, n - lo2))
+                upper, lower, size = tiles[:, :shape[0] * shape[1]].reshape(3, *shape)
+                np.multiply(w[I, None], M[I, J], out=upper)
+                np.copyto(lower, M[J, I].T)
+                lower *= w[J]
+                asym.append(np.abs(np.subtract(upper, lower, out=size), out=size).max())
                 upper += lower
-                upper *= 0.5                             # Sym[I, J]
-                size = np.abs(upper)
+                upper *= 0.5  # Sym[I, J]
+                np.abs(upper, out=size)
                 absrow[I] += size.sum(axis=1)
                 if lo2 == lo:
                     np.fill_diagonal(upper, -np.inf)
                 else:
                     absrow[J] += size.sum(axis=0)
-                offdiag.append(np.max(upper))
+                offdiag.append(upper.max())
         g = float(np.min(2.0 * w * np.diagonal(M) - absrow))
         report = {
             "symmetry_error": float(np.max(asym)),

@@ -89,8 +89,10 @@ class HarmonicSolver:
     The blocks L_II, L_IB and L_BB of the weighted Laplacian (L_BI is L_IB^T)
     are assembled straight from the edge arrays: each triplet goes to the block
     of its row and column, its endpoints renumbered by their rank within
-    their own block.  No full Laplacian is formed, and `boundary` and
-    `interior` (the sorted vertex ids of each block) are made on first read.
+    their own block.  L_IB and L_BB are laid out in CSR by numpy alone
+    (`_boundary_blocks`), L_II, read only by `splu`, by one COO call.  No
+    full Laplacian is formed, and `boundary` and `interior` (the sorted
+    vertex ids of each block) are made on first read.
     L_II is factored by tree elimination when the interior
     induces a forest (`_eliminate_forest`, which never reads L_II), else by
     `splu` with two refinement passes.  The factorization is fixed at
@@ -115,41 +117,42 @@ class HarmonicSolver:
         if n_i and self._forest is None:
             self._lu = spla.splu(self.L_II)
 
-    def _block_triplets(self, side: str):
-        """The triplets of the edges with an end on `side` ("B", the
-        boundary, or "I", the interior), endpoints renumbered by their rank
-        within their own block, and whether each row and column is on the
-        boundary."""
-        u, v, _ = _edge_arrays(self.graph)
-        b, rank = self._is_boundary, self._rank
-        keep = b[u] | b[v] if side == "B" else ~(b[u] & b[v])
-        rows, cols, vals = _laplacian_triplets(self.graph, keep)
-        return rank[rows], rank[cols], vals, b[rows], b[cols]
-
     def _boundary_blocks(self, n_i: int):
-        """L_IB and L_BB in CSR from one COO to CSR conversion of the stacked
-        [L_IB; L_BB], over the triplets of the edges with an end on the
-        boundary, split at its first boundary row.  The conversion sorts
-        and sums each row on its own, in the order of its triplets, so each
-        block is the one its own conversion gives."""
-        rows, cols, vals, row_b, col_b = self._block_triplets("B")
-        at = np.flatnonzero(col_b)
-        n_b = len(self._is_boundary) - n_i
-        stacked = sp.csr_matrix((vals[at], (rows[at] + n_i * row_b[at], cols[at])),
-                                shape=(n_i + n_b, n_b))
-        data, indices, indptr = stacked.data, stacked.indices, stacked.indptr
-        k = indptr[n_i]
+        """L_IB and L_BB in CSR with no COO to CSR conversion, from the
+        triplets of `_laplacian_triplets` with a boundary column, each keyed
+        by its row in the stacked [L_IB; L_BB] times n_B plus its column.
+        One stable sort of the keys keeps each entry's terms in edge order
+        for `np.bincount` to add them from 0, and a `bincount` of the rows
+        gives `indptr`, split at the first boundary row."""
+        u, v, _ = _edge_arrays(self.graph)
+        b, rank, n_b = self._is_boundary, self._rank, len(self._is_boundary) - n_i
+        rows, cols, vals = _laplacian_triplets(self.graph, b[u] | b[v])
+        at = np.flatnonzero(b[cols])
+        key = ((rank + n_i * b) * n_b)[rows[at]] + rank[cols[at]]
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.ones(len(key), dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        data = np.bincount(np.cumsum(first) - 1, vals[at[order]])
+        row, indices = np.divmod(key[first], n_b)
+        # scipy's own pick of index dtype, so that csr_matrix copies nothing
+        index = np.int32 if max(len(b), len(key)) < 2 ** 31 else np.intp
+        indptr = np.zeros(len(b) + 1, dtype=index)
+        np.cumsum(np.bincount(row, minlength=len(b)), out=indptr[1:])
+        indices, k = indices.astype(index), indptr[n_i]
         return (sp.csr_matrix((data[:k], indices[:k], indptr[:n_i + 1]), shape=(n_i, n_b)),
                 sp.csr_matrix((data[k:], indices[k:], indptr[n_i:] - k), shape=(n_b, n_b)))
 
     @cached_property
     def L_II(self) -> sp.csc_matrix:
-        """L_II in CSC, for `splu`, over the triplets of the edges with an end
-        in the interior."""
-        rows, cols, vals, row_b, col_b = self._block_triplets("I")
-        at = np.flatnonzero(~(row_b | col_b))
+        """L_II in CSC, for `splu`: one COO call over the triplets of the
+        edges with an end in the interior, cut to the interior block."""
+        u, v, _ = _edge_arrays(self.graph)
+        b, rank = self._is_boundary, self._rank
+        rows, cols, vals = _laplacian_triplets(self.graph, ~(b[u] & b[v]))
+        at = np.flatnonzero(~(b[rows] | b[cols]))
         n_i = self.L_IB.shape[0]
-        return sp.csc_matrix((vals[at], (rows[at], cols[at])), shape=(n_i, n_i))
+        return sp.csc_matrix((vals[at], (rank[rows[at]], rank[cols[at]])), shape=(n_i, n_i))
 
     def _eliminate_forest(self, n_i: int):
         """Elimination of L_II children before parents, with no fill (Parter
@@ -265,12 +268,17 @@ class HarmonicSolver:
         return y
 
     def _boundary_vector(self, boundary_values: dict) -> np.ndarray:
-        """The values at `self.boundary`, in its order; KeyError if one is
-        missing, ValueError if one is not finite."""
-        missing = [v for v in self.boundary if v not in boundary_values]
-        if missing:
-            raise KeyError(f"missing boundary values for {missing[:5]}")
-        F = np.array([float(boundary_values[v]) for v in self.boundary])
+        """The values at `self.boundary`, in its order, read in one pass;
+        KeyError naming the missing vertices if one is missing (even where a
+        value before them is not a number), ValueError if one is not finite."""
+        try:
+            F = np.fromiter(map(float, map(boundary_values.__getitem__, self.boundary)),
+                            float, len(self.boundary))
+        except (KeyError, TypeError, ValueError):
+            missing = [v for v in self.boundary if v not in boundary_values]
+            if missing:
+                raise KeyError(f"missing boundary values for {missing[:5]}") from None
+            raise
         if not np.all(np.isfinite(F)):
             raise ValueError("boundary values must be finite")
         return F
@@ -315,16 +323,19 @@ class HarmonicSolver:
 
     def schur_complement(self) -> np.ndarray:
         """The boundary Schur complement S = L_BB - L_IB^T L_II^{-1} L_IB as a
-        dense n_B x n_B array.  Q^T = L_IB^T in CSR holds in row a the
-        conductances from boundary vertex a to its interior neighbours.
+        dense n_B x n_B array.  Q = L_IB holds in column a the conductances
+        from boundary vertex a to its interior neighbours, so one `bincount`
+        of its column indices counts them.
 
         When every boundary vertex a has at most one interior neighbour n(a)
-        (each row of Q^T holds at most one entry q_a, as on every k-ary tree
+        (column a of Q holds at most one entry q_a, as on every k-ary tree
         and the pendant spine), S is a Kron reduction from one solve per
         interior vertex that has a boundary neighbour.  With J those
         vertices and Z = (L_II^{-1})[J, J] from |J| unit right-hand sides in
-        blocks of FLUX_BLOCK, set and read at J's rows in the solve's own
-        order (`_solve_ordered`), S[a, b] = L_BB[a, b] - q_a q_b Z[n(a), n(b)].
+        blocks of FLUX_BLOCK (one n_I x FLUX_BLOCK buffer, cleared for each
+        block), set and read at J's rows in the solve's own order
+        (`_solve_ordered`), S[a, b] = L_BB[a, b] - q_a q_b Z[n(a), n(b)],
+        with n(a) and q_a scattered from Q's CSR arrays.
         Per block of FLUX_BLOCK rows of S that is two contiguous gathers of
         Z, its rows n(a) scaled by q_a and then its columns n(b) by q_b, and
         no sparse product is formed.  A vertex with no interior neighbour
@@ -333,24 +344,25 @@ class HarmonicSolver:
         Otherwise (a grid, or a boundary hub joined to the whole interior) S
         is `boundary_flux` of the n_B x n_B identity: n_B solves, and no
         |J| x |J| array."""
-        Qt = self.L_IB.T.tocsr()
-        counts = np.diff(Qt.indptr)
-        if counts.max() > 1:
-            return self.boundary_flux(sp.identity(len(counts), format="csc"))
+        Q = self.L_IB
+        if np.bincount(Q.indices, minlength=Q.shape[1]).max() > 1:
+            return self.boundary_flux(sp.identity(Q.shape[1], format="csc"))
         S = self.L_BB.toarray()
-        J = np.flatnonzero(np.diff(self.L_IB.indptr))
+        per_row = np.diff(Q.indptr)
+        J = np.flatnonzero(per_row)
         if not len(J):
             return S
         at = J if self._forest is None else self._forest[1][J]
         Z = np.empty((len(J), len(J)))
+        unit = np.empty((Q.shape[0], min(len(J), FLUX_BLOCK)))
         for lo in range(0, len(J), FLUX_BLOCK):
             block = at[lo:lo + FLUX_BLOCK]
-            unit = np.zeros((self.L_IB.shape[0], len(block)))
-            unit[block, np.arange(len(block))] = 1.0
-            Z[:, lo:lo + len(block)] = self._solve_ordered(unit)[at]
-        one = counts == 1
+            y = unit[:, :len(block)]
+            y.fill(0.0)
+            y[block, np.arange(len(block))] = 1.0
+            Z[:, lo:lo + len(block)] = self._solve_ordered(y)[at]
         n, q = np.zeros(len(S), dtype=np.intp), np.zeros(len(S))
-        n[one], q[one] = np.searchsorted(J, Qt.indices), Qt.data
+        n[Q.indices], q[Q.indices] = np.repeat(np.arange(len(J)), per_row[J]), Q.data
         for lo in range(0, len(S), FLUX_BLOCK):
             rows = slice(lo, lo + FLUX_BLOCK)
             T = Z.take(n[rows], axis=0)

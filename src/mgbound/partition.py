@@ -258,10 +258,12 @@ def _cell_index(cells: Partition, assignment: dict | None, points) -> np.ndarray
     `cells.cell_of()`); ValueError for a point with no cell, an index outside
     [0, len(cells)) or an empty cell, TypeError for an index not an integer."""
     assignment = cells.cell_of() if assignment is None else assignment
-    missing = [v for v in points if v not in assignment]
-    if missing:
-        raise ValueError(f"boundary vertices without a cell: {missing[:5]}")
-    cell = np.array([assignment[v] for v in points]).astype(np.intp, casting="safe")
+    try:
+        cell = np.array(list(map(assignment.__getitem__, points)))
+    except KeyError:
+        missing = [v for v in points if v not in assignment]
+        raise ValueError(f"boundary vertices without a cell: {missing[:5]}") from None
+    cell = cell.astype(np.intp, casting="safe")
     if np.any((cell < 0) | (cell >= len(cells))):
         raise ValueError(f"cell indices must lie in [0, {len(cells)})")
     if np.any(np.bincount(cell, minlength=len(cells)) == 0):

@@ -253,6 +253,47 @@ def test_certificate_equals_the_strided_tile_pass_on_dtn_maps():
         assert _equal_to_the_last_bit(D.check_invariants(), certificate_tile_reference(D))
 
 
+def test_dtn_maps_with_one_interior_neighbour_per_boundary_vertex_never_call_boundary_flux(
+        monkeypatch):
+    """With `boundary_flux` raising, `dtn_matrix` still gives binary depth 9,
+    spine 12 and a star with a boundary vertex joined only to a boundary
+    vertex (its q is 0), each within 1e-12 of the largest conductance of the
+    dense oracle: `schur_complement` counted at most one interior neighbour
+    per boundary vertex there and took the gather of Z.  On the 7 x 7 grid
+    of CI, whose boundary vertices have 2 to 4, it raises.  Then
+    certificates of maps of 2 TILE + 3, 5 and TILE - 1 points, made in that
+    order, each clean and with a NaN, equal `certificate_tile_reference`
+    field by field: no tile buffer carries a value from one call to the
+    next."""
+    def refuse(self, F):
+        raise RuntimeError("boundary_flux called")
+
+    monkeypatch.setattr(HarmonicSolver, "boundary_flux", refuse)
+    star = star_graph(3)
+    graphs = [build_kary_tree(TreeFamilySpec(arity=2, ratio=0.5, depth=9))[0],
+              build_counterexample(CounterexampleSpec(spine=12)),
+              metric_graph(star.vertices + ("x",), list(star.edges) + [("ex", "v1", "x", 0.5)],
+                           set(star.boundary) | {"x"})]
+    for g in graphs:
+        dense = schur_complement_dtn(g).matrix
+        conductance = max(1.0 / e.length for e in g.edges)
+        assert np.max(np.abs(dtn_matrix(g).matrix - dense)) <= 1e-12 * conductance
+    n = 7
+    name = [[f"g{i}{j}" for j in range(n)] for i in range(n)]
+    pairs = [(name[i][j], name[i + di][j + dj]) for i in range(n) for j in range(n)
+             for di, dj in ((0, 1), (1, 0)) if i + di < n and j + dj < n]
+    grid = metric_graph([v for row in name for v in row],
+                        [(f"e{k:03d}", u, v, 1 + k % 3 / 2) for k, (u, v) in enumerate(pairs)],
+                        [name[i][j] for i in range(0, n, 2) for j in range(0, n, 2)])
+    with pytest.raises(RuntimeError, match="boundary_flux called"):
+        dtn_matrix(grid)
+    rng = np.random.default_rng(37)
+    for size in (2 * mgbound.dtn.TILE + 3, 5, mgbound.dtn.TILE - 1):
+        D = _random_laplacian_map(rng, size)
+        for M in (D, _perturbed(D, "nan", size - 1, 0)):
+            assert _equal_to_the_last_bit(M.check_invariants(), certificate_tile_reference(M))
+
+
 def test_dtn_scale_law():
     rng = np.random.default_rng(9)
     g = random_connected_graph(rng, max_vertices=20)

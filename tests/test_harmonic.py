@@ -11,11 +11,12 @@ from mgbound import (metric_graph, solve_dirichlet, vertex_flux,
                      HarmonicSolver, TreeFamilySpec, build_kary_tree, dtn_matrix,
                      exit_measure, quadratic_form_check)
 from mgbound import harmonic
+from mgbound.graph import _edge_arrays
 from mgbound.harmonic import FLUX_BLOCK, _edge_energy, _laplacian_triplets
 from mgbound.partition import Partition
 
-from util import (forest_reference, forest_solve_reference, interior, laplacian_reference,
-                  path_graph, schur_complement_dtn, schur_update_reference, star_graph,
+from util import (boundary_blocks_reference, forest_reference, forest_solve_reference, interior,
+                  laplacian_reference, path_graph, schur_complement_dtn, schur_update_reference, star_graph,
                   random_connected_graph, with_boundary, with_parallel_edges)
 
 
@@ -719,6 +720,12 @@ def test_solve_rejects_missing_and_non_finite_boundary_values():
     solver = HarmonicSolver(star_graph(3))
     with pytest.raises(KeyError, match="missing boundary values for \\['v3'\\]"):
         solver.solve({"v1": 1.0, "v2": 0.0})
+    with pytest.raises(KeyError, match="missing boundary values for \\['v3'\\]"):
+        solver.solve({"v1": None, "v2": 0.0})  # the missing vertex is named first
+    with pytest.raises(TypeError):
+        solver.solve({"v1": None, "v2": 0.0, "v3": 1.0})
+    with pytest.raises(ValueError, match="could not convert"):
+        solver.solve({"v1": "one", "v2": 0.0, "v3": 1.0})
     with pytest.raises(ValueError, match="boundary values must be finite"):
         solver.solve({"v1": 1.0, "v2": 0.0, "v3": float("nan")})
 
@@ -763,30 +770,67 @@ def blocks_from_all_triplets(solver, *names):
     return out
 
 
+def boundary_hub(rng):
+    """A boundary hub with 24 incident edges: 8 to distinct interior
+    vertices, 8 parallel ones to one of them and 8 to boundary leaves, so its
+    L_BB row holds 32 triplets and its diagonal sums 24 terms."""
+    inner, leaves = [f"i{k}" for k in range(8)], [f"b{k}" for k in range(8)]
+    edges = [(f"a{k}", "hub", v, float(rng.uniform(0.1, 10.0))) for k, v in enumerate(inner)]
+    edges += [(f"p{k}", "hub", "i0", float(rng.uniform(0.1, 10.0))) for k in range(8)]
+    edges += [(f"c{k}", "hub", v, float(rng.uniform(0.1, 10.0))) for k, v in enumerate(leaves)]
+    edges += [(f"d{k}", v, w, float(rng.uniform(0.1, 10.0)))
+              for k, (v, w) in enumerate(zip(inner, leaves))]
+    return metric_graph(["hub"] + inner + leaves, edges, ["hub"] + leaves)
+
+
 def test_solver_blocks_from_the_boundary_edges_equal_those_from_all_triplets():
-    """Same entries summed in the same order: `data`, `indices` and `indptr`
-    are equal, on k-ary trees at ratios whose sums round, the pendant spine
-    and random graphs with parallel and boundary-boundary edges, each with
-    its own boundary and with an interior vertex pinned.  L_BI is not stored:
-    L_IB^T equals the BI cut, and its products are those of the cut."""
+    """L_IB and L_BB equal the per-edge loop of `boundary_blocks_reference`,
+    which adds each entry's terms in edge order: `data`, `indices` and
+    `indptr`, dtypes included, with sorted indices and no stored duplicate.
+    (A COO to CSR conversion of all 4m triplets gives the same arrays except
+    on rows of more than 16 triplets, whose terms its in-row sort may add in
+    another order: the pinned root of the 10-ary tree, one ulp.)  L_II, one
+    COO call, equals the cut of all 4m triplets array for array.  Graphs:
+    k-ary trees at ratios whose sums round, the pendant spine and random
+    graphs with parallel and boundary-boundary edges, each with its own
+    boundary and with an interior vertex pinned; graphs with no interior
+    vertex; a boundary hub with 24 incident edges and a hub graph.  L_BI is
+    not stored: L_IB^T equals the BI cut, and its products are those of the
+    cut."""
     rng = np.random.default_rng(71)
     graphs = [build_kary_tree(TreeFamilySpec(arity=k, ratio=0.3, depth=d))[0]
               for k, d in [(2, 1), (2, 7), (3, 4), (10, 2)]]
     graphs.append(build_counterexample(CounterexampleSpec(spine=12)))
     graphs += [with_parallel_edges(random_connected_graph(rng, max_vertices=30), rng)
                for _ in range(30)]
+    graphs = [with_boundary(g, boundary) for g in graphs
+              for boundary in (None, set(g.boundary) | {interior(g)[0]})]
+    triangle = [("e1", "a", "b", 1.0), ("e2", "b", "c", 0.25), ("e3", "c", "a", 3.0)]
+    graphs.append(metric_graph(["a", "b", "c"], triangle, ["a", "b", "c"]))
+    g = with_parallel_edges(random_connected_graph(rng, max_vertices=30), rng)
+    graphs += [with_boundary(g, set(g.vertices)), boundary_hub(rng), hub_graph(rng)]
+    seen = {"no interior": 0, "hub": 0}
     for g in graphs:
-        for boundary in (None, set(g.boundary) | {interior(g)[0]}):
-            solver = HarmonicSolver(with_boundary(g, boundary))
-            got = [solver.L_IB, solver.L_BB, solver.L_II]
-            *want, L_BI = blocks_from_all_triplets(solver, "IB", "BB", "II", "BI")
-            for a, b in zip(got, want):
-                assert a.format == b.format and a.shape == b.shape
-                for name in ("data", "indices", "indptr"):
-                    assert np.array_equal(getattr(a, name), getattr(b, name))
-            assert (solver.L_IB.T != L_BI).nnz == 0
-            X = rng.normal(size=(L_BI.shape[1], 3))
-            assert np.array_equal(solver.L_IB.T @ X, L_BI @ X)
+        solver = HarmonicSolver(g)
+        for got, want in zip((solver.L_IB, solver.L_BB), boundary_blocks_reference(solver)):
+            assert got.format == "csr" and got.shape == want.shape
+            for name in ("data", "indices", "indptr"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert got.has_canonical_format
+        u, v, _ = _edge_arrays(g)
+        seen["hub"] += np.bincount(np.r_[u, v])[solver._is_boundary].max() >= 20
+        if not solver.L_IB.shape[0]:
+            seen["no interior"] += 1
+            continue
+        L_II, L_BI = blocks_from_all_triplets(solver, "II", "BI")
+        assert solver.L_II.format == L_II.format and solver.L_II.shape == L_II.shape
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(solver.L_II, name), getattr(L_II, name))
+        assert (solver.L_IB.T != L_BI).nnz == 0
+        X = rng.normal(size=(L_BI.shape[1], 3))
+        assert np.array_equal(solver.L_IB.T @ X, L_BI @ X)
+    assert seen["no interior"] >= 2 and seen["hub"] == 2
 
 
 def test_kirchhoff_check_is_relative_to_the_conductances_and_the_data():

@@ -238,6 +238,36 @@ def laplacian_reference(g):
     return L, interior, bnd
 
 
+def boundary_blocks_reference(solver):
+    """L_IB and L_BB of `solver` by a loop over the edges: each of an edge's
+    triplets (i, j), (j, i), (i, i), (j, j) whose column is on the boundary
+    is added to its entry in edge order, from 0, and each row is then laid
+    out by column, one stored entry per column.  Oracle for
+    `HarmonicSolver._boundary_blocks`: data, indices and indptr must be
+    equal, dtypes included."""
+    g, b, rank = solver.graph, solver._is_boundary, solver._rank
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    n_b = int(np.count_nonzero(b))
+    entries = ({}, {})  # (row, column) -> sum, for L_IB and L_BB
+    for e in g.edges:
+        c, i, j = 1.0 / e.length, pos[e.u], pos[e.v]
+        for r, col, x in ((i, j, -c), (j, i, -c), (i, i, c), (j, j, c)):
+            if b[col]:
+                block = entries[int(b[r])]
+                key = (int(rank[r]), int(rank[col]))
+                block[key] = block.get(key, 0.0) + x
+    out = []
+    for block, n_rows in zip(entries, (len(b) - n_b, n_b)):
+        keys = sorted(block)
+        indptr = np.zeros(n_rows + 1, dtype=np.int32)
+        for r, _ in keys:
+            indptr[r + 1] += 1
+        out.append(sp.csr_matrix((np.array([block[k] for k in keys], dtype=float),
+                                  np.array([col for _, col in keys], dtype=np.int32),
+                                  np.cumsum(indptr, dtype=np.int32)), shape=(n_rows, n_b)))
+    return out
+
+
 def schur_complement_dtn(g, mu=None):
     """Dense Schur-complement oracle for `dtn_matrix`:
     D_mu^{-1} (L_BB - L_BI L_II^{-1} L_IB) on the Laplacian of
