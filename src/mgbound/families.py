@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import product
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,11 +24,9 @@ _DIGITS = "0123456789"
 
 def _addresses(arity: int, length: int) -> list:
     """All words of the given length over the first `arity` digits, in sorted
-    order: the vertex addresses at that depth ([""] at depth 0)."""
-    words = [""]
-    for _ in range(length):
-        words = [w + c for w in words for c in _DIGITS[:arity]]
-    return words
+    order: the vertex addresses at that depth ([""] at depth 0), from one
+    `itertools.product` of the digits, whose tuples come in that order."""
+    return list(map("".join, product(_DIGITS[:arity], repeat=length)))
 
 
 def _common_prefix(arity: int, length: int, a, b) -> np.ndarray:

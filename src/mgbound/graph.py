@@ -102,13 +102,20 @@ def _shortest_edge_matrix(g: MetricGraph) -> csr_matrix:
 
 
 def _shortest_pair_matrix(u, v, length, n: int) -> csr_matrix:
-    """n x n upper-triangular matrix of the shortest length given each pair {u, v}."""
+    """n x n upper-triangular matrix of the shortest length given each pair {u, v}.
+
+    Laid out as CSR straight from the sort by (lo, hi, length), with no COO
+    round trip: the first entry of each pair is kept, one cumsum of the row
+    counts gives `indptr`, and the kept hi, sorted within each row, are
+    `indices`.  scipy picks the index dtype from their contents (int32 while
+    nnz and n fit), so the arrays equal those of the COO -> CSR conversion."""
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     order = np.lexsort((length, hi, lo))
     lo, hi = lo[order], hi[order]
     first = np.ones(len(order), dtype=bool)
     first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-    return csr_matrix((length[order][first], (lo[first], hi[first])), shape=(n, n))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(lo[first], minlength=n))))
+    return csr_matrix((length[order][first], hi[first], indptr), shape=(n, n))
 
 
 def _component_labels(n: int, u, v) -> np.ndarray:

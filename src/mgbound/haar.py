@@ -95,7 +95,7 @@ def build_haar_basis(tree: CellTree, mu: CellMeasure) -> HaarBasis:
         raise ValueError("measure was built on a different cell tree")
     if not mu.is_positive():
         raise ValueError("mu must be finite and strictly positive on every cell")
-    off, parent = tree._all_levels()  # every cell of every level, in one sequence
+    off, parent = tree._all_levels  # every cell of every level, in one sequence
     mass, size = np.empty(off[-1]), np.ones(off[-1], dtype=parent.dtype)
     mass[off[-2]:] = mu.level_slice(tree.finest)
     # masses and finest-cell counts summed up the tree: pairwise sums on binary

@@ -59,7 +59,7 @@ class CellMeasure:
         """The additivity check (`_judge`): the largest gap between a cell's
         mass and the sum of its children's, over the total mass.  Below a
         one-cell tree a NaN or infinite mass makes a gap NaN or infinite."""
-        (off, parent), m = self.tree._all_levels(), self._all
+        (off, parent), m = self.tree._all_levels, self._all
         gaps = np.abs(m[:off[-2]] - np.bincount(parent, weights=m[1:], minlength=off[-2]))
         return _judge(float(np.max(gaps, initial=0.0)), self.total())
 

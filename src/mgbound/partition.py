@@ -98,7 +98,7 @@ class BoundarySet:
         if n == 0:
             raise ValueError("boundary set is empty")
         i, j, w = self.mst
-        pred = breadth_first_order(csr_matrix((w, (i, j)), shape=(n, n)), 0, directed=False)[1]
+        pred = breadth_first_order(self._mst_graph(), 0, directed=False)[1]
         point, pw = np.arange(n), np.full(n, np.inf)  # pw: the weight of the parent edge
         pw[np.where(pred[j] == i, j, i)] = w
         parent, rank = np.where(pred < 0, point, pred), np.empty(n, dtype=np.intp)
@@ -114,6 +114,11 @@ class BoundarySet:
             lead = np.zeros(n, dtype=bool)
             lead[first] = True
             yield (np.cumsum(lead, dtype=_index_dtype(n)) - 1)[first]
+
+    def _mst_graph(self) -> csr_matrix:
+        """The minimum spanning tree as a sparse matrix, for csgraph."""
+        i, j, w = self.mst
+        return csr_matrix((w, (i, j)), shape=(len(self), len(self)))
 
     def _diameters(self, cell: list) -> list:
         """The diameter of every cell of every level, indexed by cell.  With the
@@ -195,8 +200,11 @@ class _GraphBoundarySet(BoundarySet):
     One Dijkstra from all of them gives each vertex its nearest point s (its
     Voronoi region); an edge (u, v) of length l from the region of s to that
     of t offers the pair d(s, u) + l + d(v, t), and the shortest offers span
-    an MST of the metric (Mehlhorn 1988).  The n x n table, one Dijkstra per
-    point, is made only when `dist` is read."""
+    an MST of the metric (Mehlhorn 1988).  The offers and the edge lengths are
+    laid out as CSR by `_shortest_pair_matrix`; the tree is kept as the CSR
+    that csgraph's `minimum_spanning_tree` returns, `mst` reads its arrays and
+    `_cuts` roots it with no copy.  The n x n table, one Dijkstra per point, is
+    made only when `dist` is read."""
 
     _made_sorted = True
 
@@ -222,9 +230,14 @@ class _GraphBoundarySet(BoundarySet):
         s, t = rank[region[u[cross]]], rank[region[v[cross]]]
         # point 0 offers the rest an infinite edge, joining components as Prim does
         rest = np.arange(1, n)
-        offers = _shortest_pair_matrix(np.r_[s, 0 * rest], np.r_[t, rest], np.r_[w, np.inf * rest], n)
-        tree = minimum_spanning_tree(offers).tocoo()
-        self.mst = tree.row, tree.col, tree.data
+        offers = _shortest_pair_matrix(np.concatenate((s, 0 * rest)), np.concatenate((t, rest)),
+                                       np.concatenate((w, np.inf * rest)), n)
+        self._tree = tree = minimum_spanning_tree(offers)
+        rows = np.repeat(np.arange(n, dtype=tree.indices.dtype), np.diff(tree.indptr))
+        self.mst = rows, tree.indices, tree.data
+
+    def _mst_graph(self) -> csr_matrix:
+        return self._tree  # the one csgraph made
 
     @cached_property
     def dist(self) -> np.ndarray:
@@ -316,8 +329,10 @@ class CellTree:
     smallest member, and mesh[j] the largest cell diameter.  Every level's
     parent array, which also gives its cell count, is made once, on the first
     read of `parent` or `ncells`, and is read-only like a `CellMeasure`'s
-    masses; the levels as named `Partition`s and the cell diameters are made
-    on the first read of `levels` and of `diameter`."""
+    masses; so are `_all_levels`, every level's cells in one sequence with
+    their parents, made on its first read.  The levels as named `Partition`s
+    and the cell diameters are made on the first read of `levels` and of
+    `diameter`."""
     boundary: BoundarySet
     jumps: list
     cell: list
@@ -357,12 +372,15 @@ class CellTree:
             raise ValueError(f"level {level} has no parent level")
         return self._parents[level - 1]
 
+    @cached_property
     def _all_levels(self):
-        """(off, parent), made on each call: every level's cells in one sequence,
-        level j's from off[j], and parent[i - 1] the number of cell i's parent."""
+        """(off, parent), made once and read-only: every level's cells in one
+        sequence, level j's from off[j], and parent[i - 1] the number of cell
+        i's parent."""
         off = np.cumsum([0, 1] + [len(p) for p in self._parents])
-        return off, np.concatenate([np.zeros(0, int)] + [p + o for p, o in zip(self._parents, off)],
-                                   dtype=_index_dtype(int(off[-1])))
+        parent = np.concatenate([np.zeros(0, int)] + [p + o for p, o in zip(self._parents, off)],
+                                dtype=_index_dtype(int(off[-1])))
+        return _read_only(off), _read_only(parent)
 
 
 def canonical_nested_partitions(b: BoundarySet) -> CellTree:

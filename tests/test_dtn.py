@@ -75,7 +75,8 @@ def _certified_cases():
     yield deep, 1e-12 * np.max(np.diag(deep.matrix))
     spine = build_counterexample(CounterexampleSpec(spine=12))
     rng = np.random.default_rng(12)
-    yield dtn_matrix(spine, {v: float(rng.uniform(0.5, 2.0)) for v in spine.boundary}), 1e-10
+    mu = {v: float(rng.uniform(0.5, 2.0)) for v in sorted(spine.boundary)}
+    yield dtn_matrix(spine, mu), 1e-10
     yield compressed_dtn_limit(SPEC, 2, range(4, 12), 1e-8).dtn, 1e-10
 
 
@@ -211,8 +212,9 @@ def test_tile_pair_certificate_equals_the_whole_matrix_formulas_on_dtn_maps():
     several tiles; each certificate matches the reference field by field."""
     spine = build_counterexample(CounterexampleSpec(spine=12))
     rng = np.random.default_rng(5)
+    mu = {v: float(rng.uniform(0.5, 2.0)) for v in sorted(spine.boundary)}
     for D in (dtn_matrix(build_kary_tree(TreeFamilySpec(arity=2, ratio=0.5, depth=10))[0]),
-              dtn_matrix(spine, {v: float(rng.uniform(0.5, 2.0)) for v in spine.boundary})):
+              dtn_matrix(spine, mu)):
         assert len(D.basis) > 3 * mgbound.dtn.TILE
         assert _assert_certificate_matches_the_reference(D)["ok"]
 
@@ -248,8 +250,9 @@ def test_certificate_equals_the_strided_tile_pass_on_dtn_maps():
     random weights): every field equals that of `certificate_tile_reference`."""
     spine = build_counterexample(CounterexampleSpec(spine=12))
     rng = np.random.default_rng(7)
+    mu = {v: float(rng.uniform(0.5, 2.0)) for v in sorted(spine.boundary)}
     for D in (dtn_matrix(build_kary_tree(TreeFamilySpec(arity=2, ratio=0.5, depth=10))[0]),
-              dtn_matrix(spine, {v: float(rng.uniform(0.5, 2.0)) for v in spine.boundary})):
+              dtn_matrix(spine, mu)):
         assert _equal_to_the_last_bit(D.check_invariants(), certificate_tile_reference(D))
 
 
@@ -666,7 +669,7 @@ def test_quadratic_form_random_nonnegative():
     for _ in range(20):
         g = random_connected_graph(rng, max_vertices=25)
         mu = {v: 1.0 for v in g.boundary}
-        F = {v: float(rng.normal()) for v in g.boundary}
+        F = {v: float(rng.normal()) for v in sorted(g.boundary)}
         ff, en = quadratic_form_check(g, mu, F)
         assert abs(ff - en) < 1e-10 * (1 + abs(en))
         assert ff >= -1e-12 and en >= 0

@@ -6,10 +6,10 @@ import pytest
 import mgbound.families
 from mgbound import (TreeFamilySpec, CounterexampleSpec, build_kary_tree,
                      build_counterexample, load_graph, metric_graph, save_graph, validate)
-from mgbound.families import GraphFormatError
+from mgbound.families import GraphFormatError, _addresses
 from mgbound.graph import _edge_arrays, _on_boundary
 
-from util import kary_tree_reference
+from util import addresses_reference, kary_tree_reference
 
 
 def test_depth1_binary():
@@ -207,3 +207,10 @@ def test_depth_and_spine_must_be_integers():
             CounterexampleSpec(spine=bad)
     assert len(build_kary_tree(TreeFamilySpec(depth=np.int64(3)))[0].vertices) == 15
     assert len(build_counterexample(CounterexampleSpec(spine=np.int32(4))).vertices) == 17
+
+
+def test_addresses_equal_the_nested_comprehension():
+    for arity in range(2, 11):
+        for length in range(5):
+            assert _addresses(arity, length) == addresses_reference(arity, length)
+    assert _addresses(2, 10) == addresses_reference(2, 10)

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from mgbound import metric_graph, validate, multi_source_distance
+from mgbound.graph import _shortest_edge_matrix, _shortest_pair_matrix
 
-from util import dijkstra_reference, path_graph, random_connected_graph, with_parallel_edges
+from util import (dijkstra_reference, path_graph, random_connected_graph,
+                  shortest_pair_matrix_reference, with_parallel_edges)
 
 
 def test_validate_minimal_graph():
@@ -92,3 +94,38 @@ def test_distance_edge_lipschitz_random():
 ])
 def test_validate_reports_duplicates_and_unknown_boundary(vertices, edges, boundary, problem):
     assert problem in validate(metric_graph(vertices, edges, boundary))
+
+
+def _assert_same_csr(got, want):
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def test_shortest_pair_matrix_equals_the_coo_to_csr_conversion():
+    """Array for array, dtypes included: parallel edges of different lengths
+    given both ways round, a vertex with no edge (4, and the last row), the
+    infinite offers that join components, and no edges at all."""
+    u = np.array([0, 1, 2, 3, 1, 0, 2, 1], dtype=np.intp)
+    v = np.array([1, 0, 3, 2, 0, 3, 5, 2], dtype=np.intp)
+    length = np.array([2.0, 1.5, 0.5, 0.25, 3.0, 1.0, 4.0, 2.0])
+    cases = [(u, v, length, 6), (u, v, length, 7),
+             # offers of a 4-point set: point 0 offers every other an infinite edge
+             (np.r_[2, 1, 3, 0, 0, 0], np.r_[1, 2, 1, 1, 2, 3],
+              np.r_[5.0, 4.0, 6.0, np.inf, np.inf, np.inf], 4),
+             (np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0), 3),
+             (np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0), 0)]
+    for case in cases:
+        _assert_same_csr(_shortest_pair_matrix(*case), shortest_pair_matrix_reference(*case))
+    assert _shortest_pair_matrix(u, v, length, 6)[0, 1] == 1.5
+
+
+def test_shortest_edge_matrix_equals_the_coo_to_csr_conversion():
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        g = with_parallel_edges(random_connected_graph(rng), rng, share=0.5)
+        pos = {x: i for i, x in enumerate(g.vertices)}
+        u, v = ([pos[getattr(e, end)] for e in g.edges] for end in ("u", "v"))
+        want = shortest_pair_matrix_reference(u, v, [e.length for e in g.edges], len(g.vertices))
+        _assert_same_csr(_shortest_edge_matrix(g), want)

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import mgbound
-from mgbound import (TreeFamilySpec, CounterexampleSpec, BoundarySet, CellMeasure, HaarBasis,
-                     build_kary_tree, build_counterexample, graph_boundary_set,
+from mgbound import (TreeFamilySpec, CounterexampleSpec, BoundarySet, CellMeasure, CellTree,
+                     HaarBasis, build_kary_tree, build_counterexample, graph_boundary_set,
                      tree_boundary_set, canonical_nested_partitions,
                      equal_split_measure, counting_measure,
                      cell_measure_from_point_masses, exit_measure_point_masses,
@@ -19,9 +19,9 @@ from mgbound import (TreeFamilySpec, CounterexampleSpec, BoundarySet, CellMeasur
 
 from mgbound.families import ROOT
 
-from util import (children_by_name, haar_dense_reference, haar_gram_schmidt_reference,
-                  haar_per_level_reference, random_boundary_set, random_connected_graph,
-                  star_graph)
+from util import (all_levels_reference, children_by_name, haar_dense_reference,
+                  haar_gram_schmidt_reference, haar_per_level_reference, random_boundary_set,
+                  random_connected_graph, star_graph)
 
 
 def dyadic_tree(depth):
@@ -186,6 +186,26 @@ def test_sparse_basis_equals_dense_reference_on_shuffled_cell_trees():
         wide += max(map(np.max, counts), default=0) >= 4
     # the trees cover interleaved cells, single-child chains and wide fan-outs
     assert min(unsorted, chains, wide) >= 10
+
+
+def test_bases_and_additivity_from_the_cached_levels_equal_a_fresh_build():
+    """On the shuffled cell trees, with `_all_levels` read from its cache (a
+    second build and check on one tree) and made afresh and writable (on a copy
+    of the tree), the basis matrices and additivity records are equal."""
+    for tree in _shuffled_trees():
+        fresh = CellTree(tree.boundary, tree.jumps, tree.cell)
+        fresh.__dict__["_all_levels"] = all_levels_reference(fresh)
+        for measure in (equal_split_measure, counting_measure):
+            mus = [measure(tree), measure(tree), measure(fresh)]
+            bases = [build_haar_basis(mu.tree, mu) for mu in mus]
+            checks = [mu.additivity() for mu in mus]
+            for basis in bases[1:]:
+                for name in ("indptr", "indices", "data"):
+                    got, want = getattr(basis.matrix, name), getattr(bases[0].matrix, name)
+                    assert got.dtype == want.dtype and np.array_equal(got, want), name
+                assert np.array_equal(basis.levels, bases[0].levels)
+            assert checks[1] == checks[0] == checks[2]
+        assert tree._all_levels[1].flags.writeable is False
 
 
 def _many_child_counts_tree():

@@ -106,7 +106,7 @@ def test_vertex_flux_is_the_sum_over_the_incident_edges_in_edge_order():
     rng = np.random.default_rng(37)
     for _ in range(20):
         g = with_parallel_edges(random_connected_graph(rng), rng)
-        F = {v: float(rng.normal()) for v in g.boundary}
+        F = {v: float(rng.normal()) for v in sorted(g.boundary)}
         fs = [solve_dirichlet(g, F)]
         if interior(g):
             w = interior(g)[0]
@@ -151,7 +151,7 @@ def test_maximum_principle_random():
     rng = np.random.default_rng(17)
     for _ in range(100):
         g = random_connected_graph(rng, max_vertices=30)
-        F = {v: float(rng.normal()) for v in g.boundary}
+        F = {v: float(rng.normal()) for v in sorted(g.boundary)}
         f = solve_dirichlet(g, F)
         lo, hi = min(F.values()), max(F.values())
         vals = np.array(list(f.values.values()))
@@ -163,8 +163,8 @@ def test_linearity():
     for _ in range(10):
         g = random_connected_graph(rng, max_vertices=25)
         solver = HarmonicSolver(g)
-        F = {v: float(rng.normal()) for v in g.boundary}
-        G = {v: float(rng.normal()) for v in g.boundary}
+        F = {v: float(rng.normal()) for v in sorted(g.boundary)}
+        G = {v: float(rng.normal()) for v in sorted(g.boundary)}
         a, c = 1.7, -0.3
         combo = solver.solve({v: a * F[v] + c * G[v] for v in g.boundary})
         fF, fG = solver.solve(F), solver.solve(G)
@@ -178,11 +178,11 @@ def test_energy_identity_and_reciprocity():
     for _ in range(20):
         g = random_connected_graph(rng, max_vertices=25)
         solver = HarmonicSolver(g)
-        F = {v: float(rng.normal()) for v in g.boundary}
-        G = {v: float(rng.normal()) for v in g.boundary}
+        F = {v: float(rng.normal()) for v in sorted(g.boundary)}
+        G = {v: float(rng.normal()) for v in sorted(g.boundary)}
         f, h = solver.solve(F), solver.solve(G)
-        form_fg = sum(vertex_flux(f, v) * h.values[v] for v in g.boundary)
-        form_gf = sum(vertex_flux(h, v) * f.values[v] for v in g.boundary)
+        form_fg = sum(vertex_flux(f, v) * h.values[v] for v in sorted(g.boundary))
+        form_gf = sum(vertex_flux(h, v) * f.values[v] for v in sorted(g.boundary))
         energy_fg = sum((f.values[e.u] - f.values[e.v])
                         * (h.values[e.u] - h.values[e.v]) / e.length
                         for e in g.edges)
@@ -736,7 +736,7 @@ def test_check_harmonic_matches_the_per_vertex_fluxes():
     rng = np.random.default_rng(19)
     for _ in range(10):
         g = with_parallel_edges(random_connected_graph(rng), rng)
-        f = solve_dirichlet(g, {v: float(rng.normal()) for v in g.boundary})
+        f = solve_dirichlet(g, {v: float(rng.normal()) for v in sorted(g.boundary)})
         interior = [v for v in g.vertices if v not in g.boundary]
         for v in interior:
             f.values[v] += float(rng.normal()) * 1e-9
@@ -842,14 +842,14 @@ def test_kirchhoff_check_is_relative_to_the_conductances_and_the_data():
     for depth, size in ((12, 1e6), (9, 1.0)):
         rng = np.random.default_rng(depth)
         g = build_kary_tree(TreeFamilySpec(arity=2, ratio=0.25, depth=depth))[0]
-        f = solve_dirichlet(g, {v: size * float(rng.normal()) for v in g.boundary})
+        f = solve_dirichlet(g, {v: size * float(rng.normal()) for v in sorted(g.boundary)})
         rep = check_harmonic(f)
         assert rep["max_residual"] > 1e-10
         assert not rep["flagged"] and rep["max_principle"] and rep["kirchhoff"]["passed"], rep
         assert rep["kirchhoff"]["scale"] == max(abs(x) for x in f.values.values())
     g = build_kary_tree(TreeFamilySpec(arity=2, ratio=0.25, depth=3))[0]
     rng = np.random.default_rng(3)
-    f = solve_dirichlet(g, {v: 1e-12 * float(rng.normal()) for v in g.boundary})
+    f = solve_dirichlet(g, {v: 1e-12 * float(rng.normal()) for v in sorted(g.boundary)})
     f.values["0"] *= 1.1
     rep = check_harmonic(f)
     assert rep["max_residual"] < 1e-10

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 import mgbound
 from mgbound import (TreeFamilySpec, CounterexampleSpec, BoundarySet, tree_boundary_set,
@@ -15,10 +16,10 @@ from mgbound import (TreeFamilySpec, CounterexampleSpec, BoundarySet, tree_bound
                      equal_split_measure, counting_measure, build_haar_basis)
 from mgbound.partition import Partition, _index_dtype
 
-from util import (cell_diameter, cells_by_components, components_bruteforce,
-                  components_union_find, dijkstra_reference, random_boundary_set,
-                  random_connected_graph, star_graph, tree_boundary_distance,
-                  with_parallel_edges)
+from util import (all_levels_reference, cell_diameter, cells_by_components,
+                  components_bruteforce, components_union_find, dijkstra_reference,
+                  random_boundary_set, random_connected_graph, star_graph,
+                  tree_boundary_distance, with_parallel_edges)
 
 SPEC3 = TreeFamilySpec(arity=2, ratio=0.25, depth=3)
 
@@ -515,6 +516,40 @@ def test_parents_and_cell_counts_are_made_once_and_read_only():
             assert np.array_equal(parent[tree.cell[level]], tree.cell[level - 1])
             with pytest.raises(ValueError, match="read-only"):
                 parent[0] = 0
+
+
+def test_all_levels_are_made_once_and_read_only():
+    for b in (tree_boundary_set(TreeFamilySpec(arity=3, ratio=0.4, depth=4)),
+              graph_boundary_set(build_counterexample(CounterexampleSpec(spine=7))),
+              BoundarySet(["a"], np.zeros((1, 1)))):
+        tree = canonical_nested_partitions(b)
+        off, parent = tree._all_levels
+        again = tree._all_levels
+        assert again[0] is off and again[1] is parent
+        want_off, want_parent = all_levels_reference(tree)
+        assert off.dtype == want_off.dtype and np.array_equal(off, want_off)
+        assert parent.dtype == want_parent.dtype and np.array_equal(parent, want_parent)
+        for a in (off, parent):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
+
+def test_graph_mst_is_the_csr_that_csgraph_returns():
+    """`mst` reads the tree's own CSR arrays, which equal, array for array, the
+    CSR made from them through COO (the one the dense table's Prim arrays give
+    `_cuts`), so the breadth-first order is that of the COO route."""
+    rng = np.random.default_rng(43)
+    graphs = [build_counterexample(CounterexampleSpec(spine=s)) for s in (7, 12)]
+    graphs += [with_parallel_edges(random_connected_graph(rng), rng) for _ in range(20)]
+    for g in graphs:
+        b = graph_boundary_set(g)
+        tree, (i, j, w) = b._mst_graph(), b.mst
+        coo = tree.tocoo()
+        for got, want in zip((i, j, w), (coo.row, coo.col, coo.data)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        via_coo = csr_matrix((w, (i, j)), shape=(len(b), len(b)))
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(tree, name), getattr(via_coo, name)), name
 
 
 def test_cell_indices_are_int32_while_they_fit():

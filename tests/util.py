@@ -167,6 +167,38 @@ def tree_boundary_distance(spec, x: str, y: str) -> float:
     return 2.0 * L0 * r ** (a + 1) * (1.0 - r ** (n - a)) / (1.0 - r)
 
 
+def shortest_pair_matrix_reference(u, v, length, n):
+    """Oracle for `_shortest_pair_matrix`: the shortest length of each pair
+    {u, v}, picked in Python, through scipy's COO -> CSR conversion."""
+    best = {}
+    for a, b, w in zip(*(np.asarray(x).tolist() for x in (u, v, length))):
+        pair = (min(a, b), max(a, b))
+        best[pair] = min(best.get(pair, math.inf), w)
+    pairs = sorted(best)
+    rows = np.array([a for a, _ in pairs], dtype=np.intp)
+    cols = np.array([b for _, b in pairs], dtype=np.intp)
+    return sp.csr_matrix((np.array([best[p] for p in pairs], dtype=float), (rows, cols)),
+                         shape=(n, n))
+
+
+def addresses_reference(arity: int, length: int) -> list:
+    """Oracle for `_addresses`: the words grown one digit at a time by nested
+    comprehensions."""
+    words = [""]
+    for _ in range(length):
+        words = [w + c for w in words for c in _DIGITS[:arity]]
+    return words
+
+
+def all_levels_reference(tree):
+    """Oracle for `CellTree._all_levels`: (off, parent) made afresh from the
+    parent arrays, writable."""
+    parents = [tree.parent(j) for j in range(1, tree.finest + 1)]
+    off = np.cumsum([0, 1] + [len(p) for p in parents])
+    return off, np.concatenate([np.zeros(0, int)] + [p + o for p, o in zip(parents, off)],
+                               dtype=np.int32 if off[-1] < 2 ** 31 else np.int64)
+
+
 def interior(g) -> list:
     return [v for v in g.vertices if v not in g.boundary]
 
